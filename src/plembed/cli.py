@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import bzelement, mesh, qcbounds, quadruple, skeleton
-from .errors import DomainError, MeshError, ParseError, UnknownVertexError
+from .errors import ParseError
+from .spaceform import TWO_PI
 
 SCHEMA_VERSION = 1
-TWO_PI_DEFAULT = 2.0 * math.pi
 
 
 def _emit(payload: dict, args) -> None:
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fold", help="conical vertex map of a polar point")
     p.add_argument("--theta", type=float, required=True, help="source cone angle")
-    p.add_argument("--lam", type=float, default=TWO_PI_DEFAULT, help="target cone angle (default 2*pi)")
+    p.add_argument("--lam", type=float, default=TWO_PI, help="target cone angle (default 2*pi)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--point", required=True, help="rho,phi")
     p.add_argument("--contraction", action="store_true", help="use the inner-disk contraction map")
@@ -337,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DomainError, MeshError, UnknownVertexError, OSError, ValueError) as e:
+    except (ValueError, OSError) as e:  # every plembed error is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return 2
 

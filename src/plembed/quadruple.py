@@ -27,6 +27,59 @@ from .spaceform import (
 )
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_DIAG = np.arange(4)
+_OFF_I, _OFF_J = np.nonzero(~np.eye(4, dtype=bool))
+# Every (i, j, k) with j distinct from i < k: the side d[i, k] against the
+# path i -> j -> k.  Symmetric matrices need no other orientation.
+_I, _J, _K = np.array(
+    [(i, j, k) for j in range(4) for i, k in combinations([x for x in range(4) if x != j], 2)]
+).T
+
+# Conditions on a distance matrix, in the order they are tested.
+_DEFECTS = (
+    "distances must be finite",
+    "off-diagonal distances must be positive",
+    "distance matrix must be symmetric",
+    "diagonal must be zero",
+    "off-diagonal distances must be positive",
+    "distances violate the triangle inequality",
+)
+
+
+def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack (..., 4, 4) of distance matrices.
+
+    Returns the symmetrized matrices, 0.5 * (d + d.T) with a zero diagonal,
+    and per matrix 1 + the index in `_DEFECTS` of the first failed
+    condition, or 0 when it is a metric.  Symmetry, the diagonal and the
+    triangle inequality allow a slack of 1e-12 * max d.
+    """
+    scale = d.max(axis=(-2, -1))
+    slack = 1e-12 * scale
+    dt = np.swapaxes(d, -1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym = 0.5 * (d + dt)
+        sym[..., _DIAG, _DIAG] = 0.0
+        failed = np.stack(
+            [
+                ~np.isfinite(d).all(axis=(-2, -1)),
+                scale <= 0.0,
+                np.abs(d - dt).max(axis=(-2, -1)) > slack,
+                np.abs(d[..., _DIAG, _DIAG]).max(axis=-1) > slack,
+                sym[..., _OFF_I, _OFF_J].min(axis=-1) <= 0.0,
+                np.any(sym[..., _I, _K] > sym[..., _I, _J] + sym[..., _J, _K] + slack[..., None], axis=-1),
+            ]
+        )
+    return sym, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+
+
+def _betweenness(d: np.ndarray, margin: float = 1e-12) -> np.ndarray:
+    """Per matrix of a symmetric stack (..., 4, 4): does a point lie metrically between two others?
+
+    Betweenness is tested with a relative margin of ``margin * max d``.
+    """
+    m = margin * d.max(axis=(-2, -1))
+    return np.any(d[..., _I, _K] >= d[..., _I, _J] + d[..., _J, _K] - m[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -39,25 +92,9 @@ class MetricQuadruple:
         d = np.array(self.distances, dtype=float)
         if d.shape != (4, 4):
             raise DomainError("expected a 4x4 distance matrix")
-        if not np.all(np.isfinite(d)):
-            raise DomainError("distances must be finite")
-        scale = float(d.max())
-        if scale <= 0.0:
-            raise DomainError("off-diagonal distances must be positive")
-        if np.max(np.abs(d - d.T)) > 1e-12 * scale:
-            raise DomainError("distance matrix must be symmetric")
-        if np.max(np.abs(np.diag(d))) > 1e-12 * scale:
-            raise DomainError("diagonal must be zero")
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, 0.0)
-        off = d[~np.eye(4, dtype=bool)]
-        if off.min() <= 0.0:
-            raise DomainError("off-diagonal distances must be positive")
-        slack = 1e-12 * scale
-        for j in range(4):
-            for i, k in combinations([x for x in range(4) if x != j], 2):
-                if d[i, k] > d[i, j] + d[j, k] + slack:
-                    raise DomainError("distances violate the triangle inequality")
+        d, defect = _symmetrized(d)
+        if defect:
+            raise DomainError(_DEFECTS[defect - 1])
         d.setflags(write=False)
         object.__setattr__(self, "distances", d)
 
@@ -115,13 +152,7 @@ def nondegenerate(q: MetricQuadruple, *, margin: float = 1e-12) -> bool:
 
     Betweenness is tested with a relative margin of ``margin * max d``.
     """
-    d = q.distances
-    m = margin * float(d.max())
-    for j in range(4):
-        for i, k in combinations([x for x in range(4) if x != j], 2):
-            if d[i, k] >= d[i, j] + d[j, k] - m:
-                return False
-    return True
+    return not _betweenness(q.distances, margin)
 
 
 def _apex_angles(d: np.ndarray, kappa: float, i: int) -> tuple[float, float, float]:

@@ -7,6 +7,13 @@ Degenerate quadruples (a point metrically between two others, which happens
 whenever a shortest path between two neighbours runs through v) are skipped
 and reported, never guessed.
 
+Star distances come from one Dijkstra search per vertex a, stopped at the
+radius R(a) = max over neighbours v of w(a, v) plus the longest edge at v.
+The search settles every vertex within R(a) at its exact graph distance, and
+every star distance read from it lies within R(a), since d(a, v) <= w(a, v)
+for a neighbour v and d(a, b) <= w(a, v) + w(v, b) for a vertex b sharing
+the neighbour v; so no all-pairs matrix is needed.
+
 `polyline_curvature` offers two discrete curvature measures for three
 consecutive points of a polygonal curve.  The Menger mode is the inverse
 circumradius and reproduces 1/R exactly on circles.  The finsler_haantjes
@@ -20,15 +27,15 @@ itself.  See the README.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     DomainError,
@@ -39,9 +46,12 @@ from .errors import (
     UnknownVertexError,
 )
 from .quadruple import (
+    _DEFECTS,
     EmbeddabilityCertificate,
     MetricQuadruple,
     _apex_angles,
+    _betweenness,
+    _symmetrized,
     nondegenerate,
     s3_embeddability,
     vertex_excess,
@@ -64,6 +74,7 @@ class MetricGraph:
         n = len(self.labels)
         seen = set()
         cleaned = []
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownVertexError(f"edge index out of range: ({i}, {j})")
@@ -76,7 +87,11 @@ class MetricGraph:
                 raise DuplicateEdgeError(f"duplicate edge ({self.labels[i]}, {self.labels[j]})")
             seen.add(key)
             cleaned.append((key[0], key[1], float(w)))
+            adj[i].append((j, float(w)))
+            adj[j].append((i, float(w)))
         self.edges: tuple[tuple[int, int, float], ...] = tuple(cleaned)
+        # (neighbour, length) pairs of each vertex, in neighbour order
+        self._adj = tuple(tuple(sorted(a)) for a in adj)
 
     @classmethod
     def from_edge_list(cls, triples) -> "MetricGraph":
@@ -107,31 +122,46 @@ class MetricGraph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v) -> tuple[int, ...]:
-        i = self.index(v)
-        out = set()
-        for a, b, _ in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return tuple(sorted(out))
+        return tuple(j for j, _ in self._adj[self.index(v)])
 
     def degree(self, v) -> int:
-        return len(self.neighbors(v))
+        return len(self._adj[self.index(v)])
 
-    @cached_property
-    def _dist(self) -> np.ndarray:
-        n = len(self.labels)
-        w = np.zeros((n, n))
-        for i, j, length in self.edges:
-            w[i, j] = w[j, i] = length
-        return shortest_path(w, method="D", directed=False)
+    def _search(self, source: int, radius: float = math.inf) -> dict[int, float]:
+        """Dijkstra from ``source``: the distance to every vertex within ``radius``."""
+        adj = self._adj
+        dist: dict[int, float] = {}
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > radius:
+                break
+            if u in dist:
+                continue
+            dist[u] = d
+            for j, w in adj[u]:
+                if j not in dist:
+                    heapq.heappush(heap, (d + w, j))
+        return dist
+
+    def _star_ball(self, source: int) -> dict[int, float]:
+        """Distances from ``source`` to its neighbours and to every vertex sharing a neighbour with it."""
+        adj = self._adj
+        radius = max((w + max(x for _, x in adj[j]) for j, w in adj[source]), default=0.0)
+        return self._search(source, radius * (1.0 + 1e-12))
 
     def distance_matrix(self) -> np.ndarray:
-        return self._dist
+        """Dense all-pairs distances (inf between components), exactly symmetric."""
+        n = len(self.labels)
+        d = np.full((n, n), np.inf)
+        for i in range(n):
+            row = self._search(i)
+            d[i, list(row)] = list(row.values())
+        return 0.5 * (d + d.T)
 
     def distance(self, u, v) -> float:
-        return float(self._dist[self.index(u), self.index(v)])
+        i, j = self.index(u), self.index(v)
+        return self._search(i).get(j, math.inf)
 
     def scaled(self, factor: float) -> "MetricGraph":
         if factor <= 0.0:
@@ -229,16 +259,58 @@ class StarQuadruple:
     quadruple: MetricQuadruple
 
 
+@cache
+def _star_positions(degree: int) -> np.ndarray:
+    """(C(degree, 3), 4) positions in (base, *neighbours): 0 and each trio, lexicographic."""
+    return np.array([(0, *t) for t in combinations(range(1, degree + 1), 3)], dtype=np.intp).reshape(-1, 4)
+
+
+@dataclass(frozen=True)
+class _Stars:
+    """Every star at a run of base vertices, the stars of one base contiguous.
+
+    ``vertices[q]`` holds the base and the three neighbours of star q, and
+    ``raw[q]`` their graph distances, row p measured by the search from
+    vertex p (as a dense distance matrix holds them).  The stars of
+    ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
+    validation code of each star (see `quadruple._symmetrized`);
+    ``degenerate`` marks the stars with a metric betweenness.
+    """
+
+    bases: tuple[int, ...]
+    start: np.ndarray
+    vertices: np.ndarray
+    raw: np.ndarray
+    defect: np.ndarray
+    degenerate: np.ndarray
+
+    @classmethod
+    def gather(cls, g: MetricGraph, bases) -> "_Stars":
+        bases = tuple(bases)
+        sources = {s for v in bases for s in (v, *g.neighbors(v))}
+        ball = {s: g._star_ball(s) for s in sources}
+        vertices, raw, counts = [np.empty((0, 4), dtype=np.intp)], [np.empty((0, 4, 4))], []
+        for v in bases:
+            idx = (v, *g.neighbors(v))
+            pos = _star_positions(len(idx) - 1)
+            counts.append(len(pos))
+            if len(pos):
+                local = np.array([[ball[a][b] for b in idx] for a in idx])
+                vertices.append(np.array(idx)[pos])
+                raw.append(local[pos[:, :, None], pos[:, None, :]])
+        vertices, raw = np.concatenate(vertices), np.concatenate(raw)
+        distances, defect = _symmetrized(raw)
+        start = np.concatenate([[0], np.cumsum(counts)])
+        return cls(bases, start, vertices, raw, defect, _betweenness(distances))
+
+
 def star_quadruples(g: MetricGraph, v) -> list[StarQuadruple]:
     """All C(deg v, 3) star quadruples at v, in lexicographic neighbour order."""
-    i = g.index(v)
-    nbrs = g.neighbors(i)
-    dm = g.distance_matrix()
-    out = []
-    for trio in combinations(nbrs, 3):
-        idx = (i,) + trio
-        out.append(StarQuadruple(i, trio, MetricQuadruple.from_matrix(dm[np.ix_(idx, idx)])))
-    return out
+    stars = _Stars.gather(g, [g.index(v)])
+    return [
+        StarQuadruple(ids[0], tuple(ids[1:]), MetricQuadruple.from_matrix(d))
+        for ids, d in zip(stars.vertices.tolist(), stars.raw)
+    ]
 
 
 @dataclass(frozen=True)
@@ -330,20 +402,31 @@ def local_compatibility(g: MetricGraph, v, kappa: float, *, tol: float = ANGLE_T
     V_kappa(v) is at most 2*pi at the prescribed kappa.  Spherical-domain
     errors are re-raised with the offending quadruple identified.
     """
-    i = g.index(v)
-    label = g.labels[i]
+    return _local_report(g, _Stars.gather(g, [g.index(v)]), 0, kappa, tol)
+
+
+def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: float) -> LocalReport:
+    """`local_compatibility` at ``stars.bases[k]``.
+
+    Degenerate stars are only listed; quadruple objects are built for the
+    others alone.
+    """
+    label = g.labels[stars.bases[k]]
+    lo, hi = int(stars.start[k]), int(stars.start[k + 1])
+    defect = stars.defect[lo:hi]
+    if defect.any():
+        raise DomainError(_DEFECTS[defect[defect.argmax()] - 1])
+    labels = [tuple(g.labels[j] for j in ids) for ids in stars.vertices[lo:hi, 1:].tolist()]
+    degenerate = stars.degenerate[lo:hi].tolist()
     checks = []
-    skipped = []
     verdict = True
     witness = None
-    for sq in star_quadruples(g, i):
-        nbr_labels = tuple(g.labels[j] for j in sq.neighbors)
-        if not nondegenerate(sq.quadruple):
-            skipped.append(nbr_labels)
-            continue
-        d = sq.quadruple.distances
+    for q in np.flatnonzero(~stars.degenerate[lo:hi]).tolist():
+        nbr_labels = labels[q]
+        quad = MetricQuadruple.from_matrix(stars.raw[lo + q])
+        d = quad.distances
         try:
-            cert = s3_embeddability(sq.quadruple, 0.0, angle_tol=tol)
+            cert = s3_embeddability(quad, 0.0, angle_tol=tol)
             vk = sum(_apex_angles(d, kappa, 0))
         except DomainError as e:
             raise DomainError(f"quadruple at {label} with neighbours {nbr_labels}: {e}") from e
@@ -366,7 +449,8 @@ def local_compatibility(g: MetricGraph, v, kappa: float, *, tol: float = ANGLE_T
             else:
                 name = "curvature"
             witness = (nbr_labels, name)
-    return LocalReport(label, float(kappa), verdict, tuple(checks), tuple(skipped), witness)
+    skipped = tuple(t for t, skip in zip(labels, degenerate) if skip)
+    return LocalReport(label, float(kappa), verdict, tuple(checks), skipped, witness)
 
 
 @dataclass(frozen=True)
@@ -401,11 +485,12 @@ def global_compatibility(g: MetricGraph, kappa, *, tol: float = ANGLE_TOL) -> Co
             values.append(float(kappa[lab]))
     else:
         values = [float(kappa)] * g.num_vertices
+    stars = _Stars.gather(g, range(g.num_vertices))
     entries = []
     verdict = True
     witness = None
     for i, lab in enumerate(g.labels):
-        rep = local_compatibility(g, i, values[i], tol=tol)
+        rep = _local_report(g, stars, i, values[i], tol)
         entries.append(rep)
         if not rep.verdict and verdict:
             verdict = False

@@ -51,6 +51,13 @@ def payload(result):
     return doc
 
 
+def test_import_leaves_out_scipy():
+    code = "import sys, plembed.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.fixture
 def k4_path(tmp_path):
     p = tmp_path / "k4.json"

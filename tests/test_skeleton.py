@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from plembed import (
 )
 
 from conftest import hex_grid_graph, icosahedron_graph, star_graph, unit_k4
+from test_acceptance import _independent_distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +327,99 @@ class TestGlobalCompatibility:
         g = star_graph(cross)
         s = 3.0
         assert outcome(g, kappa) == outcome(g.scaled(s), kappa / s**2)
+
+
+def _random_metric_graph(rng, n: int, extra: int, long_share: float) -> MetricGraph:
+    """Connected graph: a random spanning tree plus ``extra`` random chords.
+
+    A ``long_share`` of the edges is 3 to 10 times longer than the rest, so
+    that shortest paths between two neighbours of a vertex often leave it.
+    """
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(extra):
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((i, j))
+    edges = []
+    for i, j in sorted(pairs):
+        w = rng.uniform(0.5, 1.5)
+        edges.append((i, j, w * rng.uniform(3.0, 10.0) if rng.random() < long_share else w))
+    return MetricGraph([f"n{i}" for i in range(n)], edges)
+
+
+@st.composite
+def metric_graphs(draw):
+    """Connected graphs with float lengths, long edges, and exact integer ties."""
+    n = draw(st.integers(4, 10))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    length = st.floats(0.1, 10.0) | st.integers(1, 3).map(float)
+    lengths = draw(st.lists(length, min_size=len(pairs), max_size=len(pairs)))
+    return MetricGraph([f"n{i}" for i in range(n)], [(i, j, w) for (i, j), w in zip(sorted(pairs), lengths)])
+
+
+def _oracle_between(d: np.ndarray) -> bool:
+    m = 1e-12 * d.max()
+    return any(
+        d[i, k] >= d[i, j] + d[j, k] - m
+        for j in range(4)
+        for i, k in combinations([x for x in range(4) if x != j], 2)
+    )
+
+
+def _check_against_oracle(g: MetricGraph) -> int:
+    """Star distances and checked/skipped splits against Floyd-Warshall; returns the detour count.
+
+    A detour is a pair of neighbours of a vertex, without an edge between
+    them, that are closer to each other than through that vertex.
+    """
+    dense = _independent_distances(g)
+    edges = {(i, j) for i, j, _ in g.edges}
+    report = global_compatibility(g, 0.0)
+    detours = 0
+    for v, entry in enumerate(report.entries):
+        split = {True: [], False: []}
+        for sq in star_quadruples(g, v):
+            idx = (v, *sq.neighbors)
+            want = dense[np.ix_(idx, idx)]
+            np.testing.assert_allclose(sq.quadruple.distances, want, rtol=1e-12, atol=0.0)
+            split[_oracle_between(0.5 * (want + want.T))].append(tuple(g.labels[j] for j in sq.neighbors))
+            for a, b in combinations(sq.neighbors, 2):
+                if (a, b) not in edges and want[0, idx.index(a)] + want[0, idx.index(b)] > dense[a, b] * (1 + 1e-9):
+                    detours += 1
+        for rep in (entry, local_compatibility(g, v, 0.0)):
+            assert list(rep.skipped) == split[True]
+            assert [c.neighbors for c in rep.checks] == split[False]
+    return detours
+
+
+class TestLocalDistances:
+    """Bounded per-vertex searches give the all-pairs metric on every star."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        detours = 0
+        for k in range(40):
+            n = int(rng.integers(5, 25))
+            g = _random_metric_graph(rng, n, extra=int(rng.integers(n // 2, 2 * n)), long_share=(0.0, 0.2, 0.5)[k % 3])
+            detours += _check_against_oracle(g)
+        assert detours > 0
+
+    @given(metric_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g):
+        _check_against_oracle(g)
+
+    def test_no_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense all-pairs matrix requested")
+
+        monkeypatch.setattr(MetricGraph, "distance_matrix", refuse)
+        rep = global_compatibility(icosahedron_graph(), 1.0)
+        assert rep.verdict and all(len(e.skipped) == 10 for e in rep.entries)
+        rep = global_compatibility(hex_grid_graph(), 0.0)
+        assert rep.verdict and len(rep.entries[0].skipped) == 20
 
 
 class TestCurveTriple:
