@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-TWO_PI = 2.0 * math.pi
+from .spaceform import TWO_PI
 
 
 @dataclass(frozen=True)

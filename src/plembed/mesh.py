@@ -9,8 +9,7 @@ global orientation flip of the input.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -19,12 +18,24 @@ import numpy as np
 from .errors import MeshError, ParseError
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, 3) arrays, each equal bit for bit to ``np.dot`` of its rows.
+
+    (A stack of 1x3 @ 3x1 products runs the dot kernel; einsum and sums may differ in the last place.)
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class PolyMesh:
-    """Vertices (n, 3) and triangle faces (m, 3) with validated indices."""
+    """Vertices (n, 3) and triangle faces (m, 3) with validated indices, and unit face normals.
+
+    The arrays are read-only, so orientation, edge order and vertex stars are computed once and kept.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
+    face_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -36,16 +47,20 @@ class PolyMesh:
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise MeshError("face index out of range")
         scale = float(np.abs(v).max()) if v.size else 1.0
-        for k, (a, b, c) in enumerate(f):
-            if len({int(a), int(b), int(c)}) != 3:
-                raise MeshError(f"face {k} repeats a vertex")
-            area = 0.5 * np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
-            if area <= 1e-14 * scale * scale:
-                raise MeshError(f"face {k} is degenerate (zero area)")
-        v.setflags(write=False)
-        f.setflags(write=False)
+        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        cross = np.cross(b - a, c - a)
+        twice_area = np.sqrt(rowdot(cross, cross))
+        repeats = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
+        bad = repeats | (0.5 * twice_area <= 1e-14 * scale * scale)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise MeshError(f"face {k} repeats a vertex" if repeats[k] else f"face {k} is degenerate (zero area)")
+        normals = cross / twice_area[:, None]
+        for arr in (v, f, normals):
+            arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "face_normals", normals)
 
     @cached_property
     def edge_faces(self) -> dict:
@@ -57,35 +72,61 @@ class PolyMesh:
                 out.setdefault((min(a, b), max(a, b)), []).append((k, (a, b)))
         return out
 
+    @cached_property
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed edges (3m, 2) and the stable order that sorts them by edge.
+
+        Row 3k + t runs from faces[k, t] to faces[k, (t + 1) % 3]; sorting by
+        (min, max) vertex keeps the two sides of an edge in face order.
+        """
+        d = np.stack([self.faces, np.roll(self.faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        return d, np.lexsort((d.max(axis=1), d.min(axis=1)))
+
     def require_closed_manifold(self):
-        for edge, incident in self.edge_faces.items():
-            if len(incident) != 2:
-                raise MeshError(f"edge {edge} borders {len(incident)} faces; need a closed manifold")
-            (_, d1), (_, d2) = incident
-            if d1 == d2:
-                raise MeshError(f"edge {edge} traversed twice in the same direction; inconsistent orientation")
+        d, order = self.directed_edges
+        if not len(d):
+            return
+        key = np.sort(d, axis=1)[order]
+        start = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+        size = np.diff(start, append=len(key))
+        # the clamp only moves a last edge with one side, which its size marks bad anyway
+        first, second = order[start], order[np.minimum(start + 1, len(order) - 1)]
+        bad = (size != 2) | (d[first, 0] == d[second, 0])
+        if bad.any():
+            g = np.flatnonzero(bad)
+            g = g[np.argmin(first[g])]  # the first bad edge in face order
+            edge = tuple(key[start[g]].tolist())
+            if size[g] != 2:
+                raise MeshError(f"edge {edge} borders {int(size[g])} faces; need a closed manifold")
+            raise MeshError(f"edge {edge} traversed twice in the same direction; inconsistent orientation")
 
     def signed_volume(self) -> float:
-        v = self.vertices
-        total = 0.0
-        for a, b, c in self.faces:
-            total += float(np.dot(v[a], np.cross(v[b], v[c])))
-        return total / 6.0
+        v, f = self.vertices, self.faces
+        return float(np.sum(rowdot(v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])))) / 6.0
+
+    @cached_property
+    def _flipped(self) -> "PolyMesh | None":
+        # None when already outward: caching self would make a reference cycle
+        self.require_closed_manifold()
+        return None if self.signed_volume() >= 0.0 else PolyMesh(self.vertices, self.faces[:, ::-1])
 
     def oriented_outward(self) -> "PolyMesh":
         """Copy with positive enclosed volume (outward face normals)."""
-        self.require_closed_manifold()
-        if self.signed_volume() >= 0.0:
-            return self
-        return PolyMesh(self.vertices, self.faces[:, ::-1])
+        return self if self._flipped is None else self._flipped
 
     def face_normal(self, k: int) -> np.ndarray:
-        a, b, c = self.faces[k]
-        n = np.cross(self.vertices[b] - self.vertices[a], self.vertices[c] - self.vertices[a])
-        return n / np.linalg.norm(n)
+        return self.face_normals[k]
+
+    @cached_property
+    def _vertex_star(self) -> tuple[np.ndarray, np.ndarray]:
+        """Faces around each vertex in index order, as CSR (face indices, row offsets)."""
+        order = np.argsort(self.faces.ravel(), kind="stable")
+        counts = np.bincount(self.faces.ravel(), minlength=len(self.vertices))
+        return order // 3, np.r_[0, np.cumsum(counts)]
 
     def vertex_faces(self, v: int) -> list[int]:
-        return [k for k, f in enumerate(self.faces) if v in f]
+        faces, offsets = self._vertex_star
+        return faces[offsets[v] : offsets[v + 1]].tolist() if 0 <= v < len(self.vertices) else []
 
 
 def parse_off(text: str) -> PolyMesh:

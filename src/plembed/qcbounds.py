@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MeshError
-from .mesh import PolyMesh
+from .mesh import PolyMesh, rowdot
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -166,20 +166,22 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh, *, tiny_angle: float = 1e-6) -> E
     """
     m = mesh.oriented_outward()
     v = m.vertices
-    records = []
-    reflex = []
-    warnings = []
+    # a closed manifold has every edge twice in the sorted order, in face order
+    d, order = m.directed_edges
+    i1, i2 = order.reshape(-1, 2).T
+    # let side 1 carry the (a, b) direction with a < b
+    flip = d[i1, 0] > d[i1, 1]
+    i1, i2 = np.where(flip, i2, i1), np.where(flip, i1, i2)
+    a, b = d[i1, 0], d[i1, 1]
+    ehat = v[b] - v[a]
+    ehat = ehat / np.sqrt(rowdot(ehat, ehat))[:, None]
+    n1, n2 = m.face_normals[i1 // 3], m.face_normals[i2 // 3]
+    sines = rowdot(np.cross(n1, n2), ehat).tolist()
+    cosines = rowdot(n1, n2).tolist()
+    records, reflex, warnings = [], [], []
     bound = 1.0
-    for edge in sorted(m.edge_faces):
-        (f1, d1), (f2, d2) = m.edge_faces[edge]
-        if d1[0] != edge[0]:  # let f1 carry the (a, b) direction with a < b
-            (f1, d1), (f2, d2) = (f2, d2), (f1, d1)
-        a, b = d1
-        ehat = v[b] - v[a]
-        ehat = ehat / np.linalg.norm(ehat)
-        n1, n2 = m.face_normal(f1), m.face_normal(f2)
-        bend = math.atan2(float(np.dot(np.cross(n1, n2), ehat)), float(np.dot(n1, n2)))
-        angle = math.pi - bend
+    for edge, sin, cos in zip(zip(a.tolist(), b.tolist()), sines, cosines):
+        angle = math.pi - math.atan2(sin, cos)
         if angle <= math.pi * (1.0 + 1e-12):
             if angle < tiny_angle:
                 warnings.append(
@@ -199,16 +201,20 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh, *, tiny_angle: float = 1e-6) -> E
 # Link volumes of solid corners.
 
 
-def _link_cycle(mesh: PolyMesh, v: int) -> list[int]:
-    """Ordered cycle of link vertices around v; MeshError if not a closed fan."""
+def _link_cycle(mesh: PolyMesh, v: int) -> tuple[list[int], list[int]]:
+    """Ordered cycle of link vertices around v, and the face of v, cycle[i], cycle[i + 1].
+
+    MeshError if the star of v is not a closed fan.
+    """
     succ: dict[int, int] = {}
+    fan: dict[int, int] = {}
     for k in mesh.vertex_faces(v):
         face = [int(x) for x in mesh.faces[k]]
         t = face.index(v)
         a, b = face[(t + 1) % 3], face[(t + 2) % 3]
         if a in succ:
             raise MeshError(f"vertex {v}: non-manifold star")
-        succ[a] = b
+        succ[a], fan[a] = b, k
     if not succ:
         raise MeshError(f"vertex {v} has no incident faces")
     start = min(succ)
@@ -221,7 +227,7 @@ def _link_cycle(mesh: PolyMesh, v: int) -> list[int]:
         cur = succ[cur]
     if len(cycle) != len(succ):
         raise MeshError(f"vertex {v}: star splits into several cycles")
-    return cycle
+    return cycle, [fan[a] for a in cycle]
 
 
 def _spherical_polygon_area(units: np.ndarray, *, det_tol: float = 1e-9) -> float:
@@ -275,7 +281,7 @@ def normalized_link_volume(mesh: PolyMesh, v: int) -> float:
     the boundary case and gives exactly 1/2).
     """
     m = mesh.oriented_outward()
-    cycle = _link_cycle(m, int(v))
+    cycle, _ = _link_cycle(m, int(v))
     dirs = m.vertices[cycle] - m.vertices[int(v)]
     units = _dedupe_cycle(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
     return _spherical_polygon_area(units) / _FOUR_PI
@@ -304,8 +310,7 @@ def normalized_link_volume_mc(
     if samples < 2:
         raise DomainError("need at least two samples")
     m = mesh.oriented_outward()
-    vi = int(v)
-    normals = np.array([m.face_normal(k) for k in m.vertex_faces(vi)])
+    normals = m.face_normals[m.vertex_faces(int(v))]
     if len(normals) == 0:
         raise MeshError(f"vertex {v} has no incident faces")
     gen = np.random.Generator(np.random.Philox(seed))
@@ -341,16 +346,8 @@ def normalized_exterior_angle(mesh: PolyMesh, v: int) -> float:
     dual (a single ray) and returns 0.
     """
     m = mesh.oriented_outward()
-    vi = int(v)
-    cycle = _link_cycle(m, vi)
-    # faces in fan order: face containing (v, cycle[i], cycle[i+1])
-    face_of_pair = {}
-    for k in m.vertex_faces(vi):
-        face = [int(x) for x in m.faces[k]]
-        t = face.index(vi)
-        face_of_pair[face[(t + 1) % 3]] = k
-    normals = np.array([m.face_normal(face_of_pair[a]) for a in cycle])
-    normals = _dedupe_cycle(normals)
+    _, fan = _link_cycle(m, int(v))
+    normals = _dedupe_cycle(m.face_normals[fan])
     if len(normals) < 3:
         return 0.0
     return _spherical_polygon_area(normals) / _FOUR_PI

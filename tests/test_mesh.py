@@ -122,3 +122,52 @@ class TestPolyMesh:
     def test_translation_leaves_volume(self, cube_mesh):
         m = PolyMesh(cube_mesh.vertices + np.array([10.0, -3.0, 2.0]), cube_mesh.faces)
         assert m.signed_volume() == pytest.approx(cube_mesh.signed_volume(), rel=1e-12)
+
+
+def _tetra_on(offset):
+    """Outward tetrahedron faces on vertices offset .. offset + 3 (TETRA_OFF's layout)."""
+    return [[offset + a, offset + b, offset + c] for a, b, c in ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))]
+
+
+_TETRA_V = [[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+_TRIANGLE_V = [[5.0, 0, 0], [6, 0, 0], [5, 1, 0]]
+
+
+class TestErrorOrder:
+    """With several defects, the first one in face order is reported."""
+
+    def test_first_bad_face_is_reported(self):
+        v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]])
+        with pytest.raises(MeshError, match=r"^face 1 is degenerate \(zero area\)$"):
+            PolyMesh(v, np.array([[0, 1, 2], [0, 1, 3], [0, 0, 1], [1, 3, 0]]))
+        with pytest.raises(MeshError, match=r"^face 2 repeats a vertex$"):
+            PolyMesh(v, np.array([[0, 1, 2], [2, 1, 0], [2, 2, 1], [0, 1, 3]]))
+
+    def test_repeat_reported_before_degenerate(self):
+        # a face with a repeated vertex also has zero area
+        v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        with pytest.raises(MeshError, match=r"^face 1 repeats a vertex$"):
+            PolyMesh(v, np.array([[0, 1, 2], [1, 0, 1], [0, 1, 2]]))
+
+    def test_first_open_edge_in_face_order(self):
+        # the lone triangle comes first; the sorted-first bad edge (0, 1) is a
+        # same-direction edge of the tetrahedron behind it
+        faces = [[4, 5, 6], [1, 2, 0], *_tetra_on(0)[1:]]
+        m = PolyMesh(np.array(_TETRA_V + _TRIANGLE_V), np.array(faces))
+        with pytest.raises(MeshError, match=r"^edge \(4, 5\) borders 1 faces; need a closed manifold$"):
+            m.require_closed_manifold()
+
+    def test_first_same_direction_edge_in_face_order(self):
+        # a flipped tetrahedron face comes first; the lone triangle on 0, 1, 2
+        # holds the sorted-first bad edges
+        tetra = _tetra_on(3)
+        faces = [tetra[0][::-1], *tetra[1:], [0, 1, 2]]
+        m = PolyMesh(np.array(_TRIANGLE_V + _TETRA_V), np.array(faces))
+        with pytest.raises(MeshError, match=r"^edge \(4, 5\) traversed twice in the same direction; inconsistent"):
+            m.require_closed_manifold()
+
+    def test_three_faces_on_an_edge(self):
+        v = np.array(_TETRA_V + [[0.0, 0.0, -3.0]])
+        faces = [[1, 3, 4], *_tetra_on(0)]
+        with pytest.raises(MeshError, match=r"^edge \(1, 3\) borders 3 faces"):
+            PolyMesh(v, np.array(faces)).require_closed_manifold()

@@ -1,0 +1,277 @@
+"""The batched mesh layer against a scalar reference, one face or edge at a time.
+
+`ScalarMesh` is the mesh layer as it was first written: a dict of edges in
+face order, a Python loop for the signed volume, one cross product per face
+normal and a scan of every face for a vertex star.  `reference_edge_report`
+is the edge loop of the dihedral audit on top of it.  The batched `PolyMesh`
+and `mesh_edge_dilatation_bound` must give the same documents exactly (==,
+not approx), the link functions the same values, and both the same errors.
+"""
+
+import math
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+from plembed import (
+    MeshError,
+    PolyMesh,
+    mesh_edge_dilatation_bound,
+    normalized_exterior_angle,
+    normalized_link_volume,
+    normalized_link_volume_mc,
+)
+from plembed.qcbounds import EdgeAngleReport, EdgeRecord
+
+LINK_FUNCTIONS = (
+    normalized_link_volume,
+    lambda m, v: normalized_link_volume_mc(m, v, samples=600, seed=v, chunk=256).to_dict(),
+    normalized_exterior_angle,
+)
+
+
+def scalar_validation_error(v, f):
+    """The message of the first bad face, checked one face at a time, or None."""
+    scale = float(np.abs(v).max())
+    for k, (a, b, c) in enumerate(f):
+        if len({int(a), int(b), int(c)}) != 3:
+            return f"face {k} repeats a vertex"
+        area = 0.5 * np.linalg.norm(np.cross(v[b] - v[a], v[c] - v[a]))
+        if area <= 1e-14 * scale * scale:
+            return f"face {k} is degenerate (zero area)"
+    return None
+
+
+class ScalarMesh:
+    """Scalar reference for the PolyMesh queries the qcbounds routines make."""
+
+    def __init__(self, vertices, faces):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.faces = np.asarray(faces, dtype=int)
+        self.edge_faces = {}
+        for k, face in enumerate(self.faces):
+            for t in range(3):
+                a, b = int(face[t]), int(face[(t + 1) % 3])
+                self.edge_faces.setdefault((min(a, b), max(a, b)), []).append((k, (a, b)))
+
+    def require_closed_manifold(self):
+        for edge, incident in self.edge_faces.items():
+            if len(incident) != 2:
+                raise MeshError(f"edge {edge} borders {len(incident)} faces; need a closed manifold")
+            (_, d1), (_, d2) = incident
+            if d1 == d2:
+                raise MeshError(f"edge {edge} traversed twice in the same direction; inconsistent orientation")
+
+    def signed_volume(self):
+        v = self.vertices
+        total = 0.0
+        for a, b, c in self.faces:
+            total += float(np.dot(v[a], np.cross(v[b], v[c])))
+        return total / 6.0
+
+    def oriented_outward(self):
+        return self._outward
+
+    @cached_property
+    def _outward(self):
+        # kept so the sweep does not redo the scalar loops on every query
+        self.require_closed_manifold()
+        if self.signed_volume() >= 0.0:
+            return self
+        return ScalarMesh(self.vertices, self.faces[:, ::-1])
+
+    def face_normal(self, k):
+        a, b, c = self.faces[k]
+        n = np.cross(self.vertices[b] - self.vertices[a], self.vertices[c] - self.vertices[a])
+        return n / np.linalg.norm(n)
+
+    @cached_property
+    def face_normals(self):
+        return np.array([self.face_normal(k) for k in range(len(self.faces))])
+
+    def vertex_faces(self, v):
+        return [k for k, f in enumerate(self._face_lists) if v in f]
+
+    @cached_property
+    def _face_lists(self):
+        return self.faces.tolist()
+
+
+def reference_edge_report(mesh: ScalarMesh, tiny_angle: float = 1e-6) -> EdgeAngleReport:
+    m = mesh.oriented_outward()
+    v = m.vertices
+    records, reflex, warnings = [], [], []
+    bound = 1.0
+    for edge in sorted(m.edge_faces):
+        (f1, d1), (f2, d2) = m.edge_faces[edge]
+        if d1[0] != edge[0]:
+            (f1, d1), (f2, d2) = (f2, d2), (f1, d1)
+        a, b = d1
+        ehat = v[b] - v[a]
+        ehat = ehat / np.linalg.norm(ehat)
+        n1, n2 = m.face_normal(f1), m.face_normal(f2)
+        angle = math.pi - math.atan2(float(np.dot(np.cross(n1, n2), ehat)), float(np.dot(n1, n2)))
+        if angle <= math.pi * (1.0 + 1e-12):
+            if angle < tiny_angle:
+                warnings.append(
+                    f"edge {edge}: interior angle {angle:.3e} below {tiny_angle:.0e}; "
+                    "contribution is ill-conditioned"
+                )
+            bound = max(bound, math.pi / angle)
+            records.append(EdgeRecord(edge, angle, True, math.pi / angle))
+        else:
+            reflex.append(edge)
+            records.append(EdgeRecord(edge, angle, False, None))
+    return EdgeAngleReport(tuple(records), bound, tuple(reflex), tuple(warnings))
+
+
+def icosphere(level: int):
+    """Outward icosahedron on the unit sphere, each level splitting a triangle in four."""
+    p = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [(-1, p, 0), (1, p, 0), (-1, -p, 0), (1, -p, 0), (0, -1, p), (0, 1, p),
+             (0, -1, -p), (0, 1, -p), (p, 0, -1), (p, 0, 1), (-p, 0, -1), (-p, 0, 1)]
+    faces = [(0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11), (1, 5, 9), (5, 11, 4),
+             (11, 10, 2), (10, 7, 6), (7, 1, 8), (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8),
+             (3, 8, 9), (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1)]
+    verts = [np.array(x, dtype=float) / np.linalg.norm(x) for x in verts]
+    for _ in range(level):
+        mid = {}
+
+        def midpoint(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in mid:
+                x = verts[a] + verts[b]
+                verts.append(x / np.linalg.norm(x))
+                mid[key] = len(verts) - 1
+            return mid[key]
+
+        nxt = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            nxt += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = nxt
+    return np.array(verts), np.array(faces)
+
+
+def jittered_icosphere(level: int, seed: int):
+    """Icosphere with a 5 % radial jitter, so a good share of its edges are reflex."""
+    v, f = icosphere(level)
+    rng = np.random.default_rng(seed)
+    return v * (1.0 + rng.uniform(-0.05, 0.05, size=(len(v), 1))), f
+
+
+SWEEP = [(level, seed) for level in (1, 2, 3) for seed in (11, 12)]
+
+
+def _both_orientations(level, seed):
+    v, f = jittered_icosphere(level, seed)
+    return [(v, f), (v, f[:, ::-1].copy())]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MeshError as e:
+        return f"MeshError: {e}"
+
+
+class TestEdgeAuditOracle:
+    @pytest.mark.parametrize("level,seed", SWEEP)
+    def test_report_equals_scalar_loop(self, level, seed):
+        for v, f in _both_orientations(level, seed):
+            got = mesh_edge_dilatation_bound(PolyMesh(v, f))
+            want = reference_edge_report(ScalarMesh(v, f))
+            assert got.to_dict() == want.to_dict()
+            assert got.table() == want.table()
+            assert got.reflex or level == 1  # the jitter makes reflex edges on finer spheres
+
+    @pytest.mark.parametrize("level,seed", SWEEP)
+    def test_signed_volume(self, level, seed):
+        # one pairwise sum instead of a running total: equal to rounding
+        for v, f in _both_orientations(level, seed):
+            want = ScalarMesh(v, f).signed_volume()
+            assert PolyMesh(v, f).signed_volume() == pytest.approx(want, rel=1e-13)
+
+    def test_tiny_angle_warnings(self):
+        v, f = jittered_icosphere(2, 5)
+        got = mesh_edge_dilatation_bound(PolyMesh(v, f), tiny_angle=3.0)
+        assert got.warnings
+        assert got.to_dict() == reference_edge_report(ScalarMesh(v, f), tiny_angle=3.0).to_dict()
+
+
+class TestLinkOracle:
+    @pytest.mark.parametrize("level,seed", [(1, 11), (2, 12), (3, 11)])
+    def test_every_vertex(self, level, seed):
+        for v, f in _both_orientations(level, seed):
+            mesh, ref = PolyMesh(v, f), ScalarMesh(v, f)
+            convex = 0
+            for fn in LINK_FUNCTIONS:
+                for vi in range(len(v)):
+                    got = _outcome(fn, mesh, vi)
+                    assert got == _outcome(fn, ref, vi), (fn, vi)
+                    convex += not isinstance(got, str)
+            assert convex > len(v)  # many corners are convex
+
+
+class TestErrorOracle:
+    """Random defects: the batched checks name the same face or edge as the scalar loops."""
+
+    def test_manifold_errors(self):
+        rng = np.random.default_rng(31)
+        v, f = jittered_icosphere(1, 31)
+        seen = set()
+        for _ in range(200):
+            g = f.copy()
+            flip = rng.random(len(g)) < rng.choice([0.0, 0.05])
+            g[flip] = g[flip][:, ::-1]
+            g = g[rng.random(len(g)) >= rng.choice([0.0, 0.05])]
+            if rng.random() < 0.3:
+                g = np.vstack([g, g[rng.integers(len(g))]])
+            g = g[rng.permutation(len(g))]
+            want = _outcome(ScalarMesh(v, g).require_closed_manifold)
+            assert _outcome(PolyMesh(v, g).require_closed_manifold) == want
+            seen.add(want.split(";")[-1] if want else None)
+        assert len(seen) == 3  # open, same-direction and clean meshes all occur
+
+    def test_validation_errors(self):
+        rng = np.random.default_rng(32)
+        v = rng.normal(size=(8, 3))
+        v[7] = 0.5 * (v[0] + v[1])  # collinear with vertices 0 and 1
+        for _ in range(200):
+            f = rng.integers(0, 8, size=(int(rng.integers(1, 12)), 3))
+            want = scalar_validation_error(v, f)
+            got = _outcome(PolyMesh, v, f)
+            if want:
+                assert got == f"MeshError: {want}"
+            else:
+                assert isinstance(got, PolyMesh)
+
+
+class TestCache:
+    def test_results_do_not_depend_on_query_order(self):
+        v, f = jittered_icosphere(2, 13)
+        vertices = range(0, len(v), 7)
+        fresh = [[_outcome(fn, PolyMesh(v, f), vi) for vi in vertices] for fn in LINK_FUNCTIONS]
+        fresh_report = mesh_edge_dilatation_bound(PolyMesh(v, f)).to_dict()
+        mesh = PolyMesh(v, f)
+        for _ in range(2):
+            for fn, want in reversed(list(zip(LINK_FUNCTIONS, fresh))):
+                assert [_outcome(fn, mesh, vi) for vi in vertices] == want
+            assert mesh_edge_dilatation_bound(mesh).to_dict() == fresh_report
+
+    def test_oriented_outward_idempotent(self):
+        v, f = jittered_icosphere(2, 14)
+        outward = PolyMesh(v, f)
+        assert outward.oriented_outward() is outward
+        inward = PolyMesh(v, f[:, ::-1])
+        flipped = inward.oriented_outward()
+        assert flipped is not inward
+        assert inward.oriented_outward() is flipped
+        assert flipped.oriented_outward() is flipped
+        assert np.array_equal(flipped.faces, f)
+        assert flipped.signed_volume() > 0.0 > inward.signed_volume()
+
+    def test_cached_arrays_are_read_only(self, tetra_mesh):
+        with pytest.raises(ValueError):
+            tetra_mesh.face_normal(0)[0] = 1.0

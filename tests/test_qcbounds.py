@@ -339,3 +339,11 @@ class TestMonteCarlo:
     def test_to_dict(self, cube_mesh):
         d = normalized_link_volume_mc(cube_mesh, 0, samples=1_000, seed=3).to_dict()
         assert d["samples"] == 1_000 and d["seed"] == 3
+
+
+class TestBadVertex:
+    @pytest.mark.parametrize("fn", [normalized_link_volume, normalized_link_volume_mc, normalized_exterior_angle])
+    def test_out_of_range_vertex(self, tetra_mesh, fn):
+        for v in (-1, -2, len(tetra_mesh.vertices)):
+            with pytest.raises(MeshError, match=rf"^vertex {v} has no incident faces$"):
+                fn(tetra_mesh, v)
