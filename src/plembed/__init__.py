@@ -35,7 +35,6 @@ from .errors import (
     MissingKappaError,
     NonpositiveLengthError,
     ParseError,
-    RealizationError,
     UnknownVertexError,
 )
 from .mesh import PolyMesh, load_off, parse_off
@@ -72,25 +71,16 @@ from .skeleton import (
     LocalReport,
     MetricGraph,
     QuadrupleCheck,
-    StarQuadruple,
     global_compatibility,
     local_compatibility,
     parse_graph_document,
     parse_metric_graph,
     polyline_curvature,
-    region_of_curvature,
-    star_quadruples,
 )
 from .spaceform import (
-    MetricTriple,
-    ModelTriangle,
     comparison_angle,
     geodesic_distance,
-    measured_angle,
-    perimeter_limit,
     realize_distances,
-    realize_triple,
-    triple_embeddable,
 )
 
 __version__ = "0.1.0"
@@ -112,17 +102,13 @@ __all__ = [
     "MeshError",
     "MetricGraph",
     "MetricQuadruple",
-    "MetricTriple",
     "MissingKappaError",
-    "ModelTriangle",
     "MonteCarloEstimate",
     "NonpositiveLengthError",
     "ParseError",
     "PleatedElement",
     "PolyMesh",
     "QuadrupleCheck",
-    "RealizationError",
-    "StarQuadruple",
     "UnknownVertexError",
     "WaldOptions",
     "WaldResult",
@@ -139,7 +125,6 @@ __all__ = [
     "isometry_defect",
     "load_off",
     "local_compatibility",
-    "measured_angle",
     "mesh_edge_dilatation_bound",
     "nondegenerate",
     "normalized_exterior_angle",
@@ -148,16 +133,11 @@ __all__ = [
     "parse_graph_document",
     "parse_metric_graph",
     "parse_off",
-    "perimeter_limit",
     "polyline_curvature",
     "realize_distances",
     "realize_quadruple",
-    "realize_triple",
-    "region_of_curvature",
     "s3_embeddability",
     "standard_vertex_map",
-    "star_quadruples",
-    "triple_embeddable",
     "uniform_index_bound",
     "vertex_contraction",
     "vertex_excess",

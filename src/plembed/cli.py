@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ from . import bzelement, mesh, qcbounds, quadruple, skeleton
 from .errors import ParseError
 from .spaceform import TWO_PI
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _emit(payload: dict, args) -> None:
@@ -30,6 +31,16 @@ def _emit(payload: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _parse_floats(text: str, expected: int, what: str) -> list[float]:
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-check", help="embeddability certificate for a quadruple")
     p.add_argument("--quadruple", required=True, help="d12,d13,d14,d23,d24,d34")
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_finite_float, required=True)
     p.add_argument("--dim", type=int, default=3, choices=(2, 3))
     add_output(p)
     p.set_defaults(func=_cmd_embed_check)
@@ -259,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-local", help="local compatibility at one vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--vertex", required=True)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--kappa", type=_finite_float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_check_local)
 
     p = sub.add_parser("check-global", help="compatibility at every vertex")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--kappa", type=_finite_float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_check_global)
 

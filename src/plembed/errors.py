@@ -9,10 +9,6 @@ class DegenerateQuadrupleError(DomainError):
     """A quadruple has a point metrically between two of the others."""
 
 
-class RealizationError(DomainError):
-    """No coordinates realize the requested metric data."""
-
-
 class ParseError(ValueError):
     """Malformed input document."""
 

@@ -42,6 +42,8 @@ class PolyMesh:
         f = np.array(self.faces, dtype=int)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
+        if not np.isfinite(v).all():
+            raise MeshError("vertex coordinates must be finite")
         if f.ndim != 2 or f.shape[1] != 3:
             raise MeshError("faces must be an (m, 3) triangle array")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
@@ -61,16 +63,6 @@ class PolyMesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
         object.__setattr__(self, "face_normals", normals)
-
-    @cached_property
-    def edge_faces(self) -> dict:
-        """Map sorted edge -> list of (face index, directed pair as oriented)."""
-        out: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-        for k, face in enumerate(self.faces):
-            for t in range(3):
-                a, b = int(face[t]), int(face[(t + 1) % 3])
-                out.setdefault((min(a, b), max(a, b)), []).append((k, (a, b)))
-        return out
 
     @cached_property
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:

@@ -97,7 +97,7 @@ def uniform_index_bound(dimension: int, inner: float) -> float:
     n = int(dimension)
     if n < 3:
         raise DomainError("the index bound is stated for dimension >= 3")
-    if inner < 1.0:
+    if not inner >= 1.0:
         raise DomainError("inner dilatation is at least 1")
     return float(n ** (n - 1)) * inner
 

@@ -280,6 +280,10 @@ class WaldOptions:
     rank_tol: float = 1e-9
     match_tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.kappa_cap is not None and not 0.0 < self.kappa_cap < math.inf:
+            raise DomainError("kappa_cap must be positive and finite")
+
 
 @dataclass(frozen=True)
 class WaldRoot:

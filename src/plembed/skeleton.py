@@ -52,9 +52,7 @@ from .quadruple import (
     _apex_angles,
     _betweenness,
     _symmetrized,
-    nondegenerate,
     s3_embeddability,
-    vertex_excess,
 )
 from .spaceform import TWO_PI
 
@@ -247,18 +245,6 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
     return parse_metric_graph(text), None
 
 
-@dataclass(frozen=True)
-class StarQuadruple:
-    """A vertex together with three of its neighbours, with graph distances.
-
-    Position 0 of the quadruple matrix is the base vertex.
-    """
-
-    base: int
-    neighbors: tuple[int, int, int]
-    quadruple: MetricQuadruple
-
-
 @cache
 def _star_positions(degree: int) -> np.ndarray:
     """(C(degree, 3), 4) positions in (base, *neighbours): 0 and each trio, lexicographic."""
@@ -304,57 +290,18 @@ class _Stars:
         return cls(bases, start, vertices, raw, defect, _betweenness(distances))
 
 
-def star_quadruples(g: MetricGraph, v) -> list[StarQuadruple]:
-    """All C(deg v, 3) star quadruples at v, in lexicographic neighbour order."""
-    stars = _Stars.gather(g, [g.index(v)])
-    return [
-        StarQuadruple(ids[0], tuple(ids[1:]), MetricQuadruple.from_matrix(d))
-        for ids, d in zip(stars.vertices.tolist(), stars.raw)
-    ]
-
-
-@dataclass(frozen=True)
-class RegionCheck:
-    """Outcome of a vertex-excess sweep over a family of quadruples."""
-
-    satisfied: bool
-    witness: tuple[StarQuadruple, int] | None
-    skipped: tuple[StarQuadruple, ...]
-
-
-def region_of_curvature(g: MetricGraph, quads, kappa: float) -> RegionCheck:
-    """Check V_kappa <= 2*pi at all four points of every quadruple.
-
-    Degenerate quadruples are skipped and reported in ``skipped``.  On
-    failure the witness is (quadruple, position of the violating point).
-    """
-    skipped = []
-    for sq in quads:
-        if not nondegenerate(sq.quadruple):
-            skipped.append(sq)
-            continue
-        v, _ = vertex_excess(sq.quadruple, kappa)
-        for pos in range(4):
-            if v[pos] > TWO_PI + ANGLE_TOL:
-                return RegionCheck(False, (sq, pos), tuple(skipped))
-    return RegionCheck(True, None, tuple(skipped))
-
-
 @dataclass(frozen=True)
 class QuadrupleCheck:
     """Slacks of the three compatibility condition families for one quadruple.
 
-    ``excess_slack`` is 2*pi - A_0(Q); ``angle_slacks`` are the flat
-    comparison-angle triangle inequalities at the base vertex;
-    ``curvature_slack`` is 2*pi - V_kappa(base).  ``certificate`` is the
-    full flat embeddability certificate of the quadruple: it repeats the
-    excess condition and extends the angle inequalities to all four points,
-    which is exactly what makes an ok verdict realizable in coordinates.
+    ``certificate`` is the flat embeddability certificate of the quadruple:
+    its ``excess_slack`` is 2*pi - A_0(Q), and its ``angle_slacks`` are the
+    flat comparison-angle triangle inequalities at all four points (row 0
+    at the base vertex), which is exactly what makes an ok verdict
+    realizable in coordinates.  ``curvature_slack`` is 2*pi - V_kappa(base).
     """
 
     neighbors: tuple[str, str, str]
-    excess_slack: float
-    angle_slacks: tuple[float, float, float]
     curvature_slack: float
     certificate: EmbeddabilityCertificate
     ok: bool
@@ -362,8 +309,6 @@ class QuadrupleCheck:
     def to_dict(self) -> dict:
         return {
             "neighbors": list(self.neighbors),
-            "excess_slack": self.excess_slack,
-            "angle_slacks": list(self.angle_slacks),
             "curvature_slack": self.curvature_slack,
             "certificate": self.certificate.to_dict(),
             "ok": self.ok,
@@ -430,11 +375,9 @@ def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: floa
             vk = sum(_apex_angles(d, kappa, 0))
         except DomainError as e:
             raise DomainError(f"quadruple at {label} with neighbours {nbr_labels}: {e}") from e
-        excess_slack = cert.excess_slack
-        angle_slacks = tuple(float(x) for x in cert.angle_slacks[0])
         curvature_slack = TWO_PI - vk
         ok = cert.verdict and curvature_slack >= -tol
-        checks.append(QuadrupleCheck(nbr_labels, excess_slack, angle_slacks, curvature_slack, cert, ok))
+        checks.append(QuadrupleCheck(nbr_labels, curvature_slack, cert, ok))
         if not ok and verdict:
             verdict = False
             if not cert.verdict:

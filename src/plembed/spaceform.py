@@ -8,23 +8,16 @@ the time coordinate first, Minkowski form -x0*y0 + x1*y1 + ...).
 
 Positive curvature imposes two admissibility constraints on a triple of
 distances: every side must satisfy sqrt(kappa)*d <= pi, and the perimeter
-must not exceed a bound.  The bound used here is 2*pi/sqrt(kappa); a
-scale-free literal reading (perimeter <= 2*pi independent of kappa) exists
-in the literature, so `triple_embeddable` takes an explicit ``limit``
-override.  See the README for the discussion.
+must not exceed 2*pi/sqrt(kappa).  See the README for the discussion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RealizationError
-
-# Curvature values are plain floats; the sign selects the model.
-CurvatureParam = float
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,72 +49,6 @@ def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
-@dataclass(frozen=True)
-class MetricTriple:
-    """Three mutual distances d12, d13, d23 of a three-point metric space.
-
-    Distances must be positive and satisfy the triangle inequality
-    non-strictly; degenerate (collinear) triples are allowed.
-    """
-
-    d12: float
-    d13: float
-    d23: float
-
-    def __post_init__(self):
-        sides = (self.d12, self.d13, self.d23)
-        if not all(math.isfinite(s) for s in sides):
-            raise DomainError("triple distances must be finite")
-        if min(sides) <= 0.0:
-            raise DomainError("triple distances must be positive")
-        slack = TRIANGLE_SLACK * max(sides)
-        for i in range(3):
-            if sides[i] > sides[(i + 1) % 3] + sides[(i + 2) % 3] + slack:
-                raise DomainError("triple violates the triangle inequality")
-
-    @property
-    def sides(self) -> tuple[float, float, float]:
-        return (self.d12, self.d13, self.d23)
-
-    @property
-    def perimeter(self) -> float:
-        return self.d12 + self.d13 + self.d23
-
-
-@dataclass(frozen=True)
-class ModelTriangle:
-    """A triple realized by coordinates in a model space of curvature kappa.
-
-    ``coords`` has shape (3, 2) for kappa = 0 and (3, 3) otherwise (sphere
-    vectors, or hyperboloid vectors with the time coordinate first).
-    """
-
-    kappa: float
-    coords: np.ndarray
-    sides: MetricTriple
-
-
-def perimeter_limit(kappa: float) -> float:
-    """Largest admissible triple perimeter in curvature kappa (inf if kappa <= 0)."""
-    if kappa <= 0.0:
-        return math.inf
-    return TWO_PI / math.sqrt(kappa)
-
-
-def triple_embeddable(kappa: float, triple: MetricTriple, *, limit: float | None = None) -> bool:
-    """True when the triple admits a model triangle in curvature kappa.
-
-    For kappa <= 0 every valid triple embeds.  For kappa > 0 the perimeter
-    must not exceed ``limit``, which defaults to 2*pi/sqrt(kappa); pass
-    ``limit=2*math.pi`` for the scale-free literal convention.
-    """
-    if kappa <= 0.0:
-        return True
-    if limit is None:
-        limit = TWO_PI / math.sqrt(kappa)
-    return triple.perimeter <= limit * (1.0 + 1e-12)
-
-
 def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float:
     """Apex angle of the curvature-kappa model triangle with given sides.
 
@@ -129,9 +56,9 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
     it.  The result is monotone nondecreasing in ``kappa`` and in
     ``opposite``.  Degenerate triangles return exactly 0 or pi.
     """
-    if not (b > 0.0 and c > 0.0 and opposite >= 0.0):
-        raise DomainError("adjacent sides must be positive and opposite nonnegative")
     scale = max(opposite, b, c)
+    if not (b > 0.0 and c > 0.0 and opposite >= 0.0 and scale < math.inf):
+        raise DomainError("sides must be finite, adjacent sides positive and opposite nonnegative")
     slack = TRIANGLE_SLACK * scale
     if opposite > b + c + slack or b > opposite + c + slack or c > opposite + b + slack:
         raise DomainError("sides violate the triangle inequality")
@@ -287,53 +214,3 @@ def distances_from_coords(kappa: float, coords: np.ndarray) -> np.ndarray:
 def geodesic_distance(kappa: float, p, q) -> float:
     """Geodesic distance between two model points."""
     return float(distances_from_coords(kappa, np.vstack([p, q]))[0, 1])
-
-
-def realize_triple(kappa: float, triple: MetricTriple) -> ModelTriangle:
-    """Place the triple in the curvature-kappa model surface.
-
-    Raises RealizationError when kappa > 0 and the perimeter bound fails,
-    or when the recomputed distances miss the inputs by more than
-    1e-10 * max side.
-    """
-    if kappa > 0.0 and not triple_embeddable(kappa, triple):
-        raise RealizationError("triple perimeter exceeds the spherical bound")
-    a, b, c = triple.d12, triple.d13, triple.d23
-    dmat = np.array([[0.0, a, b], [a, 0.0, c], [b, c, 0.0]])
-    coords = realize_distances(kappa, dmat, 2)
-    if coords is None:
-        raise RealizationError("triple does not embed at this curvature")
-    back = distances_from_coords(kappa, coords)
-    if np.max(np.abs(back - dmat)) > 1e-10 * max(triple.sides):
-        raise RealizationError("realization failed the distance round-trip")
-    return ModelTriangle(kappa, coords, triple)
-
-
-def measured_angle(kappa: float, coords: np.ndarray, apex: int) -> float:
-    """Angle at ``coords[apex]`` between the geodesics to the other two points.
-
-    Oracle counterpart of `comparison_angle`: reads the angle off realized
-    coordinates instead of the law of cosines.
-    """
-    c = np.asarray(coords, dtype=float)
-    others = [i for i in range(c.shape[0]) if i != apex][:2]
-    p = c[apex]
-    if kappa == 0.0:
-        u, v = c[others[0]] - p, c[others[1]] - p
-        return _clamped_acos(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
-    if kappa > 0.0:
-        pp = float(np.dot(p, p))
-        u = c[others[0]] - (float(np.dot(c[others[0]], p)) / pp) * p
-        v = c[others[1]] - (float(np.dot(c[others[1]], p)) / pp) * p
-        return _clamped_acos(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
-    eta = np.ones(c.shape[1])
-    eta[0] = -1.0
-
-    def mink(x, y):
-        return float(np.sum(eta * x * y))
-
-    pp = mink(p, p)  # equals -1/|kappa|
-    u = c[others[0]] - (mink(c[others[0]], p) / pp) * p
-    v = c[others[1]] - (mink(c[others[1]], p) / pp) * p
-    nu, nv = math.sqrt(mink(u, u)), math.sqrt(mink(v, v))
-    return _clamped_acos(mink(u, v) / (nu * nv))

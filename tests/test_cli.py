@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import TETRA_OFF
+
 K4_DOC = json.dumps(
     {
         "vertices": ["a", "b", "c", "d"],
@@ -44,11 +46,21 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def payload(result):
     assert result.stdout, f"no stdout; stderr: {result.stderr}"
-    doc = json.loads(result.stdout)
-    assert doc["schema_version"] == 1
+    doc = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert doc["schema_version"] == 2
     return doc
+
+
+def assert_rejected(result, message):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert message in result.stderr
 
 
 def test_import_leaves_out_scipy():
@@ -62,6 +74,13 @@ def test_import_leaves_out_scipy():
 def k4_path(tmp_path):
     p = tmp_path / "k4.json"
     p.write_text(K4_DOC)
+    return str(p)
+
+
+@pytest.fixture
+def nan_tetra_path(tmp_path):
+    p = tmp_path / "nan.off"
+    p.write_text(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"))
     return str(p)
 
 
@@ -103,6 +122,11 @@ class TestWaldCommand:
         r = run_cli("wald", "--quadruple", "1,1,1,5,1,1")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("cap", ["nan", "-5", "inf"])
+    def test_bad_kappa_cap(self, cap):
+        r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
+        assert_rejected(r, "kappa_cap must be positive and finite")
+
     def test_deterministic_output(self):
         a = run_cli("wald", "--quadruple", UNIT_Q)
         b = run_cli("wald", "--quadruple", UNIT_Q)
@@ -126,6 +150,10 @@ class TestEmbedCheckCommand:
     def test_spherical_domain_error(self):
         r = run_cli("embed-check", "--quadruple", TRIPOD_Q, "--kappa", "9")
         assert r.returncode == 2
+
+    def test_nan_kappa(self):
+        r = run_cli("embed-check", "--quadruple", UNIT_Q, "--kappa", "nan")
+        assert_rejected(r, "invalid finite float value: 'nan'")
 
     def test_dim_choice(self):
         r = run_cli("embed-check", "--quadruple", UNIT_Q, "--kappa", "0", "--dim", "2")
@@ -154,6 +182,10 @@ class TestCheckLocalCommand:
     def test_missing_kappa(self, k4_path):
         r = run_cli("check-local", "--graph", k4_path, "--vertex", "a")
         assert r.returncode == 2
+
+    def test_nan_kappa(self, k4_path):
+        r = run_cli("check-local", "--graph", k4_path, "--vertex", "a", "--kappa", "nan")
+        assert_rejected(r, "invalid finite float value: 'nan'")
 
     def test_unknown_vertex(self, k4_path):
         r = run_cli("check-local", "--graph", k4_path, "--vertex", "zz", "--kappa", "0")
@@ -186,6 +218,10 @@ class TestCheckGlobalCommand:
         r = run_cli("check-global", "--graph", k4_path)
         assert r.returncode == 2
 
+    def test_infinite_kappa(self, k4_path):
+        r = run_cli("check-global", "--graph", k4_path, "--kappa", "inf")
+        assert_rejected(r, "invalid finite float value: 'inf'")
+
 
 class TestQcBoundCommand:
     def test_cube_bound(self, cube_off_path):
@@ -200,6 +236,9 @@ class TestQcBoundCommand:
         assert r.returncode == 0
         assert "bound: 2" in r.stderr
         payload(r)  # stdout remains a clean JSON document
+
+    def test_nan_coordinate(self, nan_tetra_path):
+        assert_rejected(run_cli("qc-bound", "--mesh", nan_tetra_path), "vertex coordinates must be finite")
 
 
 class TestWedgeCommand:
@@ -235,6 +274,9 @@ class TestIndexBoundCommand:
 
     def test_guard(self):
         assert run_cli("index-bound", "--n", "3", "--inner", "0.5").returncode == 2
+
+    def test_nan_inner(self):
+        assert_rejected(run_cli("index-bound", "--n", "3", "--inner", "nan"), "inner dilatation is at least 1")
 
 
 class TestLinkVolumeCommand:
@@ -274,6 +316,11 @@ class TestLinkVolumeCommand:
     def test_bad_vertex(self, cube_off_path):
         r = run_cli("link-volume", "--mesh", str(cube_off_path), "--vertex", "99")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("method", ["exact", "monte-carlo"])
+    def test_nan_coordinate(self, nan_tetra_path, method):
+        r = run_cli("link-volume", "--mesh", nan_tetra_path, "--vertex", "0", "--method", method, "--samples", "1000")
+        assert_rejected(r, "vertex coordinates must be finite")
 
 
 class TestFoldCommand:

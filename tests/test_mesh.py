@@ -67,6 +67,17 @@ class TestPolyMesh:
         with pytest.raises(MeshError, match="repeats"):
             PolyMesh(v, np.array([[0, 1, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertex(self, bad):
+        v = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        v[2, 1] = bad
+        with pytest.raises(MeshError, match="vertex coordinates must be finite"):
+            PolyMesh(v, np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]))
+
+    def test_nan_coordinate_in_off(self):
+        with pytest.raises(MeshError, match="finite"):
+            parse_off(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"))
+
     def test_degenerate_face(self):
         v = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         with pytest.raises(MeshError, match="degenerate"):
@@ -78,7 +89,9 @@ class TestPolyMesh:
 
     def test_closed_manifold_cube(self, cube_mesh):
         cube_mesh.require_closed_manifold()
-        assert len(cube_mesh.edge_faces) == 18  # 12 cube edges + 6 face diagonals
+        d, _ = cube_mesh.directed_edges
+        assert len(d) == 36  # each edge once from either side
+        assert len(np.unique(np.sort(d, axis=1), axis=0)) == 18  # 12 cube edges + 6 face diagonals
 
     def test_open_mesh_rejected(self):
         m = parse_off("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")

@@ -123,6 +123,10 @@ class TestIndexBound:
         with pytest.raises(DomainError):
             uniform_index_bound(3, 0.5)
 
+    def test_nan_inner_rejected(self):
+        with pytest.raises(DomainError):
+            uniform_index_bound(3, math.nan)
+
 
 class TestFoldingDilatation:
     def test_symmetrized(self):

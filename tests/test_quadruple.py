@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from plembed import (
     DegenerateQuadrupleError,
+    DomainError,
     MetricQuadruple,
     WaldOptions,
     cayley_menger,
@@ -233,6 +234,11 @@ class TestWald:
             assert lo <= r.kappa <= hi
             assert r.minors_ok
             assert realize_quadruple(UNIT, r.kappa, 2) is not None
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -5.0, 0.0])
+    def test_kappa_cap_positive_and_finite(self, cap):
+        with pytest.raises(DomainError, match="kappa_cap"):
+            WaldOptions(kappa_cap=cap)
 
     def test_classification_permutation_invariant(self):
         rng = np.random.default_rng(5)

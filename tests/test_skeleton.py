@@ -20,9 +20,8 @@ from plembed import (
     parse_graph_document,
     parse_metric_graph,
     polyline_curvature,
-    region_of_curvature,
-    star_quadruples,
 )
+from plembed.skeleton import _Stars
 
 from conftest import hex_grid_graph, icosahedron_graph, star_graph, unit_k4
 from test_acceptance import _independent_distances
@@ -152,86 +151,89 @@ class TestJsonParser:
         assert g.num_vertices == 2 and kappa is None
 
 
+def star_rows(g: MetricGraph, v) -> tuple[list[list[int]], np.ndarray]:
+    """Vertex ids (base first) and raw graph distances of every star at v."""
+    stars = _Stars.gather(g, [g.index(v)])
+    assert stars.start.tolist() == [0, len(stars.vertices)]
+    return stars.vertices.tolist(), stars.raw
+
+
 class TestStarQuadruples:
     def test_k4_single_quadruple(self):
-        g = unit_k4()
-        quads = star_quadruples(g, "a")
-        assert len(quads) == 1
-        sq = quads[0]
-        assert sq.base == 0 and sq.neighbors == (1, 2, 3)
+        ids, raw = star_rows(unit_k4(), "a")
+        assert ids == [[0, 1, 2, 3]]
         expect = np.ones((4, 4)) - np.eye(4)
-        assert np.allclose(sq.quadruple.distances, expect)
+        assert np.allclose(raw[0], expect)
 
     def test_icosahedron_counts(self):
         g = icosahedron_graph()
         for v in g.labels:
             assert g.degree(v) == 5
-            assert len(star_quadruples(g, v)) == 10
+            assert len(star_rows(g, v)[0]) == 10
 
     def test_degree_two_gives_none(self):
         g = parse_metric_graph("a b 1\nb c 1\n")
-        assert star_quadruples(g, "b") == []
+        ids, raw = star_rows(g, "b")
+        assert ids == [] and raw.shape == (0, 4, 4)
 
     def test_deterministic_lexicographic_order(self):
         g = hex_grid_graph()
-        quads = star_quadruples(g, "h")
-        assert len(quads) == 20
-        trios = [sq.neighbors for sq in quads]
+        ids, _ = star_rows(g, "h")
+        assert len(ids) == 20
+        assert all(row[0] == g.index("h") for row in ids)
+        trios = [row[1:] for row in ids]
         assert trios == sorted(trios)
 
     def test_distances_are_graph_metric(self):
         g = star_graph(1.99)
-        (sq,) = star_quadruples(g, "h")
-        d = sq.quadruple.distances
+        _, (d,) = star_rows(g, "h")
         # tip-to-tip shortcut edges beat the two-spoke path
         assert d[1, 2] == 1.99
         assert d[0, 1] == 1.0
 
 
 class TestRegionOfCurvature:
+    """The curvature condition V_kappa(v) <= 2*pi, as `local_compatibility` checks it."""
+
     def test_empty_family_vacuous(self):
-        g = unit_k4()
-        r = region_of_curvature(g, [], 0.0)
-        assert r.satisfied and r.witness is None and r.skipped == ()
+        rep = local_compatibility(parse_metric_graph("a b 1\nb c 1\n"), "b", 0.0)
+        assert rep.verdict and rep.witness is None
+        assert rep.checks == () and rep.skipped == ()
 
     def test_k4_flat_ok(self):
-        g = unit_k4()
-        r = region_of_curvature(g, star_quadruples(g, "a"), 0.0)
-        assert r.satisfied
+        rep = local_compatibility(unit_k4(), "a", 0.0)
+        # three flat angles of pi/3 at the base
+        assert rep.checks[0].curvature_slack == pytest.approx(math.pi, rel=1e-12)
 
     def test_star_hub_violates(self):
-        g = star_graph(1.99)
-        r = region_of_curvature(g, star_quadruples(g, "h"), 0.0)
-        assert not r.satisfied
-        sq, pos = r.witness
-        assert pos == 0  # the hub itself
+        rep = local_compatibility(star_graph(1.99), "h", 0.0)
         # independent check: three flat angles of (1, 1, 1.99) at the hub
         ang = math.acos((1.0 + 1.0 - 1.99**2) / 2.0)
         assert 3.0 * ang > TWO_PI
+        assert rep.checks[0].curvature_slack == pytest.approx(TWO_PI - 3.0 * ang, rel=1e-12)
 
     def test_hex_grid_all_degenerate(self):
-        g = hex_grid_graph()
-        r = region_of_curvature(g, star_quadruples(g, "h"), 0.0)
-        assert r.satisfied and len(r.skipped) == 20
+        for kappa in (-1.0, 0.0, 1.0):
+            rep = local_compatibility(hex_grid_graph(), "h", kappa)
+            assert rep.verdict and rep.checks == () and len(rep.skipped) == 20
 
     def test_monotone_in_kappa(self):
-        # feasibility region is a lower set: satisfied at kappa implies
-        # satisfied at every smaller kappa
+        # the feasible curvatures form a lower set: ok at kappa implies ok
+        # at every smaller kappa
         g = unit_k4()
-        quads = star_quadruples(g, "a")
-        grid = [-4.0, -1.0, 0.0, 1.0, 4.0]
-        sat = [region_of_curvature(g, quads, k).satisfied for k in grid]
-        for lo, hi in zip(sat, sat[1:]):
-            assert lo or not hi
+        sat = [local_compatibility(g, "a", k).verdict for k in (-4.0, -1.0, 0.0, 1.0, 4.0)]
+        assert sat == sorted(sat, reverse=True) and sat[0] and not sat[-1]
 
     def test_scale_invariance(self):
         g = star_graph(1.8)
         s = 2.5
         gs = g.scaled(s)
         for kappa in (-1.0, 0.0, 1.0):
-            a = region_of_curvature(g, star_quadruples(g, "h"), kappa)
-            b = region_of_curvature(gs, star_quadruples(gs, "h"), kappa / s**2)
-            assert a.satisfied == b.satisfied
+            a = local_compatibility(g, "h", kappa)
+            b = local_compatibility(gs, "h", kappa / s**2)
+            assert a.verdict == b.verdict
+            slacks = [c.curvature_slack for c in b.checks]
+            assert [c.curvature_slack for c in a.checks] == pytest.approx(slacks, rel=1e-12)
 
 
 class TestLocalCompatibility:
@@ -242,7 +244,7 @@ class TestLocalCompatibility:
         chk = rep.checks[0]
         assert chk.ok and chk.certificate.verdict
         # regular-simplex quadruple: excess is exactly pi short of 2*pi
-        assert chk.excess_slack == pytest.approx(TWO_PI - math.pi, rel=1e-12)
+        assert chk.certificate.excess_slack == pytest.approx(TWO_PI - math.pi, rel=1e-12)
 
     def test_hex_grid_skips_everything(self):
         rep = local_compatibility(hex_grid_graph(), "h", 0.0)
@@ -256,7 +258,7 @@ class TestLocalCompatibility:
         nbrs, name = rep.witness
         assert nbrs == ("x", "y", "z")
         assert name == "excess"
-        assert rep.checks[0].excess_slack < 0.0
+        assert rep.checks[0].certificate.excess_slack < 0.0
 
     def test_curvature_only_violation(self):
         # flat check passes but the prescribed kappa pushes the cone angle
@@ -380,12 +382,11 @@ def _check_against_oracle(g: MetricGraph) -> int:
     detours = 0
     for v, entry in enumerate(report.entries):
         split = {True: [], False: []}
-        for sq in star_quadruples(g, v):
-            idx = (v, *sq.neighbors)
+        for idx, raw in zip(*star_rows(g, v)):
             want = dense[np.ix_(idx, idx)]
-            np.testing.assert_allclose(sq.quadruple.distances, want, rtol=1e-12, atol=0.0)
-            split[_oracle_between(0.5 * (want + want.T))].append(tuple(g.labels[j] for j in sq.neighbors))
-            for a, b in combinations(sq.neighbors, 2):
+            np.testing.assert_allclose(raw, want, rtol=1e-12, atol=0.0)
+            split[_oracle_between(0.5 * (want + want.T))].append(tuple(g.labels[j] for j in idx[1:]))
+            for a, b in combinations(idx[1:], 2):
                 if (a, b) not in edges and want[0, idx.index(a)] + want[0, idx.index(b)] > dense[a, b] * (1 + 1e-9):
                     detours += 1
         for rep in (entry, local_compatibility(g, v, 0.0)):

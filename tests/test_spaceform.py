@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from plembed import (
     DomainError,
-    MetricTriple,
-    RealizationError,
+    MetricQuadruple,
     comparison_angle,
     geodesic_distance,
-    measured_angle,
-    perimeter_limit,
-    realize_triple,
-    triple_embeddable,
+    realize_distances,
+    realize_quadruple,
 )
 
 KAPPA_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -33,26 +30,71 @@ def small_triples():
     return st.builds(build, small_side, small_side, st.floats(min_value=0.05, max_value=0.95))
 
 
+def realize_triangle(kappa: float, d12: float, d13: float, d23: float) -> np.ndarray:
+    """Model coordinates of three points with the given distances."""
+    coords = realize_distances(kappa, np.array([[0.0, d12, d13], [d12, 0.0, d23], [d13, d23, 0.0]]), 2)
+    assert coords is not None
+    return coords
+
+
+def _acos(x: float) -> float:
+    return math.acos(min(1.0, max(-1.0, x)))
+
+
+def measured_angle(kappa: float, coords: np.ndarray, apex: int) -> float:
+    """Angle at ``coords[apex]`` between the geodesics to the other two points.
+
+    Oracle counterpart of `comparison_angle`: reads the angle off realized
+    coordinates instead of the law of cosines.
+    """
+    c = np.asarray(coords, dtype=float)
+    others = [i for i in range(c.shape[0]) if i != apex][:2]
+    p = c[apex]
+    if kappa == 0.0:
+        u, v = c[others[0]] - p, c[others[1]] - p
+        return _acos(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
+    if kappa > 0.0:
+        pp = float(np.dot(p, p))
+        u = c[others[0]] - (float(np.dot(c[others[0]], p)) / pp) * p
+        v = c[others[1]] - (float(np.dot(c[others[1]], p)) / pp) * p
+        return _acos(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
+    eta = np.ones(c.shape[1])
+    eta[0] = -1.0
+
+    def mink(x, y):
+        return float(np.sum(eta * x * y))
+
+    pp = mink(p, p)  # equals -1/|kappa|
+    u = c[others[0]] - (mink(c[others[0]], p) / pp) * p
+    v = c[others[1]] - (mink(c[others[1]], p) / pp) * p
+    nu, nv = math.sqrt(mink(u, u)), math.sqrt(mink(v, v))
+    return _acos(mink(u, v) / (nu * nv))
+
+
 class TestMetricTriple:
+    """A triple of distances is validated where it is used, by `comparison_angle`."""
+
     def test_valid(self):
-        t = MetricTriple(3.0, 4.0, 5.0)
-        assert t.sides == (3.0, 4.0, 5.0)
-        assert t.perimeter == 12.0
+        assert comparison_angle(0.0, 5.0, 3.0, 4.0) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_degenerate_allowed(self):
-        MetricTriple(1.0, 1.0, 2.0)
+        # a violation within the relative slack 1e-12 is a degenerate triangle
+        assert comparison_angle(0.0, 2.0 * (1.0 + 1e-13), 1.0, 1.0) == math.pi
+        assert comparison_angle(0.0, 1.0, 2.0 * (1.0 + 1e-13), 1.0) == 0.0
 
     def test_triangle_violation(self):
-        with pytest.raises(DomainError):
-            MetricTriple(1.0, 1.0, 2.5)
+        for sides in ((2.5, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 1.0, 2.5)):
+            with pytest.raises(DomainError, match="triangle inequality"):
+                comparison_angle(0.0, *sides)
 
     def test_nonpositive(self):
         with pytest.raises(DomainError):
-            MetricTriple(1.0, -1.0, 1.0)
+            comparison_angle(0.0, 1.0, -1.0, 1.0)
 
     def test_nonfinite(self):
-        with pytest.raises(DomainError):
-            MetricTriple(1.0, math.inf, 1.0)
+        for sides in ((1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(DomainError):
+                comparison_angle(0.0, *sides)
 
 
 class TestComparisonAngle:
@@ -66,9 +108,9 @@ class TestComparisonAngle:
         # oracle: realize the octant triangle on the unit sphere and measure
         # the coordinate angle at each corner
         half_pi = math.pi / 2
-        tri = realize_triple(1.0, MetricTriple(half_pi, half_pi, half_pi))
+        coords = realize_triangle(1.0, half_pi, half_pi, half_pi)
         for apex in range(3):
-            assert measured_angle(1.0, tri.coords, apex) == pytest.approx(half_pi, abs=1e-9)
+            assert measured_angle(1.0, coords, apex) == pytest.approx(half_pi, abs=1e-9)
         assert comparison_angle(1.0, half_pi, half_pi, half_pi) == pytest.approx(half_pi, abs=1e-12)
 
     def test_degenerate_exact(self):
@@ -126,53 +168,58 @@ class TestComparisonAngle:
 
 
 class TestTripleEmbeddable:
+    """Only the sphere bounds the perimeter of a triple: by 2*pi/sqrt(kappa)."""
+
     def test_octant(self):
-        assert triple_embeddable(1.0, MetricTriple(math.pi / 2, math.pi / 2, math.pi / 2))
+        # the octant of the sphere of radius 1/2: perimeter 3*pi/4 <= pi
+        assert comparison_angle(4.0, math.pi / 4, math.pi / 4, math.pi / 4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_negative_always(self):
-        assert triple_embeddable(-1.0, MetricTriple(100.0, 100.0, 100.0))
-        assert triple_embeddable(0.0, MetricTriple(100.0, 100.0, 100.0))
+        # perimeter 9 > 2*pi
+        assert comparison_angle(0.0, 3.0, 3.0, 3.0) == pytest.approx(math.pi / 3, abs=1e-15)
+        assert 0.0 < comparison_angle(-1.0, 3.0, 3.0, 3.0) < math.pi / 3
 
     def test_kappa4_bound(self):
-        # perimeter 3.5 > 2*pi/2
-        assert not triple_embeddable(4.0, MetricTriple(1.0, 1.0, 1.5))
-
-    def test_literal_limit_override(self):
-        # under the scale-free reading the same triple passes
-        assert triple_embeddable(4.0, MetricTriple(1.0, 1.0, 1.5), limit=2 * math.pi)
+        # every side passes sqrt(4)*d <= pi, but the perimeter 3.5 exceeds 2*pi/2
+        with pytest.raises(DomainError, match="perimeter"):
+            comparison_angle(4.0, 1.5, 1.0, 1.0)
 
     def test_perimeter_limit(self):
-        assert perimeter_limit(-1.0) == math.inf
-        assert perimeter_limit(0.0) == math.inf
-        assert perimeter_limit(4.0) == pytest.approx(math.pi, abs=1e-15)
+        # at kappa = 4 the limit is pi: three points 2*pi/3 apart on a great circle
+        assert comparison_angle(4.0, math.pi / 3, math.pi / 3, math.pi / 3) == pytest.approx(math.pi, abs=1e-6)
+        with pytest.raises(DomainError, match="perimeter"):
+            comparison_angle(4.0, math.pi / 3 * (1.0 + 1e-9), math.pi / 3, math.pi / 3)
 
 
 class TestRealizeTriple:
+    """Realizing a triple of distances with `realize_distances`."""
+
     def test_flat_pythagorean(self):
-        tri = realize_triple(0.0, MetricTriple(3.0, 4.0, 5.0))
+        coords = realize_triangle(0.0, 3.0, 4.0, 5.0)
         # canonical placement: first point at the origin, second on +x
-        assert np.allclose(tri.coords[0], 0.0)
-        assert tri.coords[1][1] == pytest.approx(0.0, abs=1e-12)
-        assert tri.coords[1][0] == pytest.approx(3.0, abs=1e-12)
-        d = [geodesic_distance(0.0, tri.coords[i], tri.coords[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert np.allclose(coords[0], 0.0)
+        assert coords[1][1] == pytest.approx(0.0, abs=1e-12)
+        assert coords[1][0] == pytest.approx(3.0, abs=1e-12)
+        d = [geodesic_distance(0.0, coords[i], coords[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         assert d == pytest.approx([3.0, 4.0, 5.0], abs=1e-12)
 
     def test_spherical_octant_orthogonal(self):
-        tri = realize_triple(1.0, MetricTriple(math.pi / 2, math.pi / 2, math.pi / 2))
-        c = tri.coords
+        c = realize_triangle(1.0, math.pi / 2, math.pi / 2, math.pi / 2)
         assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-12)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(float(np.dot(c[i], c[j]))) < 1e-12
 
     def test_hyperbolic_round_trip(self):
-        tri = realize_triple(-1.0, MetricTriple(1.0, 1.0, 1.0))
-        for (i, j), want in (((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), 1.0)):
-            assert geodesic_distance(-1.0, tri.coords[i], tri.coords[j]) == pytest.approx(want, abs=1e-10)
+        coords = realize_triangle(-1.0, 1.0, 1.0, 1.0)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert geodesic_distance(-1.0, coords[i], coords[j]) == pytest.approx(1.0, abs=1e-10)
 
     def test_spherical_bound_failure(self):
-        with pytest.raises(RealizationError):
-            realize_triple(4.0, MetricTriple(1.0, 1.0, 1.5))
+        # face (1, 2, 3) has sides 1, 1, 1.5: perimeter 3.5 > 2*pi/sqrt(4)
+        q = MetricQuadruple.from_pairwise(1.0, 1.0, 1.0, 1.5, 1.0, 1.0)
+        assert realize_quadruple(q, 4.0) is None
+        assert realize_quadruple(q, 1.0) is not None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_triples(), st.sampled_from(KAPPA_GRID))
@@ -180,7 +227,5 @@ class TestRealizeTriple:
         opposite, b, c = sides
         # apex at point 0 looks toward points 1 and 2; the opposite side is
         # d(1, 2), the adjacent sides are d(0, 1) and d(0, 2)
-        tri = realize_triple(kappa, MetricTriple(b, c, opposite))
-        assert measured_angle(kappa, tri.coords, 0) == pytest.approx(
-            comparison_angle(kappa, opposite, b, c), abs=1e-9
-        )
+        coords = realize_triangle(kappa, b, c, opposite)
+        assert measured_angle(kappa, coords, 0) == pytest.approx(comparison_angle(kappa, opposite, b, c), abs=1e-9)
