@@ -29,10 +29,10 @@ class FoldParams:
     radial_scale: float = 1.0
 
     def __post_init__(self):
-        if self.source_angle <= 0.0 or self.target_angle <= 0.0:
-            raise DomainError("cone angles must be positive")
-        if self.radial_scale <= 0.0:
-            raise DomainError("radial scale must be positive")
+        if not (0.0 < self.source_angle < math.inf and 0.0 < self.target_angle < math.inf):
+            raise DomainError("cone angles must be positive and finite")
+        if not 0.0 < self.radial_scale < math.inf:
+            raise DomainError("radial scale must be positive and finite")
 
 
 def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[float, float]:
@@ -42,8 +42,8 @@ def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[flo
     scale * rho ** (target/source); the apex (rho = 0) is fixed.  Conformal
     away from the apex.
     """
-    if rho < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= params.source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
     t = params.target_angle / params.source_angle
@@ -57,10 +57,10 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
     length and circles about the apex contract by the factor
     2*pi / source_angle.
     """
-    if source_angle <= 0.0:
-        raise DomainError("cone angle must be positive")
-    if rho < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 < source_angle < math.inf:
+        raise DomainError("cone angle must be positive and finite")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
     return rho, (TWO_PI / source_angle) * phi
@@ -109,6 +109,8 @@ class AcuteTriangle:
         v = np.array(self.vertices, dtype=float)
         if v.shape != (3, 2):
             raise DomainError("expected three planar vertices")
+        if not np.isfinite(v).all():
+            raise DomainError("vertices must be finite")
         sides = self._side_lengths(v)
         if min(sides) <= 0.0:
             raise DomainError("triangle is degenerate")
@@ -133,8 +135,8 @@ class AcuteTriangle:
 
         ``s_p`` is the side opposite vertex p.
         """
-        if min(s1, s2, s3) <= 0.0:
-            raise DomainError("sides must be positive")
+        if not all(0.0 < s < math.inf for s in (s1, s2, s3)):
+            raise DomainError("sides must be positive and finite")
         x = (s3 * s3 + s2 * s2 - s1 * s1) / (2.0 * s3)
         y2 = s2 * s2 - x * x
         if y2 <= 0.0:

@@ -329,50 +329,87 @@ def _log_cosh_np(x: np.ndarray) -> np.ndarray:
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
-def _curvature_det(d: np.ndarray, kappa: float) -> float:
-    """Scaled determinant of the curvature matrix; zeros and signs preserved."""
-    if kappa > 0.0:
-        return float(np.linalg.det(np.cos(math.sqrt(kappa) * d)))
-    lc = _log_cosh_np(math.sqrt(-kappa) * d)
-    m = np.exp(lc - lc.max(axis=1, keepdims=True))
-    # rows may underflow to zero deep in the hyperbolic range; callers treat
-    # non-finite or vanishing values explicitly, so silence the LAPACK noise
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        return float(np.linalg.det(m))
+# Entry [i, j] of a curvature matrix is the function of distance _SCATTER[i, j]
+# in (0, d01, d02, d03, d12, d13, d23): the diagonal, then `_PAIR_ORDER`.
+_SCATTER = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+_PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
+_TRIPLES = np.array(list(combinations(range(4), 3)))
+# Levels of the bisection tree evaluated per batched determinant; it divides
+# the 200 steps of `_bisect`.
+_TREE_DEPTH = 4
 
 
 def _curvature_det_grid(d: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+    """Scaled determinants of the curvature matrices at kappas, which share one sign.
+
+    Zeros and signs are preserved; cos (kappa > 0) or log-cosh is taken of
+    the six distances and 0 only, then scattered into the matrices.
+    """
+    x = np.concatenate(([0.0], d[_PAIRS_I, _PAIRS_J]))
     if kappas[0] > 0.0:
-        mats = np.cos(np.sqrt(kappas)[:, None, None] * d[None])
+        mats = np.cos(np.sqrt(kappas)[:, None] * x)[:, _SCATTER]
     else:
-        lc = _log_cosh_np(np.sqrt(-kappas)[:, None, None] * d[None])
+        lc = _log_cosh_np(np.sqrt(-kappas)[:, None] * x)[:, _SCATTER]
         mats = np.exp(lc - lc.max(axis=2, keepdims=True))
+    # rows may underflow to zero deep in the hyperbolic range; callers treat
+    # non-finite or vanishing values explicitly, so silence the LAPACK noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         return np.linalg.det(mats)
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= rtol * (1.0 + abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+    """Bisect the sign change of f on [a, b]; f maps an array of points to their values.
+
+    Each call of f evaluates the midpoints of `_TREE_DEPTH` levels of the
+    bisection tree (in heap order); the walk down it takes the same steps as
+    a bisection that evaluates one midpoint at a time.
+    """
+    for _ in range(200 // _TREE_DEPTH):
+        lo, hi = [a], [b]
+        for n in range(2 ** (_TREE_DEPTH - 1) - 1):
+            mid = 0.5 * (lo[n] + hi[n])
+            lo += [lo[n], mid]
+            hi += [mid, hi[n]]
+        mids = [0.5 * (x + y) for x, y in zip(lo, hi)]
+        vals = f(np.array(mids))
+        n = 0
+        for _ in range(_TREE_DEPTH):
+            mid = mids[n]
+            if b - a <= rtol * (1.0 + abs(mid)):
+                return mid
+            fm = vals[n]
+            if fm == 0.0:
+                return mid
+            if (fa < 0.0) != (fm < 0.0):
+                b, fb, n = mid, fm, 2 * n + 1
+            else:
+                a, fa, n = mid, fm, 2 * n + 2
     return 0.5 * (a + b)
+
+
+def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[float]:
+    """Candidate roots of f on an increasing grid, in order; f maps an array of points to their values.
+
+    A grid point is a candidate when its value is zero, and a root is
+    bisected between neighbours whose values differ in sign.  Only pairs of
+    finite values count, and the last point only as a zero.  ``< 0.0`` is the
+    sign test, so -0.0 is a zero and never a negative value.
+    """
+    vals = f(grid)
+    fa, fb = vals[:-1], vals[1:]
+    ok = np.isfinite(fa) & np.isfinite(fb)
+    zero = np.append(ok & (fa == 0.0), vals[-1] == 0.0)
+    change = np.append(ok & (fa != 0.0) & ((fa < 0.0) != (fb < 0.0)), False)
+    return [
+        float(grid[i]) if zero[i]
+        else _bisect(f, float(grid[i]), float(grid[i + 1]), float(fa[i]), float(fb[i]), rtol)
+        for i in np.flatnonzero(zero | change)
+    ]
 
 
 def _principal_minors_ok(d: np.ndarray, kappa: float, tol: float = 1e-9) -> bool:
     m = np.cos(math.sqrt(kappa) * d)
-    for idx in combinations(range(4), 3):
-        sub = m[np.ix_(idx, idx)]
-        if np.linalg.det(sub) < -tol:
-            return False
-    return True
+    return not np.any(np.linalg.det(m[_TRIPLES[:, :, None], _TRIPLES[:, None, :]]) < -tol)
 
 
 def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
@@ -407,27 +444,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     half = max(opts.samples // 2, 8)
     candidates: list[float] = []
     for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
-        vals = _curvature_det_grid(d, grid)
-        for i in range(len(grid) - 1):
-            fa, fb = vals[i], vals[i + 1]
-            if not (np.isfinite(fa) and np.isfinite(fb)):
-                continue
-            if fa == 0.0:
-                candidates.append(float(grid[i]))
-            elif (fa < 0.0) != (fb < 0.0):
-                candidates.append(
-                    _bisect(
-                        lambda k: _curvature_det(d, k),
-                        float(grid[i]),
-                        float(grid[i + 1]),
-                        float(fa),
-                        float(fb),
-                        opts.bisect_rtol,
-                    )
-                )
-        if np.isfinite(vals[-1]) and vals[-1] == 0.0:
-            candidates.append(float(grid[-1]))
-
+        candidates += _grid_roots(lambda ks: _curvature_det_grid(d, ks), grid, opts.bisect_rtol)
     for k in candidates:
         if flat and abs(k) <= 100.0 * floor:
             # shadow of the structural kappa = 0 zero, not a distinct root
@@ -439,7 +456,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
                 continue
         if realize_quadruple(q, k, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is None:
             continue
-        residual = abs(_curvature_det(d, k))
+        residual = abs(float(_curvature_det_grid(d, np.array([k]))[0]))
         if residual > opts.residual_tol:
             continue
         roots.append(WaldRoot(float(k), residual, minors_ok))

@@ -241,6 +241,8 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
                     graph.index(lab)  # raises UnknownVertexError
             else:
                 kappa = {lab: float(raw) for lab in graph.labels}
+            if not all(map(math.isfinite, kappa.values())):
+                raise ParseError("'kappa' values must be finite")
         return graph, kappa
     return parse_metric_graph(text), None
 

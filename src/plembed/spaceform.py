@@ -105,7 +105,10 @@ def _psd_factor(gram: np.ndarray, max_rank: int, rank_tol: float) -> np.ndarray 
     (point 0 on the first axis, point 1 in the first two axes, ...).
     """
     g = 0.5 * (gram + gram.T)
-    w, v = np.linalg.eigh(g)
+    try:
+        w, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None  # the eigensolver did not converge
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] < -rank_tol * scale:
         return None
@@ -122,14 +125,9 @@ def _psd_factor(gram: np.ndarray, max_rank: int, rank_tol: float) -> np.ndarray 
 def _canonicalize(x: np.ndarray) -> np.ndarray:
     # Rotate so row i has zeros beyond coordinate i and the first nonzero
     # entry of every column is positive.  Deterministic placement.
-    q, r = np.linalg.qr(x.T)
-    y = r.T.copy()
-    for k in range(y.shape[1]):
-        col = y[:, k]
-        nz = np.flatnonzero(np.abs(col) > 0.0)
-        if nz.size and col[nz[0]] < 0.0:
-            y[:, k] = -col
-    return y
+    y = np.linalg.qr(x.T)[1].T
+    first = (np.abs(y) > 0.0).argmax(axis=0)
+    return np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
 
 
 def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.ndarray | None:
@@ -139,7 +137,10 @@ def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.nda
     Returns (n, ambient) coordinates with the time coordinate first, or None.
     """
     g = 0.5 * (gram + gram.T)
-    w, v = np.linalg.eigh(g)
+    try:
+        w, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None  # the eigensolver did not converge
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     if w[0] >= -rank_tol * scale:
         return None  # no timelike direction
@@ -163,13 +164,13 @@ def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.nda
 def realize_distances(kappa: float, dmat: np.ndarray, dim: int, *, rank_tol: float = 1e-9) -> np.ndarray | None:
     """Coordinates reproducing the distance matrix in the dim-dimensional model.
 
-    Failure to embed is a value (None), not an error.  Coordinates are
-    (n, dim) for kappa = 0, else (n, dim + 1) model vectors.  Placement is
-    canonical: point 0 at the origin/pole, point 1 on the first axis, and
-    each further point in the span of one additional axis.
+    Failure to embed is a value (None), not an error; so is an eigensolver
+    that does not converge.  Coordinates are (n, dim) for kappa = 0, else
+    (n, dim + 1) model vectors.  Placement is canonical: point 0 at the
+    origin/pole, point 1 on the first axis, and each further point in the
+    span of one additional axis.
     """
     d = np.asarray(dmat, dtype=float)
-    n = d.shape[0]
     if kappa == 0.0:
         sq = d * d
         g = 0.5 * (sq[0, 1:][:, None] + sq[0, 1:][None, :] - sq[1:, 1:])
@@ -187,7 +188,13 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int, *, rank_tol: flo
     if np.any(args > 700.0):
         return None  # cosh overflows double precision; cannot certify coordinates
     g = np.cosh(args) / kappa  # negative of cosh/R^2
-    return _minkowski_factor(g, dim + 1, rank_tol)
+    # Factor g / 4**h, whose entries are near 1, and scale back by 2**h; eigh
+    # does not converge on entries near 1e297.  The scaling is exact in binary;
+    # LAPACK need not commute with it, though on the tested cases the factor
+    # was identical to the unscaled one.
+    h = math.frexp(float(np.abs(g).max()))[1] // 2
+    x = _minkowski_factor(np.ldexp(g, -2 * h), dim + 1, rank_tol)
+    return None if x is None else np.ldexp(x, h)
 
 
 def distances_from_coords(kappa: float, coords: np.ndarray) -> np.ndarray:

@@ -35,6 +35,19 @@ class TestFoldParams:
         with pytest.raises(DomainError):
             FoldParams(1.0, 1.0, radial_scale=0.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (1.0, 1.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError, match="finite"):
+            FoldParams(*args)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError, match="radius"):
+            standard_vertex_map(FoldParams(math.pi, TWO_PI), math.nan, 1.0)
+        with pytest.raises(DomainError, match="radius"):
+            vertex_contraction(3.0 * math.pi, math.nan, 1.0)
+        with pytest.raises(DomainError, match="cone angle"):
+            vertex_contraction(math.nan, 1.0, 1.0)
+
 
 class TestStandardVertexMap:
     def test_doubling_fold(self):
@@ -140,6 +153,16 @@ class TestAcuteTriangle:
     def test_shape_guard(self):
         with pytest.raises(DomainError):
             AcuteTriangle(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_vertex_rejected(self, x):
+        with pytest.raises(DomainError, match="vertices must be finite"):
+            AcuteTriangle(np.array([[0.0, 0.0], [1.0, 0.0], [x, 1.0]]))
+
+    @pytest.mark.parametrize("sides", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)])
+    def test_non_finite_sides_rejected(self, sides):
+        with pytest.raises(DomainError, match="sides must be positive and finite"):
+            AcuteTriangle.from_sides(*sides)
 
     def test_from_sides_placement(self):
         t = AcuteTriangle.from_sides(3.5, 4.0, 4.5)

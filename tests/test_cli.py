@@ -32,6 +32,12 @@ STAR_DOC = json.dumps(
 UNIT_Q = "1,1,1,1,1,1"
 SQUARE_Q = "1,1.4142135623730951,1,1,1.4142135623730951,1"
 TRIPOD_Q = "1,1,1,1.99,1.99,1.99"
+# geodesic distances of four unit vectors; a hyperbolic candidate at large
+# |kappa| once made the eigensolver fail to converge (exit 2)
+EIGH_REPRO_Q = (
+    "2.3303257425485495,2.124565799872923,2.893484832670206,"
+    "0.27499257996563814,0.9532155163549789,1.1035036827185678"
+)
 
 
 def run_cli(*args, env_extra=None):
@@ -84,6 +90,13 @@ def nan_tetra_path(tmp_path):
     return str(p)
 
 
+@pytest.fixture(params=["NaN", '{"a": 1, "b": NaN}'], ids=["scalar", "map"])
+def nan_kappa_path(tmp_path, request):
+    p = tmp_path / "k4-nan.json"
+    p.write_text(K4_DOC[:-1] + f', "kappa": {request.param}}}')
+    return str(p)
+
+
 @pytest.fixture
 def star_path(tmp_path):
     p = tmp_path / "star.json"
@@ -126,6 +139,16 @@ class TestWaldCommand:
     def test_bad_kappa_cap(self, cap):
         r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
         assert_rejected(r, "kappa_cap must be positive and finite")
+
+    def test_eigensolver_repro(self):
+        r = run_cli("wald", "--quadruple", EIGH_REPRO_Q)
+        assert r.returncode == 0, r.stderr
+        doc = payload(r)
+        assert doc["classification"] == "multiple"
+        kappas = [root["kappa"] for root in doc["roots"]]
+        assert len(kappas) == 2
+        assert kappas[0] < 0.0
+        assert kappas[1] == pytest.approx(1.0, rel=1e-9)
 
     def test_deterministic_output(self):
         a = run_cli("wald", "--quadruple", UNIT_Q)
@@ -187,6 +210,10 @@ class TestCheckLocalCommand:
         r = run_cli("check-local", "--graph", k4_path, "--vertex", "a", "--kappa", "nan")
         assert_rejected(r, "invalid finite float value: 'nan'")
 
+    def test_nan_kappa_in_document(self, nan_kappa_path):
+        r = run_cli("check-local", "--graph", nan_kappa_path, "--vertex", "a")
+        assert_rejected(r, "'kappa' values must be finite")
+
     def test_unknown_vertex(self, k4_path):
         r = run_cli("check-local", "--graph", k4_path, "--vertex", "zz", "--kappa", "0")
         assert r.returncode == 2
@@ -221,6 +248,9 @@ class TestCheckGlobalCommand:
     def test_infinite_kappa(self, k4_path):
         r = run_cli("check-global", "--graph", k4_path, "--kappa", "inf")
         assert_rejected(r, "invalid finite float value: 'inf'")
+
+    def test_nan_kappa_in_document(self, nan_kappa_path):
+        assert_rejected(run_cli("check-global", "--graph", nan_kappa_path), "'kappa' values must be finite")
 
 
 class TestQcBoundCommand:
@@ -340,6 +370,18 @@ class TestFoldCommand:
         r = run_cli("fold", "--theta", "1.0", "--point", "1,2.0")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--point", "nan,1"), "radius must be nonnegative and finite"),
+            (("--point", "1,1", "--lam", "nan"), "cone angles must be positive and finite"),
+            (("--point", "1,1", "--scale", "nan"), "radial scale must be positive and finite"),
+            (("--point", "nan,1", "--contraction"), "radius must be nonnegative and finite"),
+        ],
+    )
+    def test_nan_rejected(self, flags, message):
+        assert_rejected(run_cli("fold", "--theta", "3.14", *flags), message)
+
 
 class TestBzElementCommand:
     def test_frozen_heights(self):
@@ -357,6 +399,10 @@ class TestBzElementCommand:
 
     def test_non_acute_template(self):
         assert run_cli("bz-element", "--template", "3,4,5", "--base", "3,4,5").returncode == 2
+
+    def test_nan_template(self):
+        r = run_cli("bz-element", "--template", "nan,1,1", "--base", "0.9,0.9,0.9")
+        assert_rejected(r, "sides must be positive and finite")
 
 
 class TestCurveCurvatureCommand:

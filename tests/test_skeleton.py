@@ -134,6 +134,11 @@ class TestJsonParser:
         with pytest.raises(UnknownVertexError):
             parse_graph_document('{"edges": [["a", "b", 1.0]], "kappa": {"c": 0.0}}')
 
+    @pytest.mark.parametrize("kappa", ["NaN", "Infinity", '{"a": 0.0, "b": NaN}'])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(ParseError, match="'kappa' values must be finite"):
+            parse_graph_document('{"edges": [["a", "b", 1.0]], "kappa": %s}' % kappa)
+
     def test_missing_edges_key(self):
         with pytest.raises(ParseError):
             parse_graph_document('{"vertices": ["a"]}')

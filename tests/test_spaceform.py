@@ -13,6 +13,7 @@ from plembed import (
     realize_distances,
     realize_quadruple,
 )
+from plembed.spaceform import _minkowski_factor
 
 KAPPA_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
 
@@ -229,3 +230,52 @@ class TestRealizeTriple:
         # d(1, 2), the adjacent sides are d(0, 1) and d(0, 2)
         coords = realize_triangle(kappa, b, c, opposite)
         assert measured_angle(kappa, coords, 0) == pytest.approx(comparison_angle(kappa, opposite, b, c), abs=1e-9)
+
+
+def hyperboloid_distances(rng, n: int, radius: float) -> np.ndarray:
+    """Distances of n random points within `radius` of the pole on the curvature -1 hyperboloid."""
+    r = rng.uniform(0.0, radius, n)
+    t = rng.uniform(0.0, 2.0 * math.pi, n)
+    p = np.column_stack([np.cosh(r), np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t)])
+    inner = np.outer(p[:, 0], p[:, 0]) - p[:, 1:] @ p[:, 1:].T
+    d = np.arccosh(np.maximum(inner, 1.0))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestHyperbolicRealization:
+    """The hyperbolic branch factors the cosh Gram matrix divided by 4**h."""
+
+    def test_same_coordinates_as_unscaled_factor(self):
+        rng = np.random.default_rng(11)
+        realized = 0
+        for _ in range(300):
+            kappa = -(10.0 ** rng.uniform(-3.0, 3.0))
+            d = hyperboloid_distances(rng, 4, 3.0) / math.sqrt(-kappa)
+            if rng.uniform() < 0.5:
+                kappa *= 10.0 ** rng.uniform(-1.0, 1.0)  # a curvature the points do not fit
+            want = _minkowski_factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 3, 1e-9)
+            got = realize_distances(kappa, d, 2)
+            assert (got is None) == (want is None)
+            if got is not None:
+                realized += 1
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+        assert realized > 100
+
+    def test_near_overflow_entries(self):
+        # sqrt(-kappa) * max d = 697: cosh Gram entries near 1e297, on which
+        # the unscaled eigensolver did not converge
+        d = MetricQuadruple.from_pairwise(
+            2.3303257425485495, 2.124565799872923, 2.893484832670206,
+            0.27499257996563814, 0.9532155163549789, 1.1035036827185678,
+        ).distances
+        assert realize_distances(-58060.6563420252, d, 2) is None
+
+    def test_eigensolver_failure_is_none(self, monkeypatch):
+        def no_convergence(g):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        d = hyperboloid_distances(np.random.default_rng(3), 4, 1.0)
+        for kappa in (-1.0, 0.0, 1.0):
+            assert realize_distances(kappa, d, 2) is None

@@ -1,0 +1,314 @@
+"""The Wald root search against a scalar reference, one grid point and one midpoint at a time.
+
+`scalar_wald_curvature` is `wald_curvature` as first written: a Python loop
+over the grid for sign changes, a bisection that evaluates one 4x4 curvature
+determinant per step, and one 3x3 determinant per principal minor.  The
+batched solver must give the same documents exactly (the same JSON text).  The
+sweep at the end checks that no quadruple makes the solver raise.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, wald_curvature
+from plembed.quadruple import (
+    WaldResult,
+    WaldRoot,
+    _bisect,
+    _grid_roots,
+    cayley_menger,
+    realize_quadruple,
+)
+
+SURFACE_KAPPAS = (-4.0, -1.0, 0.0, 1.0, 4.0)
+
+
+def scalar_curvature_det(d, kappa):
+    if kappa > 0.0:
+        return float(np.linalg.det(np.cos(math.sqrt(kappa) * d)))
+    x = math.sqrt(-kappa) * d
+    lc = x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+    m = np.exp(lc - lc.max(axis=1, keepdims=True))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        return float(np.linalg.det(m))
+
+
+def scalar_bisect(f, a, b, fa, fb, rtol):
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if b - a <= rtol * (1.0 + abs(mid)):
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fa < 0.0) != (fm < 0.0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def scalar_grid_roots(f, grid, rtol):
+    vals = [f(float(k)) for k in grid]
+    out = []
+    for i in range(len(grid) - 1):
+        fa, fb = vals[i], vals[i + 1]
+        if not (np.isfinite(fa) and np.isfinite(fb)):
+            continue
+        if fa == 0.0:
+            out.append(float(grid[i]))
+        elif (fa < 0.0) != (fb < 0.0):
+            out.append(scalar_bisect(f, float(grid[i]), float(grid[i + 1]), fa, fb, rtol))
+    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
+        out.append(float(grid[-1]))
+    return out
+
+
+def scalar_minors_ok(d, kappa, tol=1e-9):
+    m = np.cos(math.sqrt(kappa) * d)
+    for idx in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        if np.linalg.det(m[np.ix_(idx, idx)]) < -tol:
+            return False
+    return True
+
+
+def scalar_wald_curvature(q, opts=None):
+    opts = opts or WaldOptions()
+    d = q.distances
+    dmax, dmin = q.max_distance, q.min_distance
+    kappa_max = (math.pi / dmax) ** 2
+    cap = opts.kappa_cap if opts.kappa_cap is not None else 1e4 / (dmin * dmin)
+    floor = 1e-7 / (dmax * dmax)
+    scale8 = dmax**8
+    roots = []
+    flat = False
+    dcm = cayley_menger(q)
+    if abs(dcm) <= opts.flat_tol * scale8:
+        if realize_quadruple(q, 0.0, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is not None:
+            flat = True
+            roots.append(WaldRoot(0.0, abs(dcm) / scale8, True))
+    half = max(opts.samples // 2, 8)
+    f = lambda k: scalar_curvature_det(d, k)  # noqa: E731
+    candidates = []
+    for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
+        candidates += scalar_grid_roots(f, grid, opts.bisect_rtol)
+    for k in candidates:
+        if flat and abs(k) <= 100.0 * floor:
+            continue
+        minors_ok = True
+        if k > 0.0:
+            minors_ok = scalar_minors_ok(d, k)
+            if not minors_ok:
+                continue
+        if realize_quadruple(q, k, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is None:
+            continue
+        residual = abs(scalar_curvature_det(d, k))
+        if residual > opts.residual_tol:
+            continue
+        roots.append(WaldRoot(float(k), residual, minors_ok))
+    roots.sort(key=lambda r: r.kappa)
+    if flat:
+        classification = "flat"
+    elif not roots:
+        classification = "none-found"
+    elif len(roots) > 1:
+        classification = "multiple"
+    elif roots[0].kappa > 0.0:
+        classification = "spherical"
+    else:
+        classification = "hyperbolic"
+    return WaldResult(tuple(roots), classification, (-cap, kappa_max))
+
+
+# ---------------------------------------------------------------------------
+# Seeded quadruples.
+
+
+def _quadruple(d):
+    """A validated non-degenerate quadruple of the distance matrix d, or None."""
+    np.fill_diagonal(d, 0.0)
+    try:
+        q = MetricQuadruple.from_matrix(0.5 * (d + d.T))
+    except DomainError:
+        return None
+    return q if nondegenerate(q) else None
+
+
+def surface_distances(kappa, r, t):
+    """Distances of points in geodesic polar coordinates (r, t) about a pole of the kappa surface.
+
+    r is in units of the curvature radius (plain lengths at kappa = 0).
+    """
+    if kappa == 0.0:
+        p = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        return np.linalg.norm(p[:, None] - p[None], axis=-1)
+    if kappa > 0.0:
+        p = np.column_stack([np.cos(r), np.sin(r) * np.cos(t), np.sin(r) * np.sin(t)])
+        return np.arccos(np.clip(p @ p.T, -1.0, 1.0)) / math.sqrt(kappa)
+    p = np.column_stack([np.cosh(r), np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t)])
+    inner = np.outer(p[:, 0], p[:, 0]) - p[:, 1:] @ p[:, 1:].T
+    return np.arccosh(np.maximum(inner, 1.0)) / math.sqrt(-kappa)
+
+
+def surface_quadruple(kappa, rng, radius=1.0):
+    """Four points within `radius` of a pole of the kappa surface."""
+    return _quadruple(surface_distances(kappa, rng.uniform(0.0, radius, 4), rng.uniform(0.0, 2.0 * math.pi, 4)))
+
+
+def perturbed_quadruple(kappa, polar, noise, scale):
+    """Points on the kappa surface, each of the six distances times its own noise factor, all times scale."""
+    r, t = np.array(polar).T
+    d = surface_distances(kappa, r, t)
+    for (i, j), f in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), noise):
+        d[i, j] *= f
+        d[j, i] *= f
+    return _quadruple(d * scale)
+
+
+def quadruples(scale):
+    """Metrics near a model surface, and with 10 % noise mostly off every one."""
+    return st.builds(
+        perturbed_quadruple,
+        st.sampled_from(SURFACE_KAPPAS),
+        st.lists(st.tuples(st.floats(0.05, 2.5), st.floats(0.0, 2.0 * math.pi)), min_size=4, max_size=4),
+        st.lists(st.floats(0.9, 1.1), min_size=6, max_size=6),
+        scale,
+    ).filter(lambda q: q is not None)
+
+
+def sphere_quadruple(rng):
+    """Four random points anywhere on the unit sphere, with geodesic distances."""
+    p = rng.normal(size=(4, 3))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    return _quadruple(np.arccos(np.clip(p @ p.T, -1.0, 1.0)))
+
+
+def space_quadruple(rng):
+    """Four random points in R^3, with Euclidean distances."""
+    p = rng.normal(size=(4, 3))
+    return _quadruple(np.linalg.norm(p[:, None] - p[None], axis=-1))
+
+
+def seeded(make, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        q = make(rng)
+        if q is not None:
+            out.append(q)
+    return out
+
+
+def assert_same(q, opts=None):
+    # JSON text, so that -0.0 and 0.0 differ and every float is compared by its shortest repr
+    want = json.dumps(scalar_wald_curvature(q, opts).to_dict())
+    assert json.dumps(wald_curvature(q, opts).to_dict()) == want
+
+
+@pytest.mark.parametrize("kappa", SURFACE_KAPPAS)
+def test_caps(kappa):
+    for q in seeded(lambda rng: surface_quadruple(kappa, rng), 24, 100 + int(kappa)):
+        assert_same(q)
+
+
+def test_whole_sphere():
+    for q in seeded(sphere_quadruple, 40, 7):
+        assert_same(q)
+
+
+def test_space():
+    for q in seeded(space_quadruple, 40, 8):
+        assert_same(q)
+
+
+def test_options():
+    qs = seeded(lambda rng: surface_quadruple(-1.0, rng), 4, 9) + seeded(sphere_quadruple, 4, 10)
+    for opts in (WaldOptions(samples=16), WaldOptions(samples=101, kappa_cap=50.0), WaldOptions(bisect_rtol=1e-3)):
+        for q in qs:
+            assert_same(q, opts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(quadruples(st.floats(0.1, 10.0)))
+def test_random_metrics(q):
+    assert_same(q)
+
+
+# ---------------------------------------------------------------------------
+# The root search on synthetic functions.
+
+
+@pytest.mark.parametrize(
+    "vals, want",
+    [
+        # -0.0 is a zero and not negative: no bracket between 1.0 and -0.0
+        ((1.0, -0.0, -1.0), [2.0]),
+        ((-0.0, 1.0, -0.0), [1.0, 3.0]),
+        # a bracket between -1.0 and -0.0, then the zero itself
+        ((-1.0, -0.0, 1.0), 2),
+        # non-finite values break their pairs; -1.0 to 0.0 is a sign change
+        ((1.0, math.nan, -1.0, 0.0), 2),
+        ((-1.0, math.inf, 0.0, 2.0), [3.0]),
+        ((0.5, -0.5, 0.25, -0.25), 3),
+    ],
+)
+def test_sign_tests(vals, want):
+    """`want` is the candidates, or how many there are when some are bisected."""
+    grid = np.arange(1.0, len(vals) + 1.0)
+    f = lambda k: np.interp(k, grid, vals)  # noqa: E731
+    got = _grid_roots(f, grid, 1e-12)
+    assert got == scalar_grid_roots(lambda k: float(f(k)), grid, 1e-12)
+    assert got == want if isinstance(want, list) else len(got) == want
+
+
+def test_negative_zero_midpoint():
+    # the first midpoint evaluates to -0.0, which ends the bisection there
+    f = lambda k: np.where(k == 1.5, -0.0, 1.25 - k)  # noqa: E731
+    assert _bisect(f, 1.0, 2.0, 0.25, -0.75, 1e-12) == 1.5
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.01, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 0.3]),
+)
+def test_bisect_walk(a, width, t, rtol):
+    # a cubic with one root inside [a, a + width]; rtol 0 runs the full 200 steps
+    b = a + width
+    r = a + t * width
+    f = lambda k: (k - r) * (1.0 + (k - a) * (k - a))  # noqa: E731
+    fa, fb = float(f(a)), float(f(b))
+    assume((fa < 0.0) != (fb < 0.0))
+    assert _bisect(f, a, b, fa, fb, rtol) == scalar_bisect(lambda k: float(f(k)), a, b, fa, fb, rtol)
+
+
+# ---------------------------------------------------------------------------
+# No quadruple makes the solver raise.
+
+
+def test_seeded_sweep_raises_nothing():
+    rng = np.random.default_rng(2024)
+    makers = [lambda rng, k=k: surface_quadruple(k, rng, radius=rng.uniform(0.2, 3.0)) for k in SURFACE_KAPPAS]
+    makers += [sphere_quadruple, space_quadruple]
+    solved = 0
+    while solved < 10_000:
+        q = makers[solved % len(makers)](rng)
+        if q is None:
+            continue
+        res = wald_curvature(q)
+        assert res.classification in ("flat", "spherical", "hyperbolic", "multiple", "none-found")
+        assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
+        solved += 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(quadruples(st.floats(1e-3, 1e3)), st.sampled_from([None, 1.0, 1e6]))
+def test_random_metrics_raise_nothing(q, cap):
+    wald_curvature(q, WaldOptions(kappa_cap=cap))
