@@ -63,13 +63,6 @@ def _load_graph(path: str):
         return skeleton.parse_graph_document(fh.read())
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("PLEMBED_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _cmd_wald(args) -> int:
     q = _quadruple_from_arg(args.quadruple)
     opts = quadruple.WaldOptions(
@@ -177,7 +170,14 @@ def _cmd_link_volume(args) -> int:
     elif args.method == "exact":
         payload["value"] = qcbounds.normalized_link_volume(m, args.vertex)
     else:
-        est = qcbounds.normalized_link_volume_mc(m, args.vertex, samples=args.samples, seed=args.seed)
+        seed = args.seed
+        if seed is None:
+            text = os.environ.get("PLEMBED_SEED", "0")
+            try:
+                seed = int(text)
+            except ValueError:
+                raise ParseError(f"PLEMBED_SEED must be an integer, got {text!r}") from None
+        est = qcbounds.normalized_link_volume_mc(m, args.vertex, samples=args.samples, seed=seed)
         payload.update(est.to_dict())
     _emit(payload, args)
     return 0
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dual", action="store_true", help="volume of the dual cone (exterior angle)")
     add_output(p)
     p.set_defaults(func=_cmd_link_volume)

@@ -106,9 +106,6 @@ class PolyMesh:
         """Copy with positive enclosed volume (outward face normals)."""
         return self if self._flipped is None else self._flipped
 
-    def face_normal(self, k: int) -> np.ndarray:
-        return self.face_normals[k]
-
     @cached_property
     def _vertex_star(self) -> tuple[np.ndarray, np.ndarray]:
         """Faces around each vertex in index order, as CSR (face indices, row offsets)."""

@@ -122,36 +122,16 @@ class MetricQuadruple:
         return float(self.distances[~np.eye(4, dtype=bool)].min())
 
 
-def _loose_matrix(m) -> np.ndarray:
-    d = np.asarray(m, dtype=float)
-    if d.shape != (4, 4):
-        raise DomainError("expected a 4x4 distance matrix")
-    scale = max(float(np.abs(d).max()), 1.0)
-    if np.max(np.abs(d - d.T)) > 1e-12 * scale or np.max(np.abs(np.diag(d))) > 1e-12 * scale:
-        raise DomainError("matrix must be symmetric with zero diagonal")
-    if d.min() < 0.0:
-        raise DomainError("distances must be nonnegative")
-    return d
-
-
-def cayley_menger(q) -> float:
-    """Bordered 5x5 Cayley-Menger determinant of the quadruple.
-
-    Accepts a MetricQuadruple or a raw symmetric 4x4 array; the raw form
-    permits zero off-diagonal entries (this operation only).
-    """
-    d = q.distances if isinstance(q, MetricQuadruple) else _loose_matrix(q)
+def cayley_menger(q: MetricQuadruple) -> float:
+    """Bordered 5x5 Cayley-Menger determinant of the quadruple."""
     b = np.ones((5, 5))
     b[0, 0] = 0.0
-    b[1:, 1:] = d * d
+    b[1:, 1:] = q.distances * q.distances
     return float(np.linalg.det(b))
 
 
 def nondegenerate(q: MetricQuadruple, *, margin: float = 1e-12) -> bool:
-    """True when no point lies metrically between two others.
-
-    Betweenness is tested with a relative margin of ``margin * max d``.
-    """
+    """True when no point lies metrically between two others (see `_betweenness`)."""
     return not _betweenness(q.distances, margin)
 
 
@@ -163,10 +143,14 @@ def _apex_angles(d: np.ndarray, kappa: float, i: int) -> tuple[float, float, flo
     )
 
 
+def _angle_table(d: np.ndarray, kappa: float) -> np.ndarray:
+    """(4, 3) comparison angles: row i holds `_apex_angles` at vertex i."""
+    return np.array([_apex_angles(d, kappa, i) for i in range(4)])
+
+
 def vertex_excess(q: MetricQuadruple, kappa: float) -> tuple[np.ndarray, float]:
     """Per-vertex comparison-angle sums V_kappa and their maximum A_kappa."""
-    d = q.distances
-    v = np.array([sum(_apex_angles(d, kappa, i)) for i in range(4)])
+    v = _angle_table(q.distances, kappa).sum(axis=1)
     return v, float(v.max())
 
 
@@ -207,26 +191,30 @@ def s3_embeddability(q: MetricQuadruple, kappa: float, *, angle_tol: float = 1e-
     """
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
-    d = q.distances
-    verdict = True
-    witness: tuple | None = None
-    v, a = vertex_excess(q, kappa)
-    excess_slack = TWO_PI - a
-    if excess_slack < -angle_tol:
-        verdict = False
+    return _certify(q.distances, kappa, angle_tol)
+
+
+def _certify(d: np.ndarray, kappa: float, tol: float) -> EmbeddabilityCertificate:
+    """`s3_embeddability` of a validated, nondegenerate distance matrix.
+
+    Each of the 12 comparison angles is computed once, in vertex and pair
+    order, so the first `DomainError` is the one a scalar walk would raise.
+    """
+    angles = _angle_table(d, kappa)
+    v = angles.sum(axis=1)
+    excess_slack = TWO_PI - float(v.max())
+    # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i
+    slacks = angles[:, [1, 0, 0]] + angles[:, [2, 2, 1]] - angles
+    witness = None
+    if excess_slack < -tol:
         witness = ("excess", int(np.argmax(v)))
-    slacks = np.empty((4, 3))
-    planar = False
-    for i in range(4):
-        a1, a2, a3 = _apex_angles(d, kappa, i)
-        s = (a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3)
-        slacks[i] = s
-        if any(abs(x) <= angle_tol for x in s):
-            planar = True
-        if verdict and min(s) < -angle_tol:
-            verdict = False
-            witness = ("angle", i, int(np.argmin(s)))
-    return EmbeddabilityCertificate(verdict, planar and verdict, excess_slack, slacks, witness)
+    else:
+        bad = np.flatnonzero(slacks.min(axis=1) < -tol)
+        if bad.size:
+            witness = ("angle", int(bad[0]), int(np.argmin(slacks[bad[0]])))
+    verdict = witness is None
+    planar = verdict and bool(np.any(np.abs(slacks) <= tol))
+    return EmbeddabilityCertificate(verdict, planar, excess_slack, slacks, witness)
 
 
 def realize_quadruple(

@@ -48,11 +48,10 @@ from .errors import (
 from .quadruple import (
     _DEFECTS,
     EmbeddabilityCertificate,
-    MetricQuadruple,
     _apex_angles,
     _betweenness,
+    _certify,
     _symmetrized,
-    s3_embeddability,
 )
 from .spaceform import TWO_PI
 
@@ -79,7 +78,9 @@ class MetricGraph:
             if i == j:
                 raise DomainError(f"self-loop at vertex {self.labels[i]!r}")
             if not (math.isfinite(w) and w > 0.0):
-                raise NonpositiveLengthError(f"edge ({self.labels[i]}, {self.labels[j]}) has nonpositive length")
+                raise NonpositiveLengthError(
+                    f"edge ({self.labels[i]}, {self.labels[j]}) length must be positive and finite"
+                )
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise DuplicateEdgeError(f"duplicate edge ({self.labels[i]}, {self.labels[j]})")
@@ -148,19 +149,6 @@ class MetricGraph:
         radius = max((w + max(x for _, x in adj[j]) for j, w in adj[source]), default=0.0)
         return self._search(source, radius * (1.0 + 1e-12))
 
-    def distance_matrix(self) -> np.ndarray:
-        """Dense all-pairs distances (inf between components), exactly symmetric."""
-        n = len(self.labels)
-        d = np.full((n, n), np.inf)
-        for i in range(n):
-            row = self._search(i)
-            d[i, list(row)] = list(row.values())
-        return 0.5 * (d + d.T)
-
-    def distance(self, u, v) -> float:
-        i, j = self.index(u), self.index(v)
-        return self._search(i).get(j, math.inf)
-
     def scaled(self, factor: float) -> "MetricGraph":
         if factor <= 0.0:
             raise DomainError("scale factor must be positive")
@@ -190,13 +178,23 @@ def parse_metric_graph(text: str) -> MetricGraph:
         except ValueError:
             raise ParseError(f"bad length {token!r}", line=ln) from None
         if not (math.isfinite(length) and length > 0.0):
-            raise NonpositiveLengthError(f"edge length must be positive, got {token}", line=ln)
+            raise NonpositiveLengthError(f"edge length must be positive and finite, got {token}", line=ln)
         key = (min(u, v), max(u, v))
         if key in seen:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already given on line {seen[key]}", line=ln)
         seen[key] = ln
         triples.append((u, v, length))
     return MetricGraph.from_edge_list(triples)
+
+
+def _json_number(x, what: str) -> float:
+    """A JSON number as a float (an integer too large for one becomes an infinity)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"{what} must be a number, got {json.dumps(x)}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | None]:
@@ -215,11 +213,14 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
             raise ParseError(f"bad JSON: {e}") from None
         if "edges" not in doc:
             raise ParseError("document missing 'edges'")
+        for key in ("edges", "vertices"):
+            if not isinstance(doc.get(key, []), list):
+                raise ParseError(f"'{key}' must be an array")
         edges = []
         for k, e in enumerate(doc["edges"]):
             if not (isinstance(e, list) and len(e) == 3):
                 raise ParseError(f"edges[{k}]: expected [u, v, length]")
-            edges.append((str(e[0]), str(e[1]), float(e[2])))
+            edges.append((str(e[0]), str(e[1]), _json_number(e[2], f"edges[{k}] length")))
         if "vertices" in doc:
             labels = [str(x) for x in doc["vertices"]]
             index = {l: i for i, l in enumerate(labels)}
@@ -236,11 +237,11 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
         if "kappa" in doc:
             raw = doc["kappa"]
             if isinstance(raw, dict):
-                kappa = {str(k): float(v) for k, v in raw.items()}
+                kappa = {str(k): _json_number(v, f"'kappa' of {k!r}") for k, v in raw.items()}
                 for lab in kappa:
                     graph.index(lab)  # raises UnknownVertexError
             else:
-                kappa = {lab: float(raw) for lab in graph.labels}
+                kappa = dict.fromkeys(graph.labels, _json_number(raw, "'kappa'"))
             if not all(map(math.isfinite, kappa.values())):
                 raise ParseError("'kappa' values must be finite")
         return graph, kappa
@@ -257,18 +258,18 @@ def _star_positions(degree: int) -> np.ndarray:
 class _Stars:
     """Every star at a run of base vertices, the stars of one base contiguous.
 
-    ``vertices[q]`` holds the base and the three neighbours of star q, and
-    ``raw[q]`` their graph distances, row p measured by the search from
-    vertex p (as a dense distance matrix holds them).  The stars of
+    ``neighbors[q]`` holds the labels of the three neighbours of star q,
+    and ``distances[q]`` the graph distances of the base and those
+    neighbours, symmetrized by `quadruple._symmetrized`.  The stars of
     ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
-    validation code of each star (see `quadruple._symmetrized`);
-    ``degenerate`` marks the stars with a metric betweenness.
+    validation code of each star; ``degenerate`` marks the stars with a
+    metric betweenness.
     """
 
     bases: tuple[int, ...]
     start: np.ndarray
-    vertices: np.ndarray
-    raw: np.ndarray
+    neighbors: np.ndarray
+    distances: np.ndarray
     defect: np.ndarray
     degenerate: np.ndarray
 
@@ -283,13 +284,14 @@ class _Stars:
             pos = _star_positions(len(idx) - 1)
             counts.append(len(pos))
             if len(pos):
+                # row p measured by the search from vertex p, as a dense matrix holds it
                 local = np.array([[ball[a][b] for b in idx] for a in idx])
                 vertices.append(np.array(idx)[pos])
                 raw.append(local[pos[:, :, None], pos[:, None, :]])
-        vertices, raw = np.concatenate(vertices), np.concatenate(raw)
-        distances, defect = _symmetrized(raw)
+        neighbors = np.array(g.labels, dtype=object)[np.concatenate(vertices)[:, 1:]]
+        distances, defect = _symmetrized(np.concatenate(raw))
         start = np.concatenate([[0], np.cumsum(counts)])
-        return cls(bases, start, vertices, raw, defect, _betweenness(distances))
+        return cls(bases, start, neighbors, distances, defect, _betweenness(distances))
 
 
 @dataclass(frozen=True)
@@ -353,27 +355,21 @@ def local_compatibility(g: MetricGraph, v, kappa: float, *, tol: float = ANGLE_T
 
 
 def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: float) -> LocalReport:
-    """`local_compatibility` at ``stars.bases[k]``.
+    """`local_compatibility` at ``stars.bases[k]``, certified on rows of the validated stack.
 
-    Degenerate stars are only listed; quadruple objects are built for the
-    others alone.
+    Degenerate stars are only listed.
     """
     label = g.labels[stars.bases[k]]
     lo, hi = int(stars.start[k]), int(stars.start[k + 1])
     defect = stars.defect[lo:hi]
     if defect.any():
         raise DomainError(_DEFECTS[defect[defect.argmax()] - 1])
-    labels = [tuple(g.labels[j] for j in ids) for ids in stars.vertices[lo:hi, 1:].tolist()]
-    degenerate = stars.degenerate[lo:hi].tolist()
-    checks = []
-    verdict = True
-    witness = None
-    for q in np.flatnonzero(~stars.degenerate[lo:hi]).tolist():
-        nbr_labels = labels[q]
-        quad = MetricQuadruple.from_matrix(stars.raw[lo + q])
-        d = quad.distances
+    degenerate = stars.degenerate[lo:hi]
+    neighbors = stars.neighbors[lo:hi]
+    checks, verdict, witness = [], True, None
+    for d, nbr_labels in zip(stars.distances[lo:hi][~degenerate], map(tuple, neighbors[~degenerate].tolist())):
         try:
-            cert = s3_embeddability(quad, 0.0, angle_tol=tol)
+            cert = _certify(d, 0.0, tol)
             vk = sum(_apex_angles(d, kappa, 0))
         except DomainError as e:
             raise DomainError(f"quadruple at {label} with neighbours {nbr_labels}: {e}") from e
@@ -382,19 +378,16 @@ def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: floa
         checks.append(QuadrupleCheck(nbr_labels, curvature_slack, cert, ok))
         if not ok and verdict:
             verdict = False
-            if not cert.verdict:
-                kind = cert.witness[0]
-                if kind == "excess":
-                    name = "excess"
-                elif cert.witness[1] == 0:
-                    name = f"angle{cert.witness[2]}"
-                else:
-                    # inequality at one of the three neighbour points
-                    name = f"angle{cert.witness[2]}@{cert.witness[1]}"
-            else:
+            w = cert.witness
+            if w is None:
                 name = "curvature"
+            elif w[0] == "excess":
+                name = "excess"
+            else:
+                # an angle inequality at the base, or "@i" at neighbour point i
+                name = f"angle{w[2]}" + (f"@{w[1]}" if w[1] else "")
             witness = (nbr_labels, name)
-    skipped = tuple(t for t, skip in zip(labels, degenerate) if skip)
+    skipped = tuple(map(tuple, neighbors[degenerate].tolist()))
     return LocalReport(label, float(kappa), verdict, tuple(checks), skipped, witness)
 
 

@@ -252,6 +252,23 @@ class TestCheckGlobalCommand:
     def test_nan_kappa_in_document(self, nan_kappa_path):
         assert_rejected(run_cli("check-global", "--graph", nan_kappa_path), "'kappa' values must be finite")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"edges": 5}', "'edges' must be an array"),
+            ('{"vertices": 5, "edges": [["a", "b", 1]]}', "'vertices' must be an array"),
+            ('{"edges": [["a", "b", null]]}', "edges[0] length must be a number"),
+            ('{"edges": [["a", "b", true]]}', "edges[0] length must be a number"),
+            ('{"edges": [["a", "b", 1e400]]}', "edge (a, b) length must be positive and finite"),
+            ('{"edges": [["a", "b", 1]], "kappa": null}', "'kappa' must be a number"),
+            ('{"edges": [["a", "b", 1]], "kappa": [1]}', "'kappa' must be a number"),
+        ],
+    )
+    def test_wrong_document_shape(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert_rejected(run_cli("check-global", "--graph", str(path)), message)
+
 
 class TestQcBoundCommand:
     def test_cube_bound(self, cube_off_path):
@@ -342,6 +359,17 @@ class TestLinkVolumeCommand:
         via_env = run_cli(*base, env_extra={"PLEMBED_SEED": "7"})
         via_flag = run_cli(*base, "--seed", "7")
         assert via_env.stdout == via_flag.stdout
+
+    def test_bad_seed_env_variable(self, cube_off_path):
+        base = ("link-volume", "--mesh", str(cube_off_path), "--vertex", "1")
+        mc = (*base, "--method", "monte-carlo", "--samples", "2000")
+        bad = {"PLEMBED_SEED": "abc"}
+        assert_rejected(run_cli(*mc, env_extra=bad), "PLEMBED_SEED must be an integer, got 'abc'")
+        # only a Monte Carlo run without --seed reads the variable
+        assert run_cli(*mc, "--seed", "7", env_extra=bad).stdout == run_cli(*mc, "--seed", "7").stdout
+        for args in (base, (*base, "--dual"), (*mc, "--dual")):
+            r = run_cli(*args, env_extra=bad)
+            assert r.returncode == 0 and r.stdout == run_cli(*args).stdout
 
     def test_bad_vertex(self, cube_off_path):
         r = run_cli("link-volume", "--mesh", str(cube_off_path), "--vertex", "99")

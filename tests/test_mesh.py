@@ -123,7 +123,7 @@ class TestPolyMesh:
 
     def test_face_normal_unit(self, tetra_mesh):
         for k in range(4):
-            assert np.linalg.norm(tetra_mesh.face_normal(k)) == pytest.approx(1.0, rel=1e-14)
+            assert np.linalg.norm(tetra_mesh.face_normals[k]) == pytest.approx(1.0, rel=1e-14)
 
     def test_vertex_faces_cube(self, cube_mesh):
         # each cube corner meets 3 quads; diagonals give 3 + 1..2 triangles

@@ -274,4 +274,4 @@ class TestCache:
 
     def test_cached_arrays_are_read_only(self, tetra_mesh):
         with pytest.raises(ValueError):
-            tetra_mesh.face_normal(0)[0] = 1.0
+            tetra_mesh.face_normals[0][0] = 1.0

@@ -66,7 +66,9 @@ class TestCayleyMenger:
         assert abs(cayley_menger(SQUARE)) < 1e-12
 
     def test_all_zero(self):
-        assert cayley_menger(np.zeros((4, 4))) == 0.0
+        # a raw array is no quadruple: every matrix passes the one validator first
+        with pytest.raises(DomainError, match="off-diagonal distances must be positive"):
+            cayley_menger(MetricQuadruple.from_matrix(np.zeros((4, 4))))
 
     def test_matches_laplace_on_random(self):
         rng = np.random.default_rng(3)
