@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DomainError
 from .spaceform import TWO_PI
 
+FOLD_STEP = 1e-6  # central-difference step of `fold_jacobian`
+
 
 @dataclass(frozen=True)
 class FoldParams:
@@ -66,16 +68,16 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
     return rho, (TWO_PI / source_angle) * phi
 
 
-def fold_jacobian(params: FoldParams, rho: float, phi: float, step: float = 1e-6) -> np.ndarray:
+def fold_jacobian(params: FoldParams, rho: float, phi: float) -> np.ndarray:
     """Central-difference Jacobian of the fold in local length coordinates.
 
     Both cones are flat away from the apex; the source is charted by local
     Cartesian coordinates at (rho, phi) and the image is read in the plane.
     Valid when the target angle is at most 2*pi and the point is farther
-    than ``step`` from the boundary rays.
+    than ``FOLD_STEP`` from the boundary rays.
     """
-    if rho <= step:
-        raise DomainError("sample point too close to the apex for the given step")
+    if rho <= FOLD_STEP:
+        raise DomainError("sample point too close to the apex for the difference step")
 
     def image(u: float, w: float) -> np.ndarray:
         r = math.hypot(rho + u, w)
@@ -85,8 +87,8 @@ def fold_jacobian(params: FoldParams, rho: float, phi: float, step: float = 1e-6
 
     return np.column_stack(
         [
-            (image(step, 0.0) - image(-step, 0.0)) / (2.0 * step),
-            (image(0.0, step) - image(0.0, -step)) / (2.0 * step),
+            (image(FOLD_STEP, 0.0) - image(-FOLD_STEP, 0.0)) / (2.0 * FOLD_STEP),
+            (image(0.0, FOLD_STEP) - image(0.0, -FOLD_STEP)) / (2.0 * FOLD_STEP),
         ]
     )
 
@@ -213,31 +215,29 @@ class PleatedElement:
         return "\n".join(lines) + "\n"
 
 
-def canonical_element(
-    template: AcuteTriangle,
-    base: AcuteTriangle,
-    *,
-    angle_tol: float = 1e-2,
-    min_ratio: float = 0.5,
-) -> PleatedElement:
+SIMILAR_ANGLE_TOL = 1e-2  # radians between matching angles of almost similar triangles
+MIN_SIDE_RATIO = 0.5  # smallest base side over template side
+
+
+def canonical_element(template: AcuteTriangle, base: AcuteTriangle) -> PleatedElement:
     """Build the pleated element of ``template`` over the smaller ``base``.
 
     The triangles must be almost similar under the index correspondence:
-    matching angles within ``angle_tol`` radians and every base side within
-    [min_ratio, 1] of the template side (no side longer).  The base
+    matching angles within ``SIMILAR_ANGLE_TOL`` radians and every base side
+    within [MIN_SIDE_RATIO, 1] of the template side (no side longer).  The base
     circumradius must not exceed the template's.  The identity case
     (base = template) degenerates to the flat triangle with zero heights.
     """
     t_sides = template.side_lengths
     b_sides = base.side_lengths
     for at, ab in zip(template.angles, base.angles):
-        if abs(at - ab) > angle_tol:
+        if abs(at - ab) > SIMILAR_ANGLE_TOL:
             raise DomainError("triangles are not almost similar: angle mismatch")
     for st, sb in zip(t_sides, b_sides):
         if sb > st * (1.0 + 1e-12):
             raise DomainError("every base side must be at most the template side")
-        if sb < min_ratio * st:
-            raise DomainError(f"side ratio below the configured minimum {min_ratio}")
+        if sb < MIN_SIDE_RATIO * st:
+            raise DomainError(f"side ratio below the minimum {MIN_SIDE_RATIO}")
     big_r = template.circumradius
     small_r = base.circumradius
     if small_r > big_r * (1.0 + 1e-12):

@@ -65,11 +65,7 @@ def _load_graph(path: str):
 
 def _cmd_wald(args) -> int:
     q = _quadruple_from_arg(args.quadruple)
-    opts = quadruple.WaldOptions(
-        samples=args.samples,
-        kappa_cap=args.kappa_cap,
-    )
-    res = quadruple.wald_curvature(q, opts)
+    res = quadruple.wald_curvature(q, quadruple.WaldOptions(samples=args.samples, kappa_cap=args.kappa_cap))
     payload = {"command": "wald", "quadruple": list(q.pairwise())}
     payload.update(res.to_dict())
     payload["cayley_menger"] = quadruple.cayley_menger(q)

@@ -19,6 +19,11 @@ from .mesh import PolyMesh, rowdot
 
 _FOUR_PI = 4.0 * math.pi
 
+TINY_ANGLE = 1e-6  # interior dihedral angles below this draw a conditioning warning
+TURN_DET_TOL = 1e-9  # link turn determinants within this of 0 carry no orientation
+DEDUPE_TOL = 1e-12  # consecutive link directions this close coincide
+MC_CHUNK = 1 << 16  # Monte Carlo directions drawn and counted at a time
+
 
 @dataclass(frozen=True)
 class DihedralWedgeSpec:
@@ -67,13 +72,7 @@ def dihedral_wedge_coefficients(spec: DihedralWedgeSpec) -> DilatationBounds:
     bounded below by its (n-1)-th root, and the maximal dilatation equals
     the inner one.
     """
-    prod = 1.0
-    for a in spec.angles:
-        prod *= a
-    pipow = 1.0
-    for _ in range(spec.dimension - spec.wedge_type - 1):
-        pipow *= math.pi
-    inner = pipow / prod
+    inner = math.prod([math.pi] * len(spec.angles)) / math.prod(spec.angles)
     return DilatationBounds(inner, inner ** (1.0 / (spec.dimension - 1)), inner)
 
 
@@ -157,7 +156,7 @@ class EdgeAngleReport:
         return "\n".join(lines)
 
 
-def mesh_edge_dilatation_bound(mesh: PolyMesh, *, tiny_angle: float = 1e-6) -> EdgeAngleReport:
+def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
     """Audit all interior dihedral angles of a closed oriented triangle mesh.
 
     The interior angle at an edge is measured on the solid side (orientation
@@ -183,9 +182,9 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh, *, tiny_angle: float = 1e-6) -> E
     for edge, sin, cos in zip(zip(a.tolist(), b.tolist()), sines, cosines):
         angle = math.pi - math.atan2(sin, cos)
         if angle <= math.pi * (1.0 + 1e-12):
-            if angle < tiny_angle:
+            if angle < TINY_ANGLE:
                 warnings.append(
-                    f"edge {edge}: interior angle {angle:.3e} below {tiny_angle:.0e}; "
+                    f"edge {edge}: interior angle {angle:.3e} below {TINY_ANGLE:.0e}; "
                     "contribution is ill-conditioned"
                 )
             contribution = math.pi / angle
@@ -230,7 +229,7 @@ def _link_cycle(mesh: PolyMesh, v: int) -> tuple[list[int], list[int]]:
     return cycle, [fan[a] for a in cycle]
 
 
-def _spherical_polygon_area(units: np.ndarray, *, det_tol: float = 1e-9) -> float:
+def _spherical_polygon_area(units: np.ndarray) -> float:
     """Spherical excess of a convex cyclically-ordered polygon on the sphere.
 
     Computed as 2*pi minus the total geodesic turning of the boundary, with
@@ -242,9 +241,9 @@ def _spherical_polygon_area(units: np.ndarray, *, det_tol: float = 1e-9) -> floa
     if k < 3:
         return 0.0
     dets = [float(np.dot(np.cross(units[i - 1], units[i]), units[(i + 1) % k])) for i in range(k)]
-    if max(dets) > det_tol and min(dets) < -det_tol:
+    if max(dets) > TURN_DET_TOL and min(dets) < -TURN_DET_TOL:
         raise MeshError("vertex neighbourhood is not a convex solid corner")
-    if min(dets) < -det_tol:
+    if min(dets) < -TURN_DET_TOL:
         # traversal runs clockwise around the cone; flip so the interior
         # sits on the left and the excess comes out positive
         units = units[::-1]
@@ -262,13 +261,12 @@ def _spherical_polygon_area(units: np.ndarray, *, det_tol: float = 1e-9) -> floa
     return 2.0 * math.pi - turning
 
 
-def _dedupe_cycle(units: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _dedupe_cycle(units: np.ndarray) -> np.ndarray:
     keep = []
-    k = len(units)
-    for i in range(k):
-        if not keep or np.linalg.norm(units[i] - keep[-1]) > tol:
-            keep.append(units[i])
-    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= tol:
+    for u in units:
+        if not keep or np.linalg.norm(u - keep[-1]) > DEDUPE_TOL:
+            keep.append(u)
+    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= DEDUPE_TOL:
         keep.pop()
     return np.array(keep)
 
@@ -298,14 +296,12 @@ class MonteCarloEstimate:
         return {"value": self.value, "stderr": self.stderr, "samples": self.samples, "seed": self.seed}
 
 
-def normalized_link_volume_mc(
-    mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0, *, chunk: int = 1 << 16
-) -> MonteCarloEstimate:
+def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of `normalized_link_volume` with standard error.
 
     Uniform directions from a counter-based (Philox) generator, so runs with
     the same seed are reproducible; the variance accumulates by Welford
-    updates over chunks.
+    updates over chunks of MC_CHUNK samples.
     """
     if samples < 2:
         raise DomainError("need at least two samples")
@@ -319,7 +315,7 @@ def normalized_link_volume_mc(
     m2 = 0.0
     done = 0
     while done < samples:
-        take = min(chunk, samples - done)
+        take = min(MC_CHUNK, samples - done)
         w = gen.normal(size=(take, 3))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         inside = np.all(w @ normals.T <= 0.0, axis=1)

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import DegenerateQuadrupleError, DomainError
 from .spaceform import (
+    ANGLE_TOL,
+    TRIANGLE_SLACK,
     TWO_PI,
     comparison_angle,
     distances_from_coords,
@@ -52,10 +54,10 @@ def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the symmetrized matrices, 0.5 * (d + d.T) with a zero diagonal,
     and per matrix 1 + the index in `_DEFECTS` of the first failed
     condition, or 0 when it is a metric.  Symmetry, the diagonal and the
-    triangle inequality allow a slack of 1e-12 * max d.
+    triangle inequality allow a slack of TRIANGLE_SLACK * max d.
     """
     scale = d.max(axis=(-2, -1))
-    slack = 1e-12 * scale
+    slack = TRIANGLE_SLACK * scale
     dt = np.swapaxes(d, -1, -2)
     with np.errstate(invalid="ignore", over="ignore"):
         sym = 0.5 * (d + dt)
@@ -73,7 +75,10 @@ def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
 
-def _betweenness(d: np.ndarray, margin: float = 1e-12) -> np.ndarray:
+BETWEENNESS_MARGIN = 1e-12  # relative margin of `_betweenness`
+
+
+def _betweenness(d: np.ndarray, margin: float) -> np.ndarray:
     """Per matrix of a symmetric stack (..., 4, 4): does a point lie metrically between two others?
 
     Betweenness is tested with a relative margin of ``margin * max d``.
@@ -105,10 +110,6 @@ class MetricQuadruple:
             m[i, j] = m[j, i] = v
         return cls(m)
 
-    @classmethod
-    def from_matrix(cls, m) -> "MetricQuadruple":
-        return cls(np.asarray(m, dtype=float))
-
     def pairwise(self) -> tuple[float, ...]:
         """The six distances in the order d12, d13, d14, d23, d24, d34."""
         return tuple(float(self.distances[i, j]) for i, j in _PAIR_ORDER)
@@ -130,7 +131,7 @@ def cayley_menger(q: MetricQuadruple) -> float:
     return float(np.linalg.det(b))
 
 
-def nondegenerate(q: MetricQuadruple, *, margin: float = 1e-12) -> bool:
+def nondegenerate(q: MetricQuadruple, *, margin: float = BETWEENNESS_MARGIN) -> bool:
     """True when no point lies metrically between two others (see `_betweenness`)."""
     return not _betweenness(q.distances, margin)
 
@@ -180,21 +181,21 @@ class EmbeddabilityCertificate:
         }
 
 
-def s3_embeddability(q: MetricQuadruple, kappa: float, *, angle_tol: float = 1e-9) -> EmbeddabilityCertificate:
+def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertificate:
     """Embeddability of the quadruple in the 3-dimensional curvature-kappa model.
 
     Verdict: the maximal vertex excess A_kappa(Q) is at most 2*pi and at
     every vertex the three comparison angles satisfy the triangle
     inequalities.  ``planar`` flags the boundary case where some vertex has
-    one angle equal (within ``angle_tol`` radians) to the sum of the other
+    one angle equal (within ``ANGLE_TOL`` radians) to the sum of the other
     two, in which case the embedding lies in the 2-dimensional model.
     """
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
-    return _certify(q.distances, kappa, angle_tol)
+    return _certify(q.distances, kappa)
 
 
-def _certify(d: np.ndarray, kappa: float, tol: float) -> EmbeddabilityCertificate:
+def _certify(d: np.ndarray, kappa: float) -> EmbeddabilityCertificate:
     """`s3_embeddability` of a validated, nondegenerate distance matrix.
 
     Each of the 12 comparison angles is computed once, in vertex and pair
@@ -206,43 +207,31 @@ def _certify(d: np.ndarray, kappa: float, tol: float) -> EmbeddabilityCertificat
     # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i
     slacks = angles[:, [1, 0, 0]] + angles[:, [2, 2, 1]] - angles
     witness = None
-    if excess_slack < -tol:
+    if excess_slack < -ANGLE_TOL:
         witness = ("excess", int(np.argmax(v)))
     else:
-        bad = np.flatnonzero(slacks.min(axis=1) < -tol)
+        bad = np.flatnonzero(slacks.min(axis=1) < -ANGLE_TOL)
         if bad.size:
             witness = ("angle", int(bad[0]), int(np.argmin(slacks[bad[0]])))
     verdict = witness is None
-    planar = verdict and bool(np.any(np.abs(slacks) <= tol))
+    planar = verdict and bool(np.any(np.abs(slacks) <= ANGLE_TOL))
     return EmbeddabilityCertificate(verdict, planar, excess_slack, slacks, witness)
 
 
-def realize_quadruple(
-    q: MetricQuadruple,
-    kappa: float,
-    dim: int = 3,
-    *,
-    tol: float = 1e-8,
-    rank_tol: float = 1e-9,
-) -> np.ndarray | None:
+MATCH_TOL = 1e-8  # realized coordinates reproduce each distance within MATCH_TOL * max d
+
+
+def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndarray | None:
     """Coordinates for the quadruple in the dim-dimensional model, or None.
 
     Success requires the recomputed distances to match within
-    ``tol * max d``.  Placement is deterministic (see `realize_distances`).
+    ``MATCH_TOL * max d``.  Placement is deterministic (see `realize_distances`).
     """
     if dim not in (2, 3):
         raise DomainError("dim must be 2 or 3")
     d = q.distances
-    if kappa > 0.0:
-        limit = TWO_PI / math.sqrt(kappa) * (1.0 + 1e-12)
-        for t in combinations(range(4), 3):
-            if d[t[0], t[1]] + d[t[0], t[2]] + d[t[1], t[2]] > limit:
-                return None
-    coords = realize_distances(kappa, d, dim, rank_tol=rank_tol)
-    if coords is None:
-        return None
-    back = distances_from_coords(kappa, coords)
-    if np.max(np.abs(back - d)) > tol * q.max_distance:
+    coords = realize_distances(kappa, d, dim)
+    if coords is None or np.max(np.abs(distances_from_coords(kappa, coords) - d)) > MATCH_TOL * q.max_distance:
         return None
     return coords
 
@@ -251,22 +240,23 @@ def realize_quadruple(
 # Embedding-curvature solver.
 
 
+FLAT_TOL = 1e-9  # |cayley_menger| <= FLAT_TOL * (max d)^8: try the flat root
+BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |kappa|)
+RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
+MINORS_TOL = 1e-9  # spherical roots: order-3 principal minors >= -MINORS_TOL
+
+
 @dataclass(frozen=True)
 class WaldOptions:
-    """Knobs for `wald_curvature`.
+    """Search grid of `wald_curvature`.
 
-    ``kappa_cap`` bounds the hyperbolic search (default 1e4 / min d^2);
-    the spherical side is always capped at (pi / max d)^2.  ``flat_tol``
-    scales with (max d)^8 and decides the Cayley-Menger flatness test.
+    ``samples`` counts grid points, half for each sign of kappa.
+    ``kappa_cap`` bounds the hyperbolic search (default 1e4 / min d^2); the
+    spherical side is always capped at (pi / max d)^2.
     """
 
     samples: int = 512
     kappa_cap: float | None = None
-    bisect_rtol: float = 1e-12
-    flat_tol: float = 1e-9
-    residual_tol: float = 1e-6
-    rank_tol: float = 1e-9
-    match_tol: float = 1e-8
 
     def __post_init__(self):
         if self.kappa_cap is not None and not 0.0 < self.kappa_cap < math.inf:
@@ -294,13 +284,9 @@ class WaldResult:
     search_interval: tuple[float, float]
 
     def best_root(self) -> WaldRoot | None:
-        if not self.roots:
-            return None
         if self.classification == "flat":
-            for r in self.roots:
-                if r.kappa == 0.0:
-                    return r
-        return self.roots[0]
+            return next(r for r in self.roots if r.kappa == 0.0)
+        return self.roots[0] if self.roots else None
 
     def to_dict(self) -> dict:
         return {
@@ -395,15 +381,15 @@ def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[float]:
     ]
 
 
-def _principal_minors_ok(d: np.ndarray, kappa: float, tol: float = 1e-9) -> bool:
+def _principal_minors_ok(d: np.ndarray, kappa: float) -> bool:
     m = np.cos(math.sqrt(kappa) * d)
-    return not np.any(np.linalg.det(m[_TRIPLES[:, :, None], _TRIPLES[:, None, :]]) < -tol)
+    return not np.any(np.linalg.det(m[_TRIPLES[:, :, None], _TRIPLES[:, None, :]]) < -MINORS_TOL)
 
 
 def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
     """Curvatures kappa whose 2-dimensional model realizes the quadruple.
 
-    Flatness is decided by |cayley_menger(q)| <= flat_tol * (max d)^8.
+    Flatness is decided by |cayley_menger(q)| <= FLAT_TOL * (max d)^8.
     Nonzero candidates come from sign changes of the curvature-matrix
     determinant on a log-spaced grid over [-kappa_cap, (pi / max d)^2],
     excluding a tiny neighbourhood of zero where that determinant vanishes
@@ -421,33 +407,26 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     floor = 1e-7 / (dmax * dmax)
     scale8 = dmax**8
 
-    roots: list[WaldRoot] = []
-    flat = False
     dcm = cayley_menger(q)
-    if abs(dcm) <= opts.flat_tol * scale8:
-        if realize_quadruple(q, 0.0, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is not None:
-            flat = True
-            roots.append(WaldRoot(0.0, abs(dcm) / scale8, True))
+    flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(q, 0.0, 2) is not None
+    roots = [WaldRoot(0.0, abs(dcm) / scale8, True)] if flat else []
 
     half = max(opts.samples // 2, 8)
     candidates: list[float] = []
     for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
-        candidates += _grid_roots(lambda ks: _curvature_det_grid(d, ks), grid, opts.bisect_rtol)
+        candidates += _grid_roots(lambda ks: _curvature_det_grid(d, ks), grid, BISECT_RTOL)
     for k in candidates:
         if flat and abs(k) <= 100.0 * floor:
             # shadow of the structural kappa = 0 zero, not a distinct root
             continue
-        minors_ok = True
-        if k > 0.0:
-            minors_ok = _principal_minors_ok(d, k)
-            if not minors_ok:
-                continue
-        if realize_quadruple(q, k, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is None:
+        if k > 0.0 and not _principal_minors_ok(d, k):
+            continue
+        if realize_quadruple(q, k, 2) is None:
             continue
         residual = abs(float(_curvature_det_grid(d, np.array([k]))[0]))
-        if residual > opts.residual_tol:
+        if residual > RESIDUAL_TOL:
             continue
-        roots.append(WaldRoot(float(k), residual, minors_ok))
+        roots.append(WaldRoot(float(k), residual, True))
 
     roots.sort(key=lambda r: r.kappa)
     # flatness is a case split, not one root among many: a planar quadruple

@@ -47,17 +47,14 @@ from .errors import (
 )
 from .quadruple import (
     _DEFECTS,
+    BETWEENNESS_MARGIN,
     EmbeddabilityCertificate,
     _apex_angles,
     _betweenness,
     _certify,
     _symmetrized,
 )
-from .spaceform import TWO_PI
-
-# Slack (radians) accepted on compatibility inequalities before declaring a
-# violation; keeps exactly-flat boundary configurations feasible.
-ANGLE_TOL = 1e-9
+from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI
 
 
 class MetricGraph:
@@ -197,14 +194,21 @@ def _json_number(x, what: str) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _json_label(x, what: str) -> str:
+    """A JSON vertex label (a string or an integer) as a string."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ParseError(f"{what} must be a string or an integer, got {json.dumps(x)}")
+    return str(x)
+
+
 def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | None]:
     """Parse either the edge-list format or the structured JSON document.
 
     The JSON schema is ``{"vertices": [...], "edges": [[u, v, length], ...],
     "kappa": ...}`` with ``vertices`` and ``kappa`` optional; ``kappa`` is
     either a single number (uniform curvature) or a ``{vertex: value}``
-    map.  Returns the graph and the per-vertex curvature map (None when
-    absent).
+    map.  Vertex labels are JSON strings or integers.  Returns the graph
+    and the per-vertex curvature map (None when absent).
     """
     if text.lstrip().startswith("{"):
         try:
@@ -220,9 +224,10 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
         for k, e in enumerate(doc["edges"]):
             if not (isinstance(e, list) and len(e) == 3):
                 raise ParseError(f"edges[{k}]: expected [u, v, length]")
-            edges.append((str(e[0]), str(e[1]), _json_number(e[2], f"edges[{k}] length")))
+            u, v = (_json_label(e[i], f"edges[{k}][{i}]") for i in (0, 1))
+            edges.append((u, v, _json_number(e[2], f"edges[{k}] length")))
         if "vertices" in doc:
-            labels = [str(x) for x in doc["vertices"]]
+            labels = [_json_label(x, f"vertices[{k}]") for k, x in enumerate(doc["vertices"])]
             index = {l: i for i, l in enumerate(labels)}
             idx_edges = []
             for u, v, w in edges:
@@ -291,7 +296,7 @@ class _Stars:
         neighbors = np.array(g.labels, dtype=object)[np.concatenate(vertices)[:, 1:]]
         distances, defect = _symmetrized(np.concatenate(raw))
         start = np.concatenate([[0], np.cumsum(counts)])
-        return cls(bases, start, neighbors, distances, defect, _betweenness(distances))
+        return cls(bases, start, neighbors, distances, defect, _betweenness(distances, BETWEENNESS_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -341,7 +346,7 @@ class LocalReport:
         }
 
 
-def local_compatibility(g: MetricGraph, v, kappa: float, *, tol: float = ANGLE_TOL) -> LocalReport:
+def local_compatibility(g: MetricGraph, v, kappa: float) -> LocalReport:
     """Check the three condition families over every star quadruple at v.
 
     Conditions per quadruple Q = (v, a, b, c): the flat excess A_0(Q) is at
@@ -349,12 +354,15 @@ def local_compatibility(g: MetricGraph, v, kappa: float, *, tol: float = ANGLE_T
     and through the embedded certificate at the other three points as
     well, so that an ok verdict certifies a coordinate realization); and
     V_kappa(v) is at most 2*pi at the prescribed kappa.  Spherical-domain
-    errors are re-raised with the offending quadruple identified.
+    errors are re-raised with the offending quadruple identified, and a
+    non-finite kappa raises DomainError.
     """
-    return _local_report(g, _Stars.gather(g, [g.index(v)]), 0, kappa, tol)
+    if not math.isfinite(kappa):
+        raise DomainError("curvature must be finite")
+    return _local_report(g, _Stars.gather(g, [g.index(v)]), 0, kappa)
 
 
-def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: float) -> LocalReport:
+def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float) -> LocalReport:
     """`local_compatibility` at ``stars.bases[k]``, certified on rows of the validated stack.
 
     Degenerate stars are only listed.
@@ -369,12 +377,12 @@ def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float, tol: floa
     checks, verdict, witness = [], True, None
     for d, nbr_labels in zip(stars.distances[lo:hi][~degenerate], map(tuple, neighbors[~degenerate].tolist())):
         try:
-            cert = _certify(d, 0.0, tol)
+            cert = _certify(d, 0.0)
             vk = sum(_apex_angles(d, kappa, 0))
         except DomainError as e:
             raise DomainError(f"quadruple at {label} with neighbours {nbr_labels}: {e}") from e
         curvature_slack = TWO_PI - vk
-        ok = cert.verdict and curvature_slack >= -tol
+        ok = cert.verdict and curvature_slack >= -ANGLE_TOL
         checks.append(QuadrupleCheck(nbr_labels, curvature_slack, cert, ok))
         if not ok and verdict:
             verdict = False
@@ -409,11 +417,12 @@ class CompatibilityReport:
         }
 
 
-def global_compatibility(g: MetricGraph, kappa, *, tol: float = ANGLE_TOL) -> CompatibilityReport:
+def global_compatibility(g: MetricGraph, kappa) -> CompatibilityReport:
     """Run `local_compatibility` at every vertex, in vertex-index order.
 
     ``kappa`` is either a single float or a mapping from vertex label to
-    curvature; a vertex missing from the mapping raises MissingKappaError.
+    curvature; a vertex missing from the mapping raises MissingKappaError,
+    and a non-finite value DomainError.
     """
     if isinstance(kappa, Mapping):
         values = []
@@ -423,17 +432,12 @@ def global_compatibility(g: MetricGraph, kappa, *, tol: float = ANGLE_TOL) -> Co
             values.append(float(kappa[lab]))
     else:
         values = [float(kappa)] * g.num_vertices
+    if not all(map(math.isfinite, values)):
+        raise DomainError("curvature must be finite")
     stars = _Stars.gather(g, range(g.num_vertices))
-    entries = []
-    verdict = True
-    witness = None
-    for i, lab in enumerate(g.labels):
-        rep = _local_report(g, stars, i, values[i], tol)
-        entries.append(rep)
-        if not rep.verdict and verdict:
-            verdict = False
-            witness = (lab, rep.witness[0], rep.witness[1])
-    return CompatibilityReport(verdict, tuple(entries), witness)
+    entries = tuple(_local_report(g, stars, i, k) for i, k in enumerate(values))
+    bad = next((e for e in entries if not e.verdict), None)
+    return CompatibilityReport(bad is None, entries, None if bad is None else (bad.vertex, *bad.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +460,7 @@ class CurveTriple:
         sides = (self.leg1, self.leg2, self.span)
         if min(sides) <= 0.0 or not all(math.isfinite(s) for s in sides):
             raise DomainError("curve triple lengths must be positive and finite")
-        slack = 1e-12 * max(sides)
+        slack = TRIANGLE_SLACK * max(sides)
         if self.span > self.leg1 + self.leg2 + slack:
             raise DomainError("span exceeds the sum of the segments")
 

@@ -14,6 +14,7 @@ must not exceed 2*pi/sqrt(kappa).  See the README for the discussion.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -24,29 +25,38 @@ TWO_PI = 2.0 * math.pi
 # acos/acosh arguments may drift past the boundary by rounding; absorb this much.
 COS_GUARD = 1e-12
 
-# Relative slack when validating triangle inequalities on float inputs.
+# Relative slack when validating triangle inequalities on float inputs, and
+# on the spherical side and perimeter limits.
 TRIANGLE_SLACK = 1e-12
+
+# Slack (radians) accepted on comparison-angle inequalities before declaring
+# a violation; keeps exactly-flat boundary configurations feasible.
+ANGLE_TOL = 1e-9
+
+# Gram eigenvalues below RANK_TOL times the largest count as zero.
+RANK_TOL = 1e-9
 
 # Below |kappa|*scale^2 = 1e-14 the curved formulas are pure cancellation
 # noise; fall back to the Euclidean law of cosines there.
 _TINY_CURVATURE = 1e-14
 
 
-def _clamped_acos(x: float, guard: float = COS_GUARD) -> float:
-    if x > 1.0:
-        if x - 1.0 > guard:
-            raise DomainError(f"cosine value {x!r} outside [-1, 1]")
-        return 0.0
-    if x < -1.0:
-        if -1.0 - x > guard:
-            raise DomainError(f"cosine value {x!r} outside [-1, 1]")
-        return math.pi
-    return math.acos(x)
+def _clamped_acos(x: float) -> float:
+    if -1.0 <= x <= 1.0:
+        return math.acos(x)
+    if not abs(x) - 1.0 <= COS_GUARD:
+        raise DomainError(f"cosine value {x!r} outside [-1, 1]")
+    return 0.0 if x > 0.0 else math.pi
 
 
 def _log_cosh(x: float) -> float:
     # x >= 0
     return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+
+
+def _beyond_perimeter(rt: float, perimeter: float) -> bool:
+    """Whether a triangle of this perimeter exceeds 2*pi/rt on the sphere of curvature rt**2."""
+    return rt * perimeter > TWO_PI * (1.0 + TRIANGLE_SLACK)
 
 
 def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float:
@@ -56,6 +66,8 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
     it.  The result is monotone nondecreasing in ``kappa`` and in
     ``opposite``.  Degenerate triangles return exactly 0 or pi.
     """
+    if not -math.inf < kappa < math.inf:
+        raise DomainError("curvature must be finite")
     scale = max(opposite, b, c)
     if not (b > 0.0 and c > 0.0 and opposite >= 0.0 and scale < math.inf):
         raise DomainError("sides must be finite, adjacent sides positive and opposite nonnegative")
@@ -69,9 +81,9 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
 
     if kappa > 0.0 and kappa * scale * scale >= _TINY_CURVATURE:
         rt = math.sqrt(kappa)
-        if rt * scale > math.pi * (1.0 + 1e-12):
+        if rt * scale > math.pi * (1.0 + TRIANGLE_SLACK):
             raise DomainError("side exceeds pi/sqrt(kappa) on the sphere")
-        if rt * (opposite + b + c) > TWO_PI * (1.0 + 1e-12):
+        if _beyond_perimeter(rt, opposite + b + c):
             raise DomainError("perimeter exceeds 2*pi/sqrt(kappa)")
         sb, sc = math.sin(rt * b), math.sin(rt * c)
         if sb == 0.0 or sc == 0.0:
@@ -97,7 +109,7 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
 # Coordinate realization.
 
 
-def _psd_factor(gram: np.ndarray, max_rank: int, rank_tol: float) -> np.ndarray | None:
+def _psd_factor(gram: np.ndarray, max_rank: int) -> np.ndarray | None:
     """Factor a PSD Gram matrix into canonical coordinates, or None.
 
     Returns an (n, max_rank) array X with X @ X.T ~= gram, rotated so the
@@ -110,10 +122,10 @@ def _psd_factor(gram: np.ndarray, max_rank: int, rank_tol: float) -> np.ndarray 
     except np.linalg.LinAlgError:
         return None  # the eigensolver did not converge
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -rank_tol * scale:
+    if w[0] < -RANK_TOL * scale:
         return None
     w = np.clip(w, 0.0, None)
-    if int(np.sum(w > rank_tol * scale)) > max_rank:
+    if int(np.sum(w > RANK_TOL * scale)) > max_rank:
         return None
     order = np.argsort(w)[::-1][:max_rank]
     x = v[:, order] * np.sqrt(w[order])
@@ -130,7 +142,7 @@ def _canonicalize(x: np.ndarray) -> np.ndarray:
     return np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
 
 
-def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.ndarray | None:
+def _minkowski_factor(gram: np.ndarray, ambient: int) -> np.ndarray | None:
     """Factor a signature-(ambient-1, 1) Gram matrix into hyperboloid vectors.
 
     ``gram`` holds Minkowski products (all diagonal entries negative).
@@ -142,9 +154,9 @@ def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.nda
     except np.linalg.LinAlgError:
         return None  # the eigensolver did not converge
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] >= -rank_tol * scale:
+    if w[0] >= -RANK_TOL * scale:
         return None  # no timelike direction
-    if g.shape[0] > 1 and w[1] < -rank_tol * scale:
+    if g.shape[0] > 1 and w[1] < -RANK_TOL * scale:
         return None  # more than one negative eigenvalue
     time = math.sqrt(-w[0]) * v[:, 0]
     if time[0] < 0.0:
@@ -152,7 +164,7 @@ def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.nda
     if np.any(time <= 0.0):
         return None  # points split across hyperboloid sheets
     ws = np.clip(w[1:], 0.0, None)
-    if int(np.sum(ws > rank_tol * scale)) > ambient - 1:
+    if int(np.sum(ws > RANK_TOL * scale)) > ambient - 1:
         return None
     order = np.argsort(ws)[::-1][: ambient - 1]
     xs = v[:, 1:][:, order] * np.sqrt(ws[order])
@@ -161,29 +173,34 @@ def _minkowski_factor(gram: np.ndarray, ambient: int, rank_tol: float) -> np.nda
     return np.column_stack([time, _canonicalize(xs)])
 
 
-def realize_distances(kappa: float, dmat: np.ndarray, dim: int, *, rank_tol: float = 1e-9) -> np.ndarray | None:
+def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | None:
     """Coordinates reproducing the distance matrix in the dim-dimensional model.
 
     Failure to embed is a value (None), not an error; so is an eigensolver
-    that does not converge.  Coordinates are (n, dim) for kappa = 0, else
+    that does not converge, and on the sphere a side beyond pi/sqrt(kappa)
+    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite kappa
+    raises DomainError.  Coordinates are (n, dim) for kappa = 0, else
     (n, dim + 1) model vectors.  Placement is canonical: point 0 at the
     origin/pole, point 1 on the first axis, and each further point in the
     span of one additional axis.
     """
+    if not -math.inf < kappa < math.inf:
+        raise DomainError("curvature must be finite")
     d = np.asarray(dmat, dtype=float)
     if kappa == 0.0:
         sq = d * d
         g = 0.5 * (sq[0, 1:][:, None] + sq[0, 1:][None, :] - sq[1:, 1:])
-        x = _psd_factor(g, dim, rank_tol)
-        if x is None:
-            return None
-        return np.vstack([np.zeros(dim), x])
+        x = _psd_factor(g, dim)
+        return None if x is None else np.vstack([np.zeros(dim), x])
     if kappa > 0.0:
-        args = math.sqrt(kappa) * d
+        rt = math.sqrt(kappa)
+        args = rt * d
         if np.any(args > math.pi * (1.0 + 1e-9)):
             return None
+        if any(_beyond_perimeter(rt, d[i, j] + d[i, k] + d[j, k]) for i, j, k in combinations(range(len(d)), 3)):
+            return None
         g = np.cos(args) / kappa
-        return _psd_factor(g, dim + 1, rank_tol)
+        return _psd_factor(g, dim + 1)
     args = math.sqrt(-kappa) * d
     if np.any(args > 700.0):
         return None  # cosh overflows double precision; cannot certify coordinates
@@ -193,7 +210,7 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int, *, rank_tol: flo
     # LAPACK need not commute with it, though on the tested cases the factor
     # was identical to the unscaled one.
     h = math.frexp(float(np.abs(g).max()))[1] // 2
-    x = _minkowski_factor(np.ldexp(g, -2 * h), dim + 1, rank_tol)
+    x = _minkowski_factor(np.ldexp(g, -2 * h), dim + 1)
     return None if x is None else np.ldexp(x, h)
 
 

@@ -100,7 +100,7 @@ def _sample_surface_quadruple(kappa: float, rng) -> MetricQuadruple:
         if d[np.triu_indices(4, 1)].min() < 0.05 * shrink:
             continue
         try:
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
         except ValueError:
             continue
         if nondegenerate(q, margin=1e-3 * shrink):
@@ -140,7 +140,7 @@ def test_flatness_detection():
         for i, j in combinations(range(4), 2):
             d[i, j] = d[j, i] = float(np.linalg.norm(pts[i] - pts[j]))
         try:
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
         except ValueError:
             continue
         if not nondegenerate(q, margin=1e-4):
@@ -158,7 +158,7 @@ def test_flatness_detection():
         d = np.zeros((4, 4))
         for i, j in combinations(range(4), 2):
             d[i, j] = d[j, i] = float(np.linalg.norm(pts[i] - pts[j]))
-        q = MetricQuadruple.from_matrix(d)
+        q = MetricQuadruple(d)
         if not nondegenerate(q, margin=1e-4):
             continue
         if abs(cayley_menger(q)) <= 1e-6 * q.max_distance**8:
@@ -192,7 +192,7 @@ def test_monotonicity():
                 d[i, j] = d[j, i] = float(np.linalg.norm(pts[i] - pts[j]))
             if d[np.triu_indices(4, 1)].min() < 0.02:
                 continue
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
             if nondegenerate(q, margin=1e-4):
                 break
         excesses = [vertex_excess(q, k)[0] for k in KAPPA_GRID]
@@ -392,7 +392,7 @@ def test_compatibility_certificates():
                 base = g.index(entry.vertex)
                 for chk in entry.checks:
                     idx = [base] + [g.index(x) for x in chk.neighbors]
-                    sub = MetricQuadruple.from_matrix(d[np.ix_(idx, idx)])
+                    sub = MetricQuadruple(d[np.ix_(idx, idx)])
                     if realize_quadruple(sub, kappa, 3) is None:
                         failures.append(f"graph {gi}: feasible but unrealizable at {entry.vertex}")
         else:

@@ -84,7 +84,7 @@ def scalar_local(g, v, kappa, tol=ANGLE_TOL):
     stars = []
     for trio in combinations(idx[1:], 3):
         ids = (v, *trio)
-        quad = MetricQuadruple.from_matrix([[ball[a][b] for b in ids] for a in ids])
+        quad = MetricQuadruple([[ball[a][b] for b in ids] for a in ids])
         stars.append((tuple(g.labels[j] for j in trio), quad))
     checks, skipped = [], []
     verdict = True

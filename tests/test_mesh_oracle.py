@@ -26,7 +26,7 @@ from plembed.qcbounds import EdgeAngleReport, EdgeRecord
 
 LINK_FUNCTIONS = (
     normalized_link_volume,
-    lambda m, v: normalized_link_volume_mc(m, v, samples=600, seed=v, chunk=256).to_dict(),
+    lambda m, v: normalized_link_volume_mc(m, v, samples=600, seed=v).to_dict(),
     normalized_exterior_angle,
 )
 
@@ -98,7 +98,7 @@ class ScalarMesh:
         return self.faces.tolist()
 
 
-def reference_edge_report(mesh: ScalarMesh, tiny_angle: float = 1e-6) -> EdgeAngleReport:
+def reference_edge_report(mesh: ScalarMesh) -> EdgeAngleReport:
     m = mesh.oriented_outward()
     v = m.vertices
     records, reflex, warnings = [], [], []
@@ -113,9 +113,9 @@ def reference_edge_report(mesh: ScalarMesh, tiny_angle: float = 1e-6) -> EdgeAng
         n1, n2 = m.face_normal(f1), m.face_normal(f2)
         angle = math.pi - math.atan2(float(np.dot(np.cross(n1, n2), ehat)), float(np.dot(n1, n2)))
         if angle <= math.pi * (1.0 + 1e-12):
-            if angle < tiny_angle:
+            if angle < 1e-6:
                 warnings.append(
-                    f"edge {edge}: interior angle {angle:.3e} below {tiny_angle:.0e}; "
+                    f"edge {edge}: interior angle {angle:.3e} below 1e-06; "
                     "contribution is ill-conditioned"
                 )
             bound = max(bound, math.pi / angle)
@@ -194,10 +194,12 @@ class TestEdgeAuditOracle:
             assert PolyMesh(v, f).signed_volume() == pytest.approx(want, rel=1e-13)
 
     def test_tiny_angle_warnings(self):
-        v, f = jittered_icosphere(2, 5)
-        got = mesh_edge_dilatation_bound(PolyMesh(v, f), tiny_angle=3.0)
-        assert got.warnings
-        assert got.to_dict() == reference_edge_report(ScalarMesh(v, f), tiny_angle=3.0).to_dict()
+        # a sliver tetrahedron: the three edges of its base are nearly flat-folded
+        v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1e-8]])
+        f = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+        got = mesh_edge_dilatation_bound(PolyMesh(v, f))
+        assert len(got.warnings) == 3
+        assert got.to_dict() == reference_edge_report(ScalarMesh(v, f)).to_dict()
 
 
 class TestLinkOracle:

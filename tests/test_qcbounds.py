@@ -332,9 +332,18 @@ class TestMonteCarlo:
         assert a.value != b.value
 
     def test_chunking_does_not_change_result(self, cube_mesh):
-        a = normalized_link_volume_mc(cube_mesh, 0, samples=30_000, seed=1, chunk=1 << 16)
-        b = normalized_link_volume_mc(cube_mesh, 0, samples=30_000, seed=1, chunk=7_001)
-        assert a.value == pytest.approx(b.value, abs=1e-15)
+        # three chunks (the last of 17 samples) against one draw of the same
+        # stream, counted in one pass: a wrong Welford merge moves the stderr
+        n, seed = 2 * 65536 + 17, 1
+        est = normalized_link_volume_mc(cube_mesh, 0, samples=n, seed=seed)
+        w = np.random.Generator(np.random.Philox(seed)).normal(size=(n, 3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        normals = cube_mesh.oriented_outward().face_normals[cube_mesh.vertex_faces(0)]
+        inside = np.all(w @ normals.T <= 0.0, axis=1)
+        mean = float(np.mean(inside))
+        stderr = math.sqrt(float(np.sum((inside - mean) ** 2)) / (n - 1) / n)
+        assert est.value == pytest.approx(mean, rel=1e-13)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_sample_guard(self, cube_mesh):
         with pytest.raises(DomainError):

@@ -68,7 +68,7 @@ class TestCayleyMenger:
     def test_all_zero(self):
         # a raw array is no quadruple: every matrix passes the one validator first
         with pytest.raises(DomainError, match="off-diagonal distances must be positive"):
-            cayley_menger(MetricQuadruple.from_matrix(np.zeros((4, 4))))
+            cayley_menger(MetricQuadruple(np.zeros((4, 4))))
 
     def test_matches_laplace_on_random(self):
         rng = np.random.default_rng(3)
@@ -76,7 +76,7 @@ class TestCayleyMenger:
             pts = rng.uniform(-1.0, 1.0, size=(4, 3))
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
             want = laplace_det(bordered(d.tolist()))
-            assert cayley_menger(MetricQuadruple.from_matrix(d)) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert cayley_menger(MetricQuadruple(d)) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=23), st.integers(min_value=0, max_value=999))
@@ -86,8 +86,8 @@ class TestCayleyMenger:
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         p = list(permutations(range(4)))[pidx]
         dp = d[np.ix_(p, p)]
-        a = cayley_menger(MetricQuadruple.from_matrix(d))
-        b = cayley_menger(MetricQuadruple.from_matrix(dp))
+        a = cayley_menger(MetricQuadruple(d))
+        b = cayley_menger(MetricQuadruple(dp))
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -104,7 +104,7 @@ class TestMetricQuadruple:
         m = np.ones((4, 4)) - np.eye(4)
         m[0, 1] = 1.2
         with pytest.raises(Exception):
-            MetricQuadruple.from_matrix(m)
+            MetricQuadruple(m)
 
 
 class TestNondegenerate:
@@ -146,7 +146,7 @@ class TestVertexExcess:
         pts = rng.uniform(0.0, 0.4, size=(4, 3))
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         try:
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
         except Exception:
             return
         last = -math.inf
@@ -187,7 +187,7 @@ def sample_model_quadruple(kappa, rng, *, spread=1.2, min_sep=0.3):
         if d[~np.eye(4, dtype=bool)].min() < min_sep:
             continue
         try:
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
         except Exception:
             continue
         if not nondegenerate(q, margin=1e-3):
@@ -247,7 +247,7 @@ class TestWald:
         q = sample_model_quadruple(1.0, rng)
         base = wald_curvature(q)
         for p in list(permutations(range(4)))[1::7]:
-            qp = MetricQuadruple.from_matrix(q.distances[np.ix_(p, p)])
+            qp = MetricQuadruple(q.distances[np.ix_(p, p)])
             assert wald_curvature(qp).classification == base.classification
 
 
@@ -278,7 +278,7 @@ class TestEmbeddability:
         for q in (UNIT, SQUARE, TRIPOD):
             want = s3_embeddability(q, 0.0).verdict
             for p in list(permutations(range(4)))[1::5]:
-                qp = MetricQuadruple.from_matrix(q.distances[np.ix_(p, p)])
+                qp = MetricQuadruple(q.distances[np.ix_(p, p)])
                 assert s3_embeddability(qp, 0.0).verdict == want
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -288,7 +288,7 @@ class TestEmbeddability:
         pts = rng.uniform(0.0, 1.0, size=(4, 3))
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         try:
-            q = MetricQuadruple.from_matrix(d)
+            q = MetricQuadruple(d)
         except Exception:
             return
         if not nondegenerate(q, margin=1e-6):
@@ -310,7 +310,7 @@ class TestEmbeddability:
             pts = rng.uniform(-1.0, 1.0, size=(4, 2))
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
             try:
-                q = MetricQuadruple.from_matrix(d)
+                q = MetricQuadruple(d)
             except Exception:
                 continue
             if not nondegenerate(q, margin=1e-6):

@@ -194,6 +194,28 @@ class TestJsonParser:
         with pytest.raises(NonpositiveLengthError, match="length must be positive and finite"):
             parse_graph_document('{"edges": [["a", "b", %s]]}' % length)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"edges": [["a", null, 1]]}', "edges[0][1] must be a string or an integer, got null"),
+            ('{"edges": [["a", "b", 1], [true, "b", 2]]}', "edges[1][0] must be a string or an integer, got true"),
+            ('{"edges": [["a", ["x"], 1]]}', 'edges[0][1] must be a string or an integer, got ["x"]'),
+            ('{"edges": [[{"v": 1}, "a", 1]]}', 'edges[0][0] must be a string or an integer, got {"v": 1}'),
+            ('{"edges": [["a", 1.5, 1]]}', "edges[0][1] must be a string or an integer, got 1.5"),
+            ('{"vertices": ["a", false], "edges": [["a", "b", 1]]}', "vertices[1] must be a string or an integer, got false"),
+            ('{"vertices": [null], "edges": []}', "vertices[0] must be a string or an integer, got null"),
+            ('{"vertices": ["a", [1]], "edges": []}', "vertices[1] must be a string or an integer, got [1]"),
+        ],
+    )
+    def test_labels_are_strings_or_integers(self, doc, message):
+        with pytest.raises(ParseError) as ei:
+            parse_graph_document(doc)
+        assert str(ei.value) == message
+
+    def test_integer_labels(self):
+        g, _ = parse_graph_document('{"vertices": [2, "a"], "edges": [[2, "a", 1]]}')
+        assert g.labels == ("2", "a") and g.edges == ((0, 1, 1.0),)
+
     def test_plain_text_fallback(self):
         g, kappa = parse_graph_document("a b 1.0\n")
         assert g.num_vertices == 2 and kappa is None
@@ -322,6 +344,13 @@ class TestLocalCompatibility:
         assert hot.witness[1] == "curvature"
         assert hot.checks[0].curvature_slack < 0.0
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa(self, kappa):
+        # also where every star is degenerate and no angle is computed
+        for g, v in ((unit_k4(), "a"), (hex_grid_graph(), "h")):
+            with pytest.raises(DomainError, match="curvature must be finite"):
+                local_compatibility(g, v, kappa)
+
     def test_spherical_domain_error_names_quadruple(self):
         with pytest.raises(DomainError, match="quadruple at a"):
             local_compatibility(unit_k4(), "a", 12.0)
@@ -339,6 +368,14 @@ class TestGlobalCompatibility:
         rep = global_compatibility(unit_k4(), 0.0)
         assert rep.verdict and rep.witness is None
         assert len(rep.entries) == 4
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa(self, kappa):
+        for g in (unit_k4(), hex_grid_graph()):
+            with pytest.raises(DomainError, match="curvature must be finite"):
+                global_compatibility(g, kappa)
+            with pytest.raises(DomainError, match="curvature must be finite"):
+                global_compatibility(g, dict.fromkeys(g.labels, kappa))
 
     def test_star_first_witness_is_hub(self):
         rep = global_compatibility(star_graph(1.99), 0.0)

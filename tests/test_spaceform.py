@@ -12,6 +12,7 @@ from plembed import (
     geodesic_distance,
     realize_distances,
     realize_quadruple,
+    s3_embeddability,
 )
 from plembed.spaceform import _minkowski_factor
 
@@ -96,6 +97,31 @@ class TestMetricTriple:
         for sides in ((1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.nan)):
             with pytest.raises(DomainError):
                 comparison_angle(0.0, *sides)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteCurvature:
+    @pytest.mark.parametrize("kappa", NON_FINITE)
+    def test_comparison_angle(self, kappa):
+        with pytest.raises(DomainError, match="curvature must be finite"):
+            comparison_angle(kappa, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("kappa", NON_FINITE)
+    def test_realize_distances(self, kappa):
+        d = np.ones((3, 3)) - np.eye(3)
+        with pytest.raises(DomainError, match="curvature must be finite"):
+            realize_distances(kappa, d, 2)
+
+    @pytest.mark.parametrize("kappa", NON_FINITE)
+    def test_quadruple_entry_points(self, kappa):
+        # the certificate and the realization reach the two guards above
+        q = MetricQuadruple.from_pairwise(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="curvature must be finite"):
+            s3_embeddability(q, kappa)
+        with pytest.raises(DomainError, match="curvature must be finite"):
+            realize_quadruple(q, kappa)
 
 
 class TestComparisonAngle:
@@ -254,7 +280,7 @@ class TestHyperbolicRealization:
             d = hyperboloid_distances(rng, 4, 3.0) / math.sqrt(-kappa)
             if rng.uniform() < 0.5:
                 kappa *= 10.0 ** rng.uniform(-1.0, 1.0)  # a curvature the points do not fit
-            want = _minkowski_factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 3, 1e-9)
+            want = _minkowski_factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 3)
             got = realize_distances(kappa, d, 2)
             assert (got is None) == (want is None)
             if got is not None:

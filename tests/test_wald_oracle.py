@@ -78,6 +78,8 @@ def scalar_minors_ok(d, kappa, tol=1e-9):
 
 
 def scalar_wald_curvature(q, opts=None):
+    # the solver's tolerances as literals: flatness 1e-9, bisection 1e-12,
+    # residual 1e-6 and minors 1e-9 (realize_quadruple holds the others)
     opts = opts or WaldOptions()
     d = q.distances
     dmax, dmin = q.max_distance, q.min_distance
@@ -88,15 +90,15 @@ def scalar_wald_curvature(q, opts=None):
     roots = []
     flat = False
     dcm = cayley_menger(q)
-    if abs(dcm) <= opts.flat_tol * scale8:
-        if realize_quadruple(q, 0.0, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is not None:
+    if abs(dcm) <= 1e-9 * scale8:
+        if realize_quadruple(q, 0.0, 2) is not None:
             flat = True
             roots.append(WaldRoot(0.0, abs(dcm) / scale8, True))
     half = max(opts.samples // 2, 8)
     f = lambda k: scalar_curvature_det(d, k)  # noqa: E731
     candidates = []
     for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
-        candidates += scalar_grid_roots(f, grid, opts.bisect_rtol)
+        candidates += scalar_grid_roots(f, grid, 1e-12)
     for k in candidates:
         if flat and abs(k) <= 100.0 * floor:
             continue
@@ -105,10 +107,10 @@ def scalar_wald_curvature(q, opts=None):
             minors_ok = scalar_minors_ok(d, k)
             if not minors_ok:
                 continue
-        if realize_quadruple(q, k, 2, tol=opts.match_tol, rank_tol=opts.rank_tol) is None:
+        if realize_quadruple(q, k, 2) is None:
             continue
         residual = abs(scalar_curvature_det(d, k))
-        if residual > opts.residual_tol:
+        if residual > 1e-6:
             continue
         roots.append(WaldRoot(float(k), residual, minors_ok))
     roots.sort(key=lambda r: r.kappa)
@@ -133,7 +135,7 @@ def _quadruple(d):
     """A validated non-degenerate quadruple of the distance matrix d, or None."""
     np.fill_diagonal(d, 0.0)
     try:
-        q = MetricQuadruple.from_matrix(0.5 * (d + d.T))
+        q = MetricQuadruple(0.5 * (d + d.T))
     except DomainError:
         return None
     return q if nondegenerate(q) else None
@@ -228,7 +230,7 @@ def test_space():
 
 def test_options():
     qs = seeded(lambda rng: surface_quadruple(-1.0, rng), 4, 9) + seeded(sphere_quadruple, 4, 10)
-    for opts in (WaldOptions(samples=16), WaldOptions(samples=101, kappa_cap=50.0), WaldOptions(bisect_rtol=1e-3)):
+    for opts in (WaldOptions(samples=16), WaldOptions(samples=101, kappa_cap=50.0)):
         for q in qs:
             assert_same(q, opts)
 
