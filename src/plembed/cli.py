@@ -20,7 +20,7 @@ from . import bzelement, mesh, qcbounds, quadruple, skeleton
 from .errors import ParseError
 from .spaceform import TWO_PI
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _emit(payload: dict, args) -> None:
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dual", action="store_true", help="volume of the dual cone (exterior angle)")
+    p.add_argument("--dual", action="store_true", help="volume of the dual cone (exterior angle); convex corners only")
     add_output(p)
     p.set_defaults(func=_cmd_link_volume)
 

@@ -20,8 +20,8 @@ from .mesh import PolyMesh, rowdot
 _FOUR_PI = 4.0 * math.pi
 
 TINY_ANGLE = 1e-6  # interior dihedral angles below this draw a conditioning warning
-TURN_DET_TOL = 1e-9  # link turn determinants within this of 0 carry no orientation
-DEDUPE_TOL = 1e-12  # consecutive link directions this close coincide
+CONVEX_TOL = 1e-9  # a link direction this far outside a face plane makes the corner non-convex
+DEDUPE_TOL = 1e-12  # consecutive link directions or face normals this close coincide
 MC_CHUNK = 1 << 16  # Monte Carlo directions drawn and counted at a time
 
 
@@ -229,35 +229,29 @@ def _link_cycle(mesh: PolyMesh, v: int) -> tuple[list[int], list[int]]:
     return cycle, [fan[a] for a in cycle]
 
 
-def _spherical_polygon_area(units: np.ndarray) -> float:
-    """Spherical excess of a convex cyclically-ordered polygon on the sphere.
+def _left_area(units: np.ndarray) -> float:
+    """Area on the left of the closed spherical path through the unit rows of ``units``.
 
-    Computed as 2*pi minus the total geodesic turning of the boundary, with
-    each turn taken from atan2 of tangent vectors.  Unlike summing interior
-    angles through acos, this stays fully accurate at straight-through
-    vertices (turn 0), which show up whenever a flat face was triangulated.
+    Gauss-Bonnet: 2*pi minus the total signed geodesic turning, each turn
+    taken from atan2 of the arrive and depart tangents.  Unlike summing
+    interior angles through acos, this stays fully accurate at
+    straight-through vertices (turn 0), which show up whenever a flat face
+    was triangulated.
     """
-    k = len(units)
-    if k < 3:
+    if len(units) < 3:
         return 0.0
-    dets = [float(np.dot(np.cross(units[i - 1], units[i]), units[(i + 1) % k])) for i in range(k)]
-    if max(dets) > TURN_DET_TOL and min(dets) < -TURN_DET_TOL:
-        raise MeshError("vertex neighbourhood is not a convex solid corner")
-    if min(dets) < -TURN_DET_TOL:
-        # traversal runs clockwise around the cone; flip so the interior
-        # sits on the left and the excess comes out positive
-        units = units[::-1]
+    prev, nxt = np.roll(units, 1, axis=0), np.roll(units, -1, axis=0)
+    arrive = rowdot(units, prev)[:, None] * units - prev
+    depart = nxt - rowdot(units, nxt)[:, None] * units
+    na, nd = np.sqrt(rowdot(arrive, arrive)), np.sqrt(rowdot(depart, depart))
+    if min(na.min(), nd.min()) < 1e-12:
+        raise MeshError("degenerate link arc (parallel consecutive directions)")
+    arrive /= na[:, None]
+    depart /= nd[:, None]
+    sines = rowdot(np.cross(arrive, depart), units).tolist()
     turning = 0.0
-    for i in range(k):
-        prev, cur, nxt = units[i - 1], units[i], units[(i + 1) % k]
-        arrive = float(np.dot(cur, prev)) * cur - prev
-        depart = nxt - float(np.dot(cur, nxt)) * cur
-        na, nd = np.linalg.norm(arrive), np.linalg.norm(depart)
-        if na < 1e-12 or nd < 1e-12:
-            raise MeshError("degenerate link arc (parallel consecutive directions)")
-        arrive /= na
-        depart /= nd
-        turning += math.atan2(float(np.dot(np.cross(arrive, depart), cur)), float(np.dot(arrive, depart)))
+    for sin, cos in zip(sines, rowdot(arrive, depart).tolist()):
+        turning += math.atan2(sin, cos)
     return 2.0 * math.pi - turning
 
 
@@ -271,18 +265,24 @@ def _dedupe_cycle(units: np.ndarray) -> np.ndarray:
     return np.array(keep)
 
 
+def _link(mesh: PolyMesh, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit link directions at v in outward cycle order, and the outward normals of its fan."""
+    m = mesh.oriented_outward()
+    cycle, fan = _link_cycle(m, v)
+    dirs = m.vertices[cycle] - m.vertices[v]
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True), m.face_normals[fan]
+
+
 def normalized_link_volume(mesh: PolyMesh, v: int) -> float:
     """Solid angle of the corner at vertex v, as a fraction of the full sphere.
 
-    Exact: the spherical excess of the link polygon divided by 4*pi.  The
-    corner must be a convex solid cone (a vertex interior to a flat patch is
-    the boundary case and gives exactly 1/2).
+    Exact at every corner of a closed oriented manifold, convex, reflex or
+    saddle: the outward link cycle, traversed in reverse, has the solid on
+    its left, and its left area over 4*pi is the answer.  A vertex interior
+    to a flat patch gives exactly 1/2.
     """
-    m = mesh.oriented_outward()
-    cycle, _ = _link_cycle(m, int(v))
-    dirs = m.vertices[cycle] - m.vertices[int(v)]
-    units = _dedupe_cycle(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
-    return _spherical_polygon_area(units) / _FOUR_PI
+    units, _ = _link(mesh, int(v))
+    return _left_area(_dedupe_cycle(units)[::-1]) / _FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,10 @@ class MonteCarloEstimate:
 
 def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of `normalized_link_volume` with standard error.
+
+    It counts the directions inside every face half-space, which is the
+    corner itself only at convex corners; elsewhere it estimates that
+    intersection, not the link volume.
 
     Uniform directions from a counter-based (Philox) generator, so runs with
     the same seed are reproducible; the variance accumulates by Welford
@@ -336,14 +340,14 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
 def normalized_exterior_angle(mesh: PolyMesh, v: int) -> float:
     """Normalized volume of the dual cone at vertex v (the exterior angle).
 
-    The dual cone of a solid corner is spanned by the outward normals of its
-    faces; its normalized volume equals the spherical excess of the normal
-    polygon over 4*pi.  A vertex interior to a flat patch has a degenerate
-    dual (a single ray) and returns 0.
+    Defined at convex corners only: the dual cone is spanned by the outward
+    normals of the faces, and its normalized volume is the left area of the
+    normals in fan order over 4*pi.  The corner is convex when every link
+    direction lies within CONVEX_TOL of the inner side of every face plane;
+    any other corner is a MeshError.  A vertex interior to a flat patch has
+    a degenerate dual (a single ray) and returns 0.
     """
-    m = mesh.oriented_outward()
-    _, fan = _link_cycle(m, int(v))
-    normals = _dedupe_cycle(m.face_normals[fan])
-    if len(normals) < 3:
-        return 0.0
-    return _spherical_polygon_area(normals) / _FOUR_PI
+    units, normals = _link(mesh, int(v))
+    if np.max(units @ normals.T) > CONVEX_TOL:
+        raise MeshError(f"vertex {v}: not a convex corner; the dual cone exists only at convex corners")
+    return _left_area(_dedupe_cycle(normals)) / _FOUR_PI

@@ -267,7 +267,6 @@ class WaldOptions:
 class WaldRoot:
     kappa: float
     residual: float
-    minors_ok: bool
 
 
 @dataclass(frozen=True)
@@ -275,8 +274,7 @@ class WaldResult:
     """Validated curvature roots and their classification.
 
     ``classification`` is one of flat, spherical, hyperbolic, multiple, or
-    none-found.  ``minors_ok`` is meaningful for spherical roots (order-3
-    principal minors of the cosine matrix); it is vacuously true elsewhere.
+    none-found.
     """
 
     roots: tuple[WaldRoot, ...]
@@ -290,10 +288,7 @@ class WaldResult:
 
     def to_dict(self) -> dict:
         return {
-            "roots": [
-                {"kappa": r.kappa, "residual": r.residual, "minors_ok": r.minors_ok}
-                for r in self.roots
-            ],
+            "roots": [{"kappa": r.kappa, "residual": r.residual} for r in self.roots],
             "classification": self.classification,
             "search_interval": list(self.search_interval),
         }
@@ -409,7 +404,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
 
     dcm = cayley_menger(q)
     flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(q, 0.0, 2) is not None
-    roots = [WaldRoot(0.0, abs(dcm) / scale8, True)] if flat else []
+    roots = [WaldRoot(0.0, abs(dcm) / scale8)] if flat else []
 
     half = max(opts.samples // 2, 8)
     candidates: list[float] = []
@@ -426,7 +421,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
         residual = abs(float(_curvature_det_grid(d, np.array([k]))[0]))
         if residual > RESIDUAL_TOL:
             continue
-        roots.append(WaldRoot(float(k), residual, True))
+        roots.append(WaldRoot(float(k), residual))
 
     roots.sort(key=lambda r: r.kappa)
     # flatness is a case split, not one root among many: a planar quadruple

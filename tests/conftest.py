@@ -59,6 +59,26 @@ CUBE_FLAT_PATCH_OFF = """OFF
 4 3 0 4 7
 """
 
+# octahedron with its top vertex (4) pushed down to z = -0.3: a reflex
+# corner at 4 whose neighbours 0-3 are saddles, and a convex bottom (5)
+DENTED_OCTA_OFF = """OFF
+6 8 0
+1 0 0
+-1 0 0
+0 1 0
+0 -1 0
+0 0 -0.3
+0 0 -1
+3 0 2 4
+3 2 1 4
+3 1 3 4
+3 3 0 4
+3 2 0 5
+3 1 2 5
+3 3 1 5
+3 0 3 5
+"""
+
 
 @pytest.fixture
 def cube_mesh():
@@ -73,6 +93,11 @@ def tetra_mesh():
 @pytest.fixture
 def flat_patch_mesh():
     return parse_off(CUBE_FLAT_PATCH_OFF)
+
+
+@pytest.fixture
+def dented_octa_mesh():
+    return parse_off(DENTED_OCTA_OFF)
 
 
 @pytest.fixture
@@ -157,3 +182,33 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def link_cycle(faces: np.ndarray, p: int) -> list[int]:
+    """Link vertices of p in the order of the oriented faces around it, from the smallest."""
+    succ = {}
+    for face in faces[np.any(faces == p, axis=1)].tolist():
+        t = face.index(p)
+        succ[face[(t + 1) % 3]] = face[(t + 2) % 3]
+    cycle = [min(succ)]
+    while succ[cycle[-1]] != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    return cycle
+
+
+def solid_angle_oracle(v: np.ndarray, outward: np.ndarray, p: int) -> float:
+    """Solid angle on the solid side at vertex p over 4*pi, by Van Oosterom-Strackee.
+
+    The triangles (pole, u_i, u_i+1) over the outward link sum to minus the
+    solid side's area mod 4*pi, for a corner of any shape, and need no cycle
+    orientation guess.  The pole is the axis direction farthest from every
+    antipode of the link, so no triangle is degenerate.
+    """
+    u = v[link_cycle(outward, p)] - v[p]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    c = axes[np.argmax(np.min(1.0 + axes @ u.T, axis=1))]
+    a, b = u, np.roll(u, -1, axis=0)
+    num = np.cross(a, b) @ c
+    den = 1.0 + a @ c + b @ c + np.sum(a * b, axis=1)
+    return float(-np.sum(2.0 * np.arctan2(num, den)) / (4.0 * math.pi)) % 1.0

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import TETRA_OFF
+from conftest import DENTED_OCTA_OFF, TETRA_OFF
 
 K4_DOC = json.dumps(
     {
@@ -59,7 +59,7 @@ def _reject_constant(name):
 def payload(result):
     assert result.stdout, f"no stdout; stderr: {result.stderr}"
     doc = json.loads(result.stdout, parse_constant=_reject_constant)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     return doc
 
 
@@ -374,6 +374,13 @@ class TestLinkVolumeCommand:
     def test_bad_vertex(self, cube_off_path):
         r = run_cli("link-volume", "--mesh", str(cube_off_path), "--vertex", "99")
         assert r.returncode == 2
+
+    def test_dented_octahedron(self, tmp_path):
+        path = tmp_path / "dented.off"
+        path.write_text(DENTED_OCTA_OFF)
+        base = ("link-volume", "--mesh", str(path), "--vertex", "4")
+        assert payload(run_cli(*base))["value"] == pytest.approx(0.6781, abs=5e-5)
+        assert_rejected(run_cli(*base, "--dual"), "vertex 4: not a convex corner")
 
     @pytest.mark.parametrize("method", ["exact", "monte-carlo"])
     def test_nan_coordinate(self, nan_tetra_path, method):

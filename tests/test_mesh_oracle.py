@@ -6,6 +6,13 @@ normal and a scan of every face for a vertex star.  `reference_edge_report`
 is the edge loop of the dihedral audit on top of it.  The batched `PolyMesh`
 and `mesh_edge_dilatation_bound` must give the same documents exactly (==,
 not approx), the link functions the same values, and both the same errors.
+
+`first_link_volume` and `first_exterior_angle` are the link code as first
+written, a scalar turning loop that guessed the link's orientation from the
+signs of its turn determinants.  That guess was right at convex and flat
+corners only, so the library must equal it bit for bit there; at every
+corner the exact volume must match the Van Oosterom-Strackee oracle, and
+the dual must raise at every corner that is not convex.
 """
 
 import math
@@ -23,6 +30,8 @@ from plembed import (
     normalized_link_volume_mc,
 )
 from plembed.qcbounds import EdgeAngleReport, EdgeRecord
+
+from conftest import link_cycle, solid_angle_oracle
 
 LINK_FUNCTIONS = (
     normalized_link_volume,
@@ -169,6 +178,99 @@ def _both_orientations(level, seed):
     return [(v, f), (v, f[:, ::-1].copy())]
 
 
+def dented_icosphere(level: int, seed: int, count: int = 3, depth: float = 0.15):
+    """Icosphere with up to `count` vertices of disjoint closed stars pushed radially inward.
+
+    Each dent is a reflex corner ringed by saddles.
+    """
+    v, f = icosphere(level)
+    nbrs = [set() for _ in v]
+    for a, b, c in f.tolist():
+        nbrs[a] |= {b, c}
+        nbrs[b] |= {a, c}
+        nbrs[c] |= {a, b}
+    blocked, chosen = set(), []
+    for i in np.random.default_rng(seed).permutation(len(v)).tolist():
+        if i not in blocked and len(chosen) < count:
+            chosen.append(i)
+            blocked |= nbrs[i].union(*(nbrs[j] for j in nbrs[i]))
+    v[chosen] *= 1.0 - depth
+    return v, f
+
+
+def _swept_meshes(level, seed):
+    """Jittered and dented icospheres, each in both orientations."""
+    v, f = dented_icosphere(level, seed)
+    return _both_orientations(level, seed) + [(v, f), (v, f[:, ::-1].copy())]
+
+
+def corner_kinds(ref: ScalarMesh) -> list[str]:
+    """convex (flat included), reflex or saddle per vertex, from the convexity of its edges."""
+    reflex = set(reference_edge_report(ref).reflex)
+    has = [[False, False] for _ in ref.vertices]  # [a convex edge, a reflex edge]
+    for a, b in ref.edge_faces:
+        r = (a, b) in reflex
+        has[a][r] = has[b][r] = True
+    return ["saddle" if c and r else "reflex" if r else "convex" for c, r in has]
+
+
+def _first_dedupe(units):
+    keep = []
+    for u in units:
+        if not keep or np.linalg.norm(u - keep[-1]) > 1e-12:
+            keep.append(u)
+    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= 1e-12:
+        keep.pop()
+    return np.array(keep)
+
+
+def _first_area(units):
+    """Spherical excess by the first turning loop, which flips a clockwise polygon."""
+    k = len(units)
+    if k < 3:
+        return 0.0
+    dets = [float(np.dot(np.cross(units[i - 1], units[i]), units[(i + 1) % k])) for i in range(k)]
+    if max(dets) > 1e-9 and min(dets) < -1e-9:
+        raise MeshError("vertex neighbourhood is not a convex solid corner")
+    if min(dets) < -1e-9:
+        units = units[::-1]
+    turning = 0.0
+    for i in range(k):
+        prev, cur, nxt = units[i - 1], units[i], units[(i + 1) % k]
+        arrive = float(np.dot(cur, prev)) * cur - prev
+        depart = nxt - float(np.dot(cur, nxt)) * cur
+        na, nd = np.linalg.norm(arrive), np.linalg.norm(depart)
+        if na < 1e-12 or nd < 1e-12:
+            raise MeshError("degenerate link arc (parallel consecutive directions)")
+        arrive /= na
+        depart /= nd
+        turning += math.atan2(float(np.dot(np.cross(arrive, depart), cur)), float(np.dot(arrive, depart)))
+    return 2.0 * math.pi - turning
+
+
+def _first_link(ref: ScalarMesh, vi: int):
+    """Outward mesh, link cycle of vi from its smallest vertex, and the face after each link vertex."""
+    m = ref.oriented_outward()
+    fan = {}
+    for k in m.vertex_faces(vi):
+        face = m.faces[k].tolist()
+        fan[face[(face.index(vi) + 1) % 3]] = k
+    cycle = link_cycle(m.faces, vi)
+    return m, cycle, [fan[a] for a in cycle]
+
+
+def first_link_volume(ref: ScalarMesh, vi: int) -> float:
+    m, cycle, _ = _first_link(ref, vi)
+    dirs = m.vertices[cycle] - m.vertices[vi]
+    return _first_area(_first_dedupe(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))) / (4.0 * math.pi)
+
+
+def first_exterior_angle(ref: ScalarMesh, vi: int) -> float:
+    m, _, fan = _first_link(ref, vi)
+    normals = _first_dedupe(m.face_normals[fan])
+    return 0.0 if len(normals) < 3 else _first_area(normals) / (4.0 * math.pi)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -214,6 +316,40 @@ class TestLinkOracle:
                     assert got == _outcome(fn, ref, vi), (fn, vi)
                     convex += not isinstance(got, str)
             assert convex > len(v)  # many corners are convex
+
+
+class TestLinkAtEveryCorner:
+    @pytest.mark.parametrize("level,seed", SWEEP)
+    def test_exact_matches_solid_angle_oracle(self, level, seed):
+        kinds = set()
+        for v, f in _swept_meshes(level, seed):
+            mesh, ref = PolyMesh(v, f), ScalarMesh(v, f)
+            outward = ref.oriented_outward().faces
+            for vi in range(len(v)):
+                assert abs(normalized_link_volume(mesh, vi) - solid_angle_oracle(v, outward, vi)) <= 1e-12
+            kinds |= set(corner_kinds(ref))
+        assert kinds == {"convex", "reflex", "saddle"}
+
+    @pytest.mark.parametrize("level,seed", SWEEP)
+    def test_convex_equal_first_loop_and_dual_raises_elsewhere(self, level, seed):
+        for v, f in _swept_meshes(level, seed):
+            mesh, ref = PolyMesh(v, f), ScalarMesh(v, f)
+            for vi, kind in enumerate(corner_kinds(ref)):
+                if kind == "convex":
+                    assert normalized_link_volume(mesh, vi) == first_link_volume(ref, vi)
+                    assert normalized_exterior_angle(mesh, vi) == first_exterior_angle(ref, vi)
+                else:
+                    with pytest.raises(MeshError, match=rf"^vertex {vi}: not a convex corner"):
+                        normalized_exterior_angle(mesh, vi)
+
+    def test_fixtures_equal_first_loop(self, cube_mesh, tetra_mesh, flat_patch_mesh):
+        for mesh in (cube_mesh, tetra_mesh, flat_patch_mesh):
+            for flip in (False, True):
+                faces = mesh.faces[:, ::-1] if flip else mesh.faces
+                got, ref = PolyMesh(mesh.vertices, faces), ScalarMesh(mesh.vertices, faces)
+                for vi in range(len(mesh.vertices)):
+                    assert normalized_link_volume(got, vi) == first_link_volume(ref, vi)
+                    assert normalized_exterior_angle(got, vi) == first_exterior_angle(ref, vi)
 
 
 class TestErrorOracle:

@@ -18,7 +18,7 @@ from plembed import (
     uniform_index_bound,
 )
 
-from conftest import random_rotation
+from conftest import random_rotation, solid_angle_oracle
 
 FOUR_PI = 4.0 * math.pi
 
@@ -204,7 +204,11 @@ class TestMeshEdgeAudit:
 
 
 def _convex_cone_mesh(rng):
-    """Closed pyramid whose apex (vertex 0) is a random convex solid corner."""
+    """Closed bipyramid whose apex (vertex 0) is a random convex solid corner.
+
+    The ring lies on the unit sphere above the apex, and the closing vertex
+    beyond it, along the ring's mean direction.
+    """
     while True:
         k = int(rng.integers(3, 9))
         th = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
@@ -214,7 +218,8 @@ def _convex_cone_mesh(rng):
         dx, dy = rng.uniform(-0.3, 0.3, size=2)
         ring = np.stack([a * np.cos(th) + dx, b * np.sin(th) + dy, np.ones(k)], axis=1)
         ring /= np.linalg.norm(ring, axis=1, keepdims=True)
-        verts = np.vstack([[0.0, 0.0, 0.0], ring, [0.0, 0.0, -1.0]])
+        cap = ring.mean(axis=0)
+        verts = np.vstack([[0.0, 0.0, 0.0], ring, 3.0 * cap / np.linalg.norm(cap)])
         faces = []
         for i in range(k):
             faces.append([0, 1 + i, 1 + (i + 1) % k])
@@ -254,6 +259,7 @@ class TestLinkVolume:
             mesh, ring = _convex_cone_mesh(rng)
             got = normalized_link_volume(mesh, 0)
             assert got == pytest.approx(_solid_angle_fraction(ring), abs=1e-12)
+            assert got == pytest.approx(solid_angle_oracle(mesh.vertices, mesh.oriented_outward().faces, 0), abs=1e-12)
 
     def test_rigid_motion_invariant(self, cube_mesh):
         rng = np.random.default_rng(5)
@@ -268,11 +274,22 @@ class TestLinkVolume:
             normalized_link_volume(tetra_mesh, 1), abs=1e-15
         )
 
-    def test_concave_corner_rejected(self, cube_mesh):
+    def test_concave_corner_matches_oracle(self, cube_mesh):
         vv = cube_mesh.vertices.copy()
         vv[6] = [0.2, 0.2, 0.2]  # pull a corner inside the cube
-        with pytest.raises(MeshError, match="convex"):
-            normalized_link_volume(PolyMesh(vv, cube_mesh.faces), 6)
+        mesh = PolyMesh(vv, cube_mesh.faces)
+        for v in range(8):
+            want = solid_angle_oracle(vv, mesh.oriented_outward().faces, v)
+            assert abs(normalized_link_volume(mesh, v) - want) <= 1e-12
+
+    def test_dented_octahedron(self, dented_octa_mesh):
+        v, f = dented_octa_mesh.vertices, dented_octa_mesh.faces
+        for p, expect in ((4, 0.6781), (0, 0.03476), (5, 0.1082)):
+            got = normalized_link_volume(dented_octa_mesh, p)
+            assert abs(got - solid_angle_oracle(v, f, p)) <= 1e-12
+            assert got == pytest.approx(expect, abs=5e-5)
+        flipped = PolyMesh(v, f[:, ::-1])
+        assert normalized_link_volume(flipped, 4) == normalized_link_volume(dented_octa_mesh, 4)
 
 
 class TestExteriorAngle:
@@ -292,6 +309,13 @@ class TestExteriorAngle:
 
     def test_flat_vertex_dual_degenerates(self, flat_patch_mesh):
         assert normalized_exterior_angle(flat_patch_mesh, 8) == 0.0
+
+    def test_non_convex_corners_raise(self, dented_octa_mesh):
+        # the reflex top (4) and its saddle neighbours (0-3) have no dual cone
+        for v in range(5):
+            with pytest.raises(MeshError, match=rf"^vertex {v}: not a convex corner"):
+                normalized_exterior_angle(dented_octa_mesh, v)
+        assert 0.0 < normalized_exterior_angle(dented_octa_mesh, 5) < 0.25
 
     def test_random_polytope_gram_sum(self):
         from scipy.spatial import ConvexHull

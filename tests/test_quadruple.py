@@ -234,7 +234,6 @@ class TestWald:
         lo, hi = res.search_interval
         for r in res.roots:
             assert lo <= r.kappa <= hi
-            assert r.minors_ok
             assert realize_quadruple(UNIT, r.kappa, 2) is not None
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf, -5.0, 0.0])

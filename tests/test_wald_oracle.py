@@ -93,7 +93,7 @@ def scalar_wald_curvature(q, opts=None):
     if abs(dcm) <= 1e-9 * scale8:
         if realize_quadruple(q, 0.0, 2) is not None:
             flat = True
-            roots.append(WaldRoot(0.0, abs(dcm) / scale8, True))
+            roots.append(WaldRoot(0.0, abs(dcm) / scale8))
     half = max(opts.samples // 2, 8)
     f = lambda k: scalar_curvature_det(d, k)  # noqa: E731
     candidates = []
@@ -102,17 +102,14 @@ def scalar_wald_curvature(q, opts=None):
     for k in candidates:
         if flat and abs(k) <= 100.0 * floor:
             continue
-        minors_ok = True
-        if k > 0.0:
-            minors_ok = scalar_minors_ok(d, k)
-            if not minors_ok:
-                continue
+        if k > 0.0 and not scalar_minors_ok(d, k):
+            continue
         if realize_quadruple(q, k, 2) is None:
             continue
         residual = abs(scalar_curvature_det(d, k))
         if residual > 1e-6:
             continue
-        roots.append(WaldRoot(float(k), residual, minors_ok))
+        roots.append(WaldRoot(float(k), residual))
     roots.sort(key=lambda r: r.kappa)
     if flat:
         classification = "flat"
