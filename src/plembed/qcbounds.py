@@ -22,6 +22,8 @@ _FOUR_PI = 4.0 * math.pi
 TINY_ANGLE = 1e-6  # interior dihedral angles below this draw a conditioning warning
 CONVEX_TOL = 1e-9  # a link direction this far outside a face plane makes the corner non-convex
 DEDUPE_TOL = 1e-12  # consecutive link directions or face normals this close coincide
+STRAIGHT_TOL = 1e-12  # an interior dihedral angle up to pi * (1 + STRAIGHT_TOL) is not reflex
+ARC_TOL = 1e-12  # a link arc whose tangent at either end is shorter than this (its sine) is degenerate
 MC_CHUNK = 1 << 16  # Monte Carlo directions drawn and counted at a time
 
 
@@ -179,9 +181,10 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
     cosines = rowdot(n1, n2).tolist()
     records, reflex, warnings = [], [], []
     bound = 1.0
+    straight = math.pi * (1.0 + STRAIGHT_TOL)
     for edge, sin, cos in zip(zip(a.tolist(), b.tolist()), sines, cosines):
         angle = math.pi - math.atan2(sin, cos)
-        if angle <= math.pi * (1.0 + 1e-12):
+        if angle <= straight:
             if angle < TINY_ANGLE:
                 warnings.append(
                     f"edge {edge}: interior angle {angle:.3e} below {TINY_ANGLE:.0e}; "
@@ -244,7 +247,7 @@ def _left_area(units: np.ndarray) -> float:
     arrive = rowdot(units, prev)[:, None] * units - prev
     depart = nxt - rowdot(units, nxt)[:, None] * units
     na, nd = np.sqrt(rowdot(arrive, arrive)), np.sqrt(rowdot(depart, depart))
-    if min(na.min(), nd.min()) < 1e-12:
+    if min(na.min(), nd.min()) < ARC_TOL:
         raise MeshError("degenerate link arc (parallel consecutive directions)")
     arrive /= na[:, None]
     depart /= nd[:, None]

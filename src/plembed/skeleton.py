@@ -7,12 +7,20 @@ Degenerate quadruples (a point metrically between two others, which happens
 whenever a shortest path between two neighbours runs through v) are skipped
 and reported, never guessed.
 
-Star distances come from one Dijkstra search per vertex a, stopped at the
-radius R(a) = max over neighbours v of w(a, v) plus the longest edge at v.
-The search settles every vertex within R(a) at its exact graph distance, and
-every star distance read from it lies within R(a), since d(a, v) <= w(a, v)
-for a neighbour v and d(a, b) <= w(a, v) + w(v, b) for a vertex b sharing
-the neighbour v; so no all-pairs matrix is needed.
+Star distances come from one search ball per vertex a: every vertex within
+the radius R(a) = max over neighbours v of w(a, v) plus the longest edge at
+v (widened by SEARCH_MARGIN), at its graph distance.  Every star distance
+read from a ball lies within R(a), since d(a, v) <= w(a, v) for a neighbour
+v and d(a, b) <= w(a, v) + w(v, b) for a vertex b sharing the neighbour v;
+so no all-pairs matrix is needed.  All balls grow together in one bounded
+relaxation over the CSR adjacency: each round extends by one edge the paths
+whose distance fell in the round before and keeps, per (source, vertex)
+key, the smallest sum within R(source); the rounds stop when no distance
+falls.  The rounded sum fl(d + w) never decreases as d grows, so the
+fixpoint is, per key, the smallest left-to-right rounded sum of edge
+lengths over all paths, which is exactly what a Dijkstra search settles;
+and every prefix of a path that ends within R(a) is within R(a) too, so
+dropping the candidates beyond it loses none.
 
 `polyline_curvature` offers two discrete curvature measures for three
 consecutive points of a polygonal curve.  The Menger mode is the inverse
@@ -27,12 +35,11 @@ itself.  See the README.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Mapping
 
 import numpy as np
@@ -56,6 +63,15 @@ from .quadruple import (
 )
 from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI
 
+SEARCH_MARGIN = 1e-12  # relative widening of each star-search radius R(a)
+STAR_RANGE = 4096  # search balls grown, and bases whose stars are gathered, at a time (memory only)
+
+
+def _edges_at(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the edges at each of ``vertices``, vertex after vertex, and their degrees."""
+    deg = indptr[vertices + 1] - indptr[vertices]
+    return np.arange(deg.sum()) + np.repeat(indptr[vertices] - np.cumsum(deg) + deg, deg), deg
+
 
 class MetricGraph:
     """Undirected graph with positive edge lengths and shortest-path metric."""
@@ -68,7 +84,6 @@ class MetricGraph:
         n = len(self.labels)
         seen = set()
         cleaned = []
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for i, j, w in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownVertexError(f"edge index out of range: ({i}, {j})")
@@ -83,11 +98,24 @@ class MetricGraph:
                 raise DuplicateEdgeError(f"duplicate edge ({self.labels[i]}, {self.labels[j]})")
             seen.add(key)
             cleaned.append((key[0], key[1], float(w)))
-            adj[i].append((j, float(w)))
-            adj[j].append((i, float(w)))
         self.edges: tuple[tuple[int, int, float], ...] = tuple(cleaned)
-        # (neighbour, length) pairs of each vertex, in neighbour order
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        # CSR adjacency: the neighbours of vertex i, in increasing order, and
+        # the edge lengths to them are _nbr and _w over _indptr[i]:_indptr[i + 1]
+        table = np.array(cleaned, dtype=float).reshape(-1, 3)
+        ends = table[:, :2].astype(np.intp)
+        tail, head = np.concatenate([ends, ends[:, ::-1]]).T
+        order = np.argsort(tail * n + head)
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+        self._nbr = head[order]
+        self._w = np.tile(table[:, 2], 2)[order]
+        # R(a): max over neighbours v of w(a, v) plus the longest edge at v
+        # (0 at an isolated vertex), widened by SEARCH_MARGIN
+        has_edges = self._indptr[1:] > self._indptr[:-1]
+        starts = self._indptr[:-1][has_edges]
+        longest, radius = np.zeros(n), np.zeros(n)
+        longest[has_edges] = np.maximum.reduceat(self._w, starts)
+        radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
+        self._radius = radius * (1.0 + SEARCH_MARGIN)
 
     @classmethod
     def from_edge_list(cls, triples) -> "MetricGraph":
@@ -118,33 +146,43 @@ class MetricGraph:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v) -> tuple[int, ...]:
-        return tuple(j for j, _ in self._adj[self.index(v)])
+        i = self.index(v)
+        return tuple(self._nbr[self._indptr[i] : self._indptr[i + 1]].tolist())
 
     def degree(self, v) -> int:
-        return len(self._adj[self.index(v)])
+        i = self.index(v)
+        return int(self._indptr[i + 1] - self._indptr[i])
 
-    def _search(self, source: int, radius: float = math.inf) -> dict[int, float]:
-        """Dijkstra from ``source``: the distance to every vertex within ``radius``."""
-        adj = self._adj
-        dist: dict[int, float] = {}
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > radius:
-                break
-            if u in dist:
-                continue
-            dist[u] = d
-            for j, w in adj[u]:
-                if j not in dist:
-                    heapq.heappush(heap, (d + w, j))
-        return dist
+    def _balls(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The search balls of ``sources`` (sorted, distinct), by the relaxation in the module docstring.
 
-    def _star_ball(self, source: int) -> dict[int, float]:
-        """Distances from ``source`` to its neighbours and to every vertex sharing a neighbour with it."""
-        adj = self._adj
-        radius = max((w + max(x for _, x in adj[j]) for j, w in adj[source]), default=0.0)
-        return self._search(source, radius * (1.0 + 1e-12))
+        Returns the sorted keys ``s * n + vertex`` of every vertex within
+        R(s) of a source s, and their graph distances.
+        """
+        n = self.num_vertices
+        keys, dist = sources * n + sources, np.zeros(len(sources))
+        front, front_dist = keys, dist
+        while len(front):
+            edge, deg = _edges_at(self._indptr, front % n)
+            src = np.repeat(front // n, deg)
+            cand = np.repeat(front_dist, deg) + self._w[edge]
+            near = cand <= self._radius[src]
+            cand_keys, cand = src[near] * n + self._nbr[edge[near]], cand[near]
+            # the smallest candidate per key
+            order = np.argsort(cand_keys)
+            cand_keys, cand = cand_keys[order], cand[order]
+            first = np.flatnonzero(np.diff(cand_keys, prepend=-1))
+            cand_keys, cand = cand_keys[first], np.minimum.reduceat(cand, first)
+            # keys not seen yet, and known keys whose distance falls
+            pos = np.searchsorted(keys, cand_keys)
+            at = np.minimum(pos, len(keys) - 1)
+            known = keys[at] == cand_keys
+            fell = known & (cand < dist[at])
+            dist[at[fell]] = cand[fell]
+            new = ~known
+            keys, dist = np.insert(keys, pos[new], cand_keys[new]), np.insert(dist, pos[new], cand[new])
+            front, front_dist = cand_keys[fell | new], cand[fell | new]
+        return keys, dist
 
     def scaled(self, factor: float) -> "MetricGraph":
         if factor <= 0.0:
@@ -269,34 +307,65 @@ class _Stars:
     ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
     validation code of each star; ``degenerate`` marks the stars with a
     metric betweenness.
+
+    `gather` grows the search ball of every base and every neighbour once,
+    STAR_RANGE sources at a time.  Then, STAR_RANGE bases at a time, so
+    that only one range's raw blocks are held at once, it reads the
+    (k + 1) x (k + 1) block of distances among each base of degree k and
+    its neighbours once, all bases of one degree together, row p from the
+    ball of vertex p as a dense matrix holds it.  The stars are the 4 x 4
+    sub-blocks at `_star_positions`.
     """
 
     bases: tuple[int, ...]
-    start: np.ndarray
-    neighbors: np.ndarray
+    start: list[int]
+    neighbors: list[tuple[str, str, str]]
     distances: np.ndarray
-    defect: np.ndarray
-    degenerate: np.ndarray
+    defect: list[int]
+    degenerate: list[bool]
 
     @classmethod
     def gather(cls, g: MetricGraph, bases) -> "_Stars":
-        bases = tuple(bases)
-        sources = {s for v in bases for s in (v, *g.neighbors(v))}
-        ball = {s: g._star_ball(s) for s in sources}
-        vertices, raw, counts = [np.empty((0, 4), dtype=np.intp)], [np.empty((0, 4, 4))], []
-        for v in bases:
-            idx = (v, *g.neighbors(v))
-            pos = _star_positions(len(idx) - 1)
-            counts.append(len(pos))
-            if len(pos):
-                # row p measured by the search from vertex p, as a dense matrix holds it
-                local = np.array([[ball[a][b] for b in idx] for a in idx])
-                vertices.append(np.array(idx)[pos])
-                raw.append(local[pos[:, :, None], pos[:, None, :]])
-        neighbors = np.array(g.labels, dtype=object)[np.concatenate(vertices)[:, 1:]]
-        distances, defect = _symmetrized(np.concatenate(raw))
-        start = np.concatenate([[0], np.cumsum(counts)])
-        return cls(bases, start, neighbors, distances, defect, _betweenness(distances, BETWEENNESS_MARGIN))
+        bases = np.array(bases, dtype=np.intp).reshape(-1)
+        edge, degree = _edges_at(g._indptr, bases)
+        sources = np.unique(np.concatenate([bases, g._nbr[edge]]))
+        chunks = np.array_split(sources, max(1, -(-len(sources) // STAR_RANGE)))
+        keys, dist = map(np.concatenate, zip(*map(g._balls, chunks)))
+        start = np.concatenate([[0], np.cumsum(degree * (degree - 1) * (degree - 2) // 6)])
+        labels = np.array(g.labels, dtype=object)
+        neighbors: list[tuple[str, str, str]] = []
+        distances = np.empty((start[-1], 4, 4))
+        defect = np.empty(start[-1], dtype=np.intp)
+        degenerate = np.empty(start[-1], dtype=bool)
+        for lo in range(0, len(bases), STAR_RANGE):
+            offset = start[lo : lo + STAR_RANGE + 1]
+            raw, ids = _range_blocks(g, keys, dist, bases[lo : lo + STAR_RANGE], offset - offset[0])
+            span = slice(offset[0], offset[-1])
+            distances[span], defect[span] = _symmetrized(raw)
+            degenerate[span] = _betweenness(distances[span], BETWEENNESS_MARGIN)
+            neighbors += map(tuple, labels[ids].tolist())
+            del raw, ids  # before the next range's blocks
+        return cls(tuple(bases.tolist()), start.tolist(), neighbors, distances, defect.tolist(), degenerate.tolist())
+
+
+def _range_blocks(g: MetricGraph, keys, dist, bases, start) -> tuple[np.ndarray, np.ndarray]:
+    """Raw distances (Q, 4, 4) and neighbour ids (Q, 3) of the stars at ``bases``.
+
+    Read from the balls ``keys``, ``dist``; the stars of ``bases[k]`` are rows ``start[k]:start[k + 1]``.
+    """
+    n, indptr = g.num_vertices, g._indptr
+    degree = indptr[bases + 1] - indptr[bases]
+    raw = np.empty((start[-1], 4, 4))
+    ids = np.empty((start[-1], 3), dtype=np.intp)
+    for k in np.unique(degree[degree >= 3]).tolist():
+        at = np.flatnonzero(degree == k)
+        idx = np.concatenate([bases[at, None], g._nbr[indptr[bases[at], None] + np.arange(k)]], axis=1)
+        block = dist[np.searchsorted(keys, idx[:, :, None] * n + idx[:, None, :])]
+        pos = _star_positions(k)
+        rows = (start[at, None] + np.arange(len(pos))).reshape(-1)
+        raw[rows] = block[:, pos[:, :, None], pos[:, None, :]].reshape(-1, 4, 4)
+        ids[rows] = idx[:, pos[:, 1:]].reshape(-1, 3)
+    return raw, ids
 
 
 @dataclass(frozen=True)
@@ -368,14 +437,15 @@ def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float) -> LocalR
     Degenerate stars are only listed.
     """
     label = g.labels[stars.bases[k]]
-    lo, hi = int(stars.start[k]), int(stars.start[k + 1])
-    defect = stars.defect[lo:hi]
-    if defect.any():
-        raise DomainError(_DEFECTS[defect[defect.argmax()] - 1])
-    degenerate = stars.degenerate[lo:hi]
-    neighbors = stars.neighbors[lo:hi]
+    lo, hi = stars.start[k], stars.start[k + 1]
+    worst = max(stars.defect[lo:hi], default=0)
+    if worst:
+        raise DomainError(_DEFECTS[worst - 1])
     checks, verdict, witness = [], True, None
-    for d, nbr_labels in zip(stars.distances[lo:hi][~degenerate], map(tuple, neighbors[~degenerate].tolist())):
+    for q in range(lo, hi):
+        if stars.degenerate[q]:
+            continue
+        d, nbr_labels = stars.distances[q], stars.neighbors[q]
         try:
             cert = _certify(d, 0.0)
             vk = sum(_apex_angles(d, kappa, 0))
@@ -395,7 +465,7 @@ def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float) -> LocalR
                 # an angle inequality at the base, or "@i" at neighbour point i
                 name = f"angle{w[2]}" + (f"@{w[1]}" if w[1] else "")
             witness = (nbr_labels, name)
-    skipped = tuple(map(tuple, neighbors[degenerate].tolist()))
+    skipped = tuple(compress(stars.neighbors[lo:hi], stars.degenerate[lo:hi]))
     return LocalReport(label, float(kappa), verdict, tuple(checks), skipped, witness)
 
 

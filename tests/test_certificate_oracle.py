@@ -4,8 +4,8 @@
 excesses from one pass over the 12 comparison angles, then a second pass
 over the same angles for the triangle-inequality slacks.  `scalar_global` is
 the star loop `global_compatibility` once ran: per star, distances read from
-one search per vertex, one validated `MetricQuadruple` and one betweenness
-test.  The single-pass code must give equal documents (``==``) and the same
+one heap Dijkstra search per vertex (`test_skeleton.star_ball`), one
+validated `MetricQuadruple` and one betweenness test.  The single-pass code must give equal documents (``==``) and the same
 `DomainError` text.
 """
 
@@ -32,7 +32,7 @@ from plembed.skeleton import ANGLE_TOL, CompatibilityReport, LocalReport, Quadru
 
 from conftest import hex_grid_graph, icosahedron_graph, octahedron_graph, star_graph, unit_k4
 from test_cli import K4_DOC
-from test_skeleton import _random_metric_graph
+from test_skeleton import _random_metric_graph, adjacency, star_ball
 from test_wald_oracle import (
     SURFACE_KAPPAS,
     quadruples,
@@ -79,7 +79,8 @@ def scalar_s3_embeddability(q, kappa, angle_tol=1e-9):
 def scalar_local(g, v, kappa, tol=ANGLE_TOL):
     label = g.labels[v]
     idx = (v, *g.neighbors(v))
-    ball = {a: g._star_ball(a) for a in idx}
+    adj = adjacency(g)
+    ball = {a: star_ball(adj, a) for a in idx}
     # every star is validated before any is certified
     stars = []
     for trio in combinations(idx[1:], 3):

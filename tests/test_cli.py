@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+
+from plembed import cli
 
 from conftest import DENTED_OCTA_OFF, TETRA_OFF
 
@@ -268,6 +271,64 @@ class TestCheckGlobalCommand:
         path = tmp_path / "bad.json"
         path.write_text(doc)
         assert_rejected(run_cli("check-global", "--graph", str(path)), message)
+
+
+K4_EDGES = json.loads(K4_DOC)["edges"]
+# graphs whose isolated, pendant and degree-2 vertices and vertex order the
+# adjacency arrays must get right: (document, every vertex in order)
+EDGE_CASE_DOCS = {
+    "no-edges": ({"vertices": ["a"], "edges": [], "kappa": 0}, ["a"]),
+    "isolated": ({"vertices": ["a", "b", "c", "d", "e"], "edges": K4_EDGES, "kappa": 0}, ["a", "b", "c", "d", "e"]),
+    "pendant": (
+        {"edges": K4_EDGES + [["a", "p", 0.5], ["p", "q", 2], ["b", "r", 1.5]], "kappa": 0.5},
+        ["a", "b", "c", "d", "p", "q", "r"],
+    ),
+    "vertex-order": (
+        {"vertices": ["d", "c", "b", "a", "x"], "edges": K4_EDGES + [["x", "a", 1.2], ["x", "b", 0.7], ["x", "c", 1.1]], "kappa": -1},
+        ["d", "c", "b", "a", "x"],
+    ),
+}
+# sha256 of the check-global stdout, and of the check-local stdouts at every
+# vertex in order, as the per-vertex heap searches printed them
+EDGE_CASE_DIGESTS = {
+    "no-edges": (
+        "44cab470e6856a7916dd46b5576f0c12e83a59d41d78cfe59133969381d13f27",
+        "2363cf3a201d70a842843709644d97049f5d9205fc651c363d20b4b42a5c33da",
+    ),
+    "isolated": (
+        "e44b18fa455b7cdf9db5e28c31ac5a41a63d8ba16c0e1a60a53a6df638dd0127",
+        "f94cf6c2658b4f586a13b77b326bf48f375b4300d94765dcde84f99dc4fb6635",
+    ),
+    "pendant": (
+        "f8ce470704923e30805b7dd5d1dda85477a73142876d480d813cb1a6b56e5994",
+        "63d4d9e9db879e5bced64cc7326e69503d10a1bfff58fc9d8dab919e34a64f89",
+    ),
+    "vertex-order": (
+        "37bd99c2dc01d50aa689d49823ddb63606fc803524c1876f3dfcdb2ebc597250",
+        "dfbf5048c237762dc0fe15441980939277c14546541dbb3a52cd6ee17181aa7d",
+    ),
+}
+
+
+class TestGraphEdgeCases:
+    @pytest.mark.parametrize("name", EDGE_CASE_DOCS)
+    def test_same_bytes(self, name, tmp_path, monkeypatch, capsys):
+        # the document path is part of the output, so run where it is relative
+        doc, labels = EDGE_CASE_DOCS[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph.json").write_text(json.dumps(doc))
+        assert cli.main(["check-global", "--graph", "graph.json"]) == 0
+        text = capsys.readouterr().out
+        entries = json.loads(text)["entries"]
+        assert [e["vertex"] for e in entries] == labels
+        local = []
+        for v, entry in zip(labels, entries):
+            assert cli.main(["check-local", "--graph", "graph.json", "--vertex", v]) == 0
+            local.append(capsys.readouterr().out)
+            head = {"command": "check-local", "graph": "graph.json", "schema_version": 3}
+            assert json.loads(local[-1]) == {**head, **entry}
+        digest = lambda s: hashlib.sha256(s.encode()).hexdigest()
+        assert (digest(text), digest("".join(local))) == EDGE_CASE_DIGESTS[name]
 
 
 class TestQcBoundCommand:

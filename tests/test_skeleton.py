@@ -1,3 +1,4 @@
+import heapq
 import math
 from itertools import combinations
 
@@ -21,26 +22,66 @@ from plembed import (
     parse_metric_graph,
     polyline_curvature,
 )
-from plembed.skeleton import _Stars
+from plembed import skeleton
+from plembed.quadruple import BETWEENNESS_MARGIN, _betweenness, _symmetrized
+from plembed.skeleton import SEARCH_MARGIN, STAR_RANGE, _Stars
 
 from conftest import hex_grid_graph, icosahedron_graph, star_graph, unit_k4
 from test_acceptance import _independent_distances
+from test_mesh_oracle import jittered_icosphere
 
 TWO_PI = 2.0 * math.pi
+
+
+def adjacency(g: MetricGraph) -> list[list[tuple[int, float]]]:
+    """(neighbour, length) pairs of each vertex."""
+    adj = [[] for _ in range(g.num_vertices)]
+    for i, j, w in g.edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
+def dijkstra(adj, source: int, radius: float = math.inf) -> dict[int, float]:
+    """Heap Dijkstra from ``source``: the distance to every vertex within ``radius``.
+
+    The oracle of the bounded relaxation (`MetricGraph._balls`), which must
+    give the same distances bit for bit.
+    """
+    dist: dict[int, float] = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > radius:
+            break
+        if u in dist:
+            continue
+        dist[u] = d
+        for j, w in adj[u]:
+            if j not in dist:
+                heapq.heappush(heap, (d + w, j))
+    return dist
+
+
+def star_ball(adj, source: int) -> dict[int, float]:
+    """The search ball of ``source``: every vertex within R(source), as the library bounds it."""
+    radius = max((w + max(x for _, x in adj[j]) for j, w in adj[source]), default=0.0)
+    return dijkstra(adj, source, radius * (1.0 + SEARCH_MARGIN))
 
 
 def distance_matrix(g: MetricGraph) -> np.ndarray:
     """Dense all-pairs distances (inf between components) from unbounded searches, exactly symmetric."""
     n = g.num_vertices
+    adj = adjacency(g)
     d = np.full((n, n), np.inf)
     for i in range(n):
-        row = g._search(i)
+        row = dijkstra(adj, i)
         d[i, list(row)] = list(row.values())
     return 0.5 * (d + d.T)
 
 
 def distance(g: MetricGraph, u, v) -> float:
-    return g._search(g.index(u)).get(g.index(v), math.inf)
+    return dijkstra(adjacency(g), g.index(u)).get(g.index(v), math.inf)
 
 
 class TestMetricGraph:
@@ -224,8 +265,8 @@ class TestJsonParser:
 def star_rows(g: MetricGraph, v) -> tuple[list[list[int]], np.ndarray]:
     """Vertex ids (base first) and symmetrized graph distances of every star at v."""
     stars = _Stars.gather(g, [g.index(v)])
-    assert stars.start.tolist() == [0, len(stars.distances)]
-    return [[g.index(v), *map(g.index, row)] for row in stars.neighbors.tolist()], stars.distances
+    assert stars.start == [0, len(stars.distances)]
+    return [[g.index(v), *map(g.index, row)] for row in stars.neighbors], stars.distances
 
 
 class TestStarQuadruples:
@@ -504,6 +545,138 @@ class TestLocalDistances:
         assert rep.verdict and all(len(e.skipped) == 10 for e in rep.entries)
         rep = global_compatibility(hex_grid_graph(), 0.0)
         assert rep.verdict and len(rep.entries[0].skipped) == 20
+
+
+def icosphere_graph(level: int, seed: int) -> MetricGraph:
+    """Chord-length skeleton of a radially jittered icosphere."""
+    v, f = jittered_icosphere(level, seed)
+    pairs = sorted({(min(a, b), max(a, b)) for t in f.tolist() for a, b in zip(t, t[1:] + t[:1])})
+    return MetricGraph([f"v{i}" for i in range(len(v))], [(a, b, float(np.linalg.norm(v[a] - v[b]))) for a, b in pairs])
+
+
+def tied_grid_graph(size: int = 5) -> MetricGraph:
+    """Unit square grid with a diagonal of length exactly 2 in every other cell.
+
+    Each diagonal ties the two unit-edge paths around its cell, and the
+    distances between neighbours tie the detours through them.
+    """
+    edges = []
+    for i in range(size):
+        for j in range(size):
+            k = i * size + j
+            if j + 1 < size:
+                edges.append((k, k + 1, 1.0))
+            if i + 1 < size:
+                edges.append((k, k + size, 1.0))
+            if i + 1 < size and j + 1 < size and (i + j) % 2 == 0:
+                edges.append((k, k + size + 1, 2.0))
+    return MetricGraph([f"g{k}" for k in range(size * size)], edges)
+
+
+def integer_graph(seed: int, n: int = 30) -> MetricGraph:
+    """Connected graph with lengths 1, 2 and 3, so that many shortest paths tie exactly."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+    for _ in range(2 * n):
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        pairs.add((i, j))
+    return MetricGraph([f"n{i}" for i in range(n)], [(i, j, float(rng.integers(1, 4))) for i, j in sorted(pairs)])
+
+
+def disconnected_graph() -> MetricGraph:
+    """Two K4 components with unequal lengths, a path and an isolated vertex, their labels interleaved."""
+    labels = ["a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3", "p0", "p1", "p2", "lone"]
+    a, b = [0, 2, 4, 6], [1, 3, 5, 7]
+    edges = [(a[i], a[j], 1.0 + 0.1 * (i + j)) for i, j in combinations(range(4), 2)]
+    edges += [(b[i], b[j], 2.0 - 0.3 * i) for i, j in combinations(range(4), 2)]
+    edges += [(8, 9, 1.5), (9, 10, 0.5)]
+    return MetricGraph(labels, edges)
+
+
+def radius_boundary_graph() -> MetricGraph:
+    """A vertex b exactly at the search radius R(a) = 2 (1 + SEARCH_MARGIN) of a, along a - v - y - b.
+
+    The only neighbour v of a has edges of lengths 1 and 0.5, so R(a) is
+    2 widened by the margin, and y - b is R(a) - 1.5, which the rounded sum
+    1.5 + (R(a) - 1.5) meets exactly; a search ball holds b.
+    """
+    radius = 2.0 * (1.0 + SEARCH_MARGIN)
+    return MetricGraph(["a", "v", "y", "b"], [(0, 1, 1.0), (1, 2, 0.5), (2, 3, radius - 1.5)])
+
+
+SWEEP_GRAPHS = {
+    **{f"icosphere{level}-{seed}": (lambda level=level, seed=seed: icosphere_graph(level, seed))
+       for level in (1, 2, 3) for seed in (21, 22, 23)},
+    "hex-grid": hex_grid_graph,
+    "tied-grid": tied_grid_graph,
+    **{f"integer-{seed}": (lambda seed=seed: integer_graph(seed)) for seed in (1, 2, 3)},
+    "disconnected": disconnected_graph,
+    "radius-boundary": radius_boundary_graph,
+}
+
+
+def oracle_stars(g: MetricGraph) -> tuple:
+    """`_Stars` fields at every vertex as one heap search per vertex gives them, read entry by entry."""
+    adj = adjacency(g)
+    balls = [star_ball(adj, a) for a in range(g.num_vertices)]
+    start, neighbors, raw = [0], [], []
+    for v in range(g.num_vertices):
+        idx = (v, *sorted(j for j, _ in adj[v]))
+        for trio in combinations(idx[1:], 3):
+            ids = (v, *trio)
+            raw.append([[balls[a][b] for b in ids] for a in ids])
+            neighbors.append(tuple(g.labels[j] for j in trio))
+        start.append(len(raw))
+    distances, defect = _symmetrized(np.array(raw, dtype=float).reshape(-1, 4, 4))
+    return start, neighbors, distances, defect.tolist(), _betweenness(distances, BETWEENNESS_MARGIN).tolist()
+
+
+class TestRelaxationOracle:
+    """The bounded relaxation and the star assembly against heap Dijkstra searches, bit for bit."""
+
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_balls(self, name):
+        g = SWEEP_GRAPHS[name]()
+        n = g.num_vertices
+        keys, dist = g._balls(np.arange(n))
+        balls = [{} for _ in range(n)]
+        for key, d in zip(keys.tolist(), dist.tolist()):
+            balls[key // n][key % n] = d
+        adj = adjacency(g)
+        assert balls == [star_ball(adj, a) for a in range(n)]
+        if name == "radius-boundary":
+            assert balls[0] == {0: 0.0, 1: 1.0, 2: 1.5, 3: 2.0 * (1.0 + SEARCH_MARGIN)}
+
+    @pytest.mark.parametrize("star_range", [STAR_RANGE, 7])
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_stars(self, name, star_range, monkeypatch):
+        # the range size changes only what is held at once
+        monkeypatch.setattr(skeleton, "STAR_RANGE", star_range)
+        g = SWEEP_GRAPHS[name]()
+        stars = _Stars.gather(g, range(g.num_vertices))
+        start, neighbors, distances, defect, degenerate = oracle_stars(g)
+        assert stars.bases == tuple(range(g.num_vertices))
+        assert (stars.start, stars.neighbors, stars.defect, stars.degenerate) == (start, neighbors, defect, degenerate)
+        assert stars.distances.shape == distances.shape and stars.distances.tobytes() == distances.tobytes()
+
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_local_equals_global_entry(self, name):
+        g = SWEEP_GRAPHS[name]()
+        for kappa in (-1.0, 0.1):
+            entries = global_compatibility(g, kappa).entries
+            assert [e.vertex for e in entries] == list(g.labels)
+            for v, entry in enumerate(entries):
+                assert local_compatibility(g, v, kappa).to_dict() == entry.to_dict()
+
+    def test_sweep_has_checked_skipped_and_empty_stars(self):
+        # the sweep covers checked and skipped stars and vertices with none
+        seen = set()
+        for make in SWEEP_GRAPHS.values():
+            for e in global_compatibility(make(), 0.0).entries:
+                seen |= {"checked"} if e.checks else set()
+                seen |= {"skipped"} if e.skipped else set()
+                seen |= {"none"} if not (e.checks or e.skipped) else set()
+        assert seen == {"checked", "skipped", "none"}
 
 
 class TestCurveTriple:
