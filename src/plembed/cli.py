@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Every subcommand prints a JSON document (sorted keys, schema_version field)
-to stdout.  Exit status: 0 on success, 1 when a feasibility command returns
-a negative verdict, 2 on input or usage errors.  Numbers are emitted with
-Python's shortest round-trip float representation, so parsing them back
-reproduces the exact values.  The PLEMBED_SEED environment variable sets
+to stdout, or to the --output file.  One writer, `_dumps`, makes every
+document; its bytes are those of `json.dumps` with sorted keys and an
+indent of 2.  Exit status: 0 on success, 1 when a feasibility command
+returns a negative verdict, 2 on input or usage errors.  Numbers are emitted
+with Python's shortest round-trip float representation, so parsing them
+back reproduces the exact values.  The PLEMBED_SEED environment variable sets
 the default Monte Carlo seed.
 """
 
@@ -21,11 +23,56 @@ from .errors import ParseError
 from .spaceform import TWO_PI
 
 SCHEMA_VERSION = 3
+_STR = json.encoder.encode_basestring_ascii
+_JOINS = {str: _STR, float: float.__repr__, int: int.__repr__}
+
+
+def _dumps(o, pad: str = "\n") -> str:
+    """The text of ``json.dumps(o)`` with sorted keys and an indent of 2.
+
+    With an indent, ``json.dumps`` takes its pure-Python encoder.  Here a list
+    is one C-level join when its first item is a str, float or int and every
+    item takes the same encoder.  It goes item by item where that join would
+    differ from json: a float join that wrote nan or inf (json writes NaN and
+    Infinity), and an int join over a bool (json writes true, not 1).  A key
+    that is not a str and a value json cannot encode raise TypeError.
+    ``pad`` is the newline and indent of the line that closes ``o``.
+    """
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = "," + inner
+        join = _JOINS.get(type(o[0]))
+        try:
+            text = sep.join(map(join, o)) if join else ""
+        except TypeError:  # an item of another type
+            text = ""
+        if not text or join is float.__repr__ and "n" in text or join is int.__repr__ and bool in {*map(type, o)}:
+            text = sep.join([_dumps(v, inner) for v in o])
+        return f"[{inner}{text}{pad}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        text = ("," + inner).join([_STR(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())])
+        return f"{{{inner}{text}{pad}}}"
+    if isinstance(o, str):
+        return _STR(o)
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, args) -> None:
     payload["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -390,17 +390,29 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     excluding a tiny neighbourhood of zero where that determinant vanishes
     structurally.  Spherical roots additionally need all order-3 principal
     minors of the cosine matrix to be nonnegative.  Every candidate is kept
-    only if `realize_quadruple` succeeds at it in dimension 2.
+    only if `realize_quadruple` succeeds at it in dimension 2.  Distances so
+    large or small that a search scale overflows or underflows raise
+    DomainError.
     """
     opts = opts or WaldOptions()
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
     d = q.distances
     dmax, dmin = q.max_distance, q.min_distance
-    kappa_max = (math.pi / dmax) ** 2
-    cap = opts.kappa_cap if opts.kappa_cap is not None else 1e4 / (dmin * dmin)
-    floor = 1e-7 / (dmax * dmax)
-    scale8 = dmax**8
+    try:
+        scales = (
+            (math.pi / dmax) ** 2,
+            opts.kappa_cap if opts.kappa_cap is not None else 1e4 / (dmin * dmin),
+            1e-7 / (dmax * dmax),
+            dmax**8,
+        )
+    except (OverflowError, ZeroDivisionError):
+        scales = (math.nan,)
+    if not all(0.0 < s < math.inf for s in scales):
+        raise DomainError(
+            f"distances {dmin!r} to {dmax!r} are out of range: a curvature search scale overflows or underflows"
+        )
+    kappa_max, cap, floor, scale8 = scales
 
     dcm = cayley_menger(q)
     flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(q, 0.0, 2) is not None

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plembed import cli
 
@@ -63,6 +66,7 @@ def payload(result):
     assert result.stdout, f"no stdout; stderr: {result.stderr}"
     doc = json.loads(result.stdout, parse_constant=_reject_constant)
     assert doc["schema_version"] == 3
+    assert result.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return doc
 
 
@@ -142,6 +146,11 @@ class TestWaldCommand:
     def test_bad_kappa_cap(self, cap):
         r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
         assert_rejected(r, "kappa_cap must be positive and finite")
+
+    @pytest.mark.parametrize("side", ["1e160", "1e-320"])
+    def test_extreme_scale_rejected(self, side):
+        r = run_cli("wald", "--quadruple", ",".join([side] * 6))
+        assert_rejected(r, "out of range: a curvature search scale overflows or underflows")
 
     def test_eigensolver_repro(self):
         r = run_cli("wald", "--quadruple", EIGH_REPRO_Q)
@@ -534,6 +543,27 @@ class TestOutputAndUsage:
         assert r.stdout == ""
         assert json.loads(out.read_text())["bound"] == 9.0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check-global", "--graph", "{k4}", "--kappa", "0"],
+            ["qc-bound", "--mesh", "{tetra}"],
+            ["wald", "--quadruple", SQUARE_Q],
+            ["link-volume", "--mesh", "{tetra}", "--vertex", "0"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_output_file_has_stdout_bytes(self, tmp_path, k4_path, command):
+        tetra = tmp_path / "tetra.off"
+        tetra.write_text(TETRA_OFF)
+        args = [a.format(k4=k4_path, tetra=tetra) for a in command]
+        out = tmp_path / "res.json"
+        printed = run_cli(*args)
+        written = run_cli(*args, "--output", str(out))
+        assert (printed.returncode, written.returncode, written.stdout) == (0, 0, "")
+        payload(printed)
+        assert out.read_bytes() == printed.stdout.encode("ascii")
+
     def test_output_file_keeps_exit_code(self, tmp_path):
         out = tmp_path / "res.json"
         r = run_cli("embed-check", "--quadruple", TRIPOD_Q, "--kappa", "0", "--output", str(out))
@@ -550,3 +580,50 @@ class TestOutputAndUsage:
         r = run_cli("index-bound", "--n", "3", "--inner", "2.0")
         keys = [line.split('"')[1] for line in r.stdout.splitlines() if line.startswith('  "')]
         assert keys == sorted(keys)
+
+
+# pieces that an encoder could confuse with its own syntax, plus non-ASCII
+# and astral characters
+TEXT = st.lists(
+    st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", '": "', "\n", "\x00", "é", "\U0001f600"]) | st.characters(),
+    max_size=6,
+).map("".join)
+FLOAT = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]) | st.floats()
+FLOAT = FLOAT | FLOAT.map(np.float64)
+INT = st.sampled_from([0, -1, 2**70, -(2**70)]) | st.integers()
+SCALAR = TEXT | FLOAT | INT | st.booleans() | st.none()
+# lists the writer may encode in one join: one type, or one type with a bool
+# (json writes true where int.__repr__ writes 1)
+RUN = st.lists(TEXT) | st.lists(FLOAT | st.booleans()) | st.lists(INT | st.booleans())
+TREE = st.recursive(
+    SCALAR | RUN,
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple) | st.dictionaries(TEXT, kids, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+def _nest(tree, kinds):
+    for kind in kinds:
+        tree = {"k": tree} if kind == "dict" else [tree, 0] if kind == "list" else (tree,)
+    return tree
+
+
+DEEP = st.builds(_nest, TREE, st.lists(st.sampled_from(["dict", "list", "tuple"]), min_size=300, max_size=300))
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(TREE | DEEP)
+    def test_bytes_of_json_dumps(self, tree):
+        assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(1), {1, 2}, {1: "a"}, {"a": [set()]}, ["a", np.int64(2)], [1, np.int64(2)], [1.5, np.int64(2)]],
+        ids=["int64", "set", "int-key", "nested-set", "str-run", "int-run", "float-run"],
+    )
+    def test_unsupported_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)

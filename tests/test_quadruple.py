@@ -241,6 +241,22 @@ class TestWald:
         with pytest.raises(DomainError, match="kappa_cap"):
             WaldOptions(kappa_cap=cap)
 
+    @pytest.mark.parametrize("sides", [(1, 1.1, 0.9, 1.05, 0.95, 1.2), (1,) * 6], ids=["scalene", "equilateral"])
+    def test_every_scale_gives_a_result_or_domain_error(self, sides):
+        # the search scales (pi / max d)^2, 1e4 / min d^2, 1e-7 / max d^2 and
+        # max d^8 overflow or vanish at either end of the float range
+        solved = []
+        for k in range(-320, 309):
+            s = float(f"1e{k}")
+            try:
+                res = wald_curvature(MetricQuadruple.from_pairwise(*(s * x for x in sides)))
+            except DomainError:
+                continue
+            assert all(math.isfinite(v) for r in res.roots for v in (r.kappa, r.residual))
+            solved.append(k)
+        assert solved == list(range(solved[0], solved[-1] + 1))
+        assert solved[0] < -30 and solved[-1] > 30
+
     def test_classification_permutation_invariant(self):
         rng = np.random.default_rng(5)
         q = sample_model_quadruple(1.0, rng)
