@@ -22,7 +22,6 @@ from .bzelement import (
     FoldParams,
     PleatedElement,
     canonical_element,
-    fold_jacobian,
     isometry_defect,
     standard_vertex_map,
     vertex_contraction,
@@ -45,7 +44,6 @@ from .qcbounds import (
     MonteCarloEstimate,
     convex_face_count_bound,
     dihedral_wedge_coefficients,
-    folding_dilatation,
     mesh_edge_dilatation_bound,
     normalized_exterior_angle,
     normalized_link_volume,
@@ -62,7 +60,6 @@ from .quadruple import (
     nondegenerate,
     realize_quadruple,
     s3_embeddability,
-    vertex_excess,
     wald_curvature,
 )
 from .skeleton import (
@@ -77,11 +74,7 @@ from .skeleton import (
     parse_metric_graph,
     polyline_curvature,
 )
-from .spaceform import (
-    comparison_angle,
-    geodesic_distance,
-    realize_distances,
-)
+from .spaceform import comparison_angle, realize_distances
 
 __version__ = "0.1.0"
 
@@ -118,9 +111,6 @@ __all__ = [
     "comparison_angle",
     "convex_face_count_bound",
     "dihedral_wedge_coefficients",
-    "fold_jacobian",
-    "folding_dilatation",
-    "geodesic_distance",
     "global_compatibility",
     "isometry_defect",
     "load_off",
@@ -140,6 +130,5 @@ __all__ = [
     "standard_vertex_map",
     "uniform_index_bound",
     "vertex_contraction",
-    "vertex_excess",
     "wald_curvature",
 ]

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import DomainError
 from .spaceform import TWO_PI
 
-FOLD_STEP = 1e-6  # central-difference step of `fold_jacobian`
-
-
 @dataclass(frozen=True)
 class FoldParams:
     """Cone-to-cone fold: source angle theta, target angle lambda, radial scale."""
@@ -66,31 +63,6 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
     if not -1e-12 <= phi <= source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
     return rho, (TWO_PI / source_angle) * phi
-
-
-def fold_jacobian(params: FoldParams, rho: float, phi: float) -> np.ndarray:
-    """Central-difference Jacobian of the fold in local length coordinates.
-
-    Both cones are flat away from the apex; the source is charted by local
-    Cartesian coordinates at (rho, phi) and the image is read in the plane.
-    Valid when the target angle is at most 2*pi and the point is farther
-    than ``FOLD_STEP`` from the boundary rays.
-    """
-    if rho <= FOLD_STEP:
-        raise DomainError("sample point too close to the apex for the difference step")
-
-    def image(u: float, w: float) -> np.ndarray:
-        r = math.hypot(rho + u, w)
-        p = phi + math.atan2(w, rho + u)
-        rr, pp = standard_vertex_map(params, r, p)
-        return np.array([rr * math.cos(pp), rr * math.sin(pp)])
-
-    return np.column_stack(
-        [
-            (image(FOLD_STEP, 0.0) - image(-FOLD_STEP, 0.0)) / (2.0 * FOLD_STEP),
-            (image(0.0, FOLD_STEP) - image(0.0, -FOLD_STEP)) / (2.0 * FOLD_STEP),
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

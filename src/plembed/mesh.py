@@ -30,7 +30,7 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolyMesh:
     """Vertices (n, 3) and triangle faces (m, 3) with validated indices, and unit face normals.
 
-    The arrays are read-only, so orientation, edge order and vertex stars are computed once and kept.
+    The arrays are read-only, so orientation, edge order, vertex stars and corner values are computed once and kept.
     """
 
     vertices: np.ndarray
@@ -112,6 +112,13 @@ class PolyMesh:
         order = np.argsort(self.faces.ravel(), kind="stable")
         counts = np.bincount(self.faces.ravel(), minlength=len(self.vertices))
         return order // 3, np.r_[0, np.cumsum(counts)]
+
+    @cached_property
+    def _corners(self):
+        """Every vertex's exact link volume and exterior angle, or its error (`qcbounds._corner_table`)."""
+        from .qcbounds import _corner_table  # qcbounds builds on this module
+
+        return _corner_table(self)
 
     def vertex_faces(self, v: int) -> list[int]:
         faces, offsets = self._vertex_star

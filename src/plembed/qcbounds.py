@@ -103,17 +103,6 @@ def uniform_index_bound(dimension: int, inner: float) -> float:
     return float(n ** (n - 1)) * inner
 
 
-def folding_dilatation(alpha: float, beta: float) -> float:
-    """Inner dilatation of the angle-rescaling fold between two wedges.
-
-    Symmetrized to max(alpha/beta, beta/alpha) so the value is always >= 1,
-    whichever wedge is wider.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError("wedge angles must be positive")
-    return max(alpha / beta, beta / alpha)
-
-
 # ---------------------------------------------------------------------------
 # Mesh edge audit.
 
@@ -203,77 +192,167 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
 # Link volumes of solid corners.
 
 
-def _link_cycle(mesh: PolyMesh, v: int) -> tuple[list[int], list[int]]:
-    """Ordered cycle of link vertices around v, and the face of v, cycle[i], cycle[i + 1].
+# Outcome codes of the corner pass: 0 is a value, the others name the vertex's first defect.
+_NO_FACES, _NON_MANIFOLD, _OPEN, _SPLIT, _DEGENERATE, _NOT_CONVEX = range(1, 7)
+_MESSAGES = {
+    _NO_FACES: "vertex {v} has no incident faces",
+    _NON_MANIFOLD: "vertex {v}: non-manifold star",
+    _OPEN: "vertex {v}: star does not close into a cycle",
+    _SPLIT: "vertex {v}: star splits into several cycles",
+    _DEGENERATE: "degenerate link arc (parallel consecutive directions)",
+    # names the vertex as the caller gave it; the others name int(v)
+    _NOT_CONVEX: "vertex {arg}: not a convex corner; the dual cone exists only at convex corners",
+}
 
-    MeshError if the star of v is not a closed fan.
+
+def _link_cycles(faces: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Every vertex's link cycle, from the corners of ``faces``, stepped for all vertices at once.
+
+    Corner t of face k gives vertex faces[k, t] the link edge faces[k, t + 1]
+    -> faces[k, t + 2].  Sorted by (vertex, link vertex), vertex c owns rows
+    start[c] to start[c] + degree[c] - 1, and its cycle starts at its
+    smallest link vertex.  Returns the link vertex and face of each row in
+    cycle order, start, degree, and per vertex 0 or the code of its star's
+    first defect: a repeated link vertex, or a walk that does not come back
+    to the start or comes back early.
     """
-    succ: dict[int, int] = {}
-    fan: dict[int, int] = {}
-    for k in mesh.vertex_faces(v):
-        face = [int(x) for x in mesh.faces[k]]
-        t = face.index(v)
-        a, b = face[(t + 1) % 3], face[(t + 2) % 3]
-        if a in succ:
-            raise MeshError(f"vertex {v}: non-manifold star")
-        succ[a], fan[a] = b, k
-    if not succ:
-        raise MeshError(f"vertex {v} has no incident faces")
-    start = min(succ)
-    cycle = [start]
-    cur = succ[start]
-    while cur != start:
-        cycle.append(cur)
-        if cur not in succ or len(cycle) > len(succ):
-            raise MeshError(f"vertex {v}: star does not close into a cycle")
-        cur = succ[cur]
-    if len(cycle) != len(succ):
-        raise MeshError(f"vertex {v}: star splits into several cycles")
-    return cycle, [fan[a] for a in cycle]
+    c, a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel(), np.roll(faces, -2, axis=1).ravel()
+    order = np.argsort(c * n + a, kind="stable")
+    c, a, b = c[order], a[order], b[order]
+    key, target = c * n + a, c * n + b
+    degree = np.bincount(c, minlength=n)
+    start = np.cumsum(degree) - degree
+    code = np.where(degree == 0, _NO_FACES, 0)
+    code[c[1:][key[1:] == key[:-1]]] = _NON_MANIFOLD
+    succ = np.minimum(np.searchsorted(key, target), len(key) - 1)
+    succ[key[succ] != target] = -1  # no row starts at the successor
+    step = np.full(len(key), -1)
+    verts = np.flatnonzero(code == 0)
+    rows = start[verts]
+    step[rows] = 0
+    j = 0
+    while len(verts):
+        j += 1
+        rows = succ[rows]
+        home = rows == start[verts]
+        lost = (rows < 0) | (~home & (step[rows] >= 0))  # a dead end, or a loop that misses the start
+        code[verts[lost]] = _OPEN
+        code[verts[home & (degree[verts] != j)]] = _SPLIT
+        verts, rows = verts[~(home | lost)], rows[~(home | lost)]
+        step[rows] = j
+    ok = code[c] == 0
+    at = start[c[ok]] + step[ok]
+    link, fan = np.zeros_like(a), np.zeros_like(a)
+    link[at], fan[at] = a[ok], order[ok] // 3
+    return link, fan, start, degree, code
 
 
-def _left_area(units: np.ndarray) -> float:
-    """Area on the left of the closed spherical path through the unit rows of ``units``.
+def _gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x - y, as np.linalg.norm of the row."""
+    d = x - y
+    return np.sqrt(rowdot(d, d))
 
-    Gauss-Bonnet: 2*pi minus the total signed geodesic turning, each turn
-    taken from atan2 of the arrive and depart tangents.  Unlike summing
-    interior angles through acos, this stays fully accurate at
-    straight-through vertices (turn 0), which show up whenever a flat face
-    was triangulated.
+
+def _dedupe(p: np.ndarray) -> np.ndarray:
+    """Which points of each row of a (r, k, 3) stack of closed paths to keep.
+
+    A point is kept when it lies farther than DEDUPE_TOL from the last kept
+    one; then trailing kept points within DEDUPE_TOL of the first are
+    dropped.  (Comparing with the last kept point, not the previous one,
+    matters when three near-duplicates fall in a row.)  A row in which no
+    point lies that close to the one before it, cyclically, keeps them all.
     """
-    if len(units) < 3:
-        return 0.0
-    prev, nxt = np.roll(units, 1, axis=0), np.roll(units, -1, axis=0)
-    arrive = rowdot(units, prev)[:, None] * units - prev
-    depart = nxt - rowdot(units, nxt)[:, None] * units
-    na, nd = np.sqrt(rowdot(arrive, arrive)), np.sqrt(rowdot(depart, depart))
-    if min(na.min(), nd.min()) < ARC_TOL:
-        raise MeshError("degenerate link arc (parallel consecutive directions)")
-    arrive /= na[:, None]
-    depart /= nd[:, None]
-    sines = rowdot(np.cross(arrive, depart), units).tolist()
-    turning = 0.0
-    for sin, cos in zip(sines, rowdot(arrive, depart).tolist()):
-        turning += math.atan2(sin, cos)
-    return 2.0 * math.pi - turning
+    r, k = p.shape[:2]
+    keep = np.ones((r, k), dtype=bool)
+    near = _gap(p.reshape(-1, 3), np.roll(p, 1, axis=1).reshape(-1, 3)) <= DEDUPE_TOL
+    rows = np.flatnonzero(near.reshape(r, k).any(axis=1))
+    q, part = p[rows], keep[rows]
+    last = q[:, 0]
+    for j in range(1, k):
+        part[:, j] = _gap(q[:, j], last) > DEDUPE_TOL
+        last = np.where(part[:, j, None], q[:, j], last)
+    going = np.ones(len(rows), dtype=bool)  # still dropping trailing points
+    for j in range(k - 1, 0, -1):
+        drop = going & part[:, j] & (_gap(q[:, 0], q[:, j]) <= DEDUPE_TOL)
+        going &= drop | ~part[:, j]
+        part[:, j] &= ~drop
+    keep[rows] = part
+    return keep
 
 
-def _dedupe_cycle(units: np.ndarray) -> np.ndarray:
-    keep = []
-    for u in units:
-        if not keep or np.linalg.norm(u - keep[-1]) > DEDUPE_TOL:
-            keep.append(u)
-    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= DEDUPE_TOL:
-        keep.pop()
-    return np.array(keep)
+def _left_areas(p: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area on the left of each row's closed spherical path through its kept unit points, over 4*pi.
+
+    Gauss-Bonnet: 2*pi minus the total signed geodesic turning, one
+    math.atan2 of the arrive and depart tangents per point, summed left to
+    right from 0.0.  Unlike summing interior angles through acos, this stays
+    accurate at straight-through points (turn 0), as in triangulated flat
+    faces.  A path of fewer than three points has area 0.  Also returns
+    which rows have a degenerate arc (parallel consecutive points).
+    """
+    count = keep.sum(axis=1)
+    area, degenerate = np.zeros(len(keep)), np.zeros(len(keep), dtype=bool)
+    for k in np.unique(count[count >= 3]).tolist():
+        rows = count == k
+        path = p[rows] if k == keep.shape[1] else p[rows][keep[rows]].reshape(-1, k, 3)
+        units = path.reshape(-1, 3)
+        prev, nxt = np.roll(path, 1, axis=1).reshape(-1, 3), np.roll(path, -1, axis=1).reshape(-1, 3)
+        arrive = rowdot(units, prev)[:, None] * units - prev
+        depart = nxt - rowdot(units, nxt)[:, None] * units
+        na, nd = np.sqrt(rowdot(arrive, arrive)), np.sqrt(rowdot(depart, depart))
+        degenerate[rows] = ((na < ARC_TOL) | (nd < ARC_TOL)).reshape(-1, k).any(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # only at degenerate arcs
+            arrive /= na[:, None]
+            depart /= nd[:, None]
+        sines, cosines = rowdot(np.cross(arrive, depart), units), rowdot(arrive, depart)
+        turns = np.fromiter(map(math.atan2, memoryview(sines), memoryview(cosines)), float, len(units))
+        turning = np.zeros(len(path))
+        for t in turns.reshape(-1, k).T:
+            turning += t
+        area[rows] = (2.0 * math.pi - turning) / _FOUR_PI
+    return area, degenerate
 
 
-def _link(mesh: PolyMesh, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit link directions at v in outward cycle order, and the outward normals of its fan."""
+def _corner_table(m: PolyMesh) -> tuple[tuple[list, list], tuple[list, list]]:
+    """Exact link volume and exterior angle of every vertex of the outward mesh m, from one pass.
+
+    Returns (values, codes) for the exact volume and for the dual; a nonzero
+    code names the vertex's first error, in the order the checks are made:
+    its star, then (dual only) convexity, then a degenerate link arc.
+    Vertices of one degree are computed together, and the dual only at
+    convex corners.
+    """
+    n = len(m.vertices)
+    link, fan, start, degree, code = _link_cycles(m.faces, n)
+    exact, dual = np.zeros(n), np.zeros(n)
+    exact_code, dual_code = code.copy(), code.copy()
+    for k in np.unique(degree[code == 0]).tolist():
+        verts = np.flatnonzero((code == 0) & (degree == k))
+        rows = start[verts][:, None] + np.arange(k)
+        dirs = (m.vertices[link[rows]] - m.vertices[verts][:, None]).reshape(-1, 3)
+        units = (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)).reshape(-1, k, 3)
+        normals = m.face_normals[fan[rows]]
+        # the reversed outward link has the solid on its left
+        exact[verts], degenerate = _left_areas(units[:, ::-1], _dedupe(units)[:, ::-1])
+        exact_code[verts[degenerate]] = _DEGENERATE
+        nonconvex = np.max(units @ normals.transpose(0, 2, 1), axis=(1, 2)) > CONVEX_TOL
+        dual_code[verts[nonconvex]] = _NOT_CONVEX
+        convex, normals = verts[~nonconvex], normals[~nonconvex]
+        dual[convex], degenerate = _left_areas(normals, _dedupe(normals))
+        dual_code[convex[degenerate]] = _DEGENERATE
+    return (exact.tolist(), exact_code.tolist()), (dual.tolist(), dual_code.tolist())
+
+
+def _corner(mesh: PolyMesh, v, dual: bool) -> float:
+    """Vertex v's entry of the corner table of the outward mesh, or its MeshError."""
     m = mesh.oriented_outward()
-    cycle, fan = _link_cycle(m, v)
-    dirs = m.vertices[cycle] - m.vertices[v]
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True), m.face_normals[fan]
+    vi = int(v)
+    if not 0 <= vi < len(m.vertices):
+        raise MeshError(f"vertex {vi} has no incident faces")
+    values, codes = m._corners[dual]
+    if codes[vi]:
+        raise MeshError(_MESSAGES[codes[vi]].format(v=vi, arg=v))
+    return values[vi]
 
 
 def normalized_link_volume(mesh: PolyMesh, v: int) -> float:
@@ -282,10 +361,10 @@ def normalized_link_volume(mesh: PolyMesh, v: int) -> float:
     Exact at every corner of a closed oriented manifold, convex, reflex or
     saddle: the outward link cycle, traversed in reverse, has the solid on
     its left, and its left area over 4*pi is the answer.  A vertex interior
-    to a flat patch gives exactly 1/2.
+    to a flat patch gives exactly 1/2.  The first exact or dual query
+    computes every vertex of the mesh and keeps the table on it.
     """
-    units, _ = _link(mesh, int(v))
-    return _left_area(_dedupe_cycle(units)[::-1]) / _FOUR_PI
+    return _corner(mesh, v, dual=False)
 
 
 @dataclass(frozen=True)
@@ -348,9 +427,7 @@ def normalized_exterior_angle(mesh: PolyMesh, v: int) -> float:
     normals in fan order over 4*pi.  The corner is convex when every link
     direction lies within CONVEX_TOL of the inner side of every face plane;
     any other corner is a MeshError.  A vertex interior to a flat patch has
-    a degenerate dual (a single ray) and returns 0.
+    a degenerate dual (a single ray) and returns 0.  Read from the same
+    per-mesh table as `normalized_link_volume`.
     """
-    units, normals = _link(mesh, int(v))
-    if np.max(units @ normals.T) > CONVEX_TOL:
-        raise MeshError(f"vertex {v}: not a convex corner; the dual cone exists only at convex corners")
-    return _left_area(_dedupe_cycle(normals)) / _FOUR_PI
+    return _corner(mesh, v, dual=True)

@@ -51,7 +51,7 @@ _DEFECTS = (
 def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack (..., 4, 4) of distance matrices.
 
-    Returns the symmetrized matrices, 0.5 * (d + d.T) with a zero diagonal,
+    Returns the symmetrized matrices, 0.5 * d + 0.5 * d.T with a zero diagonal,
     and per matrix 1 + the index in `_DEFECTS` of the first failed
     condition, or 0 when it is a metric.  Symmetry, the diagonal and the
     triangle inequality allow a slack of TRIANGLE_SLACK * max d.
@@ -60,7 +60,7 @@ def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slack = TRIANGLE_SLACK * scale
     dt = np.swapaxes(d, -1, -2)
     with np.errstate(invalid="ignore", over="ignore"):
-        sym = 0.5 * (d + dt)
+        sym = 0.5 * d + 0.5 * dt  # halves first: the sum of two finite floats may overflow
         sym[..., _DIAG, _DIAG] = 0.0
         failed = np.stack(
             [
@@ -81,10 +81,12 @@ BETWEENNESS_MARGIN = 1e-12  # relative margin of `_betweenness`
 def _betweenness(d: np.ndarray, margin: float) -> np.ndarray:
     """Per matrix of a symmetric stack (..., 4, 4): does a point lie metrically between two others?
 
-    Betweenness is tested with a relative margin of ``margin * max d``.
+    Betweenness is tested with a relative margin of ``margin * max d``, on
+    halved sides, so the sum of two sides cannot overflow.
     """
-    m = margin * d.max(axis=(-2, -1))
-    return np.any(d[..., _I, _K] >= d[..., _I, _J] + d[..., _J, _K] - m[..., None], axis=-1)
+    h = 0.5 * d
+    m = margin * h.max(axis=(-2, -1))
+    return np.any(h[..., _I, _K] >= h[..., _I, _J] + h[..., _J, _K] - m[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -149,12 +151,6 @@ def _angle_table(d: np.ndarray, kappa: float) -> np.ndarray:
     return np.array([_apex_angles(d, kappa, i) for i in range(4)])
 
 
-def vertex_excess(q: MetricQuadruple, kappa: float) -> tuple[np.ndarray, float]:
-    """Per-vertex comparison-angle sums V_kappa and their maximum A_kappa."""
-    v = _angle_table(q.distances, kappa).sum(axis=1)
-    return v, float(v.max())
-
-
 @dataclass(frozen=True)
 class EmbeddabilityCertificate:
     """Slack-certified verdict for embedding a quadruple in the 3-model.
@@ -192,6 +188,9 @@ def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertifica
     """
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
+    dmax = q.max_distance
+    if not 2.0 * dmax * dmax < math.inf:  # the Euclidean law of cosines takes b * b + c * c and 2 * b * c
+        raise DomainError(f"distances {q.min_distance!r} to {dmax!r} are out of range: a squared distance overflows")
     return _certify(q.distances, kappa)
 
 

@@ -184,11 +184,6 @@ class MetricGraph:
             front, front_dist = cand_keys[fell | new], cand[fell | new]
         return keys, dist
 
-    def scaled(self, factor: float) -> "MetricGraph":
-        if factor <= 0.0:
-            raise DomainError("scale factor must be positive")
-        return MetricGraph(self.labels, [(i, j, w * factor) for i, j, w in self.edges])
-
 
 def parse_metric_graph(text: str) -> MetricGraph:
     """Parse the plain edge-list format: ``label label length`` per line.

@@ -234,7 +234,3 @@ def distances_from_coords(kappa: float, coords: np.ndarray) -> np.ndarray:
     np.fill_diagonal(out, 0.0)
     return out
 
-
-def geodesic_distance(kappa: float, p, q) -> float:
-    """Geodesic distance between two model points."""
-    return float(distances_from_coords(kappa, np.vstack([p, q]))[0, 1])

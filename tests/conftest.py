@@ -1,9 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from plembed import MetricGraph, parse_off
+from plembed import DomainError, FoldParams, MetricGraph, comparison_angle, parse_off, standard_vertex_map
 
 CUBE_OFF = """OFF
 8 6 12
@@ -212,3 +213,75 @@ def solid_angle_oracle(v: np.ndarray, outward: np.ndarray, p: int) -> float:
     num = np.cross(a, b) @ c
     den = 1.0 + a @ c + b @ c + np.sum(a * b, axis=1)
     return float(-np.sum(2.0 * np.arctan2(num, den)) / (4.0 * math.pi)) % 1.0
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the library, computed here with no library code but the map under test.
+
+FOLD_STEP = 1e-6  # central-difference step of `polar_jacobian`
+
+
+def polar_jacobian(vertex_map, rho: float, phi: float) -> np.ndarray:
+    """Central-difference Jacobian of a polar map (rho, phi) -> (r, p) in local length coordinates.
+
+    The source is charted by local Cartesian coordinates at (rho, phi) and
+    the image is read in the plane.  Points within FOLD_STEP of the apex are
+    rejected.
+    """
+    if rho <= FOLD_STEP:
+        raise DomainError("sample point too close to the apex for the difference step")
+
+    def image(u: float, w: float) -> np.ndarray:
+        r = math.hypot(rho + u, w)
+        p = phi + math.atan2(w, rho + u)
+        rr, pp = vertex_map(r, p)
+        return np.array([rr * math.cos(pp), rr * math.sin(pp)])
+
+    return np.column_stack(
+        [
+            (image(FOLD_STEP, 0.0) - image(-FOLD_STEP, 0.0)) / (2.0 * FOLD_STEP),
+            (image(0.0, FOLD_STEP) - image(0.0, -FOLD_STEP)) / (2.0 * FOLD_STEP),
+        ]
+    )
+
+
+def fold_jacobian(params: FoldParams, rho: float, phi: float) -> np.ndarray:
+    """`polar_jacobian` of the fold `standard_vertex_map`."""
+    return polar_jacobian(lambda r, p: standard_vertex_map(params, r, p), rho, phi)
+
+
+def folding_dilatation(alpha: float, beta: float) -> float:
+    """Inner dilatation of the angle-rescaling map between wedges of angles alpha and beta.
+
+    Symmetrized to max(alpha/beta, beta/alpha) so the value is always >= 1,
+    whichever wedge is wider.
+    """
+    if alpha <= 0.0 or beta <= 0.0:
+        raise DomainError("wedge angles must be positive")
+    return max(alpha / beta, beta / alpha)
+
+
+def vertex_excess(q, kappa: float) -> tuple[np.ndarray, float]:
+    """Per-vertex comparison-angle sums V_kappa of a quadruple and their maximum A_kappa."""
+    d = q.distances
+    v = np.array(
+        [
+            sum(comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations([j for j in range(4) if j != i], 2))
+            for i in range(4)
+        ]
+    )
+    return v, float(v.max())
+
+
+def geodesic_distance(kappa: float, p, q) -> float:
+    """Geodesic distance between two model points, by one math call.
+
+    R^n at kappa = 0; the sphere |x| = 1/sqrt(kappa) at kappa > 0; the
+    hyperboloid t^2 - |x|^2 = -1/kappa, t > 0, at kappa < 0.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if kappa == 0.0:
+        return math.dist(p, q)
+    if kappa > 0.0:
+        return math.acos(min(1.0, max(-1.0, kappa * float(p @ q)))) / math.sqrt(kappa)
+    return math.acosh(max(1.0, -kappa * (p[0] * q[0] - float(p[1:] @ q[1:])))) / math.sqrt(-kappa)

@@ -30,7 +30,6 @@ from plembed import (
     convex_face_count_bound,
     dihedral_wedge_coefficients,
     DihedralWedgeSpec,
-    fold_jacobian,
     global_compatibility,
     isometry_defect,
     mesh_edge_dilatation_bound,
@@ -41,11 +40,12 @@ from plembed import (
     PolyMesh,
     realize_quadruple,
     uniform_index_bound,
-    vertex_excess,
     wald_curvature,
 )
 
 from conftest import (
+    fold_jacobian,
+    vertex_excess,
     CUBE_OFF,
     TETRA_OFF,
     icosahedron_graph,

@@ -8,11 +8,12 @@ from plembed import (
     DomainError,
     FoldParams,
     canonical_element,
-    fold_jacobian,
     isometry_defect,
     standard_vertex_map,
     vertex_contraction,
 )
+
+from conftest import fold_jacobian
 
 TWO_PI = 2.0 * math.pi
 

@@ -7,6 +7,12 @@ is the edge loop of the dihedral audit on top of it.  The batched `PolyMesh`
 and `mesh_edge_dilatation_bound` must give the same documents exactly (==,
 not approx), the link functions the same values, and both the same errors.
 
+`scalar_link_volume` and `scalar_exterior_angle` are the link code one
+vertex at a time: a dict walk for the link cycle, a dedupe loop and a
+turning loop with one atan2 per link vertex.  The library computes every
+vertex of a mesh in one pass, and must give the same bits (float.hex) or
+the same MeshError text at every vertex.
+
 `first_link_volume` and `first_exterior_angle` are the link code as first
 written, a scalar turning loop that guessed the link's orientation from the
 signs of its turn determinants.  That guess was right at convex and flat
@@ -16,7 +22,9 @@ the dual must raise at every corner that is not convex.
 """
 
 import math
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +36,22 @@ from plembed import (
     normalized_exterior_angle,
     normalized_link_volume,
     normalized_link_volume_mc,
+    parse_off,
 )
-from plembed.qcbounds import EdgeAngleReport, EdgeRecord
+from plembed.mesh import rowdot
+from plembed.qcbounds import _MESSAGES, EdgeAngleReport, EdgeRecord, _dedupe, _link_cycles
 
-from conftest import link_cycle, solid_angle_oracle
+from conftest import (
+    CUBE_FLAT_PATCH_OFF,
+    CUBE_OFF,
+    DENTED_OCTA_OFF,
+    TETRA_OFF,
+    link_cycle,
+    solid_angle_oracle,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import inputs  # noqa: E402  (the benchmark's seeded mesh generators)
 
 LINK_FUNCTIONS = (
     normalized_link_volume,
@@ -214,7 +234,51 @@ def corner_kinds(ref: ScalarMesh) -> list[str]:
     return ["saddle" if c and r else "reflex" if r else "convex" for c, r in has]
 
 
-def _first_dedupe(units):
+def scalar_link_cycle(mesh, v: int) -> tuple[list[int], list[int]]:
+    """Ordered cycle of link vertices around v, and the face of v, cycle[i], cycle[i + 1]."""
+    succ, fan = {}, {}
+    for k in mesh.vertex_faces(v):
+        face = [int(x) for x in mesh.faces[k]]
+        t = face.index(v)
+        a, b = face[(t + 1) % 3], face[(t + 2) % 3]
+        if a in succ:
+            raise MeshError(f"vertex {v}: non-manifold star")
+        succ[a], fan[a] = b, k
+    if not succ:
+        raise MeshError(f"vertex {v} has no incident faces")
+    start = min(succ)
+    cycle = [start]
+    cur = succ[start]
+    while cur != start:
+        cycle.append(cur)
+        if cur not in succ or len(cycle) > len(succ):
+            raise MeshError(f"vertex {v}: star does not close into a cycle")
+        cur = succ[cur]
+    if len(cycle) != len(succ):
+        raise MeshError(f"vertex {v}: star splits into several cycles")
+    return cycle, [fan[a] for a in cycle]
+
+
+def scalar_left_area(units: np.ndarray) -> float:
+    """Area on the left of the closed spherical path through the rows of units, by one turning loop."""
+    if len(units) < 3:
+        return 0.0
+    prev, nxt = np.roll(units, 1, axis=0), np.roll(units, -1, axis=0)
+    arrive = rowdot(units, prev)[:, None] * units - prev
+    depart = nxt - rowdot(units, nxt)[:, None] * units
+    na, nd = np.sqrt(rowdot(arrive, arrive)), np.sqrt(rowdot(depart, depart))
+    if min(na.min(), nd.min()) < 1e-12:
+        raise MeshError("degenerate link arc (parallel consecutive directions)")
+    arrive /= na[:, None]
+    depart /= nd[:, None]
+    sines = rowdot(np.cross(arrive, depart), units).tolist()
+    turning = 0.0
+    for sin, cos in zip(sines, rowdot(arrive, depart).tolist()):
+        turning += math.atan2(sin, cos)
+    return 2.0 * math.pi - turning
+
+
+def scalar_dedupe(units: np.ndarray) -> np.ndarray:
     keep = []
     for u in units:
         if not keep or np.linalg.norm(u - keep[-1]) > 1e-12:
@@ -222,6 +286,25 @@ def _first_dedupe(units):
     while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= 1e-12:
         keep.pop()
     return np.array(keep)
+
+
+def _scalar_link(mesh, v: int):
+    m = mesh.oriented_outward()
+    cycle, fan = scalar_link_cycle(m, v)
+    dirs = m.vertices[cycle] - m.vertices[v]
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True), m.face_normals[fan]
+
+
+def scalar_link_volume(mesh, v: int) -> float:
+    units, _ = _scalar_link(mesh, int(v))
+    return scalar_left_area(scalar_dedupe(units)[::-1]) / (4.0 * math.pi)
+
+
+def scalar_exterior_angle(mesh, v: int) -> float:
+    units, normals = _scalar_link(mesh, int(v))
+    if np.max(units @ normals.T) > 1e-9:
+        raise MeshError(f"vertex {v}: not a convex corner; the dual cone exists only at convex corners")
+    return scalar_left_area(scalar_dedupe(normals)) / (4.0 * math.pi)
 
 
 def _first_area(units):
@@ -262,12 +345,12 @@ def _first_link(ref: ScalarMesh, vi: int):
 def first_link_volume(ref: ScalarMesh, vi: int) -> float:
     m, cycle, _ = _first_link(ref, vi)
     dirs = m.vertices[cycle] - m.vertices[vi]
-    return _first_area(_first_dedupe(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))) / (4.0 * math.pi)
+    return _first_area(scalar_dedupe(dirs / np.linalg.norm(dirs, axis=1, keepdims=True))) / (4.0 * math.pi)
 
 
 def first_exterior_angle(ref: ScalarMesh, vi: int) -> float:
     m, _, fan = _first_link(ref, vi)
-    normals = _first_dedupe(m.face_normals[fan])
+    normals = scalar_dedupe(m.face_normals[fan])
     return 0.0 if len(normals) < 3 else _first_area(normals) / (4.0 * math.pi)
 
 
@@ -276,6 +359,30 @@ def _outcome(fn, *args):
         return fn(*args)
     except MeshError as e:
         return f"MeshError: {e}"
+
+
+def _bits(fn, *args):
+    """float.hex of the value, or the MeshError text."""
+    got = _outcome(fn, *args)
+    return got if isinstance(got, str) else float.hex(got)
+
+
+def assert_same_corners(v, f):
+    """Exact and dual at every vertex (and just outside the range) of a fresh mesh equal the scalar path."""
+    ref = PolyMesh(v, f)
+    for lib, scalar in ((normalized_link_volume, scalar_link_volume), (normalized_exterior_angle, scalar_exterior_angle)):
+        mesh = PolyMesh(v, f)
+        for vi in range(-2, len(v) + 2):
+            assert _bits(lib, mesh, vi) == _bits(scalar, ref, vi), (lib.__name__, vi)
+
+
+def link_query_mesh(seed: int):
+    """The dented level-3 icosphere of the link-query benchmark workload at this seed, as loaded from OFF."""
+    rng = np.random.default_rng([seed, sum(map(ord, "link-query"))])
+    v, f = inputs.icosphere(3)
+    v = inputs.dent(v, inputs.neighbours(len(v), inputs.mesh_edges(f)), 6, 0.15, rng)
+    m = parse_off(inputs.off_text(v, f))
+    return m.vertices, m.faces
 
 
 class TestEdgeAuditOracle:
@@ -307,15 +414,191 @@ class TestEdgeAuditOracle:
 class TestLinkOracle:
     @pytest.mark.parametrize("level,seed", [(1, 11), (2, 12), (3, 11)])
     def test_every_vertex(self, level, seed):
+        # the library on PolyMesh against the scalar link path on the scalar mesh layer
+        pairs = tuple(zip(LINK_FUNCTIONS, (scalar_link_volume, LINK_FUNCTIONS[1], scalar_exterior_angle)))
         for v, f in _both_orientations(level, seed):
             mesh, ref = PolyMesh(v, f), ScalarMesh(v, f)
             convex = 0
-            for fn in LINK_FUNCTIONS:
+            for fn, scalar in pairs:
                 for vi in range(len(v)):
                     got = _outcome(fn, mesh, vi)
-                    assert got == _outcome(fn, ref, vi), (fn, vi)
+                    assert got == _outcome(scalar, ref, vi), (fn, vi)
                     convex += not isinstance(got, str)
             assert convex > len(v)  # many corners are convex
+
+
+def two_tetrahedra_at_a_point():
+    """Two tetrahedra sharing only vertex 0, a closed oriented manifold but for that pinched vertex."""
+    a = np.array([[0.0, -2.0, -2.0], [-2.0, 0.0, -2.0], [-2.0, -2.0, 0.0]])
+    v = np.vstack([np.zeros(3), a, -a])
+    tetra = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    # the point reflection reverses orientation, so the second copy's faces are reversed
+    mirrored = np.where(tetra[:, ::-1] > 0, tetra[:, ::-1] + 3, 0)
+    return v, np.vstack([tetra, mirrored])
+
+
+def bipyramid_with_near_duplicates():
+    """A bipyramid over a ring whose first three points lie 1e-12 apart in a row.
+
+    Seen from the apex (vertex 0) or the bottom (vertex 7), consecutive link
+    directions of the three are within DEDUPE_TOL of each other, and the
+    third is farther than DEDUPE_TOL from the first.
+    """
+    ring = [(1.0, 0.0, -1.0), (1.0, 1e-12, -1.0), (1.0, 2e-12, -1.0), (0.0, 1.0, -1.0), (-1.0, 0.0, -1.0), (0.0, -1.0, -1.0)]
+    v = np.array([(0.0, 0.0, 0.0), *ring, (0.0, 0.0, -2.0)])
+    f = [(0, i, i % 6 + 1) for i in range(1, 7)] + [(7, i % 6 + 1, i) for i in range(1, 7)]
+    return v, np.array(f)
+
+
+class TestCornerPass:
+    """Every vertex's exact and dual value, or its error, bit for bit against the scalar path."""
+
+    def test_fixtures(self):
+        for text in (CUBE_OFF, TETRA_OFF, CUBE_FLAT_PATCH_OFF, DENTED_OCTA_OFF):
+            m = parse_off(text)
+            for f in (m.faces, m.faces[:, ::-1].copy()):
+                assert_same_corners(m.vertices, f)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_jittered_icospheres(self, level):
+        for v, f in _both_orientations(level, 20 + level):
+            assert_same_corners(v, f)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_link_query_meshes(self, seed):
+        assert_same_corners(*link_query_mesh(seed))
+
+    def test_pinched_vertex_splits(self):
+        v, f = two_tetrahedra_at_a_point()
+        assert_same_corners(v, f)
+        mesh = PolyMesh(v, f)
+        for fn in (normalized_link_volume, normalized_exterior_angle):
+            with pytest.raises(MeshError, match=r"^vertex 0: star splits into several cycles$"):
+                fn(mesh, 0)
+            assert all(isinstance(fn(mesh, vi), float) for vi in range(1, len(v)))
+
+    def test_three_near_duplicates_in_a_row(self):
+        v, f = bipyramid_with_near_duplicates()
+        units = (v[1:4] - v[0]) / np.linalg.norm(v[1:4] - v[0], axis=1, keepdims=True)
+        gap = lambda i, j: np.linalg.norm(units[i] - units[j])  # noqa: E731
+        assert gap(1, 0) <= 1e-12 and gap(2, 1) <= 1e-12 and gap(2, 0) > 1e-12
+        assert_same_corners(v, f)
+        assert_same_corners(v, f[:, ::-1].copy())
+        # the middle one is dropped against the first, the third kept against the first
+        assert _dedupe(units[None]).tolist() == [[True, False, True]]
+        assert len(scalar_dedupe(units)) == 2
+
+    def test_high_degree_apexes(self):
+        # bipyramids over jittered rings of 9 to 24 points: sums of more than 8 turns, which a
+        # pairwise sum would round differently
+        rng = np.random.default_rng(35)
+        for k in range(9, 25):
+            t = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+            ring = np.c_[np.cos(t), np.sin(t), rng.uniform(-0.3, 0.3, k)]
+            v = np.vstack([(0.0, 0.0, 1.0), ring, (0.0, 0.0, -1.0)])
+            f = [(0, i, i % k + 1) for i in range(1, k + 1)] + [(k + 1, i % k + 1, i) for i in range(1, k + 1)]
+            assert_same_corners(v, np.array(f))
+
+    def test_folded_integer_octahedra(self):
+        # octahedra on integer points fold and touch themselves: coplanar, repeated and antipodal
+        # link directions and normals, degenerate arcs, and non-convex corners with a degenerate dual
+        f = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
+        rng = np.random.default_rng(36)
+        both = 0
+        for _ in range(300):
+            v = rng.integers(-2, 3, size=(6, 3)).astype(float)
+            try:
+                ref = PolyMesh(v, f)
+                ref.oriented_outward()
+            except MeshError:
+                continue
+            assert_same_corners(v, f)
+            for vi in range(6):
+                nonconvex = False
+                try:
+                    units, normals = _scalar_link(ref, vi)
+                    nonconvex = np.max(units @ normals.T) > 1e-9
+                    scalar_left_area(scalar_dedupe(normals))
+                except MeshError as e:
+                    both += "degenerate" in str(e) and nonconvex
+        assert both > 10
+
+    def test_query_order(self):
+        # exact then dual, and dual then exact, on fresh meshes
+        v, f = link_query_mesh(1)
+        ref = PolyMesh(v, f)
+        pairs = ((normalized_link_volume, scalar_link_volume), (normalized_exterior_angle, scalar_exterior_angle))
+        want = [[_bits(scalar, ref, vi) for vi in range(len(v))] for _, scalar in pairs]
+        for order in ((0, 1), (1, 0)):
+            mesh = PolyMesh(v, f)
+            for i in order:
+                assert [_bits(pairs[i][0], mesh, vi) for vi in range(len(v))] == want[i]
+
+    def test_star_defects_on_raw_faces(self):
+        # the cycle pass alone, on face sets no closed mesh would pass: repeats, gaps and splits
+        rng = np.random.default_rng(33)
+        _, f = icosphere(0)  # the icosahedron's 12 vertices, and vertex 12 in no face
+        seen = set()
+        for _ in range(200):
+            g = f[rng.random(len(f)) >= rng.choice([0.0, 0.1])]
+            if rng.random() < 0.3:
+                g = np.vstack([g, g[rng.integers(len(g), size=2)]])
+            if rng.random() < 0.3:
+                g = g.copy()
+                g[rng.integers(len(g))] = rng.permutation(12)[:3]
+            g = g[rng.permutation(len(g))]
+            duck = ScalarMesh(np.zeros((13, 3)), g)
+            link, fan, start, degree, code = _link_cycles(g, 13)
+            for vi in range(13):
+                try:
+                    cycle, faces = scalar_link_cycle(duck, vi)
+                except MeshError as e:
+                    assert code[vi] and str(e) == _MESSAGES[code[vi]].format(v=vi)
+                    seen.add(str(e).split(" ", 2)[-1])
+                    continue
+                assert code[vi] == 0
+                rows = slice(start[vi], start[vi] + degree[vi])
+                assert link[rows].tolist() == cycle and fan[rows].tolist() == faces
+        assert len(seen) == 4  # no faces, non-manifold, does not close, splits
+
+
+def face_angle_defects(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """2*pi minus the sum of the face angles at each vertex, the angles from edge lengths alone."""
+    defect = np.full(len(v), 2.0 * math.pi)
+    for face in f.tolist():
+        for t in range(3):
+            p, q, r = face[t], face[(t + 1) % 3], face[(t + 2) % 3]
+            a, b, c = (math.dist(v[p], v[q]), math.dist(v[p], v[r]), math.dist(v[q], v[r]))
+            defect[p] -= math.acos((a * a + b * b - c * c) / (2.0 * a * b))
+    return defect
+
+
+class TestIntrinsicOracles:
+    """The dual against angle defects, which share no code with the link path."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_vertex_gauss_bonnet(self, seed):
+        # at a convex corner the Gauss image (the dual) has area equal to the angle defect
+        v, f = jittered_icosphere(3, seed)
+        defect = face_angle_defects(v, f)
+        mesh = PolyMesh(v, f)
+        convex = 0
+        for vi in range(len(v)):
+            got = _outcome(normalized_exterior_angle, mesh, vi)
+            if not isinstance(got, str):
+                assert abs(4.0 * math.pi * got - defect[vi]) <= 1e-12, vi
+                convex += 1
+        assert convex >= 20
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_descartes(self, level):
+        # the defects sum to 2*pi*chi = 4*pi, and the Gauss images of a convex polyhedron tile the sphere
+        v, f = icosphere(level)
+        defect = face_angle_defects(v, f)
+        assert abs(math.fsum(defect) - 4.0 * math.pi) <= 1e-12
+        mesh = PolyMesh(v, f)
+        dual = [normalized_exterior_angle(mesh, vi) for vi in range(len(v))]
+        assert abs(4.0 * math.pi * math.fsum(dual) - 4.0 * math.pi) <= 1e-12
 
 
 class TestLinkAtEveryCorner:

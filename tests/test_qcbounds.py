@@ -10,15 +10,15 @@ from plembed import (
     PolyMesh,
     convex_face_count_bound,
     dihedral_wedge_coefficients,
-    folding_dilatation,
     mesh_edge_dilatation_bound,
     normalized_exterior_angle,
     normalized_link_volume,
     normalized_link_volume_mc,
     uniform_index_bound,
+    vertex_contraction,
 )
 
-from conftest import random_rotation, solid_angle_oracle
+from conftest import folding_dilatation, polar_jacobian, random_rotation, solid_angle_oracle
 
 FOUR_PI = 4.0 * math.pi
 
@@ -141,6 +141,13 @@ class TestFoldingDilatation:
             folding_dilatation(0.0, 1.0)
         with pytest.raises(DomainError):
             folding_dilatation(1.0, -2.0)
+
+    @pytest.mark.parametrize("theta", [7.0, 3.0 * math.pi, 5.0 * math.pi])
+    def test_oracle_of_vertex_contraction(self, theta):
+        # radii keep their length and angles scale by 2*pi/theta: singular values 1 and 2*pi/theta
+        for rho, phi in ((0.3, 0.2 * theta), (1.0, 0.5 * theta), (0.7, 0.8 * theta)):
+            s = np.linalg.svd(polar_jacobian(lambda r, p: vertex_contraction(theta, r, p), rho, phi), compute_uv=False)
+            assert s[0] / s[1] == pytest.approx(folding_dilatation(theta, 2.0 * math.pi), rel=1e-6)
 
 
 class TestMeshEdgeAudit:

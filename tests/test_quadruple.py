@@ -14,13 +14,13 @@ from plembed import (
     WaldOptions,
     cayley_menger,
     comparison_angle,
-    geodesic_distance,
     nondegenerate,
     realize_quadruple,
     s3_embeddability,
-    vertex_excess,
     wald_curvature,
 )
+
+from conftest import geodesic_distance, vertex_excess
 
 TWO_PI = 2.0 * math.pi
 

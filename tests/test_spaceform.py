@@ -9,12 +9,13 @@ from plembed import (
     DomainError,
     MetricQuadruple,
     comparison_angle,
-    geodesic_distance,
     realize_distances,
     realize_quadruple,
     s3_embeddability,
 )
 from plembed.spaceform import _minkowski_factor
+
+from conftest import geodesic_distance
 
 KAPPA_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
 
