@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from . import bzelement, mesh, qcbounds, quadruple, skeleton
 from .errors import ParseError
@@ -32,8 +33,9 @@ def _dumps(o, pad: str = "\n") -> str:
 
     With an indent, ``json.dumps`` takes its pure-Python encoder.  Here a list
     is one C-level join when its first item is a str, float or int and every
-    item takes the same encoder.  It goes item by item where that join would
-    differ from json: a float join that wrote nan or inf (json writes NaN and
+    item takes the same encoder, and so is a list of non-empty list or tuple
+    rows of that one type.  It goes item by item where a join would differ
+    from json: a float join that wrote nan or inf (json writes NaN and
     Infinity), and an int join over a bool (json writes true, not 1).  A key
     that is not a str and a value json cannot encode raise TypeError.
     ``pad`` is the newline and indent of the line that closes ``o``.
@@ -43,12 +45,19 @@ def _dumps(o, pad: str = "\n") -> str:
             return "[]"
         inner = pad + "  "
         sep = "," + inner
-        join = _JOINS.get(type(o[0]))
+        rows = type(o[0]) in (list, tuple) and o[0]
+        join = _JOINS.get(type(o[0][0] if rows else o[0]))
         try:
-            text = sep.join(map(join, o)) if join else ""
+            if rows and {*map(type, o)} <= {list, tuple}:
+                # one join per row, then one over the rows; an empty row writes "" and goes item by item
+                texts = [("," + inner + "  ").join(map(join, row)) for row in o]
+                text = "" if "" in texts else f"[{inner}  " + f"{inner}]{sep}[{inner}  ".join(texts) + f"{inner}]"
+            else:
+                text = sep.join(map(join, o)) if join else ""
         except TypeError:  # an item of another type
             text = ""
-        if not text or join is float.__repr__ and "n" in text or join is int.__repr__ and bool in {*map(type, o)}:
+        items = chain.from_iterable(o) if rows else o
+        if not text or join is float.__repr__ and "n" in text or join is int.__repr__ and bool in {*map(type, items)}:
             text = sep.join([_dumps(v, inner) for v in o])
         return f"[{inner}{text}{pad}]"
     if isinstance(o, dict):

@@ -30,7 +30,7 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolyMesh:
     """Vertices (n, 3) and triangle faces (m, 3) with validated indices, and unit face normals.
 
-    The arrays are read-only, so orientation, edge order, vertex stars and corner values are computed once and kept.
+    The arrays are read-only, so orientation, edge order and corner values are computed once and kept.
     """
 
     vertices: np.ndarray
@@ -107,13 +107,6 @@ class PolyMesh:
         return self if self._flipped is None else self._flipped
 
     @cached_property
-    def _vertex_star(self) -> tuple[np.ndarray, np.ndarray]:
-        """Faces around each vertex in index order, as CSR (face indices, row offsets)."""
-        order = np.argsort(self.faces.ravel(), kind="stable")
-        counts = np.bincount(self.faces.ravel(), minlength=len(self.vertices))
-        return order // 3, np.r_[0, np.cumsum(counts)]
-
-    @cached_property
     def _corners(self):
         """Every vertex's exact link volume and exterior angle, or its error (`qcbounds._corner_table`)."""
         from .qcbounds import _corner_table  # qcbounds builds on this module
@@ -121,60 +114,84 @@ class PolyMesh:
         return _corner_table(self)
 
     def vertex_faces(self, v: int) -> list[int]:
-        faces, offsets = self._vertex_star
-        return faces[offsets[v] : offsets[v + 1]].tolist() if 0 <= v < len(self.vertices) else []
+        return np.flatnonzero((self.faces == v).any(axis=1)).tolist()
 
 
 def parse_off(text: str) -> PolyMesh:
     """Parse ASCII OFF; polygonal faces are fan-triangulated.
 
-    Comment lines (``#``) and blank lines are allowed anywhere.
+    Comment lines (``#``) and blank lines are allowed anywhere.  Each block
+    is split once and converted by one ``float`` or ``int`` map; the lines
+    are checked one at a time only to name the first bad one.
     """
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((ln, line))
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(str.strip, lines))
+    numbers = lambda: [n for n, line in enumerate(lines, 1) if line.strip()]  # of each row, for errors
     if not rows:
         raise ParseError("empty OFF document")
-    ln, header = rows[0]
-    if header != "OFF":
-        raise ParseError("expected 'OFF' header", line=ln)
+    if rows[0].strip() != "OFF":
+        raise ParseError("expected 'OFF' header", line=numbers()[0])
     if len(rows) < 2:
-        raise ParseError("missing counts line", line=ln)
-    ln, counts = rows[1]
-    parts = counts.split()
+        raise ParseError("missing counts line", line=numbers()[0])
+    parts = rows[1].split()
     if len(parts) != 3:
-        raise ParseError("counts line must be 'nv nf ne'", line=ln)
+        raise ParseError("counts line must be 'nv nf ne'", line=numbers()[1])
     try:
         nv, nf = int(parts[0]), int(parts[1])
+        if min(nv, nf) < 0:
+            raise ValueError("a negative count")
     except ValueError:
-        raise ParseError("bad counts", line=ln) from None
+        raise ParseError("bad counts", line=numbers()[1]) from None
     body = rows[2:]
     if len(body) < nv + nf:
         raise ParseError(f"expected {nv} vertex and {nf} face lines")
-    vertices = []
-    for ln, line in body[:nv]:
-        parts = line.split()
-        if len(parts) < 3:
-            raise ParseError("vertex line needs three coordinates", line=ln)
+    vblock, fblock = body[:nv], body[nv : nv + nf]
+    try:
+        (vertices, _), (idx, k) = _numbers(vblock, faces=False), _numbers(fblock, faces=True)
+    except (ValueError, OverflowError):  # a bad line, or an index beyond int64
+        at = numbers()[2:]
+        error = _bad_line(vblock, at[:nv], faces=False) or _bad_line(fblock, at[nv : nv + nf], faces=True)
+        raise error or MeshError("face index out of range") from None
+    # polygon (i1, ..., ik) fans into the triangles (i1, it, it+1), t = 2 .. k - 1
+    apex = np.repeat(np.cumsum(k) - k, k - 2)
+    second = apex + np.arange(len(apex)) - np.repeat(np.cumsum(k - 2) - (k - 2), k - 2) + 1
+    faces = idx[np.stack([apex, second, second + 1], axis=1)]
+    # an empty block stays the shape-(0,) array that PolyMesh rejects
+    return PolyMesh(vertices.reshape(-1, 3) if vblock else vertices, faces if fblock else idx)
+
+
+def _numbers(lines: list[str], faces: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per line of a block, from one split: the floats x y z of 'x y z [extra]', or the k ints of 'k i1 ... ik [extra]'.
+
+    Returns them flat, and how many each line gives; raises ValueError at a bad line, OverflowError beyond int64.
+    """
+    tokens = " ".join(lines).split()
+
+    def read(kind: type, at: np.ndarray) -> np.ndarray:  # kind(token), float or int, of the tokens at positions at
+        return np.fromiter(map(kind, map(tokens.__getitem__, at.tolist())), kind, len(at))
+
+    width = np.fromiter(map(len, map(str.split, lines)), int, len(lines))
+    start = np.cumsum(width) - width
+    k = read(int, start) if faces else np.full(len(lines), 3)
+    if np.any((k < 3) | (k + faces > width)):
+        raise ValueError("a line has too few numbers")
+    return read(int if faces else float, np.repeat(start + faces - np.cumsum(k) + k, k) + np.arange(k.sum())), k
+
+
+def _bad_line(lines: list[str], numbers: list[int], faces: bool) -> ParseError | None:
+    """The error at the first bad line of a block, checked one line at a time as the block was first parsed."""
+    for ln, parts in zip(numbers, map(str.split, lines)):
+        if not faces and len(parts) < 3:
+            return ParseError("vertex line needs three coordinates", line=ln)
         try:
-            vertices.append([float(x) for x in parts[:3]])
+            k = int(parts[0]) if faces else 3
+            idx = [(int if faces else float)(x) for x in parts[faces : faces + k]]
         except ValueError:
-            raise ParseError("bad vertex coordinate", line=ln) from None
-    faces = []
-    for ln, line in body[nv : nv + nf]:
-        parts = line.split()
-        try:
-            k = int(parts[0])
-            idx = [int(x) for x in parts[1 : 1 + k]]
-        except (ValueError, IndexError):
-            raise ParseError("bad face line", line=ln) from None
+            return ParseError("bad face line" if faces else "bad vertex coordinate", line=ln)
         if len(idx) != k or k < 3:
-            raise ParseError(f"face needs {k} indices", line=ln)
-        for t in range(1, k - 1):
-            faces.append([idx[0], idx[t], idx[t + 1]])
-    return PolyMesh(np.array(vertices, dtype=float), np.array(faces, dtype=int))
+            return ParseError(f"face needs {k} indices", line=ln)
 
 
 def load_off(path) -> PolyMesh:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +109,7 @@ def uniform_index_bound(dimension: int, inner: float) -> float:
 # Mesh edge audit.
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     edge: tuple[int, int]
     angle: float
     convex: bool
@@ -131,10 +132,10 @@ class EdgeAngleReport:
 
     def to_dict(self) -> dict:
         return {
-            "edges": [list(r.edge) for r in self.edges],
+            "edges": [r.edge for r in self.edges],
             "angles": [r.angle for r in self.edges],
             "bound": self.bound,
-            "reflex": [list(e) for e in self.reflex],
+            "reflex": list(self.reflex),
             "warnings": list(self.warnings),
         }
 
@@ -166,25 +167,22 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
     ehat = v[b] - v[a]
     ehat = ehat / np.sqrt(rowdot(ehat, ehat))[:, None]
     n1, n2 = m.face_normals[i1 // 3], m.face_normals[i2 // 3]
-    sines = rowdot(np.cross(n1, n2), ehat).tolist()
-    cosines = rowdot(n1, n2).tolist()
-    records, reflex, warnings = [], [], []
-    bound = 1.0
-    straight = math.pi * (1.0 + STRAIGHT_TOL)
-    for edge, sin, cos in zip(zip(a.tolist(), b.tolist()), sines, cosines):
-        angle = math.pi - math.atan2(sin, cos)
-        if angle <= straight:
-            if angle < TINY_ANGLE:
-                warnings.append(
-                    f"edge {edge}: interior angle {angle:.3e} below {TINY_ANGLE:.0e}; "
-                    "contribution is ill-conditioned"
-                )
-            contribution = math.pi / angle
-            bound = max(bound, contribution)
-            records.append(EdgeRecord(edge, angle, True, contribution))
-        else:
-            reflex.append(edge)
-            records.append(EdgeRecord(edge, angle, False, None))
+    sines, cosines = rowdot(np.cross(n1, n2), ehat), rowdot(n1, n2)
+    angle = math.pi - np.fromiter(map(math.atan2, memoryview(sines), memoryview(cosines)), float, len(a))
+    edges, angles = list(zip(a.tolist(), b.tolist())), angle.tolist()
+    if np.any(angle == 0.0):
+        raise MeshError(f"edge {edges[int(np.argmin(angle))]}: interior angle 0; its two faces fold onto each other")
+    convex = angle <= math.pi * (1.0 + STRAIGHT_TOL)
+    contribution = math.pi / angle
+    warnings = [
+        f"edge {edges[i]}: interior angle {angles[i]:.3e} below {TINY_ANGLE:.0e}; contribution is ill-conditioned"
+        for i in np.flatnonzero(convex & (angle < TINY_ANGLE)).tolist()
+    ]
+    contributions = np.where(convex, contribution, None).tolist()  # None at reflex edges
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+    records = map(tuple.__new__, repeat(EdgeRecord), zip(edges, angles, convex.tolist(), contributions))
+    bound = float(np.max(contribution[convex], initial=1.0))
+    reflex = compress(edges, (~convex).tolist())
     return EdgeAngleReport(tuple(records), bound, tuple(reflex), tuple(warnings))
 
 

@@ -146,11 +146,6 @@ def _apex_angles(d: np.ndarray, kappa: float, i: int) -> tuple[float, float, flo
     )
 
 
-def _angle_table(d: np.ndarray, kappa: float) -> np.ndarray:
-    """(4, 3) comparison angles: row i holds `_apex_angles` at vertex i."""
-    return np.array([_apex_angles(d, kappa, i) for i in range(4)])
-
-
 @dataclass(frozen=True)
 class EmbeddabilityCertificate:
     """Slack-certified verdict for embedding a quadruple in the 3-model.
@@ -188,9 +183,6 @@ def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertifica
     """
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
-    dmax = q.max_distance
-    if not 2.0 * dmax * dmax < math.inf:  # the Euclidean law of cosines takes b * b + c * c and 2 * b * c
-        raise DomainError(f"distances {q.min_distance!r} to {dmax!r} are out of range: a squared distance overflows")
     return _certify(q.distances, kappa)
 
 
@@ -200,7 +192,7 @@ def _certify(d: np.ndarray, kappa: float) -> EmbeddabilityCertificate:
     Each of the 12 comparison angles is computed once, in vertex and pair
     order, so the first `DomainError` is the one a scalar walk would raise.
     """
-    angles = _angle_table(d, kappa)
+    angles = np.array([_apex_angles(d, kappa, i) for i in range(4)])  # row i: the angles at vertex i
     v = angles.sum(axis=1)
     excess_slack = TWO_PI - float(v.max())
     # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i

@@ -14,6 +14,7 @@ must not exceed 2*pi/sqrt(kappa).  See the README for the discussion.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +69,7 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
     """
     if not -math.inf < kappa < math.inf:
         raise DomainError("curvature must be finite")
+    opposite, b, c = float(opposite), float(b), float(c)  # past the float range, inf or nan, not a numpy warning
     scale = max(opposite, b, c)
     if not (b > 0.0 and c > 0.0 and opposite >= 0.0 and scale < math.inf):
         raise DomainError("sides must be finite, adjacent sides positive and opposite nonnegative")
@@ -101,8 +103,10 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
         num = math.cosh(b_) * math.cosh(c_) - math.cosh(a_)
         return _clamped_acos(num / (math.sinh(b_) * math.sinh(c_)))
 
-    num = b * b + c * c - opposite * opposite
-    return _clamped_acos(num / (2.0 * b * c))
+    aa, bb, cc, den = opposite * opposite, b * b, c * c, 2.0 * b * c
+    if not (min(aa, bb, cc) >= sys.float_info.min and max(aa, bb + cc, den) < math.inf):
+        raise DomainError(f"distances {opposite!r}, {b!r}, {c!r} are out of range of the Euclidean law of cosines")
+    return _clamped_acos((bb + cc - aa) / den)
 
 
 # ---------------------------------------------------------------------------

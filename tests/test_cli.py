@@ -582,6 +582,23 @@ class TestOutputAndUsage:
         assert keys == sorted(keys)
 
 
+class TestEuclideanRange:
+    """Distances whose squares leave the normal float range exit 2 with a DomainError that names them."""
+
+    def test_k4_past_the_euclidean_range_names_the_distances(self, tmp_path):
+        p = tmp_path / "k4.json"
+        p.write_text(K4_DOC.replace(", 1]", ", 1e200]"))
+        r = run_cli("check-global", "--graph", str(p), "--kappa", "0")
+        assert_rejected(r, "distances 1e+200, 1e+200, 1e+200 are out of range of the Euclidean law of cosines")
+        assert "Warning" not in r.stderr
+
+    @pytest.mark.parametrize("side", ["1e-162", "1e-155", "1e155"])
+    def test_embed_check_past_the_euclidean_range(self, side):
+        r = run_cli("embed-check", "--quadruple", ",".join([side] * 6), "--kappa", "0")
+        assert_rejected(r, f"distances {float(side)!r}, {float(side)!r}, {float(side)!r} are out of range")
+        assert "Warning" not in r.stderr
+
+
 # pieces that an encoder could confuse with its own syntax, plus non-ASCII
 # and astral characters
 TEXT = st.lists(
@@ -613,16 +630,54 @@ def _nest(tree, kinds):
 DEEP = st.builds(_nest, TREE, st.lists(st.sampled_from(["dict", "list", "tuple"]), min_size=300, max_size=300))
 
 
+# tables of rows that the writer may encode in one join: lists and tuples of one
+# scalar type, bools among ints, nan and infinities among floats, empty rows,
+# and rows of equal or of unequal lengths
+ROW_ITEM = st.sampled_from([TEXT, FLOAT, INT | st.booleans(), FLOAT | st.booleans(), st.booleans()])
+
+
+def _rows(item, sizes):
+    row = st.lists(item, min_size=sizes[0], max_size=sizes[1])
+    return row | row.map(tuple)
+
+
+UNEVEN = ROW_ITEM.flatmap(lambda item: st.lists(_rows(item, (0, 4)), min_size=1, max_size=6))
+EVEN = st.tuples(ROW_ITEM, st.integers(1, 3)).flatmap(lambda p: st.lists(_rows(p[0], (p[1], p[1])), max_size=6))
+# each row of its own type: the join of the first row's type fails on a later row
+MIXED = st.lists(ROW_ITEM.flatmap(lambda item: _rows(item, (1, 3))), min_size=2, max_size=5)
+TABLE = UNEVEN | EVEN | MIXED
+
+
 class TestWriter:
     @settings(max_examples=300, deadline=None)
     @given(TREE | DEEP)
     def test_bytes_of_json_dumps(self, tree):
         assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
+    @settings(max_examples=400, deadline=None)
+    @given(TABLE, st.sampled_from(["bare", "dict", "list"]))
+    def test_row_tables(self, table, wrap):
+        doc = {"bare": table, "dict": {"rows": table, "n": 1}, "list": [table, table]}[wrap]
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[1, True]], [(0, 1), (2, False)], [[1.5, math.nan]], [[math.inf], [-math.inf]], [[1, 2], []], [[], [1]], [[1], "ab"]],
+        ids=["bool", "tuple-bool", "nan", "infinities", "empty-last", "empty-first", "str-row"],
+    )
+    def test_rows_the_join_must_not_take(self, table):
+        assert cli._dumps(table) == json.dumps(table, sort_keys=True, indent=2)
+
     @pytest.mark.parametrize(
         "value",
-        [np.int64(1), {1, 2}, {1: "a"}, {"a": [set()]}, ["a", np.int64(2)], [1, np.int64(2)], [1.5, np.int64(2)]],
-        ids=["int64", "set", "int-key", "nested-set", "str-run", "int-run", "float-run"],
+        [
+            np.int64(1), {1, 2}, {1: "a"}, {"a": [set()]}, ["a", np.int64(2)], [1, np.int64(2)], [1.5, np.int64(2)],
+            [[1, np.int64(2)]], [[np.int64(1)]], [[1, 2], {3: 4}], [[1], {2}],
+        ],
+        ids=[
+            "int64", "set", "int-key", "nested-set", "str-run", "int-run", "float-run",
+            "int-row", "int64-row", "dict-after-row", "set-after-row",
+        ],
     )
     def test_unsupported_raises_type_error(self, value):
         with pytest.raises(TypeError):

@@ -184,3 +184,182 @@ class TestErrorOrder:
         faces = [[1, 3, 4], *_tetra_on(0)]
         with pytest.raises(MeshError, match=r"^edge \(1, 3\) borders 3 faces"):
             PolyMesh(v, np.array(faces)).require_closed_manifold()
+
+
+def reference_parse_off(text: str) -> PolyMesh:
+    """`parse_off` as first written: one Python step per line, per token and per triangle."""
+    rows = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append((ln, line))
+    if not rows:
+        raise ParseError("empty OFF document")
+    ln, header = rows[0]
+    if header != "OFF":
+        raise ParseError("expected 'OFF' header", line=ln)
+    if len(rows) < 2:
+        raise ParseError("missing counts line", line=ln)
+    ln, counts = rows[1]
+    parts = counts.split()
+    if len(parts) != 3:
+        raise ParseError("counts line must be 'nv nf ne'", line=ln)
+    try:
+        nv, nf = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("bad counts", line=ln) from None
+    body = rows[2:]
+    if len(body) < nv + nf:
+        raise ParseError(f"expected {nv} vertex and {nf} face lines")
+    vertices = []
+    for ln, line in body[:nv]:
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError("vertex line needs three coordinates", line=ln)
+        try:
+            vertices.append([float(x) for x in parts[:3]])
+        except ValueError:
+            raise ParseError("bad vertex coordinate", line=ln) from None
+    faces = []
+    for ln, line in body[nv : nv + nf]:
+        parts = line.split()
+        try:
+            k = int(parts[0])
+            idx = [int(x) for x in parts[1 : 1 + k]]
+        except (ValueError, IndexError):
+            raise ParseError("bad face line", line=ln) from None
+        if len(idx) != k or k < 3:
+            raise ParseError(f"face needs {k} indices", line=ln)
+        for t in range(1, k - 1):
+            faces.append([idx[0], idx[t], idx[t + 1]])
+    return PolyMesh(np.array(vertices, dtype=float), np.array(faces, dtype=int))
+
+
+# coordinate spellings that Python's float reads: signs, exponents, underscores, non-ASCII digits
+_COORDS = ["0", "-0", "+1.5", "1e-3", "2.5E2", "1_0.25", "\u0663.5", "0.1", "-7", "3.0000000000000004"]
+_GAPS = [" ", "  ", "\t", " \t "]
+# one-token mutations: junk, empty, wrong type, wrong count, huge, comment, non-finite
+_MUTATIONS = ["x", "", "1.5", "-1", "0", "2", "3", "7", "0_1", "99999999999999999999", "#", "nan", "inf", "1e400", "OFF"]
+
+
+def _off_text(rng) -> str:
+    """A seeded OFF text: comments, blank lines, mixed gaps, colour fields, triangles, quads and pentagons."""
+    nv = int(rng.integers(5, 12))
+    coords = [[str(c) for c in rng.normal(size=3)] for _ in range(nv)]
+    for row in coords:
+        if rng.random() < 0.3:
+            row[int(rng.integers(3))] = str(rng.choice(_COORDS))
+    faces = []
+    for _ in range(int(rng.integers(1, 6))):
+        k = int(rng.choice([3, 3, 4, 5]))
+        faces.append([str(k), *map(str, rng.choice(nv, size=k, replace=False))])
+    gap = lambda: str(rng.choice(_GAPS))  # noqa: E731
+    lines = ["OFF", f"{nv}{gap()}{len(faces)}{gap()}0"]
+    for row in coords + faces:
+        extra = rng.choice(["", "255 0 0", "0.5 0.25 1 1"], p=[0.6, 0.2, 0.2])
+        lines.append(gap().join([*row, *str(extra).split()]))
+    out = []
+    for line in lines:
+        if rng.random() < 0.15:
+            out.append("" if rng.random() < 0.5 else "# a comment line")
+        if rng.random() < 0.1:
+            line += "  # trailing comment"
+        out.append(gap() + line if rng.random() < 0.1 else line)
+    return "\n".join(out) + "\n"
+
+
+def _mutate(text: str, rng) -> str:
+    """Replace, delete or double one token of one line."""
+    lines = text.split("\n")
+    at = [i for i, line in enumerate(lines) if line.split()]
+    i = at[int(rng.integers(len(at)))]
+    parts = lines[i].split()
+    j = int(rng.integers(len(parts)))
+    op = rng.integers(3)
+    if op == 0:
+        parts[j] = str(rng.choice(_MUTATIONS))
+    elif op == 1:
+        del parts[j]
+    else:
+        parts.insert(j, parts[j])
+    lines[i] = " ".join(parts)
+    return "\n".join(lines)
+
+
+def _counts(text: str):
+    """(line number, nv, nf) of a counts line of three fields that starts with two ints, else None."""
+    rows = [(ln, raw.split("#", 1)[0].split()) for ln, raw in enumerate(text.splitlines(), start=1)]
+    rows = [(ln, parts) for ln, parts in rows if parts]
+    if len(rows) < 2 or len(rows[1][1]) != 3:
+        return None
+    ln, parts = rows[1]
+    try:
+        return ln, int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return m.vertices.shape, m.vertices.tobytes(), m.faces.shape, m.faces.tolist()
+
+
+class TestParseOffOracle:
+    """`parse_off` against `reference_parse_off`: bit-equal arrays, and the same error and line."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_valid_texts_bit_equal(self, seed):
+        rng = np.random.default_rng([seed, 8101])
+        for _ in range(40):
+            text = _off_text(rng)
+            assert _outcome(parse_off, text) == _outcome(reference_parse_off, text), text
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_token_mutations(self, seed):
+        rng = np.random.default_rng([seed, 8102])
+        kinds = set()
+        for _ in range(150):
+            text = _mutate(_off_text(rng), rng)
+            want = _outcome(reference_parse_off, text)
+            if want[0] == "OverflowError":  # the reference's np.array overflows on an index beyond int64
+                want = ("MeshError", "face index out of range", None)
+            counts = _counts(text)
+            if counts and min(counts[1:]) < 0 and not (want[0] == "ParseError" and (want[2] or 0) <= counts[0]):
+                # the reference reads a negative count as a slice from the end; parse_off rejects it
+                want = ("ParseError", f"line {counts[0]}: bad counts", counts[0])
+            assert _outcome(parse_off, text) == want, text
+            kinds.add(want[0] if isinstance(want[0], str) else "ok")
+        assert {"ParseError", "ok"} <= kinds
+
+    def test_mutations_reach_every_parse_error(self):
+        rng = np.random.default_rng(8103)
+        seen = set()
+        for _ in range(3000):
+            text = _mutate(_off_text(rng), rng)
+            try:
+                reference_parse_off(text)
+            except ParseError as e:
+                seen.add(str(e).split(": ", 1)[-1].split(" ")[0])
+            except (ValueError, OverflowError):
+                pass
+        assert {"expected", "counts", "bad", "vertex", "face"} <= seen
+
+    def test_index_beyond_int64_is_out_of_range(self):
+        text = TETRA_OFF.replace("3 1 2 3", "3 1 2 99999999999999999999")
+        with pytest.raises(MeshError, match="^face index out of range$"):
+            parse_off(text)
+
+    @pytest.mark.parametrize("counts", ["-4 12 0", "4 -1 0", "-1 -1 0"])
+    def test_negative_counts_rejected(self, counts):
+        # the line loop sliced from the end: "-4 12 0" read this tetrahedron
+        with pytest.raises(ParseError, match="^line 2: bad counts$"):
+            parse_off(TETRA_OFF.replace("4 4 6", counts))
+
+    def test_empty_blocks_keep_their_errors(self):
+        with pytest.raises(MeshError, match="vertices must be"):
+            parse_off("OFF\n0 0 0\n")
+        with pytest.raises(MeshError, match="faces must be"):
+            parse_off("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")

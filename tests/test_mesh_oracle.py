@@ -402,6 +402,16 @@ class TestEdgeAuditOracle:
             want = ScalarMesh(v, f).signed_volume()
             assert PolyMesh(v, f).signed_volume() == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("dip", [1e-13, -1e-13, -1e-10])
+    def test_nearly_straight_edge(self, dip):
+        # a square pyramid whose base folds along its diagonal (0, 2) by about 1.4 * dip
+        # radians: within STRAIGHT_TOL of pi either way it is convex, beyond it reflex
+        v = np.array([[1, 1, 0], [-1, 1, dip], [-1, -1, 0], [1, -1, dip], [0, 0, 1.0]])
+        f = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 2, 1], [0, 3, 2]])
+        got = mesh_edge_dilatation_bound(PolyMesh(v, f))
+        assert got.to_dict() == reference_edge_report(ScalarMesh(v, f)).to_dict()
+        assert got.reflex == (((0, 2),) if dip < -1e-12 else ())
+
     def test_tiny_angle_warnings(self):
         # a sliver tetrahedron: the three edges of its base are nearly flat-folded
         v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1e-8]])

@@ -209,6 +209,12 @@ class TestMeshEdgeAudit:
         with pytest.raises(MeshError):
             mesh_edge_dilatation_bound(m)
 
+    def test_faces_folded_onto_each_other_rejected(self):
+        # one triangle on both sides: a closed manifold whose edges have interior angle 0 (pi / 0 has no value)
+        m = PolyMesh(np.eye(3), np.array([[0, 1, 2], [0, 2, 1]]))
+        with pytest.raises(MeshError, match=r"^edge \(0, 1\): interior angle 0; its two faces fold onto each other$"):
+            mesh_edge_dilatation_bound(m)
+
 
 def _convex_cone_mesh(rng):
     """Closed bipyramid whose apex (vertex 0) is a random convex solid corner.

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,3 +309,55 @@ class TestHyperbolicRealization:
         d = hyperboloid_distances(np.random.default_rng(3), 4, 1.0)
         for kappa in (-1.0, 0.0, 1.0):
             assert realize_distances(kappa, d, 2) is None
+
+
+class TestEuclideanRange:
+    """The flat law of cosines raises DomainError past its float range and keeps every angle's bits inside it."""
+
+    @staticmethod
+    def _triangles(seed, count):
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            b, c = rng.uniform(0.5, 2.0, size=2)
+            out.append((abs(b - c) + rng.uniform(0.01, 0.99) * (b + c - abs(b - c)), b, c))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scales_by_powers_of_two(self, seed):
+        big, tiny = Fraction(sys.float_info.max), Fraction(sys.float_info.min)
+        for sides in self._triangles([seed, 7707], 5):
+            want = comparison_angle(0.0, *sides)
+            ok = []
+            for k in range(-1080, 1030):
+                try:
+                    scaled = [math.ldexp(x, k) for x in sides]
+                except OverflowError:
+                    continue  # a side past the largest float
+                if any(math.ldexp(y, -k) != x for x, y in zip(sides, scaled)):
+                    continue  # a subnormal side lost bits: another triangle
+                squares = [Fraction(x) ** 2 for x in scaled]
+                # clearly inside or clearly outside the range, by exact arithmetic; a margin of 4 on either side is left open
+                inside = min(squares) >= 4 * tiny and 4 * max(squares) <= big
+                outside = min(squares) < tiny / 4 or max(squares) > big
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        got = comparison_angle(0.0, *map(np.float64, scaled))
+                    except DomainError:
+                        assert not inside, (sides, k)
+                        continue
+                assert not outside, (sides, k)
+                assert got == want, (sides, k)
+                ok.append(k)
+            assert ok == list(range(ok[0], ok[-1] + 1))
+            assert ok[0] < -500 and ok[-1] > 500
+
+    def test_curved_branches_take_numpy_scalars_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in (-1.0, 1.0):
+                try:
+                    comparison_angle(kappa, *map(np.float64, (1e200, 1e200, 1e200)))
+                except DomainError:
+                    pass
