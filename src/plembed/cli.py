@@ -28,13 +28,28 @@ _STR = json.encoder.encode_basestring_ascii
 _JOINS = {str: _STR, float: float.__repr__, int: int.__repr__}
 
 
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the text of a scalar of each of these exact types (a dict value is written without a call of _dumps)
+_ATOMS = {
+    str: _STR,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
 def _dumps(o, pad: str = "\n") -> str:
     """The text of ``json.dumps(o)`` with sorted keys and an indent of 2.
 
     With an indent, ``json.dumps`` takes its pure-Python encoder.  Here a list
     is one C-level join when its first item is a str, float or int and every
-    item takes the same encoder, and so is a list of non-empty list or tuple
-    rows of that one type.  It goes item by item where a join would differ
+    item takes the same encoder, and so is a list of list or tuple rows of
+    one length, all of that one type.  A dict value of such a type, None or a
+    bool is written in place.  It goes item by item where a join would differ
     from json: a float join that wrote nan or inf (json writes NaN and
     Infinity), and an int join over a bool (json writes true, not 1).  A key
     that is not a str and a value json cannot encode raise TypeError.
@@ -48,10 +63,16 @@ def _dumps(o, pad: str = "\n") -> str:
         rows = type(o[0]) in (list, tuple) and o[0]
         join = _JOINS.get(type(o[0][0] if rows else o[0]))
         try:
-            if rows and {*map(type, o)} <= {list, tuple}:
-                # one join per row, then one over the rows; an empty row writes "" and goes item by item
-                texts = [("," + inner + "  ").join(map(join, row)) for row in o]
-                text = "" if "" in texts else f"[{inner}  " + f"{inner}]{sep}[{inner}  ".join(texts) + f"{inner}]"
+            if rows:
+                # rows of one length: one join over all their items, a row's end every `width` items;
+                # rows of other lengths or types go item by item
+                width = len(rows)
+                text = ""
+                if {*map(type, o)} <= {list, tuple} and {*map(len, o)} == {width}:
+                    parts = ["," + inner + "  "] * (2 * width * len(o) - 1)
+                    parts[::2] = map(join, chain.from_iterable(o))
+                    parts[2 * width - 1 :: 2 * width] = [f"{inner}]{sep}[{inner}  "] * (len(o) - 1)
+                    text = f"[{inner}  " + "".join(parts) + f"{inner}]"
             else:
                 text = sep.join(map(join, o)) if join else ""
         except TypeError:  # an item of another type
@@ -64,18 +85,20 @@ def _dumps(o, pad: str = "\n") -> str:
         if not o:
             return "{}"
         inner = pad + "  "
-        text = ("," + inner).join([_STR(k) + ": " + _dumps(v, inner) for k, v in sorted(o.items())])
+        text = ("," + inner).join(
+            [_STR(k) + ": " + (f(v) if (f := _ATOMS.get(type(v))) else _dumps(v, inner)) for k, v in sorted(o.items())]
+        )
         return f"{{{inner}{text}{pad}}}"
+    atom = _ATOMS.get(type(o))
+    if atom:
+        return atom(o)
+    # a subclass writes as its base type
     if isinstance(o, str):
         return _STR(o)
-    if o is None:
-        return "null"
-    if o is True or o is False:
-        return "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        return _float(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -23,19 +23,30 @@ from .spaceform import (
     ANGLE_TOL,
     TRIANGLE_SLACK,
     TWO_PI,
-    comparison_angle,
+    comparison_angles,
     distances_from_coords,
     realize_distances,
 )
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_DIAG = np.arange(4)
-_OFF_I, _OFF_J = np.nonzero(~np.eye(4, dtype=bool))
+_PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
+_UPPER, _LOWER = 4 * _PAIRS_I + _PAIRS_J, 4 * _PAIRS_J + _PAIRS_I  # positions in a flattened 4x4 matrix
+# Entry [i, j] of a 4x4 matrix of a function of distance is the function of
+# _SCATTER[i, j] in (0, d01, d02, d03, d12, d13, d23): the diagonal, then `_PAIR_ORDER`.
+_SCATTER = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
 # Every (i, j, k) with j distinct from i < k: the side d[i, k] against the
-# path i -> j -> k.  Symmetric matrices need no other orientation.
+# path i -> j -> k, as positions in `_PAIR_ORDER`.  Symmetric matrices need
+# no other orientation.
 _I, _J, _K = np.array(
     [(i, j, k) for j in range(4) for i, k in combinations([x for x in range(4) if x != j], 2)]
 ).T
+_IK, _IJ, _JK = _SCATTER[_I, _K] - 1, _SCATTER[_I, _J] - 1, _SCATTER[_J, _K] - 1
+# The sides of the 12 comparison angles in a flattened 4x4 matrix: [:, i]
+# holds those at vertex i, one per pair (j, l) of the other points in index
+# order, as (opposite d[j, l], adjacent d[i, j], adjacent d[i, l]).
+_APEX = np.array(
+    [[(4 * j + l, 4 * i + j, 4 * i + l) for j, l in combinations([x for x in range(4) if x != i], 2)] for i in range(4)]
+).transpose(2, 0, 1)
 
 # Conditions on a distance matrix, in the order they are tested.
 _DEFECTS = (
@@ -54,25 +65,34 @@ def _symmetrized(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the symmetrized matrices, 0.5 * d + 0.5 * d.T with a zero diagonal,
     and per matrix 1 + the index in `_DEFECTS` of the first failed
     condition, or 0 when it is a metric.  Symmetry, the diagonal and the
-    triangle inequality allow a slack of TRIANGLE_SLACK * max d.
+    triangle inequality allow a slack of TRIANGLE_SLACK * max d.  The
+    conditions run on the 16 entries as rows, across which reductions are
+    fast, and are ranked only when some matrix fails one.
     """
-    scale = d.max(axis=(-2, -1))
-    slack = TRIANGLE_SLACK * scale
-    dt = np.swapaxes(d, -1, -2)
+    rows = np.ascontiguousarray(d.reshape(-1, 16).T)
+    upper, lower = rows[_UPPER], rows[_LOWER]
     with np.errstate(invalid="ignore", over="ignore"):
-        sym = 0.5 * d + 0.5 * dt  # halves first: the sum of two finite floats may overflow
-        sym[..., _DIAG, _DIAG] = 0.0
-        failed = np.stack(
-            [
-                ~np.isfinite(d).all(axis=(-2, -1)),
-                scale <= 0.0,
-                np.abs(d - dt).max(axis=(-2, -1)) > slack,
-                np.abs(d[..., _DIAG, _DIAG]).max(axis=-1) > slack,
-                sym[..., _OFF_I, _OFF_J].min(axis=-1) <= 0.0,
-                np.any(sym[..., _I, _K] > sym[..., _I, _J] + sym[..., _J, _K] + slack[..., None], axis=-1),
-            ]
-        )
-    return sym, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+        pairs = 0.5 * upper + 0.5 * lower  # halves first: the sum of two finite floats may overflow
+        scale = np.maximum.reduce(rows)
+        slack = TRIANGLE_SLACK * scale
+        failed = [
+            ~np.logical_and.reduce(np.isfinite(rows)),
+            scale <= 0.0,
+            np.maximum.reduce(np.abs(upper - lower)) > slack,
+            np.maximum.reduce(np.abs(rows[::5])) > slack,
+            np.minimum.reduce(pairs) <= 0.0,
+        ]
+        del rows, upper, lower
+        path = pairs[_IJ]
+        path += pairs[_JK]
+        path += slack
+        failed.append(np.logical_or.reduce(pairs[_IK] > path))
+    del path
+    sym = np.vstack([np.zeros_like(scale), pairs])[_SCATTER.reshape(-1)].T.reshape(d.shape)
+    defect = np.logical_or.reduce(failed).astype(np.intp)
+    if defect.any():
+        defect[defect > 0] = np.argmax(failed, axis=0)[defect > 0] + 1
+    return sym, defect.reshape(d.shape[:-2])
 
 
 BETWEENNESS_MARGIN = 1e-12  # relative margin of `_betweenness`
@@ -82,11 +102,16 @@ def _betweenness(d: np.ndarray, margin: float) -> np.ndarray:
     """Per matrix of a symmetric stack (..., 4, 4): does a point lie metrically between two others?
 
     Betweenness is tested with a relative margin of ``margin * max d``, on
-    halved sides, so the sum of two sides cannot overflow.
+    halved sides, so the sum of two sides cannot overflow.  The diagonal is
+    taken to be zero.
     """
-    h = 0.5 * d
-    m = margin * h.max(axis=(-2, -1))
-    return np.any(h[..., _I, _K] >= h[..., _I, _J] + h[..., _J, _K] - m[..., None], axis=-1)
+    h = 0.5 * d.reshape(-1, 16).T[_UPPER]  # the six distances as rows
+    m = margin * np.maximum(np.maximum.reduce(h), 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf where a distance is infinite
+        path = h[_IJ]
+        path += h[_JK]
+        path -= m
+        return np.logical_or.reduce(h[_IK] >= path).reshape(d.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -138,12 +163,15 @@ def nondegenerate(q: MetricQuadruple, *, margin: float = BETWEENNESS_MARGIN) -> 
     return not _betweenness(q.distances, margin)
 
 
-def _apex_angles(d: np.ndarray, kappa: float, i: int) -> tuple[float, float, float]:
-    """The three comparison angles at vertex i, pairs of the rest in index order."""
-    rest = [j for j in range(4) if j != i]
-    return tuple(
-        comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations(rest, 2)
-    )
+def _angle_table(d: np.ndarray, kappa, vertices: int = 4) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The comparison angles (..., vertices, 3) at the first ``vertices`` points of a stack (..., 4, 4).
+
+    Row i holds the angles at vertex i, pairs of the other points in index
+    order; ``kappa`` broadcasts against the table.  The second value is the
+    first failure, as `comparison_angles` gives it.
+    """
+    flat = d.reshape(*d.shape[:-2], 16)
+    return comparison_angles(kappa, *(flat[..., sides[:vertices]] for sides in _APEX))
 
 
 @dataclass(frozen=True)
@@ -167,7 +195,7 @@ class EmbeddabilityCertificate:
             "verdict": self.verdict,
             "planar": self.planar,
             "excess_slack": self.excess_slack,
-            "angle_slacks": [[float(x) for x in row] for row in self.angle_slacks],
+            "angle_slacks": self.angle_slacks.tolist(),
             "witness": list(self.witness) if self.witness is not None else None,
         }
 
@@ -183,30 +211,27 @@ def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertifica
     """
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
-    return _certify(q.distances, kappa)
+    angles, failure = _angle_table(q.distances, kappa)
+    if failure:
+        raise DomainError(failure[1])
+    return _certificates(angles[None])[0]
 
 
-def _certify(d: np.ndarray, kappa: float) -> EmbeddabilityCertificate:
-    """`s3_embeddability` of a validated, nondegenerate distance matrix.
-
-    Each of the 12 comparison angles is computed once, in vertex and pair
-    order, so the first `DomainError` is the one a scalar walk would raise.
-    """
-    angles = np.array([_apex_angles(d, kappa, i) for i in range(4)])  # row i: the angles at vertex i
-    v = angles.sum(axis=1)
-    excess_slack = TWO_PI - float(v.max())
+def _certificates(angles: np.ndarray) -> list[EmbeddabilityCertificate]:
+    """`s3_embeddability` of each table of a stack (Q, 4, 3) of comparison angles, row i those at vertex i."""
+    v = angles[..., 0] + angles[..., 1] + angles[..., 2]
+    excess_slack = TWO_PI - v.max(axis=1)
     # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i
-    slacks = angles[:, [1, 0, 0]] + angles[:, [2, 2, 1]] - angles
-    witness = None
-    if excess_slack < -ANGLE_TOL:
-        witness = ("excess", int(np.argmax(v)))
-    else:
-        bad = np.flatnonzero(slacks.min(axis=1) < -ANGLE_TOL)
-        if bad.size:
-            witness = ("angle", int(bad[0]), int(np.argmin(slacks[bad[0]])))
-    verdict = witness is None
-    planar = verdict and bool(np.any(np.abs(slacks) <= ANGLE_TOL))
-    return EmbeddabilityCertificate(verdict, planar, excess_slack, slacks, witness)
+    slacks = angles[..., [1, 0, 0]] + angles[..., [2, 2, 1]] - angles
+    bad = slacks.min(axis=2) < -ANGLE_TOL
+    excess = excess_slack < -ANGLE_TOL
+    verdict = ~(excess | bad.any(axis=1))
+    planar = verdict & (np.abs(slacks) <= ANGLE_TOL).any(axis=(1, 2))
+    witness = [None] * len(angles)
+    for q in np.flatnonzero(~verdict).tolist():
+        i = int(bad[q].argmax())
+        witness[q] = ("excess", int(v[q].argmax())) if excess[q] else ("angle", i, int(slacks[q, i].argmin()))
+    return [*map(EmbeddabilityCertificate, verdict.tolist(), planar.tolist(), excess_slack.tolist(), slacks, witness)]
 
 
 MATCH_TOL = 1e-8  # realized coordinates reproduce each distance within MATCH_TOL * max d
@@ -289,10 +314,6 @@ def _log_cosh_np(x: np.ndarray) -> np.ndarray:
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
 
 
-# Entry [i, j] of a curvature matrix is the function of distance _SCATTER[i, j]
-# in (0, d01, d02, d03, d12, d13, d23): the diagonal, then `_PAIR_ORDER`.
-_SCATTER = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
-_PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
 _TRIPLES = np.array(list(combinations(range(4), 3)))
 # Levels of the bisection tree evaluated per batched determinant; it divides
 # the 200 steps of `_bisect`.
@@ -317,12 +338,13 @@ def _curvature_det_grid(d: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         return np.linalg.det(mats)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
+def _bisect(f, a: float, b: float, fa: float, fb: float, rtol: float) -> tuple[float, float | None]:
     """Bisect the sign change of f on [a, b]; f maps an array of points to their values.
 
     Each call of f evaluates the midpoints of `_TREE_DEPTH` levels of the
     bisection tree (in heap order); the walk down it takes the same steps as
-    a bisection that evaluates one midpoint at a time.
+    a bisection that evaluates one midpoint at a time.  Returns the root and
+    f there, or None in place of f when the 200 steps run out.
     """
     for _ in range(200 // _TREE_DEPTH):
         lo, hi = [a], [b]
@@ -335,20 +357,20 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
         n = 0
         for _ in range(_TREE_DEPTH):
             mid = mids[n]
-            if b - a <= rtol * (1.0 + abs(mid)):
-                return mid
-            fm = vals[n]
-            if fm == 0.0:
-                return mid
+            fm = float(vals[n])
+            if b - a <= rtol * (1.0 + abs(mid)) or fm == 0.0:
+                return mid, fm
             if (fa < 0.0) != (fm < 0.0):
                 b, fb, n = mid, fm, 2 * n + 1
             else:
                 a, fa, n = mid, fm, 2 * n + 2
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), None
 
 
-def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[float]:
-    """Candidate roots of f on an increasing grid, in order; f maps an array of points to their values.
+def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[tuple[float, float | None]]:
+    """Candidate roots of f on an increasing grid, in order, with f there (see `_bisect`).
+
+    f maps an array of points to their values.
 
     A grid point is a candidate when its value is zero, and a root is
     bisected between neighbours whose values differ in sign.  Only pairs of
@@ -361,7 +383,7 @@ def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[float]:
     zero = np.append(ok & (fa == 0.0), vals[-1] == 0.0)
     change = np.append(ok & (fa != 0.0) & ((fa < 0.0) != (fb < 0.0)), False)
     return [
-        float(grid[i]) if zero[i]
+        (float(grid[i]), float(vals[i])) if zero[i]
         else _bisect(f, float(grid[i]), float(grid[i + 1]), float(fa[i]), float(fb[i]), rtol)
         for i in np.flatnonzero(zero | change)
     ]
@@ -413,7 +435,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     candidates: list[float] = []
     for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
         candidates += _grid_roots(lambda ks: _curvature_det_grid(d, ks), grid, BISECT_RTOL)
-    for k in candidates:
+    for k, value in candidates:
         if flat and abs(k) <= 100.0 * floor:
             # shadow of the structural kappa = 0 zero, not a distinct root
             continue
@@ -421,7 +443,9 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
             continue
         if realize_quadruple(q, k, 2) is None:
             continue
-        residual = abs(float(_curvature_det_grid(d, np.array([k]))[0]))
+        if value is None:  # the bisection ran out of steps
+            value = float(_curvature_det_grid(d, np.array([k]))[0])
+        residual = abs(value)
         if residual > RESIDUAL_TOL:
             continue
         roots.append(WaldRoot(float(k), residual))

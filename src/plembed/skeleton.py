@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -56,9 +56,9 @@ from .quadruple import (
     _DEFECTS,
     BETWEENNESS_MARGIN,
     EmbeddabilityCertificate,
-    _apex_angles,
+    _angle_table,
     _betweenness,
-    _certify,
+    _certificates,
     _symmetrized,
 )
 from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI
@@ -73,14 +73,62 @@ def _edges_at(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.
     return np.arange(deg.sum()) + np.repeat(indptr[vertices] - np.cumsum(deg) + deg, deg), deg
 
 
+def _edge_table(edges: list, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index pairs (m, 2), the smaller first, and float lengths of (i, j, length) edges, in one pass over arrays.
+
+    None when an edge is at fault or a column holds more than integer
+    indices or numbers; `MetricGraph._checked_edges` then takes them.
+    """
+    if not edges:
+        return np.empty((0, 2), dtype=np.intp), np.empty(0)
+    try:
+        i, j, w = map(np.array, zip(*edges))
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if i.dtype.kind != "i" or j.dtype.kind != "i" or w.dtype.kind not in "if":
+        return None
+    lo, hi, w = np.minimum(i, j), np.maximum(i, j), w.astype(float)
+    if not np.all((lo >= 0) & (hi < n) & (lo != hi) & (w > 0.0) & (w < math.inf)):
+        return None
+    keys = np.sort(lo * n + hi)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return np.stack([lo, hi], axis=1).astype(np.intp), w
+
+
 class MetricGraph:
     """Undirected graph with positive edge lengths and shortest-path metric."""
 
     def __init__(self, labels, edges):
-        self.labels: tuple[str, ...] = tuple(str(l) for l in labels)
-        if len(set(self.labels)) != len(self.labels):
+        self.labels: tuple[str, ...] = tuple(map(str, labels))
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
             raise DomainError("vertex labels must be unique")
-        self._index = {l: i for i, l in enumerate(self.labels)}
+        self._index = dict(zip(self.labels, range(n)))
+        edges = list(edges)
+        table = _edge_table(edges, n)
+        if table is None:  # a fault, or entries the array pass does not take: edge by edge
+            table = self._checked_edges(edges)
+        self._ends, self._lengths = table
+        # CSR adjacency: the neighbours of vertex i, in increasing order, and
+        # the edge lengths to them are _nbr and _w over _indptr[i]:_indptr[i + 1]
+        tail, head = np.concatenate([self._ends, self._ends[:, ::-1]]).T
+        order = np.argsort(tail * n + head)
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+        self._nbr = head[order]
+        self._w = np.tile(self._lengths, 2)[order]
+        # R(a): max over neighbours v of w(a, v) plus the longest edge at v
+        # (0 at an isolated vertex), widened by SEARCH_MARGIN
+        has_edges = self._indptr[1:] > self._indptr[:-1]
+        starts = self._indptr[:-1][has_edges]
+        longest, radius = np.zeros(n), np.zeros(n)
+        longest[has_edges] = np.maximum.reduceat(self._w, starts)
+        with np.errstate(over="ignore"):  # lengths near the top of the float range: an infinite radius
+            radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
+        self._radius = radius * (1.0 + SEARCH_MARGIN)
+
+    def _checked_edges(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """Validate the edges one at a time: the first fault raises its own error."""
         n = len(self.labels)
         seen = set()
         cleaned = []
@@ -98,38 +146,23 @@ class MetricGraph:
                 raise DuplicateEdgeError(f"duplicate edge ({self.labels[i]}, {self.labels[j]})")
             seen.add(key)
             cleaned.append((key[0], key[1], float(w)))
-        self.edges: tuple[tuple[int, int, float], ...] = tuple(cleaned)
-        # CSR adjacency: the neighbours of vertex i, in increasing order, and
-        # the edge lengths to them are _nbr and _w over _indptr[i]:_indptr[i + 1]
         table = np.array(cleaned, dtype=float).reshape(-1, 3)
-        ends = table[:, :2].astype(np.intp)
-        tail, head = np.concatenate([ends, ends[:, ::-1]]).T
-        order = np.argsort(tail * n + head)
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
-        self._nbr = head[order]
-        self._w = np.tile(table[:, 2], 2)[order]
-        # R(a): max over neighbours v of w(a, v) plus the longest edge at v
-        # (0 at an isolated vertex), widened by SEARCH_MARGIN
-        has_edges = self._indptr[1:] > self._indptr[:-1]
-        starts = self._indptr[:-1][has_edges]
-        longest, radius = np.zeros(n), np.zeros(n)
-        longest[has_edges] = np.maximum.reduceat(self._w, starts)
-        radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
-        self._radius = radius * (1.0 + SEARCH_MARGIN)
+        return table[:, :2].astype(np.intp), table[:, 2].copy()
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge as (i, j, length) with i < j, in input order."""
+        return tuple(zip(*self._ends.T.tolist(), self._lengths.tolist()))
 
     @classmethod
     def from_edge_list(cls, triples) -> "MetricGraph":
         """Build from (label, label, length) triples; vertex order of first appearance."""
-        labels: list[str] = []
-        index: dict[str, int] = {}
-        edges = []
-        for u, v, w in triples:
-            for lab in (u, v):
-                if lab not in index:
-                    index[lab] = len(labels)
-                    labels.append(lab)
-            edges.append((index[u], index[v], w))
-        return cls(labels, edges)
+        triples = list(triples)
+        ends = [None] * (2 * len(triples))
+        ends[::2], ends[1::2], lengths = zip(*triples) if triples else ((), (), ())
+        index = dict(zip(dict.fromkeys(ends), range(len(ends))))
+        pairs = map(index.__getitem__, ends)  # one iterator, read twice per edge: the indices of u and v
+        return cls(list(index), zip(pairs, pairs, lengths))
 
     @property
     def num_vertices(self) -> int:
@@ -165,7 +198,8 @@ class MetricGraph:
         while len(front):
             edge, deg = _edges_at(self._indptr, front % n)
             src = np.repeat(front // n, deg)
-            cand = np.repeat(front_dist, deg) + self._w[edge]
+            with np.errstate(over="ignore"):  # an infinite distance; the star screen rejects it
+                cand = np.repeat(front_dist, deg) + self._w[edge]
             near = cand <= self._radius[src]
             cand_keys, cand = src[near] * n + self._nbr[edge[near]], cand[near]
             # the smallest candidate per key
@@ -234,6 +268,29 @@ def _json_label(x, what: str) -> str:
     return str(x)
 
 
+def _json_edges(items: list) -> list[tuple[str, str, float]]:
+    """JSON ``[u, v, length]`` items as (label, label, length) triples.
+
+    One pass over the columns takes well-formed items; item by item, the
+    first malformed one raises its own error, and an integer length beyond
+    the float range becomes an infinity.
+    """
+    if {*map(type, items)} <= {list} and {*map(len, items)} <= {3}:
+        us, vs, ws = zip(*items) if items else ((), (), ())
+        if {*map(type, us), *map(type, vs)} <= {str, int} and {*map(type, ws)} <= {int, float}:
+            try:
+                return [*zip(map(str, us), map(str, vs), map(float, ws))]
+            except OverflowError:
+                pass
+    edges = []
+    for k, e in enumerate(items):
+        if not (isinstance(e, list) and len(e) == 3):
+            raise ParseError(f"edges[{k}]: expected [u, v, length]")
+        u, v = (_json_label(e[i], f"edges[{k}][{i}]") for i in (0, 1))
+        edges.append((u, v, _json_number(e[2], f"edges[{k}] length")))
+    return edges
+
+
 def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | None]:
     """Parse either the edge-list format or the structured JSON document.
 
@@ -253,22 +310,22 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
         for key in ("edges", "vertices"):
             if not isinstance(doc.get(key, []), list):
                 raise ParseError(f"'{key}' must be an array")
-        edges = []
-        for k, e in enumerate(doc["edges"]):
-            if not (isinstance(e, list) and len(e) == 3):
-                raise ParseError(f"edges[{k}]: expected [u, v, length]")
-            u, v = (_json_label(e[i], f"edges[{k}][{i}]") for i in (0, 1))
-            edges.append((u, v, _json_number(e[2], f"edges[{k}] length")))
+        edges = _json_edges(doc["edges"])
         if "vertices" in doc:
-            labels = [_json_label(x, f"vertices[{k}]") for k, x in enumerate(doc["vertices"])]
-            index = {l: i for i, l in enumerate(labels)}
-            idx_edges = []
-            for u, v, w in edges:
-                for lab in (u, v):
-                    if lab not in index:
-                        raise UnknownVertexError(f"edge endpoint {lab!r} not in 'vertices'")
-                idx_edges.append((index[u], index[v], w))
-            graph = MetricGraph(labels, idx_edges)
+            items = doc["vertices"]
+            if {*map(type, items)} <= {str, int}:
+                labels = [*map(str, items)]
+            else:
+                labels = [_json_label(x, f"vertices[{k}]") for k, x in enumerate(items)]
+            index = dict(zip(labels, range(len(labels))))
+            ends = [None] * (2 * len(edges))
+            ends[::2], ends[1::2], lengths = zip(*edges) if edges else ((), (), ())
+            try:
+                pairs = iter([*map(index.__getitem__, ends)])  # read twice per edge, as in `from_edge_list`
+            except KeyError:
+                lab = next(lab for lab in ends if lab not in index)
+                raise UnknownVertexError(f"edge endpoint {lab!r} not in 'vertices'") from None
+            graph = MetricGraph(labels, zip(pairs, pairs, lengths))
         else:
             graph = MetricGraph.from_edge_list(edges)
         kappa = None
@@ -296,12 +353,12 @@ def _star_positions(degree: int) -> np.ndarray:
 class _Stars:
     """Every star at a run of base vertices, the stars of one base contiguous.
 
-    ``neighbors[q]`` holds the labels of the three neighbours of star q,
-    and ``distances[q]`` the graph distances of the base and those
-    neighbours, symmetrized by `quadruple._symmetrized`.  The stars of
-    ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
-    validation code of each star; ``degenerate`` marks the stars with a
-    metric betweenness.
+    ``neighbors[q]`` holds the vertex ids of the three neighbours of star q
+    (labels are looked up only for the stars a report names), and
+    ``distances[q]`` the graph distances of the base and those neighbours,
+    symmetrized by `quadruple._symmetrized`.  The stars of ``bases[k]`` are
+    ``start[k]:start[k + 1]``.  ``defect`` is the validation code of each
+    star; ``degenerate`` marks the stars with a metric betweenness.
 
     `gather` grows the search ball of every base and every neighbour once,
     STAR_RANGE sources at a time.  Then, STAR_RANGE bases at a time, so
@@ -309,15 +366,16 @@ class _Stars:
     (k + 1) x (k + 1) block of distances among each base of degree k and
     its neighbours once, all bases of one degree together, row p from the
     ball of vertex p as a dense matrix holds it.  The stars are the 4 x 4
-    sub-blocks at `_star_positions`.
+    sub-blocks at `_star_positions`; one screen over the whole range
+    validates them and tests their betweenness.
     """
 
     bases: tuple[int, ...]
     start: list[int]
-    neighbors: list[tuple[str, str, str]]
+    neighbors: np.ndarray
     distances: np.ndarray
-    defect: list[int]
-    degenerate: list[bool]
+    defect: np.ndarray
+    degenerate: np.ndarray
 
     @classmethod
     def gather(cls, g: MetricGraph, bases) -> "_Stars":
@@ -327,31 +385,28 @@ class _Stars:
         chunks = np.array_split(sources, max(1, -(-len(sources) // STAR_RANGE)))
         keys, dist = map(np.concatenate, zip(*map(g._balls, chunks)))
         start = np.concatenate([[0], np.cumsum(degree * (degree - 1) * (degree - 2) // 6)])
-        labels = np.array(g.labels, dtype=object)
-        neighbors: list[tuple[str, str, str]] = []
+        neighbors = np.empty((start[-1], 3), dtype=np.intp)
         distances = np.empty((start[-1], 4, 4))
         defect = np.empty(start[-1], dtype=np.intp)
         degenerate = np.empty(start[-1], dtype=bool)
         for lo in range(0, len(bases), STAR_RANGE):
             offset = start[lo : lo + STAR_RANGE + 1]
-            raw, ids = _range_blocks(g, keys, dist, bases[lo : lo + STAR_RANGE], offset - offset[0])
             span = slice(offset[0], offset[-1])
+            raw = _range_blocks(g, keys, dist, bases[lo : lo + STAR_RANGE], offset - offset[0], neighbors[span])
             distances[span], defect[span] = _symmetrized(raw)
             degenerate[span] = _betweenness(distances[span], BETWEENNESS_MARGIN)
-            neighbors += map(tuple, labels[ids].tolist())
-            del raw, ids  # before the next range's blocks
-        return cls(tuple(bases.tolist()), start.tolist(), neighbors, distances, defect.tolist(), degenerate.tolist())
+            del raw  # before the next range's blocks
+        return cls(tuple(bases.tolist()), start.tolist(), neighbors, distances, defect, degenerate)
 
 
-def _range_blocks(g: MetricGraph, keys, dist, bases, start) -> tuple[np.ndarray, np.ndarray]:
-    """Raw distances (Q, 4, 4) and neighbour ids (Q, 3) of the stars at ``bases``.
+def _range_blocks(g: MetricGraph, keys, dist, bases, start, ids: np.ndarray) -> np.ndarray:
+    """Raw distances (Q, 4, 4) of the stars at ``bases``; their neighbour ids go to ``ids`` (Q, 3).
 
     Read from the balls ``keys``, ``dist``; the stars of ``bases[k]`` are rows ``start[k]:start[k + 1]``.
     """
     n, indptr = g.num_vertices, g._indptr
     degree = indptr[bases + 1] - indptr[bases]
     raw = np.empty((start[-1], 4, 4))
-    ids = np.empty((start[-1], 3), dtype=np.intp)
     for k in np.unique(degree[degree >= 3]).tolist():
         at = np.flatnonzero(degree == k)
         idx = np.concatenate([bases[at, None], g._nbr[indptr[bases[at], None] + np.arange(k)]], axis=1)
@@ -360,7 +415,7 @@ def _range_blocks(g: MetricGraph, keys, dist, bases, start) -> tuple[np.ndarray,
         rows = (start[at, None] + np.arange(len(pos))).reshape(-1)
         raw[rows] = block[:, pos[:, :, None], pos[:, None, :]].reshape(-1, 4, 4)
         ids[rows] = idx[:, pos[:, 1:]].reshape(-1, 3)
-    return raw, ids
+    return raw
 
 
 @dataclass(frozen=True)
@@ -405,7 +460,7 @@ class LocalReport:
             "kappa": self.kappa,
             "verdict": self.verdict,
             "checks": [c.to_dict() for c in self.checks],
-            "skipped": [list(s) for s in self.skipped],
+            "skipped": list(self.skipped),
             "witness": [list(self.witness[0]), self.witness[1]] if self.witness else None,
         }
 
@@ -423,45 +478,67 @@ def local_compatibility(g: MetricGraph, v, kappa: float) -> LocalReport:
     """
     if not math.isfinite(kappa):
         raise DomainError("curvature must be finite")
-    return _local_report(g, _Stars.gather(g, [g.index(v)]), 0, kappa)
+    return _reports(g, _Stars.gather(g, [g.index(v)]), [kappa])[0]
 
 
-def _local_report(g: MetricGraph, stars: _Stars, k: int, kappa: float) -> LocalReport:
-    """`local_compatibility` at ``stars.bases[k]``, certified on rows of the validated stack.
+def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalReport]:
+    """`local_compatibility` at every base of ``stars``, at curvature ``kappas[k]`` at ``bases[k]``.
 
-    Degenerate stars are only listed.
+    The nondegenerate stars of all bases are certified together, from one
+    table of their flat comparison angles and one of the curvature angles
+    at their bases; degenerate stars are only listed.  The DomainError
+    raised is the first of a walk over the bases in order: a base's worst
+    defect before its stars, then each star's flat angles and then its
+    curvature angles, in vertex and pair order.
     """
-    label = g.labels[stars.bases[k]]
-    lo, hi = stars.start[k], stars.start[k + 1]
-    worst = max(stars.defect[lo:hi], default=0)
-    if worst:
-        raise DomainError(_DEFECTS[worst - 1])
-    checks, verdict, witness = [], True, None
-    for q in range(lo, hi):
-        if stars.degenerate[q]:
-            continue
-        d, nbr_labels = stars.distances[q], stars.neighbors[q]
-        try:
-            cert = _certify(d, 0.0)
-            vk = sum(_apex_angles(d, kappa, 0))
-        except DomainError as e:
-            raise DomainError(f"quadruple at {label} with neighbours {nbr_labels}: {e}") from e
-        curvature_slack = TWO_PI - vk
-        ok = cert.verdict and curvature_slack >= -ANGLE_TOL
-        checks.append(QuadrupleCheck(nbr_labels, curvature_slack, cert, ok))
-        if not ok and verdict:
-            verdict = False
-            w = cert.witness
-            if w is None:
-                name = "curvature"
-            elif w[0] == "excess":
-                name = "excess"
-            else:
-                # an angle inequality at the base, or "@i" at neighbour point i
-                name = f"angle{w[2]}" + (f"@{w[1]}" if w[1] else "")
-            witness = (nbr_labels, name)
-    skipped = tuple(compress(stars.neighbors[lo:hi], stars.degenerate[lo:hi]))
-    return LocalReport(label, float(kappa), verdict, tuple(checks), skipped, witness)
+    labels = np.array(g.labels, dtype=object)
+    start = np.array(stars.start)
+    owner = np.repeat(np.arange(len(stars.bases)), np.diff(start))  # the base of every star
+    checked = np.flatnonzero(~stars.degenerate)
+    d = stars.distances[checked]
+    flat, flat_failure = _angle_table(d, 0.0)
+    curved, curved_failure = _angle_table(d, np.array(kappas)[owner[checked], None, None], 1)
+    # (star, flat before curved, text) of the first failure of each table
+    failure = min(
+        ((f[0] // size, table, f[1]) for f, size, table in ((flat_failure, 12, 0), (curved_failure, 3, 1)) if f),
+        default=None,
+    )
+    failed_base = owner[checked[failure[0]]] if failure else len(stars.bases)
+    defects = np.flatnonzero(stars.defect)
+    if defects.size and owner[defects[0]] <= failed_base:
+        k = owner[defects[0]]
+        raise DomainError(_DEFECTS[stars.defect[start[k] : start[k + 1]].max() - 1])
+    if failure:
+        trio = tuple(labels[stars.neighbors[checked[failure[0]]]])
+        raise DomainError(f"quadruple at {g.labels[stars.bases[failed_base]]} with neighbours {trio}: {failure[2]}")
+
+    certificates = _certificates(flat)
+    curvature_slack = TWO_PI - (curved[:, 0, 0] + curved[:, 0, 1] + curved[:, 0, 2])
+    ok = np.array([c.verdict for c in certificates], dtype=bool) & (curvature_slack >= -ANGLE_TOL)
+    trios = map(tuple, labels[stars.neighbors[checked]].tolist())
+    checks = [*map(QuadrupleCheck, trios, curvature_slack.tolist(), certificates, ok.tolist())]
+    skipped = [*map(tuple, labels[stars.neighbors[stars.degenerate]].tolist())]
+    # base k: checks cut[k]:cut[k + 1], skipped stars skip[k]:skip[k + 1], first failed check first_wrong[k]
+    cut = np.searchsorted(checked, start)
+    skip = (start - cut).tolist()
+    wrong = np.flatnonzero(~ok)
+    first_wrong = np.append(wrong, len(checks))[np.searchsorted(wrong, cut[:-1])].tolist()
+    cut = cut.tolist()
+    reports = []
+    for k, (base, kappa, w) in enumerate(zip(stars.bases, kappas, first_wrong)):
+        witness = (checks[w].neighbors, _witness_name(checks[w].certificate.witness)) if w < cut[k + 1] else None
+        stars_at = tuple(checks[cut[k] : cut[k + 1]]), tuple(skipped[skip[k] : skip[k + 1]])
+        reports.append(LocalReport(g.labels[base], float(kappa), witness is None, *stars_at, witness))
+    return reports
+
+
+def _witness_name(w: tuple | None) -> str:
+    """The inequality a failed check names: "@i" marks an angle inequality at neighbour point i."""
+    if w is None:
+        return "curvature"
+    if w[0] == "excess":
+        return "excess"
+    return f"angle{w[2]}" + (f"@{w[1]}" if w[1] else "")
 
 
 @dataclass(frozen=True)
@@ -499,8 +576,7 @@ def global_compatibility(g: MetricGraph, kappa) -> CompatibilityReport:
         values = [float(kappa)] * g.num_vertices
     if not all(map(math.isfinite, values)):
         raise DomainError("curvature must be finite")
-    stars = _Stars.gather(g, range(g.num_vertices))
-    entries = tuple(_local_report(g, stars, i, k) for i, k in enumerate(values))
+    entries = tuple(_reports(g, _Stars.gather(g, range(g.num_vertices)), values))
     bad = next((e for e in entries if not e.verdict), None)
     return CompatibilityReport(bad is None, entries, None if bad is None else (bad.vertex, *bad.witness))
 

@@ -41,23 +41,109 @@ RANK_TOL = 1e-9
 # noise; fall back to the Euclidean law of cosines there.
 _TINY_CURVATURE = 1e-14
 
+_SIDE_LIMIT = math.pi * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * side on the sphere
+_PERIMETER_LIMIT = TWO_PI * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * perimeter on the sphere
+_LOG2 = math.log(2.0)
 
-def _clamped_acos(x: float) -> float:
-    if -1.0 <= x <= 1.0:
-        return math.acos(x)
-    if not abs(x) - 1.0 <= COS_GUARD:
-        raise DomainError(f"cosine value {x!r} outside [-1, 1]")
-    return 0.0 if x > 0.0 else math.pi
+# Why an angle is undefined, by code - 1, in the order each triple is tested.
+# The fields are the opposite side, the adjacent sides and the cosine.
+_ANGLE_ERRORS = (
+    "curvature must be finite",
+    "sides must be finite, adjacent sides positive and opposite nonnegative",
+    "sides violate the triangle inequality",
+    "side exceeds pi/sqrt(kappa) on the sphere",
+    "perimeter exceeds 2*pi/sqrt(kappa)",
+    "apex angle undefined for an antipodal side",
+    "distances {0!r}, {1!r}, {2!r} are out of range of the Euclidean law of cosines",
+    "cosine value {3!r} outside [-1, 1]",
+)
 
 
-def _log_cosh(x: float) -> float:
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """f of every element of a 1-d array, one Python float at a time (numpy's versions may move the last bit)."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _log_cosh(x: np.ndarray) -> np.ndarray:
     # x >= 0
-    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+    return x + _each(math.log1p, _each(math.exp, -2.0 * x)) - _LOG2
 
 
-def _beyond_perimeter(rt: float, perimeter: float) -> bool:
-    """Whether a triangle of this perimeter exceeds 2*pi/rt on the sphere of curvature rt**2."""
-    return rt * perimeter > TWO_PI * (1.0 + TRIANGLE_SLACK)
+def comparison_angles(kappa, opposite, b, c) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """`comparison_angle` of every element of the broadcast arrays, and the first failure.
+
+    The arithmetic runs on arrays in the scalar order of operations, and every
+    transcendental function takes one Python float at a time, so each angle
+    has the bits of a scalar evaluation.  Returns the angles (nan where one is
+    undefined) and None, or the flat index in C order of the first undefined
+    angle and its `DomainError` text.
+    """
+    shape = np.broadcast(kappa, opposite, b, c).shape
+    table = np.empty((4, *shape))
+    table[0], table[1], table[2], table[3] = kappa, opposite, b, c
+    k, o, b, c = table.reshape(4, -1)
+    code = np.zeros(o.size, np.intp)  # 1 + the index in _ANGLE_ERRORS, or 0
+    cosine = np.full(o.size, math.nan)
+    with np.errstate(all="ignore"):
+        scale = np.maximum(np.maximum(o, b), c)
+        slack = TRIANGLE_SLACK * scale
+        bc, oc, ob = b + c, o + c, o + b
+        usable = (b > 0.0) & (c > 0.0) & (o >= 0.0) & (scale < math.inf)
+        valid = usable & np.isfinite(k) & (o <= bc + slack) & (b <= oc + slack) & (c <= ob + slack)
+        if not valid.all():  # each test overwrites the codes of the later ones, as it comes first
+            code[~valid] = 3
+            code[~usable] = 2
+            code[~np.isfinite(k)] = 1
+        live = valid & (o < bc) & (b < oc) & (c < ob)
+        angle = np.where(valid & ~live, np.where(o >= bc, math.pi, 0.0), math.nan)
+        ks = k * scale * scale
+        curved = live & (np.abs(ks) >= _TINY_CURVATURE)
+        sphere, hyper, flat = (np.flatnonzero(m) for m in (curved & (k > 0.0), curved & (k < 0.0), live & ~curved))
+        if sphere.size:
+            rt = np.sqrt(k[sphere])
+            beyond = rt * (ob[sphere] + c[sphere]) > _PERIMETER_LIMIT
+            too_long = rt * scale[sphere] > _SIDE_LIMIT
+            code[sphere[beyond]] = 5
+            code[sphere[too_long]] = 4
+            keep = ~(too_long | beyond)
+            sphere, rt = sphere[keep], rt[keep]
+            rb, rc = rt * b[sphere], rt * c[sphere]
+            sb, sc = _each(math.sin, rb), _each(math.sin, rc)
+            code[sphere[(sb == 0.0) | (sc == 0.0)]] = 6
+            num = _each(math.cos, rt * o[sphere]) - _each(math.cos, rb) * _each(math.cos, rc)
+            cosine[sphere] = num / (sb * sc)
+        if hyper.size:
+            rt = np.sqrt(-k[hyper])
+            a_, b_, c_ = rt * o[hyper], rt * b[hyper], rt * c[hyper]
+            far = np.maximum(b_, c_) > 350.0
+            if far.any():
+                # cosh overflows near 710; divide through by cosh(b_)*cosh(c_)
+                a2, b2, c2 = a_[far], b_[far], c_[far]
+                l = _log_cosh(a2) - _log_cosh(b2) - _log_cosh(c2)
+                cosine[hyper[far]] = (1.0 - _each(math.exp, l)) / (_each(math.tanh, b2) * _each(math.tanh, c2))
+            a_, b_, c_ = a_[~far], b_[~far], c_[~far]
+            num = _each(math.cosh, b_) * _each(math.cosh, c_) - _each(math.cosh, a_)
+            cosine[hyper[~far]] = num / (_each(math.sinh, b_) * _each(math.sinh, c_))
+        if flat.size:
+            of, bf, cf = o[flat], b[flat], c[flat]
+            aa, bb, cc, den = of * of, bf * bf, cf * cf, 2.0 * bf * cf
+            small = np.minimum(np.minimum(aa, bb), cc) < sys.float_info.min
+            code[flat[small | (np.maximum(np.maximum(aa, bb + cc), den) == math.inf)]] = 7
+            cosine[flat] = (bb + cc - aa) / den
+        todo = np.flatnonzero(live & (code == 0))
+        x = cosine[todo]
+        inside = (-1.0 <= x) & (x <= 1.0)
+        angle[todo[inside]] = _each(math.acos, x[inside])
+        if not inside.all():  # rounding past +-1 by at most COS_GUARD is absorbed
+            near = ~inside & (np.abs(x) - 1.0 <= COS_GUARD)
+            angle[todo[near]] = np.where(x[near] > 0.0, 0.0, math.pi)
+            code[todo[~(inside | near)]] = 8
+    failed = np.flatnonzero(code)
+    if not failed.size:
+        return angle.reshape(shape), None
+    i = int(failed[0])
+    text = _ANGLE_ERRORS[code[i] - 1].format(o[i].item(), b[i].item(), c[i].item(), cosine[i].item())
+    return angle.reshape(shape), (i, text)
 
 
 def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float:
@@ -65,48 +151,13 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
 
     ``opposite`` faces the apex; ``b`` and ``c`` are the sides adjacent to
     it.  The result is monotone nondecreasing in ``kappa`` and in
-    ``opposite``.  Degenerate triangles return exactly 0 or pi.
+    ``opposite``.  Degenerate triangles return exactly 0 or pi.  One row of
+    `comparison_angles`.
     """
-    if not -math.inf < kappa < math.inf:
-        raise DomainError("curvature must be finite")
-    opposite, b, c = float(opposite), float(b), float(c)  # past the float range, inf or nan, not a numpy warning
-    scale = max(opposite, b, c)
-    if not (b > 0.0 and c > 0.0 and opposite >= 0.0 and scale < math.inf):
-        raise DomainError("sides must be finite, adjacent sides positive and opposite nonnegative")
-    slack = TRIANGLE_SLACK * scale
-    if opposite > b + c + slack or b > opposite + c + slack or c > opposite + b + slack:
-        raise DomainError("sides violate the triangle inequality")
-    if opposite >= b + c:
-        return math.pi
-    if b >= opposite + c or c >= opposite + b:
-        return 0.0
-
-    if kappa > 0.0 and kappa * scale * scale >= _TINY_CURVATURE:
-        rt = math.sqrt(kappa)
-        if rt * scale > math.pi * (1.0 + TRIANGLE_SLACK):
-            raise DomainError("side exceeds pi/sqrt(kappa) on the sphere")
-        if _beyond_perimeter(rt, opposite + b + c):
-            raise DomainError("perimeter exceeds 2*pi/sqrt(kappa)")
-        sb, sc = math.sin(rt * b), math.sin(rt * c)
-        if sb == 0.0 or sc == 0.0:
-            raise DomainError("apex angle undefined for an antipodal side")
-        num = math.cos(rt * opposite) - math.cos(rt * b) * math.cos(rt * c)
-        return _clamped_acos(num / (sb * sc))
-
-    if kappa < 0.0 and -kappa * scale * scale >= _TINY_CURVATURE:
-        rt = math.sqrt(-kappa)
-        a_, b_, c_ = rt * opposite, rt * b, rt * c
-        if max(b_, c_) > 350.0:
-            # cosh overflows near 710; divide through by cosh(b_)*cosh(c_).
-            l = _log_cosh(a_) - _log_cosh(b_) - _log_cosh(c_)
-            return _clamped_acos((1.0 - math.exp(l)) / (math.tanh(b_) * math.tanh(c_)))
-        num = math.cosh(b_) * math.cosh(c_) - math.cosh(a_)
-        return _clamped_acos(num / (math.sinh(b_) * math.sinh(c_)))
-
-    aa, bb, cc, den = opposite * opposite, b * b, c * c, 2.0 * b * c
-    if not (min(aa, bb, cc) >= sys.float_info.min and max(aa, bb + cc, den) < math.inf):
-        raise DomainError(f"distances {opposite!r}, {b!r}, {c!r} are out of range of the Euclidean law of cosines")
-    return _clamped_acos((bb + cc - aa) / den)
+    angle, failure = comparison_angles(kappa, opposite, b, c)
+    if failure:
+        raise DomainError(failure[1])
+    return angle.item()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +252,7 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
         args = rt * d
         if np.any(args > math.pi * (1.0 + 1e-9)):
             return None
-        if any(_beyond_perimeter(rt, d[i, j] + d[i, k] + d[j, k]) for i, j, k in combinations(range(len(d)), 3)):
+        if any(rt * (d[i, j] + d[i, k] + d[j, k]) > _PERIMETER_LIMIT for i, j, k in combinations(range(len(d)), 3)):
             return None
         g = np.cos(args) / kappa
         return _psd_factor(g, dim + 1)

@@ -5,8 +5,11 @@ excesses from one pass over the 12 comparison angles, then a second pass
 over the same angles for the triangle-inequality slacks.  `scalar_global` is
 the star loop `global_compatibility` once ran: per star, distances read from
 one heap Dijkstra search per vertex (`test_skeleton.star_ball`), one
-validated `MetricQuadruple` and one betweenness test.  The single-pass code must give equal documents (``==``) and the same
-`DomainError` text.
+validated `MetricQuadruple` and one betweenness test.  Their angles come from
+the scalar law of cosines (`test_angle_kernel.scalar_comparison_angle`), and
+`reference_symmetrized` and `reference_betweenness` are the star screen as
+first written.  The batched code must give equal documents (``==``), the same
+bytes from the writer, and the same `DomainError` text.
 """
 
 import math
@@ -27,12 +30,15 @@ from plembed import (
     nondegenerate,
     s3_embeddability,
 )
-from plembed import cli, quadruple
+from plembed import MetricGraph, cli, quadruple
+from plembed.quadruple import _DEFECTS, BETWEENNESS_MARGIN, _betweenness, _symmetrized
 from plembed.skeleton import ANGLE_TOL, CompatibilityReport, LocalReport, QuadrupleCheck
+from plembed.spaceform import comparison_angles
 
 from conftest import hex_grid_graph, icosahedron_graph, octahedron_graph, star_graph, unit_k4
 from test_cli import K4_DOC
-from test_skeleton import _random_metric_graph, adjacency, star_ball
+from test_angle_kernel import scalar_comparison_angle
+from test_skeleton import _random_metric_graph, adjacency, icosphere_graph, star_ball
 from test_wald_oracle import (
     SURFACE_KAPPAS,
     quadruples,
@@ -48,7 +54,7 @@ GRAPH_KAPPAS = (-1.0, 0.0, 1.0, 4.0)
 
 def apex_angles(d, kappa, i):
     rest = [j for j in range(4) if j != i]
-    return tuple(comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations(rest, 2))
+    return tuple(scalar_comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations(rest, 2))
 
 
 def scalar_s3_embeddability(q, kappa, angle_tol=1e-9):
@@ -122,7 +128,7 @@ def scalar_global(g, kappa):
     verdict = True
     witness = None
     for v, lab in enumerate(g.labels):
-        rep = scalar_local(g, v, kappa)
+        rep = scalar_local(g, v, kappa[lab] if isinstance(kappa, dict) else kappa)
         entries.append(rep)
         if not rep.verdict and verdict:
             verdict = False
@@ -197,23 +203,178 @@ def test_spherical_domain_error_text():
 
 @pytest.fixture
 def angle_calls(monkeypatch):
+    """The number of angles of each call of the batched kernel."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return comparison_angle(*args)
+    def counted(kappa, *sides):
+        calls.append((np.broadcast(kappa, *sides).size, np.unique(kappa).tolist()))
+        return comparison_angles(kappa, *sides)
 
-    monkeypatch.setattr(quadruple, "comparison_angle", counted)
+    monkeypatch.setattr(quadruple, "comparison_angles", counted)
     return calls
 
 
 def test_each_angle_once(angle_calls, tmp_path, capsys):
     s3_embeddability(MetricQuadruple.from_pairwise(1, 1, 1, 1, 1, 1), 0.0)
-    assert len(angle_calls) == 12
+    assert angle_calls == [(12, [0.0])]
     angle_calls.clear()
     path = tmp_path / "k4.json"
     path.write_text(K4_DOC)
     assert cli.main(["check-local", "--graph", str(path), "--vertex", "a", "--kappa", "1"]) == 0
     assert '"verdict": true' in capsys.readouterr().out
     # the flat table of the one star, then the three curvature angles at its base
-    assert len(angle_calls) == 15 and {a[0] for a in angle_calls[:12]} == {0.0} and angle_calls[12][0] == 1.0
+    assert angle_calls == [(12, [0.0]), (3, [1.0])]
+
+
+# ---------------------------------------------------------------------------
+# The star screen against the stack code it replaced.
+
+
+def reference_symmetrized(d):
+    i, j, k = quadruple._I, quadruple._J, quadruple._K
+    scale = d.max(axis=(-2, -1))
+    slack = 1e-12 * scale
+    dt = np.swapaxes(d, -1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym = 0.5 * d + 0.5 * dt
+        sym[..., range(4), range(4)] = 0.0
+        off = ~np.eye(4, dtype=bool)
+        failed = np.stack(
+            [
+                ~np.isfinite(d).all(axis=(-2, -1)),
+                scale <= 0.0,
+                np.abs(d - dt).max(axis=(-2, -1)) > slack,
+                np.abs(np.diagonal(d, axis1=-2, axis2=-1)).max(axis=-1) > slack,
+                sym[..., off].min(axis=-1) <= 0.0,
+                np.any(sym[..., i, k] > sym[..., i, j] + sym[..., j, k] + slack[..., None], axis=-1),
+            ]
+        )
+    return sym, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+
+
+def reference_betweenness(d, margin):
+    i, j, k = quadruple._I, quadruple._J, quadruple._K
+    h = 0.5 * d
+    m = margin * h.max(axis=(-2, -1))
+    return np.any(h[..., i, k] >= h[..., i, j] + h[..., j, k] - m[..., None], axis=-1)
+
+
+def screen_stack(rng, count):
+    """Seeded (count, 4, 4) stacks: metrics, near-degenerate ones, and one fault of each kind, mixed."""
+    pts = rng.normal(size=(count, 4, 3))
+    d = np.linalg.norm(pts[:, :, None] - pts[:, None, :], axis=-1)
+    # a quarter nearly collinear, so betweenness is close
+    line = rng.uniform(0.0, 1.0, size=(count // 4, 4))
+    stretch = 1.0 + rng.choice([0.0, 1e-13, 1e-11], size=(count // 4, 1, 1))
+    d[: count // 4] = np.abs(line[:, :, None] - line[:, None, :]) * stretch
+    # rounding-sized asymmetry on every matrix
+    d *= 1.0 + 1e-15 * rng.integers(-2, 3, size=d.shape)
+    faults = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e3, 1e-13, 1e308]
+    for q in rng.choice(count, size=count // 3, replace=False):
+        i, j = rng.integers(4, size=2)
+        kind = rng.integers(4)
+        if kind == 0:  # one entry
+            d[q, i, j] = rng.choice(faults)
+        elif kind == 1:  # one pair, both ways
+            d[q, i, j] = d[q, j, i] = rng.choice(faults)
+        elif kind == 2:  # every entry
+            d[q] = rng.choice([0.0, -1.0])
+        else:  # asymmetry near the slack
+            d[q, i, j] *= 1.0 + rng.choice([1e-9, 1e-12, 5e-13])
+    return d
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_screen_matches_the_stack_code(seed):
+    d = screen_stack(np.random.default_rng(seed), 3000)
+    sym, defect = _symmetrized(d)
+    want_sym, want_defect = reference_symmetrized(d)
+    metric = want_defect == 0
+    assert defect.tolist() == want_defect.tolist()
+    assert set(defect.tolist()) == set(range(len(_DEFECTS) + 1))  # every fault, and metrics
+    assert sym[metric].tobytes() == want_sym[metric].tobytes()
+    np.testing.assert_array_equal(sym, want_sym)  # nan where the stack has nan
+    for margin in (BETWEENNESS_MARGIN, 0.0, 1e-6):
+        assert _betweenness(sym[metric], margin).tolist() == reference_betweenness(want_sym[metric], margin).tolist()
+    assert {True, False} == set(_betweenness(sym[metric], BETWEENNESS_MARGIN).tolist())
+
+
+def test_screen_keeps_the_stack_shape():
+    d = screen_stack(np.random.default_rng(4), 24).reshape(2, 3, 4, 4, 4)
+    sym, defect = _symmetrized(d)
+    assert sym.shape == d.shape and defect.shape == (2, 3, 4)
+    assert defect.tolist() == reference_symmetrized(d)[1].tolist()
+    assert _betweenness(sym, 0.0).shape == (2, 3, 4)
+    assert _symmetrized(np.ones((4, 4)) - np.eye(4))[1].shape == ()
+
+
+# ---------------------------------------------------------------------------
+# check-global on skeletons with every kind of vertex, byte for byte.
+
+
+def skeleton_with_extras(level, seed):
+    """A jittered icosphere skeleton, a pendant vertex at v0 (its stars at v0 are degenerate),
+    a vertex of degree 2 and an isolated vertex."""
+    g = icosphere_graph(level, seed)
+    n = g.num_vertices
+    edges = [*g.edges, (0, n, 0.3), (1, n + 1, 0.4), (2, n + 1, 0.5)]
+    return MetricGraph([*g.labels, "pendant", "bridge", "lone"], edges)
+
+
+def assert_same_bytes(g, kappa):
+    want = outcome(lambda: scalar_global(g, kappa))
+    got = outcome(lambda: global_compatibility(g, kappa))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert cli._dumps(got) == cli._dumps(want)
+    return want
+
+
+@pytest.mark.parametrize("level, seed", [(1, 21), (1, 22), (2, 23)])
+def test_icosphere_skeletons(level, seed):
+    g = skeleton_with_extras(level, seed)
+    rng = np.random.default_rng(seed)
+    mixed = dict(zip(g.labels, rng.choice([-2.0, -0.5, 0.0, 1e-15, 0.3, 1.0, 2.0], size=g.num_vertices).tolist()))
+    seen = set()
+    for kappa in (0.0, 1.0, -1.0, 6.0, mixed):
+        doc = assert_same_bytes(g, kappa)
+        entries = {e["vertex"]: e for e in doc["entries"]}
+        seen |= {e["witness"][1] for e in doc["entries"] if e["witness"]}
+        assert any("pendant" in trio for trio in entries["v0"]["skipped"])
+        assert sum(len(e["checks"]) for e in doc["entries"]) > 10
+        assert not (entries["bridge"]["checks"] or entries["bridge"]["skipped"] or entries["lone"]["checks"])
+    assert seen  # some entries fail, so their witnesses are compared too
+
+
+def test_beyond_the_sphere_same_text():
+    # sqrt(kappa) * d > pi: the first star in vertex and pair order names itself
+    g = skeleton_with_extras(1, 21)
+    checked = [e.vertex for e in global_compatibility(g, 0.0).entries if e.checks]
+    for kappa in (30.0, 1e4):
+        want = assert_same_bytes(g, kappa)
+        assert want == ("DomainError", want[1]) and want[1].startswith(f"quadruple at {checked[0]} with neighbours (")
+        assert want[1].endswith("side exceeds pi/sqrt(kappa) on the sphere")
+        # only at a later vertex, in a per-vertex map
+        late = dict.fromkeys(g.labels, 0.5)
+        late[checked[-1]] = kappa
+        want = assert_same_bytes(g, late)
+        assert want[1].startswith(f"quadruple at {checked[-1]} with neighbours (")
+
+
+@pytest.mark.parametrize("defect_first", [True, False])
+def test_defect_and_angle_failures_in_vertex_order(defect_first):
+    # a star whose leaves are 1e308 from its hub (leaf to leaf overflows: "distances must be
+    # finite"), and a unit K4 beyond the sphere at kappa = 100; whichever base comes first fails
+    hub = ["c", "x", "y", "z"]
+    k4 = ["a", "b", "d", "e"]
+    labels = hub + k4 if defect_first else k4 + hub
+    at = {lab: i for i, lab in enumerate(labels)}
+    edges = [(at["c"], at[leaf], 1e308) for leaf in "xyz"]
+    edges += [(at[u], at[v], 1.0) for u, v in combinations(k4, 2)]
+    want = assert_same_bytes(MetricGraph(labels, edges), 100.0)
+    if defect_first:
+        assert want == ("DomainError", "distances must be finite")
+    else:
+        text = "quadruple at a with neighbours ('b', 'd', 'e'): side exceeds pi/sqrt(kappa) on the sphere"
+        assert want == ("DomainError", text)

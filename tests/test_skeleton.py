@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 from itertools import combinations
 
@@ -174,6 +175,182 @@ class TestEdgeListParser:
         assert ei.value.line == 1
 
 
+def reference_parse(text: str):
+    """The JSON graph document as the per-item parser read it: (labels, edges) or the error raised.
+
+    The label, length and shape checks of each item, then the vertex list,
+    each endpoint, and the graph's own checks edge by edge.
+    """
+
+    def number(x, what):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"{what} must be a number, got {json.dumps(x)}")
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+
+    def label(x, what):
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise ParseError(f"{what} must be a string or an integer, got {json.dumps(x)}")
+        return str(x)
+
+    doc = json.loads(text)
+    edges = []
+    for k, e in enumerate(doc["edges"]):
+        if not (isinstance(e, list) and len(e) == 3):
+            raise ParseError(f"edges[{k}]: expected [u, v, length]")
+        edges.append((label(e[0], f"edges[{k}][0]"), label(e[1], f"edges[{k}][1]"), number(e[2], f"edges[{k}] length")))
+    if "vertices" in doc:
+        labels = [label(x, f"vertices[{k}]") for k, x in enumerate(doc["vertices"])]
+        for u, v, _ in edges:
+            for lab in (u, v):
+                if lab not in labels:
+                    raise UnknownVertexError(f"edge endpoint {lab!r} not in 'vertices'")
+    else:
+        labels = list(dict.fromkeys(lab for u, v, _ in edges for lab in (u, v)))
+    if len(set(labels)) != len(labels):
+        raise DomainError("vertex labels must be unique")
+    index = {lab: i for i, lab in enumerate(labels)}
+    seen, cleaned = set(), []
+    for u, v, w in edges:
+        i, j = index[u], index[v]
+        if i == j:
+            raise DomainError(f"self-loop at vertex {u!r}")
+        if not (math.isfinite(w) and w > 0.0):
+            raise NonpositiveLengthError(f"edge ({u}, {v}) length must be positive and finite")
+        if (min(i, j), max(i, j)) in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add((min(i, j), max(i, j)))
+        cleaned.append((min(i, j), max(i, j), w))
+    return tuple(labels), tuple(cleaned)
+
+
+def parsed(text: str):
+    """`parse_graph_document` as (labels, edges), or the type and text of its error."""
+    try:
+        g, _ = parse_graph_document(text)
+        return g.labels, g.edges
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def reference(text: str):
+    try:
+        return reference_parse(text)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+OK_EDGES = ['["a", "b", 1]', '["b", "c", 2.5]', '["c", "a", 1e-3]']
+BAD_LENGTH = "edge (a, b) length must be positive and finite"
+
+
+def edges_doc(*edges, vertices=None):
+    head = "" if vertices is None else '"vertices": [%s], ' % vertices
+    return '{%s"edges": [%s]}' % (head, ", ".join(edges))
+
+
+class TestParseErrorParity:
+    """Malformed documents keep the type and text of their first error under the array pass."""
+
+    @pytest.mark.parametrize(
+        "doc, error, message",
+        [
+            (edges_doc('[true, "b", 1]'), ParseError, "edges[0][0] must be a string or an integer, got true"),
+            (edges_doc('["a", null, 1]'), ParseError, "edges[0][1] must be a string or an integer, got null"),
+            (edges_doc('[["a"], "b", 1]'), ParseError, 'edges[0][0] must be a string or an integer, got ["a"]'),
+            (edges_doc('"ab1"'), ParseError, "edges[0]: expected [u, v, length]"),
+            (edges_doc('["a", "b"]'), ParseError, "edges[0]: expected [u, v, length]"),
+            (edges_doc('{"u": "a"}'), ParseError, "edges[0]: expected [u, v, length]"),
+            (edges_doc('["a", "b", NaN]'), NonpositiveLengthError, BAD_LENGTH),
+            (edges_doc('["a", "b", -1]'), NonpositiveLengthError, BAD_LENGTH),
+            (edges_doc('["a", "b", 1%s]' % ("0" * 400)), NonpositiveLengthError, BAD_LENGTH),
+            (edges_doc('["a", "c", 1]', vertices='"a", "b"'), UnknownVertexError, "edge endpoint 'c' not in 'vertices'"),
+            (edges_doc(*OK_EDGES, '["b", "a", 3]'), DuplicateEdgeError, "duplicate edge (b, a)"),
+            (edges_doc(*OK_EDGES, '["a", "a", 1]'), DomainError, "self-loop at vertex 'a'"),
+            (edges_doc('[1, "1", 1]', vertices='1, "1"'), DomainError, "vertex labels must be unique"),
+            (edges_doc('["a", "b", 1]', vertices='"a", true'), ParseError, "vertices[1] must be a string or an integer, got true"),
+            # two faults: the first in document order wins
+            (edges_doc(*OK_EDGES, '["x", "y", -2]', '[null, "b", 1]'), ParseError, "edges[4][0] must be a string or an integer, got null"),
+            (edges_doc(*OK_EDGES, '["b", "a", 3]', '["c", "c", 1]'), DuplicateEdgeError, "duplicate edge (b, a)"),
+            (
+                edges_doc('["a", "b", 1]', '["a", "a", 1]', '["a", "x", 1]', vertices='"a", "b", "c"'),
+                UnknownVertexError,
+                "edge endpoint 'x' not in 'vertices'",
+            ),
+            (edges_doc('["a", "b", -1]', '["b", "a", 1]', vertices='"a", "b", "c"'), NonpositiveLengthError, BAD_LENGTH),
+        ],
+    )
+    def test_table(self, doc, error, message):
+        with pytest.raises(error) as ei:
+            parse_graph_document(doc)
+        assert type(ei.value) is error and str(ei.value) == message
+        assert reference(doc) == (error.__name__, message)
+
+    def test_seeded_mutations(self):
+        # one or two items of a valid document replaced by a malformed one; the reference decides
+        rng = np.random.default_rng(13)
+        bad_items = ['[true, "v1", 1]', '["v1", null, 1]', '["v1", ["x"], 1]', '"edge"', '["v1", "v2"]',
+                     '["v1", "v2", NaN]', '["v1", "v2", -0.5]', '["v1", "v2", 0]', '["v1", "v2", 1%s]' % ("0" * 400),
+                     '["v1", "v2", "1"]', '["v1", "v2", true]', '["v1", "nowhere", 1]', '["v3", "v3", 1]',
+                     '["v1", 2.5, 1]', '[3, "v1", 1]']
+        seen = set()
+        for k in range(300):
+            n = int(rng.integers(4, 12))
+            pairs = sorted({tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(2 * n)})
+            valid = [["v%d" % i, "v%d" % j, float(rng.uniform(0.1, 2.0))] for i, j in pairs]
+            items = [*map(json.dumps, valid)]
+            for _ in range(int(rng.integers(0, 3))):
+                pos = int(rng.integers(len(items) + 1))
+                if rng.random() < 0.3:  # an edge again, reversed
+                    u, v, w = valid[int(rng.integers(len(valid)))]
+                    items.insert(pos, json.dumps([v, u, w]))
+                else:
+                    items.insert(pos, bad_items[int(rng.integers(len(bad_items)))])
+            vertices = None if k % 2 else ", ".join(f'"v{i}"' for i in range(n)) + (', 3' if k % 4 == 0 else "")
+            doc = edges_doc(*items, vertices=vertices)
+            want = reference(doc)
+            assert parsed(doc) == want, doc
+            seen.add(want[0] if isinstance(want[0], str) else "graph")
+        errors = {"ParseError", "NonpositiveLengthError", "UnknownVertexError", "DuplicateEdgeError", "DomainError"}
+        assert seen == {"graph", *errors}
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1), (1, 2, 2.5)],
+            [(np.int64(0), np.int32(1), np.float32(0.5)), (2, 1, np.float64(1.5))],
+            [(True, 2, 1.0), (0, 1, 2**60)],
+            [(0.0, 1.0, 1.0), (1, 2, 1.0)],
+            [(0, 1, 2**80), (1, 2, 1.0)],
+            [(0, 1, 1.0), (1, 2, "2.0")],
+        ],
+    )
+    def test_graph_edges_of_any_number_type(self, edges):
+        # the array pass takes integer indices and numbers; the rest go edge by edge, as before
+        def build():
+            g = MetricGraph(["a", "b", "c"], edges)
+            return g.edges, g.neighbors(1)
+
+        def one_by_one():
+            cleaned = []
+            for i, j, w in edges:
+                if not (math.isfinite(w) and w > 0.0):
+                    raise NonpositiveLengthError("length")
+                cleaned.append((int(min(i, j)), int(max(i, j)), float(w)))
+            nbrs = sorted(j for e in cleaned for j in e[:2] if 1 in e[:2] and j != 1)
+            return tuple(cleaned), tuple(nbrs)
+
+        try:
+            want = one_by_one()
+        except TypeError as e:
+            with pytest.raises(TypeError):
+                build()
+            return
+        assert build() == want
+
+
 class TestJsonParser:
     def test_scalar_kappa(self):
         g, kappa = parse_graph_document('{"edges": [["a", "b", 1.0], ["b", "c", 1.5]], "kappa": -2}')
@@ -273,7 +450,7 @@ def star_rows(g: MetricGraph, v) -> tuple[list[list[int]], np.ndarray]:
     """Vertex ids (base first) and symmetrized graph distances of every star at v."""
     stars = _Stars.gather(g, [g.index(v)])
     assert stars.start == [0, len(stars.distances)]
-    return [[g.index(v), *map(g.index, row)] for row in stars.neighbors], stars.distances
+    return [[g.index(v), *row] for row in stars.neighbors.tolist()], stars.distances
 
 
 class TestStarQuadruples:
@@ -632,7 +809,7 @@ def oracle_stars(g: MetricGraph) -> tuple:
         for trio in combinations(idx[1:], 3):
             ids = (v, *trio)
             raw.append([[balls[a][b] for b in ids] for a in ids])
-            neighbors.append(tuple(g.labels[j] for j in trio))
+            neighbors.append(list(trio))
         start.append(len(raw))
     distances, defect = _symmetrized(np.array(raw, dtype=float).reshape(-1, 4, 4))
     return start, neighbors, distances, defect.tolist(), _betweenness(distances, BETWEENNESS_MARGIN).tolist()
@@ -663,7 +840,8 @@ class TestRelaxationOracle:
         stars = _Stars.gather(g, range(g.num_vertices))
         start, neighbors, distances, defect, degenerate = oracle_stars(g)
         assert stars.bases == tuple(range(g.num_vertices))
-        assert (stars.start, stars.neighbors, stars.defect, stars.degenerate) == (start, neighbors, defect, degenerate)
+        assert stars.start == start and stars.neighbors.tolist() == neighbors
+        assert (stars.defect.tolist(), stars.degenerate.tolist()) == (defect, degenerate)
         assert stars.distances.shape == distances.shape and stars.distances.tobytes() == distances.tobytes()
 
     @pytest.mark.parametrize("name", SWEEP_GRAPHS)

@@ -260,15 +260,19 @@ def test_sign_tests(vals, want):
     """`want` is the candidates, or how many there are when some are bisected."""
     grid = np.arange(1.0, len(vals) + 1.0)
     f = lambda k: np.interp(k, grid, vals)  # noqa: E731
-    got = _grid_roots(f, grid, 1e-12)
+    pairs = _grid_roots(f, grid, 1e-12)
+    got = [k for k, _ in pairs]
     assert got == scalar_grid_roots(lambda k: float(f(k)), grid, 1e-12)
+    # each candidate comes with f there, from the evaluation that found it
+    assert all(value == float(f(k)) for k, value in pairs)
     assert got == want if isinstance(want, list) else len(got) == want
 
 
 def test_negative_zero_midpoint():
     # the first midpoint evaluates to -0.0, which ends the bisection there
     f = lambda k: np.where(k == 1.5, -0.0, 1.25 - k)  # noqa: E731
-    assert _bisect(f, 1.0, 2.0, 0.25, -0.75, 1e-12) == 1.5
+    root, value = _bisect(f, 1.0, 2.0, 0.25, -0.75, 1e-12)
+    assert root == 1.5 and value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -285,7 +289,10 @@ def test_bisect_walk(a, width, t, rtol):
     f = lambda k: (k - r) * (1.0 + (k - a) * (k - a))  # noqa: E731
     fa, fb = float(f(a)), float(f(b))
     assume((fa < 0.0) != (fb < 0.0))
-    assert _bisect(f, a, b, fa, fb, rtol) == scalar_bisect(lambda k: float(f(k)), a, b, fa, fb, rtol)
+    root, value = _bisect(f, a, b, fa, fb, rtol)
+    assert root == scalar_bisect(lambda k: float(f(k)), a, b, fa, fb, rtol)
+    # f at the root, or None when the 200 steps ran out, which needs rtol 0
+    assert value == float(f(root)) if value is not None else rtol == 0.0
 
 
 # ---------------------------------------------------------------------------
