@@ -8,6 +8,11 @@ matrix degenerates to all-ones), so a small neighbourhood of the origin is
 excluded from the scan and flatness is decided by the Cayley-Menger
 determinant instead.  Every reported root is re-validated by realizing the
 quadruple in the two-dimensional model at that curvature.
+
+One determinant batch evaluates both half grids, and one more each round of
+bisecting every sign change in lockstep, along the path that each secant
+point predicts: about five batches a quadruple, for the roots of a bisection
+that evaluates one midpoint at a time.
 """
 
 from __future__ import annotations
@@ -266,15 +271,17 @@ MINORS_TOL = 1e-9  # spherical roots: order-3 principal minors >= -MINORS_TOL
 class WaldOptions:
     """Search grid of `wald_curvature`.
 
-    ``samples`` counts grid points, half for each sign of kappa.
-    ``kappa_cap`` bounds the hyperbolic search (default 1e4 / min d^2); the
-    spherical side is always capped at (pi / max d)^2.
+    ``samples`` counts grid points, half for each sign of kappa and at least
+    8 for each.  ``kappa_cap`` bounds the hyperbolic search (default
+    1e4 / min d^2); the spherical side is always capped at (pi / max d)^2.
     """
 
     samples: int = 512
     kappa_cap: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
+            raise DomainError("samples must be a positive integer")
         if self.kappa_cap is not None and not 0.0 < self.kappa_cap < math.inf:
             raise DomainError("kappa_cap must be positive and finite")
 
@@ -315,78 +322,120 @@ def _log_cosh_np(x: np.ndarray) -> np.ndarray:
 
 
 _TRIPLES = np.array(list(combinations(range(4), 3)))
-# Levels of the bisection tree evaluated per batched determinant; it divides
-# the 200 steps of `_bisect`.
+# A round of `_bisect` evaluates _TREE_DEPTH levels of each bisection tree, a divisor of
+# the 200 steps, and below them up to _PATH_DEPTHS[round] midpoints (the last in later rounds).
 _TREE_DEPTH = 4
+_PATH_DEPTHS = (8, 20, 48)
+# the ends of each tree node in heap order, as indices into [a, b, midpoint of node 0, ...]
+_TREE_ENDS = [(0, 1)]
+for _n in range(2 ** (_TREE_DEPTH - 1) - 1):
+    _TREE_ENDS += [(_TREE_ENDS[_n][0], _n + 2), (_n + 2, _TREE_ENDS[_n][1])]
+del _n
 
 
-def _curvature_det_grid(d: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-    """Scaled determinants of the curvature matrices at kappas, which share one sign.
+def _curvature_det_grid(x: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+    """Scaled determinants of the curvature matrices at kappas, every kappa <= 0 before every kappa > 0.
 
-    Zeros and signs are preserved; cos (kappa > 0) or log-cosh is taken of
-    the six distances and 0 only, then scattered into the matrices.
+    ``x`` holds 0 and the six distances in `_PAIR_ORDER`.  Zeros and signs
+    are preserved; log-cosh (kappa <= 0) or cos (kappa > 0) is taken of x
+    only, then scattered into the matrices, which share one determinant call.
     """
-    x = np.concatenate(([0.0], d[_PAIRS_I, _PAIRS_J]))
-    if kappas[0] > 0.0:
-        mats = np.cos(np.sqrt(kappas)[:, None] * x)[:, _SCATTER]
-    else:
-        lc = _log_cosh_np(np.sqrt(-kappas)[:, None] * x)[:, _SCATTER]
-        mats = np.exp(lc - lc.max(axis=2, keepdims=True))
+    s = np.count_nonzero(kappas <= 0.0)
+    mats = np.empty((len(kappas), 4, 4))
+    if s:
+        lc = _log_cosh_np(np.sqrt(-kappas[:s])[:, None] * x)[:, _SCATTER]
+        mats[:s] = np.exp(lc - lc.max(axis=2, keepdims=True))
+    if s < len(kappas):
+        mats[s:] = np.cos(np.sqrt(kappas[s:])[:, None] * x)[:, _SCATTER]
     # rows may underflow to zero deep in the hyperbolic range; callers treat
     # non-finite or vanishing values explicitly, so silence the LAPACK noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         return np.linalg.det(mats)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, rtol: float) -> tuple[float, float | None]:
-    """Bisect the sign change of f on [a, b]; f maps an array of points to their values.
+def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
+    """Bisect the sign changes of f on the brackets [a[i], b[i]] in lockstep; f maps an array of points to their values.
 
-    Each call of f evaluates the midpoints of `_TREE_DEPTH` levels of the
-    bisection tree (in heap order); the walk down it takes the same steps as
-    a bisection that evaluates one midpoint at a time.  Returns the root and
-    f there, or None in place of f when the 200 steps run out.
+    A round makes one call of f, on the midpoints of `_TREE_DEPTH` levels of
+    each live bracket's bisection tree and of the path below them towards its
+    secant point, computed as the walk computes them.  The walk takes the
+    steps of a bisection that evaluates one midpoint at a time, on the path
+    while each side agrees with the predicted one.  Returns per bracket the
+    root and f there, or None in place of f when the 200 steps run out.
     """
-    for _ in range(200 // _TREE_DEPTH):
-        lo, hi = [a], [b]
-        for n in range(2 ** (_TREE_DEPTH - 1) - 1):
-            mid = 0.5 * (lo[n] + hi[n])
-            lo += [lo[n], mid]
-            hi += [mid, hi[n]]
-        mids = [0.5 * (x + y) for x, y in zip(lo, hi)]
-        vals = f(np.array(mids))
-        n = 0
-        for _ in range(_TREE_DEPTH):
-            mid = mids[n]
-            fm = float(vals[n])
-            if b - a <= rtol * (1.0 + abs(mid)) or fm == 0.0:
-                return mid, fm
-            if (fa < 0.0) != (fm < 0.0):
-                b, fb, n = mid, fm, 2 * n + 1
+    out: list = [None] * len(a)
+    live = [(i, *map(float, bracket), 200) for i, bracket in enumerate(zip(a, b, fa, fb))]
+    tree = len(_TREE_ENDS)
+    for depth in _PATH_DEPTHS + _PATH_DEPTHS[-1:] * (200 // _TREE_DEPTH):
+        if not live:
+            break
+        points, plans = [], []
+        for i, a, b, fa, fb, left in live:
+            v = [a, b]
+            for lo, hi in _TREE_ENDS:
+                v.append(0.5 * (v[lo] + v[hi]))
+            pos = len(points)
+            points += v[2:]
+            r = b - fb * (b - a) / (fb - fa) if fb != fa else b  # below the tree, the path to r
+            x, y, n, leaf = a, b, 0, -1
+            for level in range(min(_TREE_DEPTH + depth, left)):
+                mid = 0.5 * (x + y)
+                if level >= _TREE_DEPTH:
+                    leaf = n if level == _TREE_DEPTH else leaf
+                    points.append(mid)
+                if y - x <= rtol * (1.0 + abs(mid)):
+                    break
+                x, y, n = (x, mid, 2 * n + 1) if r < mid else (mid, y, 2 * n + 2)
+            plans.append((pos, r, leaf, len(points)))
+        vals = f(np.array(points)).tolist()
+        nxt = []
+        for (i, a, b, fa, fb, left), (pos, r, leaf, end) in zip(live, plans):
+            n, k = 0, pos
+            while left and k < end:
+                mid, fm = points[k], vals[k]
+                if b - a <= rtol * (1.0 + abs(mid)) or fm == 0.0:
+                    out[i] = (mid, fm)
+                    break
+                left -= 1
+                below = (fa < 0.0) != (fm < 0.0)  # the root lies below mid
+                a, b, fa, fb = (a, mid, fa, fm) if below else (mid, b, fm, fb)
+                if n < tree:
+                    n = 2 * n + 2 - below
+                    k = pos + n if n < tree else pos + tree if n == leaf else end
+                else:
+                    k = k + 1 if below == (r < mid) else end
             else:
-                a, fa, n = mid, fm, 2 * n + 2
-    return 0.5 * (a + b), None
+                if left:
+                    nxt.append((i, a, b, fa, fb, left))
+                else:
+                    out[i] = (0.5 * (a + b), None)
+        live = nxt
+    return out
 
 
-def _grid_roots(f, grid: np.ndarray, rtol: float) -> list[tuple[float, float | None]]:
-    """Candidate roots of f on an increasing grid, in order, with f there (see `_bisect`).
+def _grid_roots(f, grids, rtol: float, shadow: float) -> list[tuple[float, float | None]]:
+    """Candidate roots of f on increasing grids, in order, with f there (see `_bisect`).
 
-    f maps an array of points to their values.
-
-    A grid point is a candidate when its value is zero, and a root is
-    bisected between neighbours whose values differ in sign.  Only pairs of
-    finite values count, and the last point only as a zero.  ``< 0.0`` is the
-    sign test, so -0.0 is a zero and never a negative value.
+    f maps an array of points to their values; one call evaluates every
+    grid, and each round of the bisections makes one more.  A grid point is
+    a candidate when its value is zero, and a root is bisected between
+    neighbours in one grid whose values differ in sign, unless both lie
+    within ``shadow`` of zero.  Only pairs of finite values count, and the
+    last point of a grid only as a zero.  ``< 0.0`` is the sign test, so
+    -0.0 is a zero and never a negative value.
     """
-    vals = f(grid)
+    g = np.concatenate(grids)
+    vals = f(g)
+    last = np.zeros(len(g), dtype=bool)
+    last[np.cumsum([len(grid) for grid in grids]) - 1] = True
     fa, fb = vals[:-1], vals[1:]
-    ok = np.isfinite(fa) & np.isfinite(fb)
-    zero = np.append(ok & (fa == 0.0), vals[-1] == 0.0)
-    change = np.append(ok & (fa != 0.0) & ((fa < 0.0) != (fb < 0.0)), False)
-    return [
-        (float(grid[i]), float(vals[i])) if zero[i]
-        else _bisect(f, float(grid[i]), float(grid[i + 1]), float(fa[i]), float(fb[i]), rtol)
-        for i in np.flatnonzero(zero | change)
-    ]
+    pair = np.isfinite(fa) & np.isfinite(fb) & ~last[:-1]
+    zero = np.append(pair & (fa == 0.0), False) | (last & (vals == 0.0))
+    change = pair & (fa != 0.0) & ((fa < 0.0) != (fb < 0.0)) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > shadow)
+    i = np.flatnonzero(change)
+    roots = dict(zip(i.tolist(), _bisect(f, g[i], g[i + 1], fa[i], fb[i], rtol)))
+    candidates = np.flatnonzero(zero | np.append(change, False)).tolist()
+    return [roots[k] if k in roots else (float(g[k]), float(vals[k])) for k in candidates]
 
 
 def _principal_minors_ok(d: np.ndarray, kappa: float) -> bool:
@@ -432,9 +481,9 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     roots = [WaldRoot(0.0, abs(dcm) / scale8)] if flat else []
 
     half = max(opts.samples // 2, 8)
-    candidates: list[float] = []
-    for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
-        candidates += _grid_roots(lambda ks: _curvature_det_grid(d, ks), grid, BISECT_RTOL)
+    grids = (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half))
+    x = np.concatenate(([0.0], d[_PAIRS_I, _PAIRS_J]))
+    candidates = _grid_roots(lambda ks: _curvature_det_grid(x, ks), grids, BISECT_RTOL, 100.0 * floor if flat else 0.0)
     for k, value in candidates:
         if flat and abs(k) <= 100.0 * floor:
             # shadow of the structural kappa = 0 zero, not a distinct root
@@ -444,7 +493,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
         if realize_quadruple(q, k, 2) is None:
             continue
         if value is None:  # the bisection ran out of steps
-            value = float(_curvature_det_grid(d, np.array([k]))[0])
+            value = float(_curvature_det_grid(x, np.array([k]))[0])
         residual = abs(value)
         if residual > RESIDUAL_TOL:
             continue

@@ -147,6 +147,11 @@ class TestWaldCommand:
         r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
         assert_rejected(r, "kappa_cap must be positive and finite")
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples(self, samples):
+        r = run_cli("wald", "--quadruple", UNIT_Q, "--samples", samples)
+        assert_rejected(r, "samples must be a positive integer")
+
     @pytest.mark.parametrize("side", ["1e160", "1e-320"])
     def test_extreme_scale_rejected(self, side):
         r = run_cli("wald", "--quadruple", ",".join([side] * 6))

@@ -241,6 +241,17 @@ class TestWald:
         with pytest.raises(DomainError, match="kappa_cap"):
             WaldOptions(kappa_cap=cap)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, False, "16", None])
+    def test_samples_positive_integer(self, samples):
+        with pytest.raises(DomainError, match="samples must be a positive integer"):
+            WaldOptions(samples=samples)
+
+    def test_few_samples_keep_eight_points_per_half(self):
+        # 1 to 15 samples all search 8 points per half, as 16 does
+        want = wald_curvature(UNIT, WaldOptions(samples=16)).to_dict()
+        for samples in (1, 2, 15):
+            assert wald_curvature(UNIT, WaldOptions(samples=samples)).to_dict() == want
+
     @pytest.mark.parametrize("sides", [(1, 1.1, 0.9, 1.05, 0.95, 1.2), (1,) * 6], ids=["scalene", "equilateral"])
     def test_every_scale_gives_a_result_or_domain_error(self, sides):
         # the search scales (pi / max d)^2, 1e4 / min d^2, 1e-7 / max d^2 and

@@ -4,7 +4,10 @@
 over the grid for sign changes, a bisection that evaluates one 4x4 curvature
 determinant per step, and one 3x3 determinant per principal minor.  The
 batched solver must give the same documents exactly (the same JSON text).  The
-sweep at the end checks that no quadruple makes the solver raise.
+sweep at the end checks that no quadruple makes the solver raise.  The
+lockstep bisection is also held to call budgets: never more calls of f per
+bracket than a search that evaluates four levels of the bisection tree per
+call, and few curvature determinant batches per quadruple.
 """
 
 import json
@@ -12,10 +15,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, wald_curvature
+from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, quadruple, wald_curvature
 from plembed.quadruple import (
     WaldResult,
     WaldRoot,
@@ -260,7 +263,7 @@ def test_sign_tests(vals, want):
     """`want` is the candidates, or how many there are when some are bisected."""
     grid = np.arange(1.0, len(vals) + 1.0)
     f = lambda k: np.interp(k, grid, vals)  # noqa: E731
-    pairs = _grid_roots(f, grid, 1e-12)
+    pairs = _grid_roots(f, (grid,), 1e-12, 0.0)
     got = [k for k, _ in pairs]
     assert got == scalar_grid_roots(lambda k: float(f(k)), grid, 1e-12)
     # each candidate comes with f there, from the evaluation that found it
@@ -271,7 +274,7 @@ def test_sign_tests(vals, want):
 def test_negative_zero_midpoint():
     # the first midpoint evaluates to -0.0, which ends the bisection there
     f = lambda k: np.where(k == 1.5, -0.0, 1.25 - k)  # noqa: E731
-    root, value = _bisect(f, 1.0, 2.0, 0.25, -0.75, 1e-12)
+    [(root, value)] = _bisect(f, [1.0], [2.0], [0.25], [-0.75], 1e-12)
     assert root == 1.5 and value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
@@ -289,10 +292,157 @@ def test_bisect_walk(a, width, t, rtol):
     f = lambda k: (k - r) * (1.0 + (k - a) * (k - a))  # noqa: E731
     fa, fb = float(f(a)), float(f(b))
     assume((fa < 0.0) != (fb < 0.0))
-    root, value = _bisect(f, a, b, fa, fb, rtol)
+    [(root, value)] = _bisect(f, [a], [b], [fa], [fb], rtol)
     assert root == scalar_bisect(lambda k: float(f(k)), a, b, fa, fb, rtol)
     # f at the root, or None when the 200 steps ran out, which needs rtol 0
     assert value == float(f(root)) if value is not None else rtol == 0.0
+
+
+WINDOWS = (-15.0, -5.0, 5.0, 15.0)  # one bracket near each, so that up to four never overlap
+
+
+def piecewise(brackets):
+    """Brackets [a, b] near `WINDOWS` and f with one root in each, from (start, width, t, falling, negzero).
+
+    The root is near a + t * width, f falls through it when ``falling``, and
+    f is -0.0 at the first midpoint when ``negzero``.  f has no other zero,
+    so with rtol 0 the 200 steps run out.
+    """
+    a = [c + start for c, (start, *_) in zip(WINDOWS, brackets)]
+    b = [x + width for x, (_, width, *_) in zip(a, brackets)]
+
+    def f(k):
+        k = np.asarray(k, dtype=float)
+        out = np.full(k.shape, np.nan)
+        for x, y, (_, width, t, falling, negzero) in zip(a, b, brackets):
+            m = (x <= k) & (k <= y)
+            v = (k[m] - (x + t * width)) * (1.0 + (k[m] - x) * (k[m] - x)) + 1e-300
+            v = -v if falling else v
+            out[m] = np.where(k[m] == 0.5 * (x + y), -0.0, v) if negzero else v
+        return out
+
+    return a, b, f
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-3.0, max_value=3.0),
+            st.floats(min_value=0.01, max_value=2.0),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 0.3]),
+)
+# rtol 0: the first bracket ends at its -0.0 midpoint while the 200 steps of the second run out
+@example([(0.0, 1.0, 0.3, False, True), (0.5, 1.0, 0.7, True, False)], 0.0)
+def test_lockstep_bisect(brackets, rtol):
+    # 1 to 4 brackets of both signs and directions in one call, each against its own scalar bisection
+    a, b, f = piecewise(brackets)
+    fa, fb = f(a).tolist(), f(b).tolist()
+    assume(all((x < 0.0) != (y < 0.0) for x, y in zip(fa, fb)))
+    got = _bisect(f, a, b, fa, fb, rtol)
+    assert len(got) == len(brackets)
+    for (root, value), *bracket in zip(got, a, b, fa, fb):
+        assert root == scalar_bisect(lambda k: float(f(k)), *bracket, rtol)
+        # f at the root, sign of zero included, or None when the 200 steps ran out, which needs rtol 0
+        if value is None:
+            assert rtol == 0.0
+        else:
+            want = float(f(root))
+            assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+
+
+def test_lockstep_mixes_finished_and_exhausted():
+    a, b, f = piecewise([(0.0, 1.0, 0.3, False, True), (0.5, 1.0, 0.7, True, False)])
+    [(r0, v0), (r1, v1)] = _bisect(f, a, b, f(a).tolist(), f(b).tolist(), 0.0)
+    assert r0 == 0.5 * (a[0] + b[0]) and v0 == 0.0 and math.copysign(1.0, v0) == -1.0
+    assert v1 is None
+
+
+# ---------------------------------------------------------------------------
+# Call budgets.
+
+
+def tree_calls(f, a, b, fa, fb, rtol):
+    """Calls of f that a bisection evaluating four tree levels per call makes: one per four midpoints it reaches."""
+    steps = 0
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        steps += 1
+        if b - a <= rtol * (1.0 + abs(mid)):
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            break
+        if (fa < 0.0) != (fm < 0.0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return -(-steps // 4)
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-12, 1e-6])
+@pytest.mark.parametrize("a, width", [(-3.0, 2.0), (0.5, 0.07), (2.0, 1e-3)])
+@pytest.mark.parametrize("falling", [False, True])
+def test_wrong_secant_costs_no_calls(a, width, falling, rtol):
+    # f is -1 left of the float after a and 1e-300 from there on: the secant
+    # point lies at b, so each predicted side is right while every real side
+    # is left
+    root = math.nextafter(a, math.inf)
+    sign = -1.0 if falling else 1.0
+    calls = []
+
+    def f(k):
+        calls.append(np.size(k))
+        return sign * np.where(np.asarray(k) < root, -1.0, 1e-300)
+
+    fa, fb = float(f(a)), float(f(a + width))
+    calls.clear()
+    [(got, _)] = _bisect(f, [a], [a + width], [fa], [fb], rtol)
+    lockstep = len(calls)
+    assert lockstep <= tree_calls(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
+    assert got == scalar_bisect(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
+
+
+def oracle_sets():
+    sets = [seeded(lambda rng, k=k: surface_quadruple(k, rng), 24, 100 + int(k)) for k in SURFACE_KAPPAS]
+    return [q for qs in sets for q in qs] + seeded(sphere_quadruple, 40, 7) + seeded(space_quadruple, 40, 8)
+
+
+def test_determinant_batches_per_quadruple(monkeypatch):
+    calls = []
+    det_grid = quadruple._curvature_det_grid
+    monkeypatch.setattr(quadruple, "_curvature_det_grid", lambda x, ks: calls.append(len(ks)) or det_grid(x, ks))
+    qs = oracle_sets()
+    for q in qs:
+        wald_curvature(q)
+    assert len(calls) <= 6 * len(qs)
+
+
+def test_flat_shadows_not_bisected(monkeypatch):
+    # planar quadruples: the determinant changes sign near kappa = 0, within
+    # 100 * floor, where no bracket is bisected; the documents do not change
+    brackets = []
+    bisect = quadruple._bisect
+    monkeypatch.setattr(quadruple, "_bisect", lambda f, a, b, *rest: brackets.append((a, b)) or bisect(f, a, b, *rest))
+    shadows = 0
+    for q in seeded(lambda rng: surface_quadruple(0.0, rng), 6, 100):
+        dmax, dmin = q.max_distance, q.min_distance
+        floor = 1e-7 / dmax**2
+        for grid in (-np.geomspace(1e4 / dmin**2, floor, 256), np.geomspace(floor, (math.pi / dmax) ** 2, 256)):
+            vals = [scalar_curvature_det(q.distances, k) for k in grid[np.abs(grid) <= 100.0 * floor]]
+            shadows += sum(x != 0.0 and (x < 0.0) != (y < 0.0) for x, y in zip(vals, vals[1:]))
+        brackets.clear()
+        assert_same(q)
+        assert wald_curvature(q).classification == "flat"
+        assert all(max(abs(x), abs(y)) > 100.0 * floor for a, b in brackets for x, y in zip(a, b))
+    assert shadows > 0
 
 
 # ---------------------------------------------------------------------------
