@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wald", help="embedding-curvature roots of a metric quadruple")
     p.add_argument("--quadruple", required=True, help="d12,d13,d14,d23,d24,d34")
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=int, default=quadruple.WaldOptions.samples)
     p.add_argument("--kappa-cap", type=float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_wald)

@@ -9,10 +9,12 @@ excluded from the scan and flatness is decided by the Cayley-Menger
 determinant instead.  Every reported root is re-validated by realizing the
 quadruple in the two-dimensional model at that curvature.
 
-One determinant batch evaluates both half grids, and one more each round of
-bisecting every sign change in lockstep, along the path that each secant
-point predicts: about five batches a quadruple, for the roots of a bisection
-that evaluates one midpoint at a time.
+One determinant batch evaluates both half grids.  Every sign change is then
+bisected in lockstep, one more batch a round: each round evaluates, per
+bracket, the midpoints of its bisection path towards its secant point, and
+walks them while every side is the predicted one.  That is about five
+batches a quadruple, for the roots of a bisection that evaluates one midpoint
+at a time.
 """
 
 from __future__ import annotations
@@ -265,6 +267,7 @@ FLAT_TOL = 1e-9  # |cayley_menger| <= FLAT_TOL * (max d)^8: try the flat root
 BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |kappa|)
 RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
 MINORS_TOL = 1e-9  # spherical roots: order-3 principal minors >= -MINORS_TOL
+MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 1 s and 300 MiB a quadruple
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,9 @@ class WaldOptions:
     """Search grid of `wald_curvature`.
 
     ``samples`` counts grid points, half for each sign of kappa and at least
-    8 for each.  ``kappa_cap`` bounds the hyperbolic search (default
-    1e4 / min d^2); the spherical side is always capped at (pi / max d)^2.
+    8 for each, and is at most `MAX_SAMPLES`.  ``kappa_cap`` bounds the
+    hyperbolic search (default 1e4 / min d^2); the spherical side is always
+    capped at (pi / max d)^2.
     """
 
     samples: int = 512
@@ -282,6 +286,8 @@ class WaldOptions:
     def __post_init__(self):
         if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
             raise DomainError("samples must be a positive integer")
+        if self.samples > MAX_SAMPLES:
+            raise DomainError(f"samples must be at most {MAX_SAMPLES}")
         if self.kappa_cap is not None and not 0.0 < self.kappa_cap < math.inf:
             raise DomainError("kappa_cap must be positive and finite")
 
@@ -322,15 +328,6 @@ def _log_cosh_np(x: np.ndarray) -> np.ndarray:
 
 
 _TRIPLES = np.array(list(combinations(range(4), 3)))
-# A round of `_bisect` evaluates _TREE_DEPTH levels of each bisection tree, a divisor of
-# the 200 steps, and below them up to _PATH_DEPTHS[round] midpoints (the last in later rounds).
-_TREE_DEPTH = 4
-_PATH_DEPTHS = (8, 20, 48)
-# the ends of each tree node in heap order, as indices into [a, b, midpoint of node 0, ...]
-_TREE_ENDS = [(0, 1)]
-for _n in range(2 ** (_TREE_DEPTH - 1) - 1):
-    _TREE_ENDS += [(_TREE_ENDS[_n][0], _n + 2), (_n + 2, _TREE_ENDS[_n][1])]
-del _n
 
 
 def _curvature_det_grid(x: np.ndarray, kappas: np.ndarray) -> np.ndarray:
@@ -356,42 +353,33 @@ def _curvature_det_grid(x: np.ndarray, kappas: np.ndarray) -> np.ndarray:
 def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
     """Bisect the sign changes of f on the brackets [a[i], b[i]] in lockstep; f maps an array of points to their values.
 
-    A round makes one call of f, on the midpoints of `_TREE_DEPTH` levels of
-    each live bracket's bisection tree and of the path below them towards its
-    secant point, computed as the walk computes them.  The walk takes the
-    steps of a bisection that evaluates one midpoint at a time, on the path
-    while each side agrees with the predicted one.  Returns per bracket the
-    root and f there, or None in place of f when the 200 steps run out.
+    A round makes one call of f, on the midpoints of each live bracket's
+    bisection path towards its secant point, down to the rtol stop or to the
+    steps the bracket has left, computed as the walk computes them.  The walk
+    takes the steps of a bisection that evaluates one midpoint at a time and
+    ends the bracket's round at the first side that differs from the predicted
+    one.  Returns per bracket the root and f there, or None in place of f when
+    the 200 steps run out.
     """
     out: list = [None] * len(a)
     live = [(i, *map(float, bracket), 200) for i, bracket in enumerate(zip(a, b, fa, fb))]
-    tree = len(_TREE_ENDS)
-    for depth in _PATH_DEPTHS + _PATH_DEPTHS[-1:] * (200 // _TREE_DEPTH):
-        if not live:
-            break
+    while live:
         points, plans = [], []
         for i, a, b, fa, fb, left in live:
-            v = [a, b]
-            for lo, hi in _TREE_ENDS:
-                v.append(0.5 * (v[lo] + v[hi]))
-            pos = len(points)
-            points += v[2:]
-            r = b - fb * (b - a) / (fb - fa) if fb != fa else b  # below the tree, the path to r
-            x, y, n, leaf = a, b, 0, -1
-            for level in range(min(_TREE_DEPTH + depth, left)):
+            r = b - fb * (b - a) / (fb - fa) if fb != fa else b
+            x, y = a, b
+            start = len(points)
+            for _ in range(left):
                 mid = 0.5 * (x + y)
-                if level >= _TREE_DEPTH:
-                    leaf = n if level == _TREE_DEPTH else leaf
-                    points.append(mid)
+                points.append(mid)
                 if y - x <= rtol * (1.0 + abs(mid)):
                     break
-                x, y, n = (x, mid, 2 * n + 1) if r < mid else (mid, y, 2 * n + 2)
-            plans.append((pos, r, leaf, len(points)))
+                x, y = (x, mid) if r < mid else (mid, y)
+            plans.append((start, r, len(points)))
         vals = f(np.array(points)).tolist()
         nxt = []
-        for (i, a, b, fa, fb, left), (pos, r, leaf, end) in zip(live, plans):
-            n, k = 0, pos
-            while left and k < end:
+        for (i, a, b, fa, fb, left), (k, r, end) in zip(live, plans):
+            while k < end:
                 mid, fm = points[k], vals[k]
                 if b - a <= rtol * (1.0 + abs(mid)) or fm == 0.0:
                     out[i] = (mid, fm)
@@ -399,11 +387,7 @@ def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
                 left -= 1
                 below = (fa < 0.0) != (fm < 0.0)  # the root lies below mid
                 a, b, fa, fb = (a, mid, fa, fm) if below else (mid, b, fm, fb)
-                if n < tree:
-                    n = 2 * n + 2 - below
-                    k = pos + n if n < tree else pos + tree if n == leaf else end
-                else:
-                    k = k + 1 if below == (r < mid) else end
+                k = k + 1 if below == (r < mid) else end
             else:
                 if left:
                     nxt.append((i, a, b, fa, fb, left))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plembed import cli
+from plembed.quadruple import MAX_SAMPLES
 
 from conftest import DENTED_OCTA_OFF, TETRA_OFF
 
@@ -151,6 +152,11 @@ class TestWaldCommand:
     def test_bad_samples(self, samples):
         r = run_cli("wald", "--quadruple", UNIT_Q, "--samples", samples)
         assert_rejected(r, "samples must be a positive integer")
+
+    def test_samples_past_the_cap(self):
+        r = run_cli("wald", "--quadruple", UNIT_Q, "--samples", str(MAX_SAMPLES + 1))
+        assert_rejected(r, f"samples must be at most {MAX_SAMPLES}")
+        assert "array" not in r.stderr
 
     @pytest.mark.parametrize("side", ["1e160", "1e-320"])
     def test_extreme_scale_rejected(self, side):

