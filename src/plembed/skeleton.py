@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count
 from typing import Mapping
 
 import numpy as np
@@ -73,27 +74,67 @@ def _edges_at(indptr: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.
     return np.arange(deg.sum()) + np.repeat(indptr[vertices] - np.cumsum(deg) + deg, deg), deg
 
 
-def _edge_table(edges: list, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _first(items, good) -> int:
+    """The position of the first of ``items`` that ``good`` rejects, once a check of them all has failed."""
+    return next(k for k, x in enumerate(items) if not good(x))
+
+
+def _real(x) -> float:
+    """A real number as a float (an integer beyond the float range becomes an infinity); nan for anything else."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _column(values: tuple) -> np.ndarray:
+    """Entries as floats by `_real`, in one conversion when numpy reads them all as numbers."""
+    try:
+        col = np.array(values)
+        if col.dtype.kind in "biuf" and col.ndim == 1:
+            return col.astype(float)
+    except ValueError:  # entries of unequal shapes
+        pass
+    return np.fromiter(map(_real, values), float, len(values))
+
+
+def _edge_table(edges: list, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (m, 2), the smaller first, and float lengths of (i, j, length) edges, in one pass over arrays.
 
-    None when an edge is at fault or a column holds more than integer
-    indices or numbers; `MetricGraph._checked_edges` then takes them.
+    Indices are integers or integral floats.  Each edge gets a fault code,
+    the first that applies of: 1 an index not integral, 2 an index out of
+    range, 3 a self-loop, 4 a length not positive and finite (a TypeError
+    when it is not a number), 5 an edge given before (`np.unique` sorts
+    the keys stably).  The first faulty edge in input order raises its
+    error, as does the first item that is not an (i, j, length) triple.
     """
-    if not edges:
-        return np.empty((0, 2), dtype=np.intp), np.empty(0)
     try:
-        i, j, w = map(np.array, zip(*edges))
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if i.dtype.kind != "i" or j.dtype.kind != "i" or w.dtype.kind not in "if":
-        return None
-    lo, hi, w = np.minimum(i, j), np.maximum(i, j), w.astype(float)
-    if not np.all((lo >= 0) & (hi < n) & (lo != hi) & (w > 0.0) & (w < math.inf)):
-        return None
-    keys = np.sort(lo * n + hi)
-    if np.any(keys[1:] == keys[:-1]):
-        return None
-    return np.stack([lo, hi], axis=1).astype(np.intp), w
+        i, j, w = zip(*edges, strict=True) if edges else ((), (), ())
+    except (TypeError, ValueError):  # an item that is not an (i, j, length) triple
+        k = _first(edges, lambda e: hasattr(e, "__len__") and len(e) == 3)
+        _edge_table(edges[:k], labels)  # a fault before it raises first
+        raise DomainError(f"edges[{k}]: expected (i, j, length), got {edges[k]!r}") from None
+    i, j, w = map(_column, (i, j, w))
+    lo, hi, n = np.minimum(i, j), np.maximum(i, j), len(labels)
+    integral, inside = (i == np.floor(i)) & (j == np.floor(j)), (lo >= 0) & (hi < n)
+    lo, hi = (np.where(integral & inside, x, 0).astype(np.intp) for x in (lo, hi))
+    again = np.ones(len(w), dtype=bool)
+    again[np.unique(lo * n + hi, return_index=True)[1]] = False  # all but the first edge of each key
+    fault = np.select([~integral, ~inside, lo == hi, ~((w > 0.0) & (w < math.inf)), again], [1, 2, 3, 4, 5])
+    if fault.any():
+        k = int(np.argmax(fault > 0))
+        (u, v, length), code = edges[k], fault[k]
+        if code <= 2:
+            raise UnknownVertexError(f"edge index {['not an integer', 'out of range'][code - 1]}: ({u}, {v})")
+        u, v = labels[int(i[k])], labels[int(j[k])]
+        if code == 3:
+            raise DomainError(f"self-loop at vertex {u!r}")
+        if code == 5:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        if not isinstance(length, numbers.Real):
+            raise TypeError(f"edge ({u}, {v}) length must be a number, got {length!r}")
+        raise NonpositiveLengthError(f"edge ({u}, {v}) length must be positive and finite")
+    return np.stack([lo, hi], axis=1), w
 
 
 class MetricGraph:
@@ -105,11 +146,7 @@ class MetricGraph:
         if len(set(self.labels)) != n:
             raise DomainError("vertex labels must be unique")
         self._index = dict(zip(self.labels, range(n)))
-        edges = list(edges)
-        table = _edge_table(edges, n)
-        if table is None:  # a fault, or entries the array pass does not take: edge by edge
-            table = self._checked_edges(edges)
-        self._ends, self._lengths = table
+        self._ends, self._lengths = _edge_table(list(edges), self.labels)
         # CSR adjacency: the neighbours of vertex i, in increasing order, and
         # the edge lengths to them are _nbr and _w over _indptr[i]:_indptr[i + 1]
         tail, head = np.concatenate([self._ends, self._ends[:, ::-1]]).T
@@ -127,28 +164,6 @@ class MetricGraph:
             radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
         self._radius = radius * (1.0 + SEARCH_MARGIN)
 
-    def _checked_edges(self, edges) -> tuple[np.ndarray, np.ndarray]:
-        """Validate the edges one at a time: the first fault raises its own error."""
-        n = len(self.labels)
-        seen = set()
-        cleaned = []
-        for i, j, w in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise UnknownVertexError(f"edge index out of range: ({i}, {j})")
-            if i == j:
-                raise DomainError(f"self-loop at vertex {self.labels[i]!r}")
-            if not (math.isfinite(w) and w > 0.0):
-                raise NonpositiveLengthError(
-                    f"edge ({self.labels[i]}, {self.labels[j]}) length must be positive and finite"
-                )
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({self.labels[i]}, {self.labels[j]})")
-            seen.add(key)
-            cleaned.append((key[0], key[1], float(w)))
-        table = np.array(cleaned, dtype=float).reshape(-1, 3)
-        return table[:, :2].astype(np.intp), table[:, 2].copy()
-
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """Every edge as (i, j, length) with i < j, in input order."""
@@ -158,11 +173,23 @@ class MetricGraph:
     def from_edge_list(cls, triples) -> "MetricGraph":
         """Build from (label, label, length) triples; vertex order of first appearance."""
         triples = list(triples)
-        ends = [None] * (2 * len(triples))
-        ends[::2], ends[1::2], lengths = zip(*triples) if triples else ((), (), ())
-        index = dict(zip(dict.fromkeys(ends), range(len(ends))))
-        pairs = map(index.__getitem__, ends)  # one iterator, read twice per edge: the indices of u and v
-        return cls(list(index), zip(pairs, pairs, lengths))
+        us, vs, lengths = zip(*triples, strict=True) if triples else ((), (), ())
+        return cls._labelled(us, vs, lengths)
+
+    @classmethod
+    def _labelled(cls, us, vs, lengths, labels=None) -> "MetricGraph":
+        """The graph of the edges (us[k], vs[k], lengths[k]) between labels.
+
+        Its vertices are ``labels`` or, when that is None, the labels in order of first appearance.
+        """
+        ends = [None] * (2 * len(us))
+        ends[::2], ends[1::2] = us, vs
+        index = dict(zip(dict.fromkeys(ends) if labels is None else labels, count()))
+        try:
+            pairs = iter([*map(index.__getitem__, ends)])  # read twice per edge: the indices of u and v
+        except KeyError as e:
+            raise UnknownVertexError(f"edge endpoint {e.args[0]!r} not in 'vertices'") from None
+        return cls([*index] if labels is None else labels, zip(pairs, pairs, lengths))
 
     @property
     def num_vertices(self) -> int:
@@ -255,40 +282,30 @@ def _json_number(x, what: str) -> float:
     """A JSON number as a float (an integer too large for one becomes an infinity)."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"{what} must be a number, got {json.dumps(x)}")
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+    return _real(x)
 
 
-def _json_label(x, what: str) -> str:
-    """A JSON vertex label (a string or an integer) as a string."""
-    if isinstance(x, bool) or not isinstance(x, (str, int)):
-        raise ParseError(f"{what} must be a string or an integer, got {json.dumps(x)}")
-    return str(x)
+def _json_edges(items: list) -> tuple[list[str], list[str], tuple]:
+    """The label, label and length columns of JSON ``[u, v, length]`` items, the labels as strings.
 
-
-def _json_edges(items: list) -> list[tuple[str, str, float]]:
-    """JSON ``[u, v, length]`` items as (label, label, length) triples.
-
-    One pass over the columns takes well-formed items; item by item, the
-    first malformed one raises its own error, and an integer length beyond
-    the float range becomes an infinity.
+    The checks run on whole columns, by the set of types in each; when one
+    fails, `_first` finds the first malformed item in document order, whose
+    error is raised.  Lengths stay JSON numbers, which the graph converts.
     """
-    if {*map(type, items)} <= {list} and {*map(len, items)} <= {3}:
-        us, vs, ws = zip(*items) if items else ((), (), ())
-        if {*map(type, us), *map(type, vs)} <= {str, int} and {*map(type, ws)} <= {int, float}:
-            try:
-                return [*zip(map(str, us), map(str, vs), map(float, ws))]
-            except OverflowError:
-                pass
-    edges = []
-    for k, e in enumerate(items):
-        if not (isinstance(e, list) and len(e) == 3):
-            raise ParseError(f"edges[{k}]: expected [u, v, length]")
-        u, v = (_json_label(e[i], f"edges[{k}][{i}]") for i in (0, 1))
-        edges.append((u, v, _json_number(e[2], f"edges[{k}] length")))
-    return edges
+    if not ({*map(type, items)} <= {list} and {*map(len, items)} <= {3}):
+        k = _first(items, lambda e: type(e) is list and len(e) == 3)
+        _json_edges(items[:k])  # a fault before it raises first
+        raise ParseError(f"edges[{k}]: expected [u, v, length]")
+    us, vs, ws = zip(*items) if items else ((), (), ())
+    columns = ((us, {str, int}), (vs, {str, int}), (ws, {int, float}))
+    bad = [  # (item, column) of the first entry of a wrong type, in each column that has one
+        (_first(col, lambda x: type(x) in ok), c) for c, (col, ok) in enumerate(columns) if not {*map(type, col)} <= ok
+    ]
+    if bad:
+        k, c = min(bad)
+        what = f"edges[{k}] length must be a number" if c == 2 else f"edges[{k}][{c}] must be a string or an integer"
+        raise ParseError(f"{what}, got {json.dumps(items[k][c])}")
+    return [*map(str, us)], [*map(str, vs)], ws
 
 
 def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | None]:
@@ -310,24 +327,14 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
         for key in ("edges", "vertices"):
             if not isinstance(doc.get(key, []), list):
                 raise ParseError(f"'{key}' must be an array")
-        edges = _json_edges(doc["edges"])
-        if "vertices" in doc:
-            items = doc["vertices"]
-            if {*map(type, items)} <= {str, int}:
-                labels = [*map(str, items)]
-            else:
-                labels = [_json_label(x, f"vertices[{k}]") for k, x in enumerate(items)]
-            index = dict(zip(labels, range(len(labels))))
-            ends = [None] * (2 * len(edges))
-            ends[::2], ends[1::2], lengths = zip(*edges) if edges else ((), (), ())
-            try:
-                pairs = iter([*map(index.__getitem__, ends)])  # read twice per edge, as in `from_edge_list`
-            except KeyError:
-                lab = next(lab for lab in ends if lab not in index)
-                raise UnknownVertexError(f"edge endpoint {lab!r} not in 'vertices'") from None
-            graph = MetricGraph(labels, zip(pairs, pairs, lengths))
-        else:
-            graph = MetricGraph.from_edge_list(edges)
+        labels = doc.get("vertices")
+        columns = _json_edges(doc["edges"])
+        if labels is not None:
+            if not {*map(type, labels)} <= {str, int}:
+                k = _first(labels, lambda x: type(x) in (str, int))
+                raise ParseError(f"vertices[{k}] must be a string or an integer, got {json.dumps(labels[k])}")
+            labels = [*map(str, labels)]
+        graph = MetricGraph._labelled(*columns, labels)
         kappa = None
         if "kappa" in doc:
             raw = doc["kappa"]

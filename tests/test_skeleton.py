@@ -175,6 +175,84 @@ class TestEdgeListParser:
         assert ei.value.line == 1
 
 
+def reference_parse_edge_list(text: str) -> MetricGraph:
+    """The plain edge-list format as the line loop of `parse_metric_graph` reads it.
+
+    A verbatim copy, kept as the oracle of which fault wins across lines.
+    """
+    triples = []
+    seen: dict[tuple[str, str], int] = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError("expected 'label label length'", line=ln)
+        u, v, token = parts
+        if u == v:
+            raise ParseError(f"self-loop at {u!r}", line=ln)
+        try:
+            length = float(token)
+        except ValueError:
+            raise ParseError(f"bad length {token!r}", line=ln) from None
+        if not (math.isfinite(length) and length > 0.0):
+            raise NonpositiveLengthError(f"edge length must be positive and finite, got {token}", line=ln)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdgeError(f"edge ({u}, {v}) already given on line {seen[key]}", line=ln)
+        seen[key] = ln
+        triples.append((u, v, length))
+    return MetricGraph.from_edge_list(triples)
+
+
+def edge_list_outcome(parse, text: str):
+    """``parse(text)`` as (labels, edges), or the type, text and line of its error."""
+    try:
+        g = parse(text)
+        return g.labels, g.edges
+    except ValueError as e:
+        return type(e).__name__, str(e), e.line
+
+
+class TestEdgeListOracle:
+    """`parse_metric_graph` against its line loop as it stood: the same graph, or the same error on the same line."""
+
+    def test_seeded_mutations(self):
+        rng = np.random.default_rng(17)
+        tokens = ["a", "b", "c", "d", "x", "1", "0", "-1", "2.5e-3", "nan", "inf", "1e400", "two", "#", "a#b"]
+        seen = set()
+        for _ in range(600):
+            n = int(rng.integers(3, 7))
+            pairs = sorted({tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(2 * n)})
+            lines = [["abcdefg"[i], "abcdefg"[j], f"{rng.uniform(0.1, 2.0):.3g}"] for i, j in pairs]
+            for _ in range(int(rng.integers(1, 5))):
+                # most mutations hit the first lines, so that one line often carries two faults
+                at, kind = int(rng.integers(min(3, len(lines)))), int(rng.integers(6))
+                if kind == 5 and len(lines[at]) >= 2:  # a self-loop
+                    lines[at][1] = lines[at][0]
+                elif kind == 0 and lines[at]:  # replace a token
+                    lines[at][int(rng.integers(len(lines[at])))] = tokens[int(rng.integers(len(tokens)))]
+                elif kind == 1 and lines[at]:  # delete a token
+                    del lines[at][int(rng.integers(len(lines[at])))]
+                elif kind == 2:  # a line again, its ends swapped half the time
+                    line = list(lines[at])
+                    if len(line) == 3 and rng.random() < 0.5:
+                        line[:2] = line[1::-1]
+                    lines.insert(int(rng.integers(len(lines) + 1)), line)
+                elif kind == 3 and rng.random() < 0.5:  # a comment line
+                    lines.insert(at, ["#", "note"])
+                elif kind == 3:  # a comment after a line
+                    lines[at].append("# note")
+                else:  # a blank line
+                    lines.insert(at, [])
+            text = "\n".join(map(" ".join, lines)) + "\n"
+            want = edge_list_outcome(reference_parse_edge_list, text)
+            assert edge_list_outcome(parse_metric_graph, text) == want, text
+            seen.add("graph" if isinstance(want[0], tuple) else want[0])
+        assert seen == {"graph", "ParseError", "NonpositiveLengthError", "DuplicateEdgeError"}
+
+
 def reference_parse(text: str):
     """The JSON graph document as the per-item parser read it: (labels, edges) or the error raised.
 
@@ -328,7 +406,8 @@ class TestParseErrorParity:
         ],
     )
     def test_graph_edges_of_any_number_type(self, edges):
-        # the array pass takes integer indices and numbers; the rest go edge by edge, as before
+        # integers, integral floats, bools and numpy scalars are taken as the edge-by-edge check took them,
+        # 2**80 as a length too, and a string length is still a TypeError
         def build():
             g = MetricGraph(["a", "b", "c"], edges)
             return g.edges, g.neighbors(1)
@@ -349,6 +428,105 @@ class TestParseErrorParity:
                 build()
             return
         assert build() == want
+
+
+def reference_checked_edges(labels, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The edge-by-edge check that `MetricGraph` once fell back to, kept as the oracle of its array pass.
+
+    Verbatim but for ``self.labels``, which is ``labels`` here.
+    """
+    n = len(labels)
+    seen = set()
+    cleaned = []
+    for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise UnknownVertexError(f"edge index out of range: ({i}, {j})")
+        if i == j:
+            raise DomainError(f"self-loop at vertex {labels[i]!r}")
+        if not (math.isfinite(w) and w > 0.0):
+            raise NonpositiveLengthError(
+                f"edge ({labels[i]}, {labels[j]}) length must be positive and finite"
+            )
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({labels[i]}, {labels[j]})")
+        seen.add(key)
+        cleaned.append((key[0], key[1], float(w)))
+    table = np.array(cleaned, dtype=float).reshape(-1, 3)
+    return table[:, :2].astype(np.intp), table[:, 2].copy()
+
+
+def edge_table(labels, edges) -> tuple[np.ndarray, np.ndarray]:
+    g = MetricGraph(labels, edges)
+    return g._ends, g._lengths
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: its result, or the type, text and line of its error."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+
+
+class TestGraphEdges:
+    """`MetricGraph(labels, edges)`: the array pass against the edge-by-edge reference, and the faults it alone sees."""
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            ([(0.5, 2, 1.0)], UnknownVertexError, "edge index not an integer: (0.5, 2)"),
+            ([(0, 1, 1.0), (1.2, 1, 1.0)], UnknownVertexError, "edge index not an integer: (1.2, 1)"),
+            ([(0, 1, 1.0), (2, math.nan, 1.0)], UnknownVertexError, "edge index not an integer: (2, nan)"),
+            ([(0, 1, 1.0), (None, 1, 1.0)], UnknownVertexError, "edge index not an integer: (None, 1)"),
+            ([(0, "1", 1.0)], UnknownVertexError, "edge index not an integer: (0, 1)"),
+            ([(0, 2**70, 1.0)], UnknownVertexError, f"edge index out of range: (0, {2**70})"),
+            ([(0, 1, 1.0), (1, 2, 3.0, 4)], DomainError, "edges[1]: expected (i, j, length), got (1, 2, 3.0, 4)"),
+            ([(0, 1)], DomainError, "edges[0]: expected (i, j, length), got (0, 1)"),
+            ([(0, 1, 1.0), 7], DomainError, "edges[1]: expected (i, j, length), got 7"),
+            # the first faulty edge raises, whatever its fault
+            ([(0, 0, 1.0), (1, 2)], DomainError, "self-loop at vertex 'a'"),
+            ([(0, 1, -1.0), (0.5, 1, 1.0)], NonpositiveLengthError, "edge (a, b) length must be positive and finite"),
+            ([(0, 1, 1.0), (1, 2, None)], TypeError, "edge (b, c) length must be a number, got None"),
+            ([(0, 1, 10**400)], NonpositiveLengthError, "edge (a, b) length must be positive and finite"),
+        ],
+    )
+    def test_faults_the_reference_missed(self, edges, error, message):
+        # the reference truncates 0.5 and 1.2, drops a fourth field, or fails to unpack
+        with pytest.raises(error) as ei:
+            MetricGraph(["a", "b", "c"], edges)
+        assert type(ei.value) is error and str(ei.value) == message
+
+    def test_seeded_faults(self):
+        # integer-index edge lists with up to two faulty edges, some with two faults; the reference decides
+        rng = np.random.default_rng(16)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(3, 9))
+            labels = [f"v{k}" for k in range(n)]
+            pairs = sorted({tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(2 * n)})
+            edges = [(i, j, float(rng.uniform(0.1, 2.0))) for i, j in pairs]
+            for _ in range(int(rng.integers(0, 3))):
+                k, kind = int(rng.integers(len(edges))), int(rng.integers(5))
+                i, j, w = edges[k]
+                if kind == 4 or rng.random() < 0.4:  # a bad length, alone or with a fault below
+                    w = float(rng.choice([0.0, -0.5, math.nan, math.inf, -math.inf]))
+                if kind == 4:
+                    edges[k] = (i, j, w)
+                    continue
+                # an index out of range, a self-loop, or an edge again, reversed or not
+                ends = [(i, int(rng.choice([-1, n, n + 3]))), (i, i), (j, i), (i, j)][kind]
+                edges.insert(int(rng.integers(len(edges) + 1)), (*ends, w))
+            want = outcome(reference_checked_edges, labels, edges)
+            got = outcome(edge_table, labels, edges)
+            if isinstance(want[0], str):
+                assert got == want, edges
+                seen.add(want[0])
+            else:
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), edges
+                assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+                seen.add("graph")
+        assert seen == {"graph", "UnknownVertexError", "DomainError", "NonpositiveLengthError", "DuplicateEdgeError"}
 
 
 class TestJsonParser:
