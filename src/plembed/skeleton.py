@@ -22,6 +22,26 @@ lengths over all paths, which is exactly what a Dijkstra search settles;
 and every prefix of a path that ends within R(a) is within R(a) too, so
 dropping the candidates beyond it loses none.
 
+Most stars of a skeleton are degenerate, and one pair of neighbours a, b
+often decides it: a triple (a, v, b), (v, a, b) or (v, b, a) through the
+base v that is a betweenness on its own.  So each base's block of
+distances among it and its neighbours is screened by pairs before any star
+is cut from it, with `quadruple._betweenness`'s arithmetic on
+`quadruple._symmetrized`'s entries, at the triple's own margin.  That is
+exact: a star's margin is at least the margin of each of its triples, and
+fl(p - m) does not grow with m, so a triple between at its own margin is
+between at the star's.  A star with a flagged pair is settled as
+degenerate, with no 4 x 4 block, only when its base's block is clean:
+finite, with a zero diagonal and positive symmetrized entries, and each
+pair's asymmetry and each triple's triangle inequality within
+TRIANGLE_SLACK times the largest raw entry of that pair or triple.  Those
+raw entries belong to every star that holds the pair or triple, so each
+slack is at most the star's own and no settled star has a defect.  (A
+slack read from symmetrized entries could exceed it: below 2**-1021,
+fl(0.5 a + 0.5 b) can exceed max(a, b).)  The stars of a base that is not
+clean are all cut and validated, so the defect of every star, and the
+worst at each base, are the ones the full screen gives.
+
 `polyline_curvature` offers two discrete curvature measures for three
 consecutive points of a polygonal curve.  The Menger mode is the inverse
 circumradius and reproduces 1/R exactly on circles.  The finsler_haantjes
@@ -98,6 +118,22 @@ def _column(values: tuple) -> np.ndarray:
     return np.fromiter(map(_real, values), float, len(values))
 
 
+def _triples(items: list, what: str, head) -> tuple[tuple, tuple, tuple]:
+    """The three columns of ``items``, each a triple ``what`` (as in "(i, j, length)").
+
+    At the first item that is not a triple, ``head`` runs on the items
+    before it, so that a fault there raises first; then a DomainError
+    names the item as ``edges[k]``.
+    """
+    try:
+        first, second, third = zip(*items, strict=True) if items else ((), (), ())
+    except (TypeError, ValueError):
+        k = _first(items, lambda e: hasattr(e, "__len__") and len(e) == 3)
+        head(items[:k])
+        raise DomainError(f"edges[{k}]: expected {what}, got {items[k]!r}") from None
+    return first, second, third
+
+
 def _edge_table(edges: list, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (m, 2), the smaller first, and float lengths of (i, j, length) edges, in one pass over arrays.
 
@@ -108,13 +144,7 @@ def _edge_table(edges: list, labels: tuple[str, ...]) -> tuple[np.ndarray, np.nd
     the keys stably).  The first faulty edge in input order raises its
     error, as does the first item that is not an (i, j, length) triple.
     """
-    try:
-        i, j, w = zip(*edges, strict=True) if edges else ((), (), ())
-    except (TypeError, ValueError):  # an item that is not an (i, j, length) triple
-        k = _first(edges, lambda e: hasattr(e, "__len__") and len(e) == 3)
-        _edge_table(edges[:k], labels)  # a fault before it raises first
-        raise DomainError(f"edges[{k}]: expected (i, j, length), got {edges[k]!r}") from None
-    i, j, w = map(_column, (i, j, w))
+    i, j, w = map(_column, _triples(edges, "(i, j, length)", lambda head: _edge_table(head, labels)))
     lo, hi, n = np.minimum(i, j), np.maximum(i, j), len(labels)
     integral, inside = (i == np.floor(i)) & (j == np.floor(j)), (lo >= 0) & (hi < n)
     lo, hi = (np.where(integral & inside, x, 0).astype(np.intp) for x in (lo, hi))
@@ -171,10 +201,11 @@ class MetricGraph:
 
     @classmethod
     def from_edge_list(cls, triples) -> "MetricGraph":
-        """Build from (label, label, length) triples; vertex order of first appearance."""
-        triples = list(triples)
-        us, vs, lengths = zip(*triples, strict=True) if triples else ((), (), ())
-        return cls._labelled(us, vs, lengths)
+        """Build from (label, label, length) triples; vertex order of first appearance.
+
+        An item that is not such a triple raises a DomainError naming it as ``edges[k]``.
+        """
+        return cls._labelled(*_triples(list(triples), "(label, label, length)", cls.from_edge_list))
 
     @classmethod
     def _labelled(cls, us, vs, lengths, labels=None) -> "MetricGraph":
@@ -356,30 +387,95 @@ def _star_positions(degree: int) -> np.ndarray:
     return np.array([(0, *t) for t in combinations(range(1, degree + 1), 3)], dtype=np.intp).reshape(-1, 4)
 
 
+@cache
+def _block_layout(degree: int) -> tuple[np.ndarray, ...]:
+    """Positions in the flattened (k + 1) x (k + 1) block of a base of degree k and its neighbours.
+
+    Pair p is entry (i, j) of the block, i < j, lexicographic, so pairs
+    0 to k - 1 join the base 0 to each neighbour and the rest join two
+    neighbours, in `_star_positions`' order.  Returns the upper (i, j) and
+    lower (j, i) entry of each pair; the pairs (i k, i j, j k) of every
+    triple with j apart from i < k; the pairs (0 a, 0 b) of every pair
+    (a, b) of neighbours; and the three neighbour pairs of every star.
+    """
+    size = degree + 1
+    i, j = np.triu_indices(size, 1)
+    pair = np.zeros((size, size), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    ti, tj, tk = np.array(
+        [(x, y, z) for y in range(size) for x, z in combinations([v for v in range(size) if v != y], 2)], dtype=np.intp
+    ).reshape(-1, 3).T
+    trio = _star_positions(degree)[:, 1:]
+    return (
+        i * size + j, j * size + i, pair[ti, tk], pair[ti, tj], pair[tj, tk], i[degree:] - 1, j[degree:] - 1,
+        pair[trio[:, [0, 0, 1]], trio[:, [1, 2, 2]]] - degree,
+    )
+
+
+def _pair_screen(block: np.ndarray, degree: int) -> np.ndarray:
+    """(B, C(degree, 3)) flags of the stars that one neighbour pair makes degenerate, at bases with a clean block.
+
+    ``block`` holds the raw (B, degree + 1, degree + 1) distances among each
+    base and its neighbours.  A pair (a, b) is flagged when one of the
+    triples (a, 0, b), (0, a, b) and (0, b, a) through the base is a
+    betweenness at its own margin, by `quadruple._betweenness`'s arithmetic
+    on `quadruple._symmetrized`'s entries.  A block is clean when it is
+    finite with a zero diagonal, every symmetrized entry off it is
+    positive, and each pair and each triple of it keeps its asymmetry and
+    triangle inequality within TRIANGLE_SLACK times its own largest raw
+    entry; then no star of the base has a defect (see the module docstring).
+    Like `_symmetrized`, it works on the entries as rows.
+    """
+    upper, lower, ik, ij, jk, za, zb, star_pairs = _block_layout(degree)
+    rows = np.ascontiguousarray(block.reshape(len(block), -1).T)
+    u, w = rows[upper], rows[lower]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite blocks are not clean
+        sym = 0.5 * u + 0.5 * w
+        top = np.maximum(u, w)  # the larger raw entry of each pair
+        slack = TRIANGLE_SLACK * np.maximum(np.maximum(top[ij], top[jk]), top[ik])
+        clean = (
+            np.logical_and.reduce(np.isfinite(rows))
+            & np.logical_and.reduce(rows[:: degree + 2] == 0.0)  # the diagonal
+            & np.logical_and.reduce(sym > 0.0)
+            & np.logical_and.reduce(np.abs(u - w) <= TRIANGLE_SLACK * top)
+            & np.logical_and.reduce(sym[ik] <= sym[ij] + sym[jk] + slack)
+        )
+        h = 0.5 * sym
+        h0a, h0b, hab = h[za], h[zb], h[degree:]
+        m = BETWEENNESS_MARGIN * np.maximum(np.maximum(np.maximum(h0a, h0b), hab), 0.0)
+        between = (hab >= h0a + h0b - m) | (h0b >= h0a + hab - m) | (h0a >= h0b + hab - m)
+    return (np.logical_or.reduce(between[star_pairs], axis=1) & clean).T
+
+
 @dataclass(frozen=True)
 class _Stars:
     """Every star at a run of base vertices, the stars of one base contiguous.
 
     ``neighbors[q]`` holds the vertex ids of the three neighbours of star q
-    (labels are looked up only for the stars a report names), and
-    ``distances[q]`` the graph distances of the base and those neighbours,
-    symmetrized by `quadruple._symmetrized`.  The stars of ``bases[k]`` are
-    ``start[k]:start[k + 1]``.  ``defect`` is the validation code of each
-    star; ``degenerate`` marks the stars with a metric betweenness.
+    (labels are looked up only for the stars a report names).  The stars of
+    ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
+    validation code of each star; ``degenerate`` marks the stars with a
+    metric betweenness.  ``distances[i]`` holds the graph distances of the
+    base and neighbours of star ``blocked[i]``, symmetrized by
+    `quadruple._symmetrized`; ``blocked`` lists, in order, the stars that
+    the pair screen did not settle, which include every nondegenerate one.
 
     `gather` grows the search ball of every base and every neighbour once,
     STAR_RANGE sources at a time.  Then, STAR_RANGE bases at a time, so
-    that only one range's raw blocks are held at once, it reads the
+    that only one range's blocks are held at once, it reads the
     (k + 1) x (k + 1) block of distances among each base of degree k and
     its neighbours once, all bases of one degree together, row p from the
-    ball of vertex p as a dense matrix holds it.  The stars are the 4 x 4
-    sub-blocks at `_star_positions`; one screen over the whole range
-    validates them and tests their betweenness.
+    ball of vertex p as a dense matrix holds it.  `_pair_screen` marks the
+    stars of a clean block that contain a degenerate neighbour pair as
+    degenerate with defect 0.  Only the other stars are cut from the
+    block, as the 4 x 4 sub-blocks at `_star_positions`, validated and
+    tested for betweenness.
     """
 
     bases: tuple[int, ...]
     start: list[int]
     neighbors: np.ndarray
+    blocked: np.ndarray
     distances: np.ndarray
     defect: np.ndarray
     degenerate: np.ndarray
@@ -387,42 +483,37 @@ class _Stars:
     @classmethod
     def gather(cls, g: MetricGraph, bases) -> "_Stars":
         bases = np.array(bases, dtype=np.intp).reshape(-1)
-        edge, degree = _edges_at(g._indptr, bases)
+        n, indptr = g.num_vertices, g._indptr
+        edge, degree = _edges_at(indptr, bases)
         sources = np.unique(np.concatenate([bases, g._nbr[edge]]))
         chunks = np.array_split(sources, max(1, -(-len(sources) // STAR_RANGE)))
         keys, dist = map(np.concatenate, zip(*map(g._balls, chunks)))
         start = np.concatenate([[0], np.cumsum(degree * (degree - 1) * (degree - 2) // 6)])
         neighbors = np.empty((start[-1], 3), dtype=np.intp)
-        distances = np.empty((start[-1], 4, 4))
-        defect = np.empty(start[-1], dtype=np.intp)
-        degenerate = np.empty(start[-1], dtype=bool)
+        defect = np.zeros(start[-1], dtype=np.intp)
+        degenerate = np.ones(start[-1], dtype=bool)  # a star the pair screen settles: degenerate, defect 0
+        blocked, distances = [np.empty(0, dtype=np.intp)], [np.empty((0, 4, 4))]
         for lo in range(0, len(bases), STAR_RANGE):
-            offset = start[lo : lo + STAR_RANGE + 1]
-            span = slice(offset[0], offset[-1])
-            raw = _range_blocks(g, keys, dist, bases[lo : lo + STAR_RANGE], offset - offset[0], neighbors[span])
-            distances[span], defect[span] = _symmetrized(raw)
-            degenerate[span] = _betweenness(distances[span], BETWEENNESS_MARGIN)
-            del raw  # before the next range's blocks
-        return cls(tuple(bases.tolist()), start.tolist(), neighbors, distances, defect, degenerate)
-
-
-def _range_blocks(g: MetricGraph, keys, dist, bases, start, ids: np.ndarray) -> np.ndarray:
-    """Raw distances (Q, 4, 4) of the stars at ``bases``; their neighbour ids go to ``ids`` (Q, 3).
-
-    Read from the balls ``keys``, ``dist``; the stars of ``bases[k]`` are rows ``start[k]:start[k + 1]``.
-    """
-    n, indptr = g.num_vertices, g._indptr
-    degree = indptr[bases + 1] - indptr[bases]
-    raw = np.empty((start[-1], 4, 4))
-    for k in np.unique(degree[degree >= 3]).tolist():
-        at = np.flatnonzero(degree == k)
-        idx = np.concatenate([bases[at, None], g._nbr[indptr[bases[at], None] + np.arange(k)]], axis=1)
-        block = dist[np.searchsorted(keys, idx[:, :, None] * n + idx[:, None, :])]
-        pos = _star_positions(k)
-        rows = (start[at, None] + np.arange(len(pos))).reshape(-1)
-        raw[rows] = block[:, pos[:, :, None], pos[:, None, :]].reshape(-1, 4, 4)
-        ids[rows] = idx[:, pos[:, 1:]].reshape(-1, 3)
-    return raw
+            span = np.arange(lo, min(lo + STAR_RANGE, len(bases)))
+            for k in np.unique(degree[span][degree[span] >= 3]).tolist():
+                at = span[degree[span] == k]
+                idx = np.concatenate([bases[at, None], g._nbr[indptr[bases[at], None] + np.arange(k)]], axis=1)
+                block = dist[np.searchsorted(keys, idx[:, :, None] * n + idx[:, None, :])]
+                pos = _star_positions(k)
+                rows = start[at, None] + np.arange(len(pos))
+                neighbors[rows] = idx[:, pos[:, 1:]]
+                base, star = np.nonzero(~_pair_screen(block, k))
+                ids = rows[base, star]
+                d, defect[ids] = _symmetrized(block[base[:, None, None], pos[star, :, None], pos[star, None, :]])
+                degenerate[ids] = _betweenness(d, BETWEENNESS_MARGIN)
+                blocked.append(ids)
+                distances.append(d)
+        blocked = np.concatenate(blocked)
+        order = np.argsort(blocked)
+        return cls(
+            tuple(bases.tolist()), start.tolist(), neighbors, blocked[order], np.concatenate(distances)[order],
+            defect, degenerate,
+        )
 
 
 @dataclass(frozen=True)
@@ -502,7 +593,7 @@ def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalRe
     start = np.array(stars.start)
     owner = np.repeat(np.arange(len(stars.bases)), np.diff(start))  # the base of every star
     checked = np.flatnonzero(~stars.degenerate)
-    d = stars.distances[checked]
+    d = stars.distances[~stars.degenerate[stars.blocked]]
     flat, flat_failure = _angle_table(d, 0.0)
     curved, curved_failure = _angle_table(d, np.array(kappas)[owner[checked], None, None], 1)
     # (star, flat before curved, text) of the first failure of each table
@@ -524,7 +615,7 @@ def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalRe
     ok = np.array([c.verdict for c in certificates], dtype=bool) & (curvature_slack >= -ANGLE_TOL)
     trios = map(tuple, labels[stars.neighbors[checked]].tolist())
     checks = [*map(QuadrupleCheck, trios, curvature_slack.tolist(), certificates, ok.tolist())]
-    skipped = [*map(tuple, labels[stars.neighbors[stars.degenerate]].tolist())]
+    skipped = [*zip(*labels[stars.neighbors[stars.degenerate]].T.tolist())]
     # base k: checks cut[k]:cut[k + 1], skipped stars skip[k]:skip[k + 1], first failed check first_wrong[k]
     cut = np.searchsorted(checked, start)
     skip = (start - cut).tolist()

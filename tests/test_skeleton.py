@@ -23,9 +23,9 @@ from plembed import (
     parse_metric_graph,
     polyline_curvature,
 )
-from plembed import skeleton
+from plembed import quadruple, skeleton
 from plembed.quadruple import BETWEENNESS_MARGIN, _betweenness, _symmetrized
-from plembed.skeleton import SEARCH_MARGIN, STAR_RANGE, _Stars
+from plembed.skeleton import SEARCH_MARGIN, STAR_RANGE, TRIANGLE_SLACK, _Stars
 
 from conftest import hex_grid_graph, icosahedron_graph, star_graph, unit_k4
 from test_acceptance import _independent_distances
@@ -497,6 +497,23 @@ class TestGraphEdges:
             MetricGraph(["a", "b", "c"], edges)
         assert type(ei.value) is error and str(ei.value) == message
 
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            ([("a", "b", 1.0), ("b", "c", 2.0, 9)], "edges[1]: expected (label, label, length), got ('b', 'c', 2.0, 9)"),
+            ([("a", "b")], "edges[0]: expected (label, label, length), got ('a', 'b')"),
+            ([("a", "b", 1.0), "xy"], "edges[1]: expected (label, label, length), got 'xy'"),
+        ],
+    )
+    def test_labelled_triples_of_another_shape(self, triples, message):
+        with pytest.raises(DomainError) as ei:
+            MetricGraph.from_edge_list(triples)
+        assert type(ei.value) is DomainError and str(ei.value) == message
+
+    def test_labelled_fault_before_a_bad_shape_raises_first(self):
+        with pytest.raises(DomainError, match="self-loop at vertex 'a'"):
+            MetricGraph.from_edge_list([("a", "a", 1.0), ("a", "b")])
+
     def test_seeded_faults(self):
         # integer-index edge lists with up to two faulty edges, some with two faults; the reference decides
         rng = np.random.default_rng(16)
@@ -624,11 +641,27 @@ class TestJsonParser:
         assert g.num_vertices == 2 and kappa is None
 
 
+def star_distances(g: MetricGraph, stars: _Stars) -> np.ndarray:
+    """(Q, 4, 4) symmetrized distances of every star: `_Stars.distances` where a star keeps its block.
+
+    The distances of the stars that the pair screen settled, which `_Stars`
+    does not keep, are read from heap-search balls here.
+    """
+    assert not (~stars.degenerate & ~np.isin(np.arange(len(stars.defect)), stars.blocked)).any()
+    adj = adjacency(g)
+    balls = [star_ball(adj, a) for a in range(g.num_vertices)]
+    owner = np.repeat(stars.bases, np.diff(stars.start)).tolist()
+    raw = [[[balls[a][b] for b in ids] for a in ids] for ids in zip(owner, *stars.neighbors.T.tolist())]
+    full = _symmetrized(np.array(raw, dtype=float).reshape(-1, 4, 4))[0]
+    full[stars.blocked] = stars.distances
+    return full
+
+
 def star_rows(g: MetricGraph, v) -> tuple[list[list[int]], np.ndarray]:
     """Vertex ids (base first) and symmetrized graph distances of every star at v."""
     stars = _Stars.gather(g, [g.index(v)])
-    assert stars.start == [0, len(stars.distances)]
-    return [[g.index(v), *row] for row in stars.neighbors.tolist()], stars.distances
+    assert stars.start == [0, len(stars.defect)]
+    return [[g.index(v), *row] for row in stars.neighbors.tolist()], star_distances(g, stars)
 
 
 class TestStarQuadruples:
@@ -978,7 +1011,11 @@ SWEEP_GRAPHS = {
 
 
 def oracle_stars(g: MetricGraph) -> tuple:
-    """`_Stars` fields at every vertex as one heap search per vertex gives them, read entry by entry."""
+    """`_Stars` fields at every vertex as one heap search per vertex gives them, read entry by entry.
+
+    Every star is cut, validated and tested on its own, with no pair
+    screen; the distances of every star come back, then the raw blocks.
+    """
     adj = adjacency(g)
     balls = [star_ball(adj, a) for a in range(g.num_vertices)]
     start, neighbors, raw = [0], [], []
@@ -989,8 +1026,9 @@ def oracle_stars(g: MetricGraph) -> tuple:
             raw.append([[balls[a][b] for b in ids] for a in ids])
             neighbors.append(list(trio))
         start.append(len(raw))
-    distances, defect = _symmetrized(np.array(raw, dtype=float).reshape(-1, 4, 4))
-    return start, neighbors, distances, defect.tolist(), _betweenness(distances, BETWEENNESS_MARGIN).tolist()
+    raw = np.array(raw, dtype=float).reshape(-1, 4, 4)
+    distances, defect = _symmetrized(raw)
+    return start, neighbors, distances, defect.tolist(), _betweenness(distances, BETWEENNESS_MARGIN).tolist(), raw
 
 
 class TestRelaxationOracle:
@@ -1016,11 +1054,15 @@ class TestRelaxationOracle:
         monkeypatch.setattr(skeleton, "STAR_RANGE", star_range)
         g = SWEEP_GRAPHS[name]()
         stars = _Stars.gather(g, range(g.num_vertices))
-        start, neighbors, distances, defect, degenerate = oracle_stars(g)
+        start, neighbors, distances, defect, degenerate, _ = oracle_stars(g)
         assert stars.bases == tuple(range(g.num_vertices))
         assert stars.start == start and stars.neighbors.tolist() == neighbors
         assert (stars.defect.tolist(), stars.degenerate.tolist()) == (defect, degenerate)
-        assert stars.distances.shape == distances.shape and stars.distances.tobytes() == distances.tobytes()
+        # the stars that keep a block, every nondegenerate one among them
+        held = distances[stars.blocked]
+        assert np.array_equal(stars.blocked, np.unique(stars.blocked))
+        assert not (~stars.degenerate & ~np.isin(np.arange(len(defect)), stars.blocked)).any()
+        assert stars.distances.shape == held.shape and stars.distances.tobytes() == held.tobytes()
 
     @pytest.mark.parametrize("name", SWEEP_GRAPHS)
     def test_local_equals_global_entry(self, name):
@@ -1040,6 +1082,137 @@ class TestRelaxationOracle:
                 seen |= {"skipped"} if e.skipped else set()
                 seen |= {"none"} if not (e.checks or e.skipped) else set()
         assert seen == {"checked", "skipped", "none"}
+
+
+def margin_boundary_graph() -> MetricGraph:
+    """Stars whose one near-betweenness runs across the margin, in consecutive floats.
+
+    In each component a base o has the neighbours a, b and c, and in every
+    other component a far neighbour f as well, which raises the largest
+    entry of the base's block but not of the star (o, a, b, c).  Either o
+    lies nearly between a and b, or a nearly between o and b: the long
+    side is 2 (1 - 1e-12) plus k ulps, for k from -40 to 40.
+    """
+    labels, edges = [], []
+    for k in range(-40, 41):
+        long = 2.0 * (1.0 - 1e-12) + k * 2.0**-52
+        for middle_is_base in (True, False):
+            for far in (False, True):
+                o, a, b, c, f = range(len(labels), len(labels) + 5)
+                labels += [f"{x}{o}" for x in "oabcf"[: 4 + far]]
+                if middle_is_base:
+                    edges += [(o, a, 1.0), (o, b, 1.0), (a, b, long)]
+                else:
+                    edges += [(o, a, 1.0), (a, b, 1.0), (o, b, long)]
+                edges += [(o, c, 1.0), (a, c, 1.5), (b, c, 1.5)] + [(o, f, 3.0)] * far
+    return MetricGraph(labels, edges)
+
+
+def perturbed(g: MetricGraph, seed: int, rel: float = 1e-13) -> MetricGraph:
+    """The graph with each length multiplied by 1 - rel, 1 or 1 + rel, at random."""
+    sign = np.random.default_rng(seed).integers(-1, 2, len(g.edges)).tolist()
+    return MetricGraph(g.labels, [(i, j, w * (1.0 + s * rel)) for (i, j, w), s in zip(g.edges, sign)])
+
+
+def huge_hub_graph() -> MetricGraph:
+    """A hub with three leaves at 1e308, whose sums overflow, one at 1e307 and one at 1."""
+    return MetricGraph(list("cxyzuv"), [(0, 1, 1e308), (0, 2, 1e308), (0, 3, 1e308), (0, 4, 1e307), (0, 5, 1.0)])
+
+
+def ulp_graph(seed: int, n: int = 12) -> MetricGraph:
+    """Lengths of 1 to 40 times the smallest subnormal: sums are exact, but halving rounds to even."""
+    rng = np.random.default_rng(seed)
+    g = _random_metric_graph(rng, n, extra=2 * n, long_share=0.3)
+    return MetricGraph(g.labels, [(i, j, int(rng.integers(1, 41)) * 5e-324) for i, j, _ in g.edges])
+
+
+def ulp_hubs_graph() -> MetricGraph:
+    """Disjoint hubs with three leaves at every trio of 1 to 12 ulps of the smallest subnormal.
+
+    Halving rounds an odd number of ulps to even, so a leaf-to-leaf sum
+    through the hub can break its triangle inequality by up to two ulps.
+    """
+    labels, edges = [], []
+    for trio in combinations(range(1, 15), 3):
+        hub = len(labels)
+        labels += [f"h{hub}", *(f"l{hub}-{k}" for k in range(3))]
+        edges += [(hub, hub + 1 + k, (w - k) * 5e-324) for k, w in enumerate(trio)]  # w - k: every trio with repeats
+    return MetricGraph(labels, edges)
+
+
+def overflow_path_graph() -> MetricGraph:
+    """A base c whose neighbours a and b are joined by a three-edge path that overflows in one direction only.
+
+    With u the spacing of floats at the top of their range, the path
+    a - p - q - b of lengths max - u, 1.4 u and 0.4 u sums to the largest
+    float from a, and to infinity from b; so the block of c holds one
+    infinite entry and its finite reverse.  The path a - c - b overflows
+    both ways, and a leaf s at p at the largest float makes every search
+    radius near the top infinite.
+    """
+    top, u = np.finfo(float).max, 2.0**971
+    edges = [(0, 1, 1e308), (0, 2, 1e308), (0, 3, 1.0), (1, 4, top - u), (4, 5, 1.4 * u), (5, 2, 0.4 * u), (4, 6, top)]
+    return MetricGraph(list("cabepqs"), edges)
+
+
+def decimal_graph(seed: int, n: int = 24) -> MetricGraph:
+    """Lengths such as 0.1 and 0.7, whose sums round, so a distance and its reverse can differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    g = _random_metric_graph(rng, n, extra=2 * n, long_share=0.0)
+    return MetricGraph(g.labels, [(i, j, float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.1]))) for i, j, _ in g.edges])
+
+
+SCREEN_GRAPHS = {
+    **{f"icosphere{level}-{seed}": (lambda level=level, seed=seed: icosphere_graph(level, seed))
+       for level in (1, 2) for seed in (31, 32)},
+    "tied-grid": tied_grid_graph,
+    **{f"integer-{seed}": (lambda seed=seed: integer_graph(seed)) for seed in (4, 5)},
+    **{f"tied-grid-1e-13-{seed}": (lambda seed=seed: perturbed(tied_grid_graph(6), seed)) for seed in (1, 2)},
+    **{f"integer-1e-13-{seed}": (lambda seed=seed: perturbed(integer_graph(seed), seed)) for seed in (6, 7)},
+    "margin-boundary": margin_boundary_graph,
+    "huge-hub": huge_hub_graph,
+    "subnormal-grid": lambda: scaled(tied_grid_graph(), 3 * 5e-324),
+    "subnormal-icosphere": lambda: scaled(icosphere_graph(1, 33), 1e-310),
+    **{f"ulps-{seed}": (lambda seed=seed: ulp_graph(seed)) for seed in (1, 2, 3)},
+    "ulp-hubs": ulp_hubs_graph,
+    "overflow-path": overflow_path_graph,
+    **{f"decimal-{seed}": (lambda seed=seed: decimal_graph(seed)) for seed in (1, 2)},
+}
+
+
+class TestPairScreen:
+    """`_Stars.gather`, with its pair screen, against every star cut, validated and tested on its own."""
+
+    # At the library's slack factor no input tells a slack read from
+    # symmetrized entries from one read from raw entries (they differ only
+    # below 2**-1021, by one ulp), so the sweep also runs at a coarse factor,
+    # where they do, and at a fine one, where rounding-level asymmetry and
+    # triangle defects send bases around the screen.
+    @pytest.mark.parametrize("slack", [TRIANGLE_SLACK, 0.13, 1e-17])
+    def test_against_every_star(self, slack, monkeypatch):
+        monkeypatch.setattr(quadruple, "TRIANGLE_SLACK", slack)
+        monkeypatch.setattr(skeleton, "TRIANGLE_SLACK", slack)
+        seen = set()
+        for name, make in SCREEN_GRAPHS.items():
+            g = make()
+            stars = _Stars.gather(g, range(g.num_vertices))
+            start, neighbors, distances, defect, degenerate, raw = oracle_stars(g)
+            assert stars.start == start and stars.neighbors.tolist() == neighbors, name
+            assert (stars.defect.tolist(), stars.degenerate.tolist()) == (defect, degenerate), name
+            worst = [max(defect[a:b], default=0) for a, b in zip(start, start[1:])]
+            assert [max(stars.defect[a:b].tolist(), default=0) for a, b in zip(start, start[1:])] == worst, name
+            assert stars.distances.tobytes() == distances[stars.blocked].tobytes(), name
+            settled = ~np.isin(np.arange(len(defect)), stars.blocked)
+            seen |= {"settled"} if settled.any() else set()
+            seen |= {"kept degenerate"} if stars.degenerate[stars.blocked].any() else set()
+            seen |= {"defect"} if any(defect) else set()
+            seen |= {"asymmetric"} if (raw != raw.transpose(0, 2, 1)).any() else set()
+            if name == "margin-boundary":
+                # the star (o, a, b, c) of each variant: nondegenerate up to the boundary, then degenerate
+                at_o = [degenerate[start[v]] for v, label in enumerate(g.labels) if label[0] == "o"]
+                for variant in (at_o[0::4], at_o[1::4], at_o[2::4], at_o[3::4]):
+                    assert 0 < variant.index(True) == variant.count(False) < len(variant)
+        assert seen == {"settled", "kept degenerate", "defect", "asymmetric"}
 
 
 class TestCurveTriple:
