@@ -379,16 +379,23 @@ class MonteCarloEstimate:
 def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of `normalized_link_volume` with standard error.
 
-    It counts the directions inside every face half-space, which is the
-    corner itself only at convex corners; elsewhere it estimates that
-    intersection, not the link volume.
+    It counts the directions w with w . n <= 0 for the outward normal n of
+    every face at v, a test folded one face at a time into one boolean per
+    direction.  That is the corner itself only at convex corners; elsewhere
+    it estimates the intersection of the half-spaces, not the link volume.
 
-    Uniform directions from a counter-based (Philox) generator, so runs with
-    the same seed are reproducible; the variance accumulates by Welford
-    updates over chunks of MC_CHUNK samples.
+    The directions are normalized standard normal draws from one stream of a
+    counter-based (Philox) generator seeded with `seed`, counted MC_CHUNK
+    samples at a time, with the variance merged over chunks by Welford
+    updates; the same arguments give the same bits.  `samples` must be an
+    integer of at least 2 and `seed` a nonnegative integer (DomainError).
     """
+    if not isinstance(samples, int) or isinstance(samples, bool):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise DomainError("need at least two samples")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     m = mesh.oriented_outward()
     normals = m.face_normals[m.vertex_faces(int(v))]
     if len(normals) == 0:
@@ -401,8 +408,12 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
     while done < samples:
         take = min(MC_CHUNK, samples - done)
         w = gen.normal(size=(take, 3))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        inside = np.all(w @ normals.T <= 0.0, axis=1)
+        a, b, c = w.T
+        w /= np.sqrt(a * a + b * b + c * c)[:, None]
+        d = w @ normals.T
+        inside = d[:, 0] <= 0.0
+        for column in d.T[1:]:
+            inside &= column <= 0.0
         # Welford merge of the chunk (indicator mean/variance) into the run.
         c_count = take
         c_mean = float(np.mean(inside))

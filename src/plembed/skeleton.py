@@ -192,7 +192,7 @@ class MetricGraph:
         longest[has_edges] = np.maximum.reduceat(self._w, starts)
         with np.errstate(over="ignore"):  # lengths near the top of the float range: an infinite radius
             radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
-        self._radius = radius * (1.0 + SEARCH_MARGIN)
+            self._radius = radius * (1.0 + SEARCH_MARGIN)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:

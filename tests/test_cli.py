@@ -272,6 +272,14 @@ class TestCheckGlobalCommand:
         r = run_cli("check-global", "--graph", k4_path, "--kappa", "inf")
         assert_rejected(r, "invalid finite float value: 'inf'")
 
+    def test_edge_at_the_float_maximum(self, tmp_path):
+        # c's search radius, 1 plus the largest float, widens to infinity without a warning
+        path = tmp_path / "top.json"
+        path.write_text('{"edges": [["a", "b", 1.7976931348623157e308], ["b", "c", 1]], "kappa": 0}')
+        r = run_cli("check-global", "--graph", str(path))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert payload(r)["verdict"] is True
+
     def test_nan_kappa_in_document(self, nan_kappa_path):
         assert_rejected(run_cli("check-global", "--graph", nan_kappa_path), "'kappa' values must be finite")
 
@@ -451,6 +459,12 @@ class TestLinkVolumeCommand:
         for args in (base, (*base, "--dual"), (*mc, "--dual")):
             r = run_cli(*args, env_extra=bad)
             assert r.returncode == 0 and r.stdout == run_cli(*args).stdout
+
+    def test_negative_seed(self, cube_off_path):
+        mc = ("link-volume", "--mesh", str(cube_off_path), "--vertex", "1", "--method", "monte-carlo", "--samples", "2000")
+        assert_rejected(run_cli(*mc, "--seed", "-1"), "error: seed must be a nonnegative integer, got -1\n")
+        assert_rejected(run_cli(*mc, env_extra={"PLEMBED_SEED": "-4"}), "error: seed must be a nonnegative integer, got -4\n")
+        assert_rejected(run_cli(*mc[:-1], "1"), "error: need at least two samples\n")
 
     def test_bad_vertex(self, cube_off_path):
         r = run_cli("link-volume", "--mesh", str(cube_off_path), "--vertex", "99")

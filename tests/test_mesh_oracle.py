@@ -19,6 +19,11 @@ signs of its turn determinants.  That guess was right at convex and flat
 corners only, so the library must equal it bit for bit there; at every
 corner the exact volume must match the Van Oosterom-Strackee oracle, and
 the dual must raise at every corner that is not convex.
+
+`reference_link_volume_mc` is the Monte Carlo estimator as it was before its
+chunk loop dropped the (samples x faces) temporaries: `np.linalg.norm` for
+the normalisation and `np.all` over the face products for the inside test.
+The library must give the same value and stderr (==) on the same stream.
 """
 
 import math
@@ -30,6 +35,7 @@ import numpy as np
 import pytest
 
 from plembed import (
+    DomainError,
     MeshError,
     PolyMesh,
     mesh_edge_dilatation_bound,
@@ -39,7 +45,15 @@ from plembed import (
     parse_off,
 )
 from plembed.mesh import rowdot
-from plembed.qcbounds import _MESSAGES, EdgeAngleReport, EdgeRecord, _dedupe, _link_cycles
+from plembed.qcbounds import (
+    _MESSAGES,
+    MC_CHUNK,
+    EdgeAngleReport,
+    EdgeRecord,
+    MonteCarloEstimate,
+    _dedupe,
+    _link_cycles,
+)
 
 from conftest import (
     CUBE_FLAT_PATCH_OFF,
@@ -643,6 +657,80 @@ class TestLinkAtEveryCorner:
                 for vi in range(len(mesh.vertices)):
                     assert normalized_link_volume(got, vi) == first_link_volume(ref, vi)
                     assert normalized_exterior_angle(got, vi) == first_exterior_angle(ref, vi)
+
+
+def reference_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
+    """`normalized_link_volume_mc` with a (samples x faces) product and boolean per chunk."""
+    if samples < 2:
+        raise DomainError("need at least two samples")
+    m = mesh.oriented_outward()
+    normals = m.face_normals[m.vertex_faces(int(v))]
+    if len(normals) == 0:
+        raise MeshError(f"vertex {v} has no incident faces")
+    gen = np.random.Generator(np.random.Philox(seed))
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    done = 0
+    while done < samples:
+        take = min(MC_CHUNK, samples - done)
+        w = gen.normal(size=(take, 3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        inside = np.all(w @ normals.T <= 0.0, axis=1)
+        # Welford merge of the chunk (indicator mean/variance) into the run.
+        c_count = take
+        c_mean = float(np.mean(inside))
+        c_m2 = float(np.sum((inside - c_mean) ** 2))
+        delta = c_mean - mean
+        total = count + c_count
+        mean += delta * c_count / total
+        m2 += c_m2 + delta * delta * count * c_count / total
+        count = total
+        done += take
+    stderr = math.sqrt(m2 / (count - 1) / count)
+    return MonteCarloEstimate(mean, stderr, samples, seed)
+
+
+def assert_same_estimates(mesh, vertices, samples, seed):
+    """Value and stderr equal the reference's (==) at each vertex, with the seed offset by the vertex."""
+    for vi in vertices:
+        got = normalized_link_volume_mc(mesh, vi, samples=samples, seed=seed + vi)
+        want = reference_link_volume_mc(mesh, vi, samples=samples, seed=seed + vi)
+        assert (got.value, got.stderr) == (want.value, want.stderr), (vi, samples, seed)
+
+
+class TestMonteCarloOracle:
+    """The estimator against its reference, the same bits on the same stream."""
+
+    @pytest.mark.parametrize("samples", [2, 3, 600])
+    def test_every_vertex_of_the_fixtures(self, samples):
+        for seed, text in enumerate((CUBE_OFF, TETRA_OFF, CUBE_FLAT_PATCH_OFF, DENTED_OCTA_OFF)):
+            m = parse_off(text)
+            for f in (m.faces, m.faces[:, ::-1].copy()):
+                assert_same_estimates(PolyMesh(m.vertices, f), range(len(m.vertices)), samples, 100 * seed)
+
+    @pytest.mark.parametrize("level,seed", [(1, 11), (2, 12), (3, 11)])
+    def test_every_vertex_of_the_swept_meshes(self, level, seed):
+        for v, f in _swept_meshes(level, seed):
+            mesh = PolyMesh(v, f)
+            for samples in (2, 3, 600):
+                assert_same_estimates(mesh, range(len(v)), samples, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 5001])
+    def test_chunk_boundaries(self, seed):
+        # one convex, reflex and saddle corner of a dented icosphere, and the degree-12 apex
+        # of a bipyramid, at one sample short of, at and past a chunk, and past two chunks
+        v, f = dented_icosphere(2, 13)
+        kinds = corner_kinds(ScalarMesh(v, f))
+        corners = [kinds.index(kind) for kind in ("convex", "reflex", "saddle")]
+        k = 12
+        t = np.sort(np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, k))
+        ring = np.c_[np.cos(t), np.sin(t), np.zeros(k)]
+        apex_v = np.vstack([(0.0, 0.0, 0.4), ring, (0.0, 0.0, -1.0)])
+        apex_f = [(0, i, i % k + 1) for i in range(1, k + 1)] + [(k + 1, i % k + 1, i) for i in range(1, k + 1)]
+        for samples in (MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 17):
+            assert_same_estimates(PolyMesh(v, f), corners, samples, seed)
+            assert_same_estimates(PolyMesh(apex_v, np.array(apex_f)), [0], samples, seed)
 
 
 class TestErrorOracle:

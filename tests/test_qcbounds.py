@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -385,6 +386,24 @@ class TestMonteCarlo:
     def test_sample_guard(self, cube_mesh):
         with pytest.raises(DomainError):
             normalized_link_volume_mc(cube_mesh, 0, samples=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"samples": 1000.0}, "samples must be an integer, got 1000.0"),
+            ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+            ({"samples": True}, "samples must be an integer, got True"),
+            ({"samples": 1}, "need at least two samples"),
+            ({"samples": -5}, "need at least two samples"),
+            ({"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+            ({"seed": -3}, "seed must be a nonnegative integer, got -3"),
+            ({"seed": True}, "seed must be a nonnegative integer, got True"),
+            ({"seed": "3"}, "seed must be a nonnegative integer, got '3'"),
+        ],
+    )
+    def test_bad_arguments(self, cube_mesh, kwargs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            normalized_link_volume_mc(cube_mesh, 0, **{"samples": 1_000, "seed": 0, **kwargs})
 
     def test_to_dict(self, cube_mesh):
         d = normalized_link_volume_mc(cube_mesh, 0, samples=1_000, seed=3).to_dict()

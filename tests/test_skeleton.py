@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -118,6 +119,13 @@ class TestMetricGraph:
             distance(g, "a", "nope")
         with pytest.raises(UnknownVertexError):
             g.index(17)
+
+    def test_radius_beyond_the_float_range(self):
+        # every search radius passes the largest float, c's only when widened by SEARCH_MARGIN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = MetricGraph(list("abc"), [(0, 1, np.finfo(float).max), (1, 2, 1.0)])
+        assert g._radius.tolist() == [math.inf] * 3
 
     def test_self_loop_rejected(self):
         with pytest.raises(DomainError):
