@@ -9,12 +9,14 @@ excluded from the scan and flatness is decided by the Cayley-Menger
 determinant instead.  Every reported root is re-validated by realizing the
 quadruple in the two-dimensional model at that curvature.
 
-One determinant batch evaluates both half grids.  Every sign change is then
-bisected in lockstep, one more batch a round: each round evaluates, per
-bracket, the midpoints of its bisection path towards its secant point, and
-walks them while every side is the predicted one.  That is about five
-batches a quadruple, for the roots of a bisection that evaluates one midpoint
-at a time.
+Both half grids come from one pass of `np.geomspace`'s arithmetic, and one
+determinant batch evaluates them.  Every sign change is then bisected in
+lockstep, one more batch a round: each round evaluates, per bracket, the
+midpoints of its bisection path towards its secant point, at most 8 in its
+first round and twice as many in each later one, and walks them while every
+side is the predicted one.  That is about five batches and a hundred
+midpoints a quadruple, for the roots of a bisection that evaluates one
+midpoint at a time.
 """
 
 from __future__ import annotations
@@ -268,6 +270,7 @@ BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |kap
 RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
 MINORS_TOL = 1e-9  # spherical roots: order-3 principal minors >= -MINORS_TOL
 MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 1 s and 300 MiB a quadruple
+_FIRST_PLAN = 8  # midpoints a bracket's first bisection round evaluates at most (see `_bisect`)
 
 
 @dataclass(frozen=True)
@@ -276,8 +279,9 @@ class WaldOptions:
 
     ``samples`` counts grid points, half for each sign of kappa and at least
     8 for each, and is at most `MAX_SAMPLES`.  ``kappa_cap`` bounds the
-    hyperbolic search (default 1e4 / min d^2); the spherical side is always
-    capped at (pi / max d)^2.
+    hyperbolic search (default 1e4 / min d^2) and must exceed the search
+    floor 1e-7 / (max d)^2; the spherical side is always capped at
+    (pi / max d)^2.
     """
 
     samples: int = 512
@@ -354,22 +358,23 @@ def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
     """Bisect the sign changes of f on the brackets [a[i], b[i]] in lockstep; f maps an array of points to their values.
 
     A round makes one call of f, on the midpoints of each live bracket's
-    bisection path towards its secant point, down to the rtol stop or to the
-    steps the bracket has left, computed as the walk computes them.  The walk
+    bisection path towards its secant point, computed as the walk computes
+    them, down to the rtol stop, the steps the bracket has left or its plan
+    depth: `_FIRST_PLAN` in its first round, doubling each round.  The walk
     takes the steps of a bisection that evaluates one midpoint at a time and
     ends the bracket's round at the first side that differs from the predicted
     one.  Returns per bracket the root and f there, or None in place of f when
     the 200 steps run out.
     """
     out: list = [None] * len(a)
-    live = [(i, *map(float, bracket), 200) for i, bracket in enumerate(zip(a, b, fa, fb))]
+    live = [(i, *map(float, bracket), 200, _FIRST_PLAN) for i, bracket in enumerate(zip(a, b, fa, fb))]
     while live:
         points, plans = [], []
-        for i, a, b, fa, fb, left in live:
+        for i, a, b, fa, fb, left, depth in live:
             r = b - fb * (b - a) / (fb - fa) if fb != fa else b
             x, y = a, b
             start = len(points)
-            for _ in range(left):
+            for _ in range(min(left, depth)):
                 mid = 0.5 * (x + y)
                 points.append(mid)
                 if y - x <= rtol * (1.0 + abs(mid)):
@@ -378,7 +383,7 @@ def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
             plans.append((start, r, len(points)))
         vals = f(np.array(points)).tolist()
         nxt = []
-        for (i, a, b, fa, fb, left), (k, r, end) in zip(live, plans):
+        for (i, a, b, fa, fb, left, depth), (k, r, end) in zip(live, plans):
             while k < end:
                 mid, fm = points[k], vals[k]
                 if b - a <= rtol * (1.0 + abs(mid)) or fm == 0.0:
@@ -390,7 +395,7 @@ def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
                 k = k + 1 if below == (r < mid) else end
             else:
                 if left:
-                    nxt.append((i, a, b, fa, fb, left))
+                    nxt.append((i, a, b, fa, fb, left, 2 * depth))
                 else:
                     out[i] = (0.5 * (a + b), None)
         live = nxt
@@ -422,6 +427,18 @@ def _grid_roots(f, grids, rtol: float, shadow: float) -> list[tuple[float, float
     return [roots[k] if k in roots else (float(g[k]), float(vals[k])) for k in candidates]
 
 
+def _half_grids(cap: float, floor: float, kappa_max: float, half: int) -> np.ndarray:
+    """Rows -geomspace(cap, floor, half) and geomspace(floor, kappa_max, half), by `np.geomspace`'s arithmetic."""
+    ends = np.array([[cap, floor], [floor, kappa_max]])
+    logs = np.log10(ends)
+    y = np.arange(half) * ((logs[:, 1] - logs[:, 0]) / (half - 1))[:, None] + logs[:, :1]
+    y[:, -1] = logs[:, 1]
+    grids = np.power(10.0, y)
+    grids[:, [0, -1]] = ends
+    grids[0] *= -1.0
+    return grids
+
+
 def _principal_minors_ok(d: np.ndarray, kappa: float) -> bool:
     m = np.cos(math.sqrt(kappa) * d)
     return not np.any(np.linalg.det(m[_TRIPLES[:, :, None], _TRIPLES[:, None, :]]) < -MINORS_TOL)
@@ -438,7 +455,7 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     minors of the cosine matrix to be nonnegative.  Every candidate is kept
     only if `realize_quadruple` succeeds at it in dimension 2.  Distances so
     large or small that a search scale overflows or underflows raise
-    DomainError.
+    DomainError, and so does a ``kappa_cap`` at or below the search floor.
     """
     opts = opts or WaldOptions()
     if not nondegenerate(q):
@@ -459,13 +476,15 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
             f"distances {dmin!r} to {dmax!r} are out of range: a curvature search scale overflows or underflows"
         )
     kappa_max, cap, floor, scale8 = scales
+    if cap <= floor:
+        raise DomainError(f"kappa_cap {cap!r} must exceed the search floor 1e-7 / (max d)^2 = {floor!r}")
 
     dcm = cayley_menger(q)
     flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(q, 0.0, 2) is not None
     roots = [WaldRoot(0.0, abs(dcm) / scale8)] if flat else []
 
     half = max(opts.samples // 2, 8)
-    grids = (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half))
+    grids = _half_grids(cap, floor, kappa_max, half)
     x = np.concatenate(([0.0], d[_PAIRS_I, _PAIRS_J]))
     candidates = _grid_roots(lambda ks: _curvature_det_grid(x, ks), grids, BISECT_RTOL, 100.0 * floor if flat else 0.0)
     for k, value in candidates:

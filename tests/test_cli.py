@@ -148,6 +148,11 @@ class TestWaldCommand:
         r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
         assert_rejected(r, "kappa_cap must be positive and finite")
 
+    def test_kappa_cap_below_the_search_floor(self):
+        # the floor is 1e-7 / (max d)^2, here 1e-7 / 1.2^2
+        r = run_cli("wald", "--quadruple", "1,1.1,0.9,1.05,0.95,1.2", "--kappa-cap", "1e-12")
+        assert_rejected(r, "kappa_cap 1e-12 must exceed the search floor 1e-7 / (max d)^2 = 6.944444444444444e-08")
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_bad_samples(self, samples):
         r = run_cli("wald", "--quadruple", UNIT_Q, "--samples", samples)

@@ -3,11 +3,13 @@
 `scalar_wald_curvature` is `wald_curvature` as first written: a Python loop
 over the grid for sign changes, a bisection that evaluates one 4x4 curvature
 determinant per step, and one 3x3 determinant per principal minor.  The
-batched solver must give the same documents exactly (the same JSON text).  The
-sweep at the end checks that no quadruple makes the solver raise.  The
-lockstep bisection is also held to call budgets: never more calls of f per
-bracket than the bisection that evaluates one midpoint at a time takes
-steps, and few curvature determinant batches per quadruple.
+batched solver must give the same documents exactly (the same JSON text), and
+its half grids must be `np.geomspace`'s bit for bit.  The sweeps at the end
+check that no quadruple makes the solver raise, and that a cap either raises
+or bounds every root.  The lockstep bisection is also held to call budgets:
+never more calls of f per bracket than the bisection that evaluates one
+midpoint at a time takes steps, and few curvature determinant batches and
+midpoints per quadruple.
 """
 
 import json
@@ -20,10 +22,12 @@ from hypothesis import strategies as st
 
 from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, quadruple, wald_curvature
 from plembed.quadruple import (
+    MAX_SAMPLES,
     WaldResult,
     WaldRoot,
     _bisect,
     _grid_roots,
+    _half_grids,
     cayley_menger,
     realize_quadruple,
 )
@@ -241,6 +245,27 @@ def test_random_metrics(q):
     assert_same(q)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(-38.0, 38.0),
+    st.floats(0.0, 300.0),
+    st.one_of(st.integers(1, 15), st.just(512), st.sampled_from([17, 1001, 4096, MAX_SAMPLES])),
+)
+@example(0.0, 1e-300, 512)  # a cap one float above the floor
+@example(-3.0, 20.0, MAX_SAMPLES)
+def test_half_grids_are_geomspace(log_dmax, log_ratio, samples):
+    # both half grids in one pass, bit for bit and sign bit for sign bit, at
+    # every search floor, cap and kappa_max a quadruple can reach
+    dmax = 10.0**log_dmax
+    floor, kappa_max = 1e-7 / (dmax * dmax), (math.pi / dmax) ** 2
+    cap = max(floor * 10.0**log_ratio, math.nextafter(floor, math.inf))
+    assume(cap < math.inf)
+    half = max(samples // 2, 8)
+    got = _half_grids(cap, floor, kappa_max, half)
+    want = np.stack([-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # The root search on synthetic functions.
 
@@ -426,6 +451,21 @@ def test_determinant_batches_per_quadruple(monkeypatch):
     assert len(calls) <= 6 * len(qs)
 
 
+def test_midpoints_per_quadruple(monkeypatch):
+    # the bisection rounds evaluate about 103 midpoints a quadruple here; a
+    # round that planned every path down to the rtol stop evaluated about 187
+    calls = []
+    det_grid = quadruple._curvature_det_grid
+    monkeypatch.setattr(quadruple, "_curvature_det_grid", lambda x, ks: calls.append(len(ks)) or det_grid(x, ks))
+    qs = oracle_sets()
+    midpoints = 0
+    for q in qs:
+        calls.clear()
+        wald_curvature(q)
+        midpoints += sum(calls[1:])  # every call after the grid's is a bisection round
+    assert midpoints <= 105 * len(qs)
+
+
 def test_flat_shadows_not_bisected(monkeypatch):
     # planar quadruples: the determinant changes sign near kappa = 0, within
     # 100 * floor, where no bracket is bisected; the documents do not change
@@ -469,3 +509,27 @@ def test_seeded_sweep_raises_nothing():
 @given(quadruples(st.floats(1e-3, 1e3)), st.sampled_from([None, 1.0, 1e6]))
 def test_random_metrics_raise_nothing(q, cap):
     wald_curvature(q, WaldOptions(kappa_cap=cap))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(quadruples(st.floats(0.1, 10.0)), st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+@example(
+    MetricQuadruple.from_pairwise(
+        0.7745955693300072,
+        0.33182797962059235,
+        0.48464209087529897,
+        0.6226075779444433,
+        0.6891756465604602,
+        0.16864617724488923,
+    ),
+    1.6666713999421145e-10,
+)
+def test_caps_raise_or_bound_every_root(q, cap):
+    # a cap at or below the search floor 1e-7 / (max d)^2 is a DomainError;
+    # any other cap keeps every root inside the search interval
+    try:
+        res = wald_curvature(q, WaldOptions(kappa_cap=cap))
+    except DomainError as e:
+        assert "must exceed the search floor" in str(e) and cap <= 1e-7 / (q.max_distance * q.max_distance)
+        return
+    assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
