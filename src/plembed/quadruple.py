@@ -167,9 +167,9 @@ def cayley_menger(q: MetricQuadruple) -> float:
     return float(np.linalg.det(b))
 
 
-def nondegenerate(q: MetricQuadruple, *, margin: float = BETWEENNESS_MARGIN) -> bool:
+def nondegenerate(q: MetricQuadruple) -> bool:
     """True when no point lies metrically between two others (see `_betweenness`)."""
-    return not _betweenness(q.distances, margin)
+    return not _betweenness(q.distances, BETWEENNESS_MARGIN)
 
 
 def _angle_table(d: np.ndarray, kappa, vertices: int = 4) -> tuple[np.ndarray, tuple[int, str] | None]:
@@ -268,7 +268,6 @@ def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndar
 FLAT_TOL = 1e-9  # |cayley_menger| <= FLAT_TOL * (max d)^8: try the flat root
 BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |kappa|)
 RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
-MINORS_TOL = 1e-9  # spherical roots: order-3 principal minors >= -MINORS_TOL
 MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 1 s and 300 MiB a quadruple
 _FIRST_PLAN = 8  # midpoints a bracket's first bisection round evaluates at most (see `_bisect`)
 
@@ -329,9 +328,6 @@ class WaldResult:
 
 def _log_cosh_np(x: np.ndarray) -> np.ndarray:
     return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
-
-
-_TRIPLES = np.array(list(combinations(range(4), 3)))
 
 
 def _curvature_det_grid(x: np.ndarray, kappas: np.ndarray) -> np.ndarray:
@@ -439,11 +435,6 @@ def _half_grids(cap: float, floor: float, kappa_max: float, half: int) -> np.nda
     return grids
 
 
-def _principal_minors_ok(d: np.ndarray, kappa: float) -> bool:
-    m = np.cos(math.sqrt(kappa) * d)
-    return not np.any(np.linalg.det(m[_TRIPLES[:, :, None], _TRIPLES[:, None, :]]) < -MINORS_TOL)
-
-
 def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
     """Curvatures kappa whose 2-dimensional model realizes the quadruple.
 
@@ -451,9 +442,11 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     Nonzero candidates come from sign changes of the curvature-matrix
     determinant on a log-spaced grid over [-kappa_cap, (pi / max d)^2],
     excluding a tiny neighbourhood of zero where that determinant vanishes
-    structurally.  Spherical roots additionally need all order-3 principal
-    minors of the cosine matrix to be nonnegative.  Every candidate is kept
-    only if `realize_quadruple` succeeds at it in dimension 2.  Distances so
+    structurally.  Every candidate is kept only if `realize_quadruple`
+    succeeds at it in dimension 2: its Gram matrix in that model factors at
+    rank 3 (positive semidefinite on the sphere, one timelike direction on
+    the hyperboloid), and the coordinates reproduce every distance within
+    ``MATCH_TOL * max d``.  Distances so
     large or small that a search scale overflows or underflows raise
     DomainError, and so does a ``kappa_cap`` at or below the search floor.
     """
@@ -490,8 +483,6 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     for k, value in candidates:
         if flat and abs(k) <= 100.0 * floor:
             # shadow of the structural kappa = 0 zero, not a distinct root
-            continue
-        if k > 0.0 and not _principal_minors_ok(d, k):
             continue
         if realize_quadruple(q, k, 2) is None:
             continue

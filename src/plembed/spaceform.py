@@ -164,68 +164,43 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
 # Coordinate realization.
 
 
-def _psd_factor(gram: np.ndarray, max_rank: int) -> np.ndarray | None:
-    """Factor a PSD Gram matrix into canonical coordinates, or None.
+def _factor(gram: np.ndarray, rank: int, timelike: bool) -> np.ndarray | None:
+    """Canonical coordinates of a Gram matrix: a time coordinate if ``timelike``, then ``rank`` more; or None.
 
-    Returns an (n, max_rank) array X with X @ X.T ~= gram, rotated so the
-    rows form a lower-triangular pattern with nonnegative leading entries
-    (point 0 on the first axis, point 1 in the first two axes, ...).
+    Without ``timelike``, X @ X.T ~= gram.  With it, the one negative
+    eigenvalue gives the time coordinate, positive in every row, and the
+    rows' Minkowski products reproduce gram.  None when another eigenvalue is
+    below -RANK_TOL times the largest in absolute value, more than ``rank``
+    lie above it, the points lie on both hyperboloid sheets, or eigh does not
+    converge.  The other coordinates are rotated so that row i is zero beyond
+    coordinate i and the first nonzero entry of each column is positive, then
+    padded with zero columns up to ``rank``.
     """
     g = 0.5 * (gram + gram.T)
     try:
         w, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
         return None  # the eigensolver did not converge
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -RANK_TOL * scale:
-        return None
+    tol = RANK_TOL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    time = []
+    if timelike:
+        if w[0] >= -tol:
+            return None  # no timelike direction
+        t = math.sqrt(-w[0]) * v[:, 0]
+        time = [-t if t[0] < 0.0 else t]
+        if np.any(time[0] <= 0.0):
+            return None  # points split across hyperboloid sheets
+        w, v = w[1:], v[:, 1:]
+    if w[0] < -tol:
+        return None  # not positive semidefinite, or a second timelike direction
     w = np.clip(w, 0.0, None)
-    if int(np.sum(w > RANK_TOL * scale)) > max_rank:
+    if np.count_nonzero(w > tol) > rank:
         return None
-    order = np.argsort(w)[::-1][:max_rank]
-    x = v[:, order] * np.sqrt(w[order])
-    if x.shape[1] < max_rank:
-        x = np.hstack([x, np.zeros((x.shape[0], max_rank - x.shape[1]))])
-    return _canonicalize(x)
-
-
-def _canonicalize(x: np.ndarray) -> np.ndarray:
-    # Rotate so row i has zeros beyond coordinate i and the first nonzero
-    # entry of every column is positive.  Deterministic placement.
-    y = np.linalg.qr(x.T)[1].T
+    order = np.argsort(w)[::-1][:rank]
+    y = np.linalg.qr((v[:, order] * np.sqrt(w[order])).T)[1].T
     first = (np.abs(y) > 0.0).argmax(axis=0)
-    return np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
-
-
-def _minkowski_factor(gram: np.ndarray, ambient: int) -> np.ndarray | None:
-    """Factor a signature-(ambient-1, 1) Gram matrix into hyperboloid vectors.
-
-    ``gram`` holds Minkowski products (all diagonal entries negative).
-    Returns (n, ambient) coordinates with the time coordinate first, or None.
-    """
-    g = 0.5 * (gram + gram.T)
-    try:
-        w, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError:
-        return None  # the eigensolver did not converge
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] >= -RANK_TOL * scale:
-        return None  # no timelike direction
-    if g.shape[0] > 1 and w[1] < -RANK_TOL * scale:
-        return None  # more than one negative eigenvalue
-    time = math.sqrt(-w[0]) * v[:, 0]
-    if time[0] < 0.0:
-        time = -time
-    if np.any(time <= 0.0):
-        return None  # points split across hyperboloid sheets
-    ws = np.clip(w[1:], 0.0, None)
-    if int(np.sum(ws > RANK_TOL * scale)) > ambient - 1:
-        return None
-    order = np.argsort(ws)[::-1][: ambient - 1]
-    xs = v[:, 1:][:, order] * np.sqrt(ws[order])
-    if xs.shape[1] < ambient - 1:
-        xs = np.hstack([xs, np.zeros((xs.shape[0], ambient - 1 - xs.shape[1]))])
-    return np.column_stack([time, _canonicalize(xs)])
+    y = np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
+    return np.column_stack([*time, y, np.zeros((len(g), rank - y.shape[1]))])
 
 
 def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | None:
@@ -233,29 +208,37 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
 
     Failure to embed is a value (None), not an error; so is an eigensolver
     that does not converge, and on the sphere a side beyond pi/sqrt(kappa)
-    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite kappa
-    raises DomainError.  Coordinates are (n, dim) for kappa = 0, else
-    (n, dim + 1) model vectors.  Placement is canonical: point 0 at the
-    origin/pole, point 1 on the first axis, and each further point in the
-    span of one additional axis.
+    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite kappa,
+    or a matrix that is not square, has fewer than two points, or has an
+    entry that is not finite and nonnegative, raises DomainError.
+    Coordinates are (n, dim) for kappa = 0, else (n, dim + 1) model vectors,
+    for any number n of points.  Every model is realized by one factorization
+    of its Gram matrix (`_factor`), and placement is canonical: in the plane
+    point 0 is the origin and point i lies in the span of the first i axes;
+    on the sphere, and in the space coordinates that follow the hyperboloid's
+    time coordinate, point i lies in the span of the first i + 1 axes.
     """
     if not -math.inf < kappa < math.inf:
         raise DomainError("curvature must be finite")
     d = np.asarray(dmat, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or len(d) < 2:
+        raise DomainError("expected a square distance matrix of at least two points")
+    if not ((d >= 0.0) & (d < math.inf)).all():
+        raise DomainError("distances must be finite and nonnegative")
     if kappa == 0.0:
         sq = d * d
         g = 0.5 * (sq[0, 1:][:, None] + sq[0, 1:][None, :] - sq[1:, 1:])
-        x = _psd_factor(g, dim)
+        x = _factor(g, dim, False)
         return None if x is None else np.vstack([np.zeros(dim), x])
     if kappa > 0.0:
         rt = math.sqrt(kappa)
         args = rt * d
         if np.any(args > math.pi * (1.0 + 1e-9)):
             return None
-        if any(rt * (d[i, j] + d[i, k] + d[j, k]) > _PERIMETER_LIMIT for i, j, k in combinations(range(len(d)), 3)):
+        i, j, k = np.array(list(combinations(range(len(d)), 3)), np.intp).reshape(-1, 3).T
+        if (rt * (d[i, j] + d[i, k] + d[j, k]) > _PERIMETER_LIMIT).any():
             return None
-        g = np.cos(args) / kappa
-        return _psd_factor(g, dim + 1)
+        return _factor(np.cos(args) / kappa, dim + 1, False)
     args = math.sqrt(-kappa) * d
     if np.any(args > 700.0):
         return None  # cosh overflows double precision; cannot certify coordinates
@@ -265,7 +248,7 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
     # LAPACK need not commute with it, though on the tested cases the factor
     # was identical to the unscaled one.
     h = math.frexp(float(np.abs(g).max()))[1] // 2
-    x = _minkowski_factor(np.ldexp(g, -2 * h), dim + 1)
+    x = _factor(np.ldexp(g, -2 * h), dim, True)
     return None if x is None else np.ldexp(x, h)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plembed import DomainError, FoldParams, MetricGraph, comparison_angle, parse_off, standard_vertex_map
+from plembed.quadruple import _betweenness
 
 CUBE_OFF = """OFF
 8 6 12
@@ -285,3 +286,12 @@ def geodesic_distance(kappa: float, p, q) -> float:
     if kappa > 0.0:
         return math.acos(min(1.0, max(-1.0, kappa * float(p @ q)))) / math.sqrt(kappa)
     return math.acosh(max(1.0, -kappa * (p[0] * q[0] - float(p[1:] @ q[1:])))) / math.sqrt(-kappa)
+
+
+def separated(q, margin: float) -> bool:
+    """No point of the quadruple lies between two others at the relative margin ``margin``.
+
+    `nondegenerate` at a margin of the caller's choosing: an input filter
+    for samples that must stay clear of betweenness.
+    """
+    return not _betweenness(q.distances, margin)

@@ -33,7 +33,6 @@ from plembed import (
     global_compatibility,
     isometry_defect,
     mesh_edge_dilatation_bound,
-    nondegenerate,
     normalized_link_volume,
     normalized_link_volume_mc,
     parse_off,
@@ -44,6 +43,7 @@ from plembed import (
 )
 
 from conftest import (
+    separated,
     fold_jacobian,
     vertex_excess,
     CUBE_OFF,
@@ -103,7 +103,7 @@ def _sample_surface_quadruple(kappa: float, rng) -> MetricQuadruple:
             q = MetricQuadruple(d)
         except ValueError:
             continue
-        if nondegenerate(q, margin=1e-3 * shrink):
+        if separated(q, 1e-3 * shrink):
             return q
 
 
@@ -143,7 +143,7 @@ def test_flatness_detection():
             q = MetricQuadruple(d)
         except ValueError:
             continue
-        if not nondegenerate(q, margin=1e-4):
+        if not separated(q, 1e-4):
             continue
         n_planar += 1
         scale8 = q.max_distance**8
@@ -159,7 +159,7 @@ def test_flatness_detection():
         for i, j in combinations(range(4), 2):
             d[i, j] = d[j, i] = float(np.linalg.norm(pts[i] - pts[j]))
         q = MetricQuadruple(d)
-        if not nondegenerate(q, margin=1e-4):
+        if not separated(q, 1e-4):
             continue
         if abs(cayley_menger(q)) <= 1e-6 * q.max_distance**8:
             continue  # nearly planar; not a witness of non-planarity
@@ -193,7 +193,7 @@ def test_monotonicity():
             if d[np.triu_indices(4, 1)].min() < 0.02:
                 continue
             q = MetricQuadruple(d)
-            if nondegenerate(q, margin=1e-4):
+            if separated(q, 1e-4):
                 break
         excesses = [vertex_excess(q, k)[0] for k in KAPPA_GRID]
         for lo, hi in zip(excesses, excesses[1:]):

@@ -1,8 +1,8 @@
 """The public API surface: which parameters of `plembed.__all__` have defaults.
 
 Tolerances are module constants, not options, so every default left is a
-value that real callers set differently (or, for `nondegenerate`, that the
-acceptance gate samples).  A new defaulted parameter must be added here.
+value that real callers set differently.  A new defaulted parameter must be
+added here.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ KEPT = {
     ("ParseError", "line"),
     ("WaldOptions", "kappa_cap"),
     ("WaldOptions", "samples"),
-    ("nondegenerate", "margin"),
     ("normalized_link_volume_mc", "samples"),
     ("normalized_link_volume_mc", "seed"),
     ("polyline_curvature", "mode"),

@@ -21,7 +21,7 @@ from plembed import (
 )
 from plembed.quadruple import BISECT_RTOL, MAX_SAMPLES
 
-from conftest import geodesic_distance, vertex_excess
+from conftest import geodesic_distance, separated, vertex_excess
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,7 +191,7 @@ def sample_model_quadruple(kappa, rng, *, spread=1.2, min_sep=0.3):
             q = MetricQuadruple(d)
         except Exception:
             continue
-        if not nondegenerate(q, margin=1e-3):
+        if not separated(q, 1e-3):
             continue
         return q
 
@@ -348,7 +348,7 @@ class TestEmbeddability:
             q = MetricQuadruple(d)
         except Exception:
             return
-        if not nondegenerate(q, margin=1e-6):
+        if not separated(q, 1e-6):
             return
         cert = s3_embeddability(q, 0.0)
         if cert.verdict:
@@ -370,7 +370,7 @@ class TestEmbeddability:
                 q = MetricQuadruple(d)
             except Exception:
                 continue
-            if not nondegenerate(q, margin=1e-6):
+            if not separated(q, 1e-6):
                 continue
             assert abs(cayley_menger(q)) <= 1e-9 * q.max_distance**8
             assert wald_curvature(q).classification == "flat"

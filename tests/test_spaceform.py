@@ -16,7 +16,7 @@ from plembed import (
     realize_quadruple,
     s3_embeddability,
 )
-from plembed.spaceform import _minkowski_factor
+from plembed.spaceform import _factor, distances_from_coords
 
 from conftest import geodesic_distance
 
@@ -284,7 +284,7 @@ class TestHyperbolicRealization:
             d = hyperboloid_distances(rng, 4, 3.0) / math.sqrt(-kappa)
             if rng.uniform() < 0.5:
                 kappa *= 10.0 ** rng.uniform(-1.0, 1.0)  # a curvature the points do not fit
-            want = _minkowski_factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 3)
+            want = _factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 2, True)
             got = realize_distances(kappa, d, 2)
             assert (got is None) == (want is None)
             if got is not None:
@@ -309,6 +309,56 @@ class TestHyperbolicRealization:
         d = hyperboloid_distances(np.random.default_rng(3), 4, 1.0)
         for kappa in (-1.0, 0.0, 1.0):
             assert realize_distances(kappa, d, 2) is None
+
+
+def model_distances(kappa: float, rng, n: int) -> np.ndarray:
+    """Distances of n random points within 1 (curvature radius) of a pole of the 2-dimensional kappa model."""
+    if kappa < 0.0:
+        return hyperboloid_distances(rng, n, 1.0) / math.sqrt(-kappa)
+    r, t = rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    if kappa == 0.0:
+        p = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        return np.linalg.norm(p[:, None] - p[None], axis=-1)
+    p = np.column_stack([np.cos(r), np.sin(r) * np.cos(t), np.sin(r) * np.sin(t)])
+    d = np.arccos(np.clip(p @ p.T, -1.0, 1.0)) / math.sqrt(kappa)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestRealizationInputs:
+    """Every point count gets coordinates in the whole model; a malformed matrix is a DomainError."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0, 4.0))
+    def test_coordinates_of_every_point_count(self, kappa, dim, n):
+        # fewer points than the model's rank: zero columns pad the placement
+        rng = np.random.default_rng(n + 10 * dim)
+        d = model_distances(kappa, rng, n)
+        coords = realize_distances(kappa, d, dim)
+        assert coords.shape == (n, dim if kappa == 0.0 else dim + 1)
+        np.testing.assert_allclose(distances_from_coords(kappa, coords), d, rtol=0.0, atol=1e-9)
+        # canonical placement: point 0 at the origin of the plane, and row i
+        # of the sphere's or hyperboloid's space coordinates zero beyond coordinate i
+        space = coords if kappa >= 0.0 else coords[:, 1:]
+        assert not np.triu(space, k=0 if kappa == 0.0 else 1).any()
+
+    @pytest.mark.parametrize("kappa", (0.0, 1.0, -1.0))
+    @pytest.mark.parametrize(
+        "dmat, message",
+        [
+            (np.zeros((0, 0)), "square distance matrix of at least two points"),
+            (np.zeros((1, 1)), "square distance matrix of at least two points"),
+            (np.zeros((2, 3)), "square distance matrix of at least two points"),
+            (np.zeros(4), "square distance matrix of at least two points"),
+            (np.full((3, 3), math.nan), "finite and nonnegative"),
+            (np.array([[0.0, math.inf], [math.inf, 0.0]]), "finite and nonnegative"),
+            (np.array([[0.0, -0.5], [-0.5, 0.0]]), "finite and nonnegative"),
+        ],
+    )
+    def test_malformed_matrix(self, kappa, dmat, message):
+        with pytest.raises(DomainError, match=message):
+            realize_distances(kappa, dmat, 2)
 
 
 class TestEuclideanRange:

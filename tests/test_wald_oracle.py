@@ -4,12 +4,13 @@
 over the grid for sign changes, a bisection that evaluates one 4x4 curvature
 determinant per step, and one 3x3 determinant per principal minor.  The
 batched solver must give the same documents exactly (the same JSON text), and
-its half grids must be `np.geomspace`'s bit for bit.  The sweeps at the end
-check that no quadruple makes the solver raise, and that a cap either raises
-or bounds every root.  The lockstep bisection is also held to call budgets:
-never more calls of f per bracket than the bisection that evaluates one
-midpoint at a time takes steps, and few curvature determinant batches and
-midpoints per quadruple.
+its half grids must be `np.geomspace`'s bit for bit.  It has no minors pass,
+since realization decides it, so the equality also checks that dropping the
+minors moves no root.  The sweeps at the end check that no quadruple makes
+the solver raise, and that a cap either raises or bounds every root.  The
+lockstep bisection is also held to call budgets: never more calls of f per
+bracket than the bisection that evaluates one midpoint at a time takes steps,
+and few curvature determinant batches and midpoints per quadruple.
 """
 
 import json
@@ -464,6 +465,19 @@ def test_midpoints_per_quadruple(monkeypatch):
         wald_curvature(q)
         midpoints += sum(calls[1:])  # every call after the grid's is a bisection round
     assert midpoints <= 105 * len(qs)
+
+
+def test_spherical_roots_pass_the_minors():
+    # the solver keeps no principal-minor pass: realization at rank 3 already
+    # requires a positive semidefinite cosine Gram matrix, so every spherical
+    # root it keeps passes the scalar oracle's minors
+    spherical = 0
+    for q in oracle_sets() + seeded(sphere_quadruple, 2000, 5001):
+        for root in wald_curvature(q).roots:
+            if root.kappa > 0.0:
+                assert scalar_minors_ok(q.distances, root.kappa)
+                spherical += 1
+    assert spherical > 3000  # 3,239
 
 
 def test_flat_shadows_not_bisected(monkeypatch):
