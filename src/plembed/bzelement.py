@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, in_range
 from .spaceform import TWO_PI
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[flo
         raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= params.source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
-    t = params.target_angle / params.source_angle
-    return params.radial_scale * rho**t, t * phi
+    t, scale = params.target_angle / params.source_angle, params.radial_scale
+    return in_range(lambda: scale * rho**t, f"image radius {scale!r} * {rho!r}**{t!r}"), t * phi
 
 
 def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[float, float]:

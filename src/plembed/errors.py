@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of closed forms."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -37,3 +39,14 @@ class MissingKappaError(ValueError):
 
 class MeshError(ValueError):
     """Mesh is unusable for the requested computation."""
+
+
+def in_range(compute, what: str, tiny: float = 0.0) -> float:
+    """The float ``compute()`` returns, or DomainError naming ``what`` when it overflows or is below ``tiny`` in size."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not tiny <= abs(value) < math.inf:
+        raise DomainError(f"{what} is out of the float range")
+    return value

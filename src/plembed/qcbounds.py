@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, MeshError
+from .errors import DomainError, MeshError, in_range
 from .mesh import PolyMesh, rowdot
 
 _FOUR_PI = 4.0 * math.pi
@@ -76,7 +74,8 @@ def dihedral_wedge_coefficients(spec: DihedralWedgeSpec) -> DilatationBounds:
     bounded below by its (n-1)-th root, and the maximal dilatation equals
     the inner one.
     """
-    inner = math.prod([math.pi] * len(spec.angles)) / math.prod(spec.angles)
+    k, prod = len(spec.angles), math.prod(spec.angles)
+    inner = in_range(lambda: math.prod([math.pi] * k) / prod, f"inner dilatation pi**{k} / {prod!r}")
     return DilatationBounds(inner, inner ** (1.0 / (spec.dimension - 1)), inner)
 
 
@@ -102,48 +101,43 @@ def uniform_index_bound(dimension: int, inner: float) -> float:
         raise DomainError("the index bound is stated for dimension >= 3")
     if not inner >= 1.0:
         raise DomainError("inner dilatation is at least 1")
-    return float(n ** (n - 1)) * inner
+    return in_range(lambda: float(n ** (n - 1)) * inner, f"index bound {n}**{n - 1} * {inner!r}")
 
 
 # ---------------------------------------------------------------------------
 # Mesh edge audit.
 
 
-class EdgeRecord(NamedTuple):
-    edge: tuple[int, int]
-    angle: float
-    convex: bool
-    contribution: float | None
-
-
 @dataclass(frozen=True)
 class EdgeAngleReport:
     """Interior dihedral angles per edge and the resulting dilatation bound.
 
-    ``bound`` is the max of pi / angle over convex edges (1.0 if none);
-    reflex edges are listed separately and contribute nothing.  Angles
-    below the conditioning threshold produce warnings.
+    ``edges`` holds the sorted edges (a, b), a < b, as (m, 2) rows, and
+    ``angles`` and ``convex`` their columns.  ``bound`` is the max of
+    pi / angle over convex edges (1.0 if none); reflex edges contribute
+    nothing.  Angles below the conditioning threshold produce warnings.
     """
 
-    edges: tuple[EdgeRecord, ...]
+    edges: np.ndarray
+    angles: np.ndarray
+    convex: np.ndarray
     bound: float
-    reflex: tuple[tuple[int, int], ...]
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
-            "edges": [r.edge for r in self.edges],
-            "angles": [r.angle for r in self.edges],
+            "edges": self.edges.tolist(),
+            "angles": self.angles.tolist(),
             "bound": self.bound,
-            "reflex": list(self.reflex),
+            "reflex": self.edges[~self.convex].tolist(),
             "warnings": list(self.warnings),
         }
 
     def table(self) -> str:
         lines = [f"{'edge':>12}  {'angle':>20}  {'contribution':>20}"]
-        for r in self.edges:
-            contrib = f"{r.contribution:.12g}" if r.contribution is not None else "reflex"
-            lines.append(f"{str(r.edge):>12}  {r.angle:>20.12g}  {contrib:>20}")
+        for (a, b), angle, convex in zip(self.edges.tolist(), self.angles.tolist(), self.convex.tolist()):
+            contrib = f"{math.pi / angle:.12g}" if convex else "reflex"
+            lines.append(f"{f'({a}, {b})':>12}  {angle:>20.12g}  {contrib:>20}")
         lines.append(f"bound: {self.bound:.12g}")
         return "\n".join(lines)
 
@@ -163,27 +157,23 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
     # let side 1 carry the (a, b) direction with a < b
     flip = d[i1, 0] > d[i1, 1]
     i1, i2 = np.where(flip, i2, i1), np.where(flip, i1, i2)
-    a, b = d[i1, 0], d[i1, 1]
-    ehat = v[b] - v[a]
+    edges = d[i1]
+    ehat = v[edges[:, 1]] - v[edges[:, 0]]
     ehat = ehat / np.sqrt(rowdot(ehat, ehat))[:, None]
     n1, n2 = m.face_normals[i1 // 3], m.face_normals[i2 // 3]
     sines, cosines = rowdot(np.cross(n1, n2), ehat), rowdot(n1, n2)
-    angle = math.pi - np.fromiter(map(math.atan2, memoryview(sines), memoryview(cosines)), float, len(a))
-    edges, angles = list(zip(a.tolist(), b.tolist())), angle.tolist()
+    angle = math.pi - np.fromiter(map(math.atan2, memoryview(sines), memoryview(cosines)), float, len(edges))
     if np.any(angle == 0.0):
-        raise MeshError(f"edge {edges[int(np.argmin(angle))]}: interior angle 0; its two faces fold onto each other")
+        a, b = edges[np.argmin(angle)].tolist()
+        raise MeshError(f"edge {(a, b)}: interior angle 0; its two faces fold onto each other")
     convex = angle <= math.pi * (1.0 + STRAIGHT_TOL)
-    contribution = math.pi / angle
-    warnings = [
-        f"edge {edges[i]}: interior angle {angles[i]:.3e} below {TINY_ANGLE:.0e}; contribution is ill-conditioned"
-        for i in np.flatnonzero(convex & (angle < TINY_ANGLE)).tolist()
-    ]
-    contributions = np.where(convex, contribution, None).tolist()  # None at reflex edges
-    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
-    records = map(tuple.__new__, repeat(EdgeRecord), zip(edges, angles, convex.tolist(), contributions))
-    bound = float(np.max(contribution[convex], initial=1.0))
-    reflex = compress(edges, (~convex).tolist())
-    return EdgeAngleReport(tuple(records), bound, tuple(reflex), tuple(warnings))
+    tiny = np.flatnonzero(convex & (angle < TINY_ANGLE))
+    warnings = tuple(
+        f"edge {(a, b)}: interior angle {x:.3e} below {TINY_ANGLE:.0e}; contribution is ill-conditioned"
+        for (a, b), x in zip(edges[tiny].tolist(), angle[tiny].tolist())
+    )
+    bound = float(np.max(math.pi / angle[convex], initial=1.0))
+    return EdgeAngleReport(edges, angle, convex, bound, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +181,9 @@ def mesh_edge_dilatation_bound(mesh: PolyMesh) -> EdgeAngleReport:
 
 
 # Outcome codes of the corner pass: 0 is a value, the others name the vertex's first defect.
-_NO_FACES, _NON_MANIFOLD, _OPEN, _SPLIT, _DEGENERATE, _NOT_CONVEX = range(1, 7)
+_NO_FACES, _SPLIT, _DEGENERATE, _NOT_CONVEX = range(1, 5)
 _MESSAGES = {
     _NO_FACES: "vertex {v} has no incident faces",
-    _NON_MANIFOLD: "vertex {v}: non-manifold star",
-    _OPEN: "vertex {v}: star does not close into a cycle",
     _SPLIT: "vertex {v}: star splits into several cycles",
     _DEGENERATE: "degenerate link arc (parallel consecutive directions)",
     # names the vertex as the caller gave it; the others name int(v)
@@ -209,34 +197,29 @@ def _link_cycles(faces: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     Corner t of face k gives vertex faces[k, t] the link edge faces[k, t + 1]
     -> faces[k, t + 2].  Sorted by (vertex, link vertex), vertex c owns rows
     start[c] to start[c] + degree[c] - 1, and its cycle starts at its
-    smallest link vertex.  Returns the link vertex and face of each row in
-    cycle order, start, degree, and per vertex 0 or the code of its star's
-    first defect: a repeated link vertex, or a walk that does not come back
-    to the start or comes back early.
+    smallest link vertex.  ``faces`` passed `PolyMesh.require_closed_manifold`:
+    every directed edge is unique and has its twin, so the successors of a
+    vertex's rows permute them, and its walk comes home within degree steps,
+    early when the star splits.  Returns the link vertex and face of each row
+    in cycle order, start, degree, and per vertex 0, _NO_FACES or _SPLIT.
     """
     c, a, b = faces.ravel(), np.roll(faces, -1, axis=1).ravel(), np.roll(faces, -2, axis=1).ravel()
     order = np.argsort(c * n + a, kind="stable")
     c, a, b = c[order], a[order], b[order]
-    key, target = c * n + a, c * n + b
+    key = c * n + a
     degree = np.bincount(c, minlength=n)
     start = np.cumsum(degree) - degree
     code = np.where(degree == 0, _NO_FACES, 0)
-    code[c[1:][key[1:] == key[:-1]]] = _NON_MANIFOLD
-    succ = np.minimum(np.searchsorted(key, target), len(key) - 1)
-    succ[key[succ] != target] = -1  # no row starts at the successor
+    succ = np.searchsorted(key, c * n + b)
     step = np.full(len(key), -1)
-    verts = np.flatnonzero(code == 0)
+    verts = np.flatnonzero(degree)
     rows = start[verts]
     step[rows] = 0
-    j = 0
-    while len(verts):
-        j += 1
+    for j in range(1, degree.max(initial=0) + 1):
         rows = succ[rows]
         home = rows == start[verts]
-        lost = (rows < 0) | (~home & (step[rows] >= 0))  # a dead end, or a loop that misses the start
-        code[verts[lost]] = _OPEN
         code[verts[home & (degree[verts] != j)]] = _SPLIT
-        verts, rows = verts[~(home | lost)], rows[~(home | lost)]
+        verts, rows = verts[~home], rows[~home]
         step[rows] = j
     ok = code[c] == 0
     at = start[c[ok]] + step[ok]
@@ -401,12 +384,9 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
     if len(normals) == 0:
         raise MeshError(f"vertex {v} has no incident faces")
     gen = np.random.Generator(np.random.Philox(seed))
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    done = 0
-    while done < samples:
-        take = min(MC_CHUNK, samples - done)
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < samples:
+        take = min(MC_CHUNK, samples - count)
         w = gen.normal(size=(take, 3))
         a, b, c = w.T
         w /= np.sqrt(a * a + b * b + c * c)[:, None]
@@ -415,15 +395,13 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
         for column in d.T[1:]:
             inside &= column <= 0.0
         # Welford merge of the chunk (indicator mean/variance) into the run.
-        c_count = take
         c_mean = float(np.mean(inside))
         c_m2 = float(np.sum((inside - c_mean) ** 2))
         delta = c_mean - mean
-        total = count + c_count
-        mean += delta * c_count / total
-        m2 += c_m2 + delta * delta * count * c_count / total
+        total = count + take
+        mean += delta * take / total
+        m2 += c_m2 + delta * delta * count * take / total
         count = total
-        done += take
     stderr = math.sqrt(m2 / (count - 1) / count)
     return MonteCarloEstimate(mean, stderr, samples, seed)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -39,17 +40,45 @@ from .spaceform import (
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
-_UPPER, _LOWER = 4 * _PAIRS_I + _PAIRS_J, 4 * _PAIRS_J + _PAIRS_I  # positions in a flattened 4x4 matrix
 # Entry [i, j] of a 4x4 matrix of a function of distance is the function of
 # _SCATTER[i, j] in (0, d01, d02, d03, d12, d13, d23): the diagonal, then `_PAIR_ORDER`.
 _SCATTER = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
-# Every (i, j, k) with j distinct from i < k: the side d[i, k] against the
-# path i -> j -> k, as positions in `_PAIR_ORDER`.  Symmetric matrices need
-# no other orientation.
-_I, _J, _K = np.array(
-    [(i, j, k) for j in range(4) for i, k in combinations([x for x in range(4) if x != j], 2)]
-).T
-_IK, _IJ, _JK = _SCATTER[_I, _K] - 1, _SCATTER[_I, _J] - 1, _SCATTER[_J, _K] - 1
+
+
+@cache
+def _star_positions(degree: int) -> np.ndarray:
+    """(C(degree, 3), 4) positions in (base, *neighbours): 0 and each trio, lexicographic."""
+    return np.array([(0, *t) for t in combinations(range(1, degree + 1), 3)], dtype=np.intp).reshape(-1, 4)
+
+
+@cache
+def _block_layout(degree: int) -> tuple[np.ndarray, ...]:
+    """Positions in the flattened (k + 1) x (k + 1) block of a base of degree k and its neighbours.
+
+    Pair p is entry (i, j) of the block, i < j, lexicographic, so pairs
+    0 to k - 1 join the base 0 to each neighbour and the rest join two
+    neighbours, in `_star_positions`' order.  Returns the upper (i, j) and
+    lower (j, i) entry of each pair; the pairs (i k, i j, j k) of every
+    triple with j apart from i < k; the pairs (0 a, 0 b) of every pair
+    (a, b) of neighbours; and the three neighbour pairs of every star.
+    """
+    size = degree + 1
+    i, j = np.triu_indices(size, 1)
+    pair = np.zeros((size, size), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    ti, tj, tk = np.array(
+        [(x, y, z) for y in range(size) for x, z in combinations([v for v in range(size) if v != y], 2)], dtype=np.intp
+    ).reshape(-1, 3).T
+    trio = _star_positions(degree)[:, 1:]
+    return (
+        i * size + j, j * size + i, pair[ti, tk], pair[ti, tj], pair[tj, tk], i[degree:] - 1, j[degree:] - 1,
+        pair[trio[:, [0, 0, 1]], trio[:, [1, 2, 2]]] - degree,
+    )
+
+
+# A 4x4 matrix is the block of a base of degree 3, its pairs in `_PAIR_ORDER`: their entries, and the
+# pairs (i k, i j, j k) of every triple (symmetric matrices need no other orientation).
+_UPPER, _LOWER, _IK, _IJ, _JK = _block_layout(3)[:5]
 # The sides of the 12 comparison angles in a flattened 4x4 matrix: [:, i]
 # holds those at vertex i, one per pair (j, l) of the other points in index
 # order, as (opposite d[j, l], adjacent d[i, j], adjacent d[i, l]).

@@ -58,9 +58,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, count
+from itertools import count
 from typing import Mapping
 
 import numpy as np
@@ -72,6 +72,7 @@ from .errors import (
     NonpositiveLengthError,
     ParseError,
     UnknownVertexError,
+    in_range,
 )
 from .quadruple import (
     _DEFECTS,
@@ -79,7 +80,9 @@ from .quadruple import (
     EmbeddabilityCertificate,
     _angle_table,
     _betweenness,
+    _block_layout,
     _certificates,
+    _star_positions,
     _symmetrized,
 )
 from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI
@@ -381,37 +384,6 @@ def parse_graph_document(text: str) -> tuple[MetricGraph, dict[str, float] | Non
     return parse_metric_graph(text), None
 
 
-@cache
-def _star_positions(degree: int) -> np.ndarray:
-    """(C(degree, 3), 4) positions in (base, *neighbours): 0 and each trio, lexicographic."""
-    return np.array([(0, *t) for t in combinations(range(1, degree + 1), 3)], dtype=np.intp).reshape(-1, 4)
-
-
-@cache
-def _block_layout(degree: int) -> tuple[np.ndarray, ...]:
-    """Positions in the flattened (k + 1) x (k + 1) block of a base of degree k and its neighbours.
-
-    Pair p is entry (i, j) of the block, i < j, lexicographic, so pairs
-    0 to k - 1 join the base 0 to each neighbour and the rest join two
-    neighbours, in `_star_positions`' order.  Returns the upper (i, j) and
-    lower (j, i) entry of each pair; the pairs (i k, i j, j k) of every
-    triple with j apart from i < k; the pairs (0 a, 0 b) of every pair
-    (a, b) of neighbours; and the three neighbour pairs of every star.
-    """
-    size = degree + 1
-    i, j = np.triu_indices(size, 1)
-    pair = np.zeros((size, size), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(len(i))
-    ti, tj, tk = np.array(
-        [(x, y, z) for y in range(size) for x, z in combinations([v for v in range(size) if v != y], 2)], dtype=np.intp
-    ).reshape(-1, 3).T
-    trio = _star_positions(degree)[:, 1:]
-    return (
-        i * size + j, j * size + i, pair[ti, tk], pair[ti, tj], pair[tj, tk], i[degree:] - 1, j[degree:] - 1,
-        pair[trio[:, [0, 0, 1]], trio[:, [1, 2, 2]]] - degree,
-    )
-
-
 def _pair_screen(block: np.ndarray, degree: int) -> np.ndarray:
     """(B, C(degree, 3)) flags of the stars that one neighbour pair makes degenerate, at bases with a clean block.
 
@@ -707,19 +679,22 @@ class CurveTriple:
 def polyline_curvature(t: CurveTriple, mode: str = "menger") -> float:
     """Discrete curvature of the triple; collinear points give 0.
 
-    ``menger`` is 4*area/(product of sides), the inverse circumradius.
+    ``menger`` is 4*area/(product of sides), the inverse circumradius, taken
+    of the sides scaled by 2**-e into [1/2, 1) and scaled back, exactly.
     ``finsler_haantjes`` is the chordal surrogate sqrt(24 (s - l) / l^3)
     with s = leg1 + leg2 and l = span; note the sqrt(3)/2 systematic factor
-    on smooth curves (module docstring).
+    on smooth curves (module docstring).  A value or l^3 out of the float
+    range is a DomainError.
     """
     if mode == "menger":
-        a, b, c = t.leg1, t.leg2, t.span
+        e = math.frexp(max(t.leg1, t.leg2, t.span))[1]
+        a, b, c = (math.ldexp(x, -e) for x in (t.leg1, t.leg2, t.span))
         s = 0.5 * (a + b + c)
         area2 = s * (s - a) * (s - b) * (s - c)
         if area2 <= 0.0:
             return 0.0
-        return 4.0 * math.sqrt(area2) / (a * b * c)
+        return in_range(lambda: math.ldexp(4.0 * math.sqrt(area2) / (a * b * c), -e), f"curvature of {t!r}")
     if mode == "finsler_haantjes":
-        excess = t.leg1 + t.leg2 - t.span
-        return math.sqrt(24.0 * max(excess, 0.0) / t.span**3)
+        cube = in_range(lambda: t.span**3, f"span {t.span!r} cubed", sys.float_info.min)
+        return in_range(lambda: math.sqrt(24.0 * max(t.leg1 + t.leg2 - t.span, 0.0) / cube), f"curvature of {t!r}")
     raise DomainError(f"unknown curvature mode {mode!r}")

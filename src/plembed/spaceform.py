@@ -208,9 +208,10 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
 
     Failure to embed is a value (None), not an error; so is an eigensolver
     that does not converge, and on the sphere a side beyond pi/sqrt(kappa)
-    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite kappa,
-    or a matrix that is not square, has fewer than two points, or has an
-    entry that is not finite and nonnegative, raises DomainError.
+    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite or
+    subnormal kappa, or a matrix that is not square, has fewer than two
+    points, or has an entry that is not finite and nonnegative, raises
+    DomainError.
     Coordinates are (n, dim) for kappa = 0, else (n, dim + 1) model vectors,
     for any number n of points.  Every model is realized by one factorization
     of its Gram matrix (`_factor`), and placement is canonical: in the plane
@@ -220,6 +221,8 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
     """
     if not -math.inf < kappa < math.inf:
         raise DomainError("curvature must be finite")
+    if 0.0 < abs(kappa) < sys.float_info.min:
+        raise DomainError(f"curvature {kappa!r} is subnormal; its model's Gram entries 1/kappa overflow")
     d = np.asarray(dmat, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or len(d) < 2:
         raise DomainError("expected a square distance matrix of at least two points")
@@ -233,7 +236,7 @@ def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | 
     if kappa > 0.0:
         rt = math.sqrt(kappa)
         args = rt * d
-        if np.any(args > math.pi * (1.0 + 1e-9)):
+        if np.any(args > _SIDE_LIMIT):
             return None
         i, j, k = np.array(list(combinations(range(len(d)), 3)), np.intp).reshape(-1, 3).T
         if (rt * (d[i, j] + d[i, k] + d[j, k]) > _PERIMETER_LIMIT).any():

@@ -229,9 +229,12 @@ def test_each_angle_once(angle_calls, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # The star screen against the stack code it replaced.
 
+# every (i, j, k) with j distinct from i < k: the side d[i, k] against the path i -> j -> k
+TRIPLES = np.array([(i, j, k) for j in range(4) for i, k in combinations([x for x in range(4) if x != j], 2)]).T
+
 
 def reference_symmetrized(d):
-    i, j, k = quadruple._I, quadruple._J, quadruple._K
+    i, j, k = TRIPLES
     scale = d.max(axis=(-2, -1))
     slack = 1e-12 * scale
     dt = np.swapaxes(d, -1, -2)
@@ -253,7 +256,7 @@ def reference_symmetrized(d):
 
 
 def reference_betweenness(d, margin):
-    i, j, k = quadruple._I, quadruple._J, quadruple._K
+    i, j, k = TRIPLES
     h = 0.5 * d
     m = margin * h.max(axis=(-2, -1))
     return np.any(h[..., i, k] >= h[..., i, j] + h[..., j, k] - m[..., None], axis=-1)

@@ -565,6 +565,41 @@ class TestCurveCurvatureCommand:
         assert r.returncode == 2
 
 
+# Inputs whose closed form leaves the float range, and the value each error names.
+RANGE_ERRORS = [
+    (("index-bound", "--n", "400", "--inner", "2"), "index bound 400**399 * 2.0 is out of the float range"),
+    (("index-bound", "--n", "143", "--inner", "1e10"), "index bound 143**142 * 10000000000.0 is out of the float range"),
+    (("fold", "--theta", "3", "--point", "1e308,1"), "image radius 1.0 * 1e+308**"),
+    (("fold", "--theta", "1", "--lam", "2", "--scale", "1e300", "--point", "1e10,0.5"), "image radius 1e+300 * 10000000000.0**2.0"),
+    (("wedge", "--n", "3", "--k", "1", "--angles", "1e-320"), "inner dilatation pi**1 / 1e-320 is out of the float range"),
+    (("wedge", "--n", "4", "--k", "1", "--angles", "1e-200,1e-200"), "inner dilatation pi**2 / 0.0 is out of the float range"),
+    (("curve-curvature", "--triple", "1e300,1e300,1e-100", "--mode", "finsler-haantjes"), "curvature of CurveTriple(leg1=1e+300"),
+    (("curve-curvature", "--triple", "1,1,1e-320", "--mode", "finsler-haantjes"), "span 1e-320 cubed is out of"),
+    (("curve-curvature", "--triple", "1e200,1e200,1e200", "--mode", "finsler-haantjes"), "span 1e+200 cubed is out of"),
+    (("curve-curvature", "--triple", "5e-324,5e-324,5e-324"), "curvature of CurveTriple(leg1=5e-324"),
+    *(
+        (("embed-check", "--quadruple", "1,1,1,1,1,1", f"--kappa={k}"), f"curvature {k} is subnormal")
+        for k in ("1e-320", "-1e-320", "1e-310", "-1e-310")
+    ),
+]
+
+
+class TestRangeErrors:
+    """A value out of the float range is one error line and exit 2: no traceback, warning or Infinity."""
+
+    @pytest.mark.parametrize("args, message", RANGE_ERRORS)
+    def test_exit_2_with_one_error_line(self, args, message):
+        r = run_cli(*args)
+        assert_rejected(r, message)
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+    @pytest.mark.parametrize("side, want", [("1e-110", math.sqrt(3.0) * 1e110), ("1e200", math.sqrt(3.0) * 1e-200)])
+    def test_menger_beyond_the_range_of_its_products(self, side, want):
+        # the area and the product of the sides over- or underflow; the scaled sides do not
+        doc = payload(run_cli("curve-curvature", "--triple", f"{side},{side},{side}"))
+        assert doc["value"] == pytest.approx(want, rel=1e-14)
+
+
 class TestOutputAndUsage:
     def test_output_file(self, tmp_path):
         out = tmp_path / "res.json"

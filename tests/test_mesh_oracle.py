@@ -46,10 +46,13 @@ from plembed import (
 )
 from plembed.mesh import rowdot
 from plembed.qcbounds import (
+    _DEGENERATE,
     _MESSAGES,
+    _NO_FACES,
+    _NOT_CONVEX,
+    _SPLIT,
     MC_CHUNK,
     EdgeAngleReport,
-    EdgeRecord,
     MonteCarloEstimate,
     _dedupe,
     _link_cycles,
@@ -144,7 +147,7 @@ class ScalarMesh:
 def reference_edge_report(mesh: ScalarMesh) -> EdgeAngleReport:
     m = mesh.oriented_outward()
     v = m.vertices
-    records, reflex, warnings = [], [], []
+    edges, angles, convex, warnings = [], [], [], []
     bound = 1.0
     for edge in sorted(m.edge_faces):
         (f1, d1), (f2, d2) = m.edge_faces[edge]
@@ -155,18 +158,22 @@ def reference_edge_report(mesh: ScalarMesh) -> EdgeAngleReport:
         ehat = ehat / np.linalg.norm(ehat)
         n1, n2 = m.face_normal(f1), m.face_normal(f2)
         angle = math.pi - math.atan2(float(np.dot(np.cross(n1, n2), ehat)), float(np.dot(n1, n2)))
-        if angle <= math.pi * (1.0 + 1e-12):
+        edges.append(edge)
+        angles.append(angle)
+        convex.append(angle <= math.pi * (1.0 + 1e-12))
+        if convex[-1]:
             if angle < 1e-6:
                 warnings.append(
                     f"edge {edge}: interior angle {angle:.3e} below 1e-06; "
                     "contribution is ill-conditioned"
                 )
             bound = max(bound, math.pi / angle)
-            records.append(EdgeRecord(edge, angle, True, math.pi / angle))
-        else:
-            reflex.append(edge)
-            records.append(EdgeRecord(edge, angle, False, None))
-    return EdgeAngleReport(tuple(records), bound, tuple(reflex), tuple(warnings))
+    edges = np.array(edges, dtype=int).reshape(-1, 2)
+    return EdgeAngleReport(edges, np.array(angles), np.array(convex, dtype=bool), bound, tuple(warnings))
+
+
+def reflex_edges(rep: EdgeAngleReport) -> set:
+    return set(map(tuple, rep.edges[~rep.convex].tolist()))
 
 
 def icosphere(level: int):
@@ -240,7 +247,7 @@ def _swept_meshes(level, seed):
 
 def corner_kinds(ref: ScalarMesh) -> list[str]:
     """convex (flat included), reflex or saddle per vertex, from the convexity of its edges."""
-    reflex = set(reference_edge_report(ref).reflex)
+    reflex = reflex_edges(reference_edge_report(ref))
     has = [[False, False] for _ in ref.vertices]  # [a convex edge, a reflex edge]
     for a, b in ref.edge_faces:
         r = (a, b) in reflex
@@ -407,7 +414,7 @@ class TestEdgeAuditOracle:
             want = reference_edge_report(ScalarMesh(v, f))
             assert got.to_dict() == want.to_dict()
             assert got.table() == want.table()
-            assert got.reflex or level == 1  # the jitter makes reflex edges on finer spheres
+            assert reflex_edges(got) or level == 1  # the jitter makes reflex edges on finer spheres
 
     @pytest.mark.parametrize("level,seed", SWEEP)
     def test_signed_volume(self, level, seed):
@@ -424,7 +431,7 @@ class TestEdgeAuditOracle:
         f = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [0, 2, 1], [0, 3, 2]])
         got = mesh_edge_dilatation_bound(PolyMesh(v, f))
         assert got.to_dict() == reference_edge_report(ScalarMesh(v, f)).to_dict()
-        assert got.reflex == (((0, 2),) if dip < -1e-12 else ())
+        assert got.to_dict()["reflex"] == ([[0, 2]] if dip < -1e-12 else [])
 
     def test_tiny_angle_warnings(self):
         # a sliver tetrahedron: the three edges of its base are nearly flat-folded
@@ -558,32 +565,34 @@ class TestCornerPass:
             for i in order:
                 assert [_bits(pairs[i][0], mesh, vi) for vi in range(len(v))] == want[i]
 
-    def test_star_defects_on_raw_faces(self):
-        # the cycle pass alone, on face sets no closed mesh would pass: repeats, gaps and splits
+    def test_link_cycles_of_closed_meshes(self):
+        # the cycle pass on meshes that pass require_closed_manifold: each vertex's cycle is the
+        # scalar walk's, or the vertex has no faces or a split star; the table holds no other code
         rng = np.random.default_rng(33)
-        _, f = icosphere(0)  # the icosahedron's 12 vertices, and vertex 12 in no face
+        octahedron = np.array([[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4], [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]])
+        meshes = [jittered_icosphere(level, 40 + level) for level in (0, 1, 2, 3)]
+        meshes += [link_query_mesh(seed) for seed in (1, 2)]
+        meshes += [two_tetrahedra_at_a_point(), bipyramid_with_near_duplicates()]
+        meshes += [(rng.integers(-2, 3, size=(6, 3)).astype(float), octahedron) for _ in range(100)]
         seen = set()
-        for _ in range(200):
-            g = f[rng.random(len(f)) >= rng.choice([0.0, 0.1])]
-            if rng.random() < 0.3:
-                g = np.vstack([g, g[rng.integers(len(g), size=2)]])
-            if rng.random() < 0.3:
-                g = g.copy()
-                g[rng.integers(len(g))] = rng.permutation(12)[:3]
-            g = g[rng.permutation(len(g))]
-            duck = ScalarMesh(np.zeros((13, 3)), g)
-            link, fan, start, degree, code = _link_cycles(g, 13)
-            for vi in range(13):
+        for v, f in meshes:
+            v = np.vstack([v, rng.normal(size=(1, 3))])  # a last vertex in no face
+            for g in (f, f[:, ::-1].copy()):
                 try:
-                    cycle, faces = scalar_link_cycle(duck, vi)
-                except MeshError as e:
-                    assert code[vi] and str(e) == _MESSAGES[code[vi]].format(v=vi)
-                    seen.add(str(e).split(" ", 2)[-1])
-                    continue
-                assert code[vi] == 0
-                rows = slice(start[vi], start[vi] + degree[vi])
-                assert link[rows].tolist() == cycle and fan[rows].tolist() == faces
-        assert len(seen) == 4  # no faces, non-manifold, does not close, splits
+                    m = PolyMesh(v, g).oriented_outward()
+                except MeshError:
+                    continue  # a folded octahedron with a degenerate face
+                link, fan, start, degree, code = _link_cycles(m.faces, len(v))
+                for vi in range(len(v)):
+                    rows = slice(start[vi], start[vi] + degree[vi])
+                    try:
+                        assert (link[rows].tolist(), fan[rows].tolist()) == scalar_link_cycle(m, vi)
+                        assert code[vi] == 0
+                    except MeshError as e:
+                        assert str(e) == _MESSAGES[code[vi]].format(v=vi)
+                for codes in (m._corners[0][1], m._corners[1][1]):
+                    seen |= set(codes)
+        assert seen == {0, _NO_FACES, _SPLIT, _DEGENERATE, _NOT_CONVEX}
 
 
 def face_angle_defects(v: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -155,10 +155,10 @@ class TestMeshEdgeAudit:
     def test_cube_bound_exact(self, cube_mesh):
         rep = mesh_edge_dilatation_bound(cube_mesh)
         assert rep.bound == 2.0
-        assert rep.reflex == ()
+        assert rep.convex.all()
         assert rep.warnings == ()
         # 12 true cube edges at pi/2 plus 6 triangulation diagonals at pi
-        contribs = sorted(r.contribution for r in rep.edges)
+        contribs = sorted((math.pi / rep.angles).tolist())
         assert len(contribs) == 18
         assert contribs[:6] == pytest.approx([1.0] * 6, abs=1e-12)
         assert contribs[6:] == pytest.approx([2.0] * 12, abs=1e-12)
@@ -170,15 +170,15 @@ class TestMeshEdgeAudit:
         assert rep.bound == pytest.approx(expect, rel=1e-13)
         assert rep.bound == pytest.approx(2.55214965605977, rel=1e-12)
         assert len(rep.edges) == 6
-        for r in rep.edges:
-            assert r.angle == pytest.approx(math.acos(1.0 / 3.0), rel=1e-13)
+        for angle in rep.angles.tolist():
+            assert angle == pytest.approx(math.acos(1.0 / 3.0), rel=1e-13)
 
     def test_orientation_flip_invariant(self, cube_mesh):
         flipped = PolyMesh(cube_mesh.vertices, cube_mesh.faces[:, ::-1])
         a = mesh_edge_dilatation_bound(cube_mesh)
         b = mesh_edge_dilatation_bound(flipped)
         assert a.bound == b.bound
-        assert [r.angle for r in a.edges] == pytest.approx([r.angle for r in b.edges], rel=1e-13)
+        assert a.angles.tolist() == pytest.approx(b.angles.tolist(), rel=1e-13)
 
     def test_rigid_motion_invariant(self, cube_mesh):
         rng = np.random.default_rng(11)

@@ -222,6 +222,22 @@ class TestTripleEmbeddable:
             comparison_angle(4.0, math.pi / 3 * (1.0 + 1e-9), math.pi / 3, math.pi / 3)
 
 
+class TestCurvatureRange:
+    @pytest.mark.parametrize("kappa", (1e-320, -1e-320, 1e-310, -1e-310))
+    def test_subnormal_curvature(self, kappa):
+        # 1/kappa overflows, and so would the Gram entries
+        d = np.ones((4, 4)) - np.eye(4)
+        with pytest.raises(DomainError, match=rf"^curvature {kappa!r} is subnormal"):
+            realize_distances(kappa, d, 3)
+
+    def test_side_limit_is_the_triangle_slack(self):
+        # sqrt(kappa) * d may exceed pi by TRIANGLE_SLACK, relative, and no more
+        for kappa in (1.0, 4.0):
+            for slack, realized in ((1e-13, True), (1e-10, False)):
+                d = math.pi * (1.0 + slack) / math.sqrt(kappa)
+                assert (realize_distances(kappa, np.array([[0.0, d], [d, 0.0]]), 2) is not None) == realized
+
+
 class TestRealizeTriple:
     """Realizing a triple of distances with `realize_distances`."""
 
