@@ -41,12 +41,12 @@ class MeshError(ValueError):
     """Mesh is unusable for the requested computation."""
 
 
-def in_range(compute, what: str, tiny: float = 0.0) -> float:
-    """The float ``compute()`` returns, or DomainError naming ``what`` when it overflows or is below ``tiny`` in size."""
+def in_range(compute, what: str, tiny: float = 0.0, problem: str = "is out of the float range") -> float:
+    """The float ``compute()``, or DomainError f"{what} {problem}" when it overflows or is below ``tiny`` in size."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not tiny <= abs(value) < math.inf:
-        raise DomainError(f"{what} is out of the float range")
+        raise DomainError(f"{what} {problem}")
     return value

@@ -7,7 +7,9 @@ determinant vanishes identically at kappa = 0 for every quadruple (the
 matrix degenerates to all-ones), so a small neighbourhood of the origin is
 excluded from the scan and flatness is decided by the Cayley-Menger
 determinant instead.  Every reported root is re-validated by realizing the
-quadruple in the two-dimensional model at that curvature.
+quadruple in the two-dimensional model at that curvature.  The solver works
+on the distances divided by a power of two near the largest, so its answer
+depends on the quadruple's shape and not on its unit.
 
 Both half grids come from one pass of `np.geomspace`'s arithmetic, and one
 determinant batch evaluates them.  Every sign change is then bisected in
@@ -22,13 +24,14 @@ midpoint at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateQuadrupleError, DomainError
+from .errors import DegenerateQuadrupleError, DomainError, in_range
 from .spaceform import (
     ANGLE_TOL,
     TRIANGLE_SLACK,
@@ -189,11 +192,13 @@ class MetricQuadruple:
 
 
 def cayley_menger(q: MetricQuadruple) -> float:
-    """Bordered 5x5 Cayley-Menger determinant of the quadruple."""
+    """Bordered 5x5 Cayley-Menger determinant of the quadruple; DomainError where it overflows."""
     b = np.ones((5, 5))
     b[0, 0] = 0.0
-    b[1:, 1:] = q.distances * q.distances
-    return float(np.linalg.det(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b[1:, 1:] = q.distances * q.distances
+        what = f"Cayley-Menger determinant of distances up to {q.max_distance!r}"
+        return in_range(lambda: float(np.linalg.det(b)), what)
 
 
 def nondegenerate(q: MetricQuadruple) -> bool:
@@ -294,10 +299,12 @@ def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndar
 # Embedding-curvature solver.
 
 
-FLAT_TOL = 1e-9  # |cayley_menger| <= FLAT_TOL * (max d)^8: try the flat root
-BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |kappa|)
+# The Wald tolerances act on the scaled quadruple u, max u in [0.5, 1), and on t = kappa * 4^e (see `wald_curvature`).
+FLAT_TOL = 1e-9  # |cayley_menger(u)| <= FLAT_TOL * (max u)^8: try the flat root
+BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |t|)
 RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
 MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 1 s and 300 MiB a quadruple
+_SCALE_RANGE = "are out of range: a curvature search scale overflows or underflows"
 _FIRST_PLAN = 8  # midpoints a bracket's first bisection round evaluates at most (see `_bisect`)
 
 
@@ -467,72 +474,61 @@ def _half_grids(cap: float, floor: float, kappa_max: float, half: int) -> np.nda
 def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
     """Curvatures kappa whose 2-dimensional model realizes the quadruple.
 
-    Flatness is decided by |cayley_menger(q)| <= FLAT_TOL * (max d)^8.
+    The search runs on u = d / 2^e, e from `math.frexp(max d)`, so max u is
+    in [0.5, 1), and in t = kappa * 4^e.  Both scalings are exact, so scaling
+    the distances by a power of two scales each root by its inverse square,
+    bit for bit.  Flatness is decided by |cayley_menger(u)| <= FLAT_TOL * (max u)^8.
     Nonzero candidates come from sign changes of the curvature-matrix
-    determinant on a log-spaced grid over [-kappa_cap, (pi / max d)^2],
+    determinant on a log-spaced grid over t in [-kappa_cap * 4^e, (pi / max u)^2],
     excluding a tiny neighbourhood of zero where that determinant vanishes
     structurally.  Every candidate is kept only if `realize_quadruple`
     succeeds at it in dimension 2: its Gram matrix in that model factors at
     rank 3 (positive semidefinite on the sphere, one timelike direction on
     the hyperboloid), and the coordinates reproduce every distance within
-    ``MATCH_TOL * max d``.  Distances so
-    large or small that a search scale overflows or underflows raise
-    DomainError, and so does a ``kappa_cap`` at or below the search floor.
+    ``MATCH_TOL * max u``.  DomainError is raised for a ``kappa_cap * 4^e``
+    that overflows, a root or search interval end that is not a normal float
+    in kappa, and a ``kappa_cap`` at or below the search floor 1e-7 / (max d)^2.
     """
     opts = opts or WaldOptions()
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
-    d = q.distances
-    dmax, dmin = q.max_distance, q.min_distance
-    try:
-        scales = (
-            (math.pi / dmax) ** 2,
-            opts.kappa_cap if opts.kappa_cap is not None else 1e4 / (dmin * dmin),
-            1e-7 / (dmax * dmax),
-            dmax**8,
-        )
-    except (OverflowError, ZeroDivisionError):
-        scales = (math.nan,)
-    if not all(0.0 < s < math.inf for s in scales):
-        raise DomainError(
-            f"distances {dmin!r} to {dmax!r} are out of range: a curvature search scale overflows or underflows"
-        )
-    kappa_max, cap, floor, scale8 = scales
+    e = math.frexp(q.max_distance)[1]
+    uq = object.__new__(MetricQuadruple)  # q / 2^e: exact, so still a validated metric
+    object.__setattr__(uq, "distances", np.ldexp(q.distances, -e))
+    u, umax, umin = uq.distances, uq.max_distance, uq.min_distance
+    span = f"distances {q.min_distance!r} to {q.max_distance!r}"
+
+    def unscaled(t: float) -> float:
+        return in_range(lambda: math.ldexp(t, -2 * e), span, sys.float_info.min, _SCALE_RANGE)
+
+    kappa_max, floor, scale8 = (math.pi / umax) ** 2, 1e-7 / (umax * umax), umax**8
+    cap = 1e4 / (umin * umin) if opts.kappa_cap is None else in_range(
+        lambda: math.ldexp(opts.kappa_cap, 2 * e), f"kappa_cap {opts.kappa_cap!r} times 4**{e}"
+    )
+    top = unscaled(kappa_max)  # first: where it is in range, so is the floor below it
     if cap <= floor:
-        raise DomainError(f"kappa_cap {cap!r} must exceed the search floor 1e-7 / (max d)^2 = {floor!r}")
+        floor = math.ldexp(floor, -2 * e)  # in kappa units
+        raise DomainError(f"kappa_cap {opts.kappa_cap!r} must exceed the search floor 1e-7 / (max d)^2 = {floor!r}")
 
-    dcm = cayley_menger(q)
-    flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(q, 0.0, 2) is not None
+    dcm = cayley_menger(uq)
+    flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(uq, 0.0, 2) is not None
     roots = [WaldRoot(0.0, abs(dcm) / scale8)] if flat else []
-
-    half = max(opts.samples // 2, 8)
-    grids = _half_grids(cap, floor, kappa_max, half)
-    x = np.concatenate(([0.0], d[_PAIRS_I, _PAIRS_J]))
-    candidates = _grid_roots(lambda ks: _curvature_det_grid(x, ks), grids, BISECT_RTOL, 100.0 * floor if flat else 0.0)
-    for k, value in candidates:
-        if flat and abs(k) <= 100.0 * floor:
-            # shadow of the structural kappa = 0 zero, not a distinct root
-            continue
-        if realize_quadruple(q, k, 2) is None:
+    grids = _half_grids(cap, floor, kappa_max, max(opts.samples // 2, 8))
+    x = np.concatenate(([0.0], u[_PAIRS_I, _PAIRS_J]))
+    shadow = 100.0 * floor if flat else 0.0  # where a flat quadruple's candidates shadow its kappa = 0 zero
+    for t, value in _grid_roots(lambda ts: _curvature_det_grid(x, ts), grids, BISECT_RTOL, shadow):
+        if abs(t) <= shadow or realize_quadruple(uq, t, 2) is None:
             continue
         if value is None:  # the bisection ran out of steps
-            value = float(_curvature_det_grid(x, np.array([k]))[0])
-        residual = abs(value)
-        if residual > RESIDUAL_TOL:
-            continue
-        roots.append(WaldRoot(float(k), residual))
+            value = float(_curvature_det_grid(x, np.array([t]))[0])
+        if abs(value) <= RESIDUAL_TOL:
+            roots.append(WaldRoot(unscaled(t), abs(value)))
 
     roots.sort(key=lambda r: r.kappa)
     # flatness is a case split, not one root among many: a planar quadruple
     # may also sit on some sphere, yet its curvature is defined to be zero
-    if flat:
-        classification = "flat"
-    elif not roots:
-        classification = "none-found"
-    elif len(roots) > 1:
-        classification = "multiple"
-    elif roots[0].kappa > 0.0:
-        classification = "spherical"
-    else:
-        classification = "hyperbolic"
-    return WaldResult(tuple(roots), classification, (-cap, kappa_max))
+    classification = (
+        "flat" if flat else "none-found" if not roots else "multiple" if len(roots) > 1
+        else "spherical" if roots[0].kappa > 0.0 else "hyperbolic"
+    )
+    return WaldResult(tuple(roots), classification, (unscaled(-cap), top))

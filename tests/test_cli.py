@@ -1,13 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plembed import cli
@@ -162,6 +165,15 @@ class TestWaldCommand:
         r = run_cli("wald", "--quadruple", UNIT_Q, "--samples", str(MAX_SAMPLES + 1))
         assert_rejected(r, f"samples must be at most {MAX_SAMPLES}")
         assert "array" not in r.stderr
+
+    def test_large_scale_keeps_both_roots(self):
+        # the scalene quadruple times 1e38: both roots, kappa * 1e76 as in the unit range
+        r = run_cli("wald", "--quadruple", "1e38,1.1e38,0.9e38,1.05e38,0.95e38,1.2e38")
+        assert r.returncode == 0, r.stderr
+        doc = payload(r)
+        assert doc["classification"] == "multiple"
+        got = [root["kappa"] * 1e76 for root in doc["roots"]]
+        assert got == pytest.approx([-50.060364793018195, 3.388557268125769], rel=1e-9)
 
     @pytest.mark.parametrize("side", ["1e160", "1e-320"])
     def test_extreme_scale_rejected(self, side):
@@ -577,6 +589,8 @@ RANGE_ERRORS = [
     (("curve-curvature", "--triple", "1,1,1e-320", "--mode", "finsler-haantjes"), "span 1e-320 cubed is out of"),
     (("curve-curvature", "--triple", "1e200,1e200,1e200", "--mode", "finsler-haantjes"), "span 1e+200 cubed is out of"),
     (("curve-curvature", "--triple", "5e-324,5e-324,5e-324"), "curvature of CurveTriple(leg1=5e-324"),
+    # roots near 1e-140 are in range; the Cayley-Menger determinant of the document is not
+    (("wald", "--quadruple", ",".join(["1e70"] * 6)), "Cayley-Menger determinant of distances up to 1e+70 is out of"),
     *(
         (("embed-check", "--quadruple", "1,1,1,1,1,1", f"--kappa={k}"), f"curvature {k} is subnormal")
         for k in ("1e-320", "-1e-320", "1e-310", "-1e-310")
@@ -598,6 +612,56 @@ class TestRangeErrors:
         # the area and the product of the sides over- or underflow; the scaled sides do not
         doc = payload(run_cli("curve-curvature", "--triple", f"{side},{side},{side}"))
         assert doc["value"] == pytest.approx(want, rel=1e-14)
+
+
+# Numbers at and past the ends of the float range, as command-line text, and 1 to reach the solvers;
+# the listed ones drawn twice as often as the subnormals and the integers beyond the float range.
+_EDGE_LIST = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1", "1e308", "-1e308", "1e-308", "1e38", "1e-38", "1e-320"])
+EDGE_NUMBERS = st.one_of(
+    _EDGE_LIST,
+    _EDGE_LIST,
+    st.floats(min_value=5e-324, max_value=2.225073858507201e-308).map(repr),
+    st.integers(min_value=2**1024, max_value=10**400).map(str),
+)
+
+
+def run_main(argv):
+    """Exit status, stdout and stderr of `cli.main` in process; an escaping exception or a RuntimeWarning raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            status = cli.main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            status = e.code
+    return status, out.getvalue(), err.getvalue()
+
+
+class TestQuadrupleFuzz:
+    """`wald` and `embed-check` on edge numbers: exit 0, 1 or 2, one error line or one finite JSON document."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["wald", "embed-check"]),
+        st.one_of(*[EDGE_NUMBERS.map(lambda v: [v] * 6)] * 2, st.lists(EDGE_NUMBERS, min_size=6, max_size=6)),
+        st.one_of(st.none(), EDGE_NUMBERS),
+        st.one_of(st.none(), st.none(), st.none(), EDGE_NUMBERS),
+    )
+    @example("wald", ["1e38"] * 6, "1e308", None)  # the cap overflows in the solver's units
+    @example("wald", ["1e-38"] * 6, "1e38", "1")
+    @example("embed-check", ["1e-38"] * 6, "1e38", None)
+    def test_exit_contract(self, command, sides, number, samples):
+        argv = [command, f"--quadruple={','.join(sides)}"]
+        if command == "wald":
+            argv += [f"--kappa-cap={number}"] * (number is not None) + [f"--samples={samples}"] * (samples is not None)
+        else:
+            argv.append(f"--kappa={number if number is not None else 0}")
+        status, out, err = run_main(argv)
+        assert status in (0, 1, 2), (argv, err)
+        if status == 2:
+            assert out == "" and err.count("error:") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 class TestOutputAndUsage:

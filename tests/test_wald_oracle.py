@@ -10,11 +10,15 @@ minors moves no root.  The sweeps at the end check that no quadruple makes
 the solver raise, and that a cap either raises or bounds every root.  The
 lockstep bisection is also held to call budgets: never more calls of f per
 bracket than the bisection that evaluates one midpoint at a time takes steps,
-and few curvature determinant batches and midpoints per quadruple.
+and few curvature determinant batches and midpoints per quadruple.  A rank
+and signature test of the model Gram matrix, which shares no code with the
+solver, checks every root it reports, and scaling a quadruple by a power of
+two must scale its roots exactly.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,12 +91,15 @@ def scalar_minors_ok(d, kappa, tol=1e-9):
 
 def scalar_wald_curvature(q, opts=None):
     # the solver's tolerances as literals: flatness 1e-9, bisection 1e-12,
-    # residual 1e-6 and minors 1e-9 (realize_quadruple holds the others)
+    # residual 1e-6 and minors 1e-9 (realize_quadruple holds the others);
+    # the search runs on u = d / 2^e, max u in [0.5, 1), in t = kappa * 4^e
     opts = opts or WaldOptions()
+    e = math.frexp(q.max_distance)[1]
+    q = MetricQuadruple(np.ldexp(q.distances, -e))
     d = q.distances
     dmax, dmin = q.max_distance, q.min_distance
     kappa_max = (math.pi / dmax) ** 2
-    cap = opts.kappa_cap if opts.kappa_cap is not None else 1e4 / (dmin * dmin)
+    cap = math.ldexp(opts.kappa_cap, 2 * e) if opts.kappa_cap is not None else 1e4 / (dmin * dmin)
     floor = 1e-7 / (dmax * dmax)
     scale8 = dmax**8
     roots = []
@@ -117,7 +124,7 @@ def scalar_wald_curvature(q, opts=None):
         residual = abs(scalar_curvature_det(d, k))
         if residual > 1e-6:
             continue
-        roots.append(WaldRoot(float(k), residual))
+        roots.append(WaldRoot(math.ldexp(float(k), -2 * e), residual))
     roots.sort(key=lambda r: r.kappa)
     if flat:
         classification = "flat"
@@ -129,7 +136,7 @@ def scalar_wald_curvature(q, opts=None):
         classification = "spherical"
     else:
         classification = "hyperbolic"
-    return WaldResult(tuple(roots), classification, (-cap, kappa_max))
+    return WaldResult(tuple(roots), classification, (math.ldexp(-cap, -2 * e), math.ldexp(kappa_max, -2 * e)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +489,18 @@ def test_spherical_roots_pass_the_minors():
 
 def test_flat_shadows_not_bisected(monkeypatch):
     # planar quadruples: the determinant changes sign near kappa = 0, within
-    # 100 * floor, where no bracket is bisected; the documents do not change
+    # 100 * floor, where no bracket is bisected; the documents do not change.
+    # The solver brackets t = kappa * 4^e on u = d / 2^e, max u in [0.5, 1)
     brackets = []
     bisect = quadruple._bisect
     monkeypatch.setattr(quadruple, "_bisect", lambda f, a, b, *rest: brackets.append((a, b)) or bisect(f, a, b, *rest))
     shadows = 0
     for q in seeded(lambda rng: surface_quadruple(0.0, rng), 6, 100):
-        dmax, dmin = q.max_distance, q.min_distance
+        u = np.ldexp(q.distances, -math.frexp(q.max_distance)[1])
+        dmax, dmin = u.max(), u[u > 0.0].min()
         floor = 1e-7 / dmax**2
         for grid in (-np.geomspace(1e4 / dmin**2, floor, 256), np.geomspace(floor, (math.pi / dmax) ** 2, 256)):
-            vals = [scalar_curvature_det(q.distances, k) for k in grid[np.abs(grid) <= 100.0 * floor]]
+            vals = [scalar_curvature_det(u, k) for k in grid[np.abs(grid) <= 100.0 * floor]]
             shadows += sum(x != 0.0 and (x < 0.0) != (y < 0.0) for x, y in zip(vals, vals[1:]))
         brackets.clear()
         assert_same(q)
@@ -516,6 +525,7 @@ def test_seeded_sweep_raises_nothing():
         res = wald_curvature(q)
         assert res.classification in ("flat", "spherical", "hyperbolic", "multiple", "none-found")
         assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
+        assert all(is_model_root(q.distances, r.kappa) for r in res.roots)
         solved += 1
 
 
@@ -547,3 +557,115 @@ def test_caps_raise_or_bound_every_root(q, cap):
         assert "must exceed the search floor" in str(e) and cap <= 1e-7 / (q.max_distance * q.max_distance)
         return
     assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
+
+
+# ---------------------------------------------------------------------------
+# The root oracle: every reported root realizes the quadruple in its model,
+# by a rank and signature test that shares no code with the solver.
+
+
+def model_gram(d, kappa):
+    """Gram matrix of the four points in the curvature-kappa model's ambient space.
+
+    Unit vectors of R^3 for kappa > 0 (cosines of the angles sqrt(kappa) d),
+    points of the hyperboloid under the (-, +, +) form for kappa < 0, and
+    centred points of the plane (classical scaling) for kappa = 0.
+    """
+    if kappa == 0.0:
+        j = np.eye(4) - 0.25
+        return -0.5 * j @ (d * d) @ j
+    s = math.sqrt(abs(kappa))
+    return np.cos(s * d) if kappa > 0.0 else -np.cosh(s * d)
+
+
+def is_model_root(d, kappa, rtol=1e-10):
+    """True when the model Gram matrix has the rank and signature of the model's ambient space.
+
+    Rank at most three with no negative eigenvalue on the sphere or at most
+    one on the hyperboloid; in the plane, where centring already zeroes one
+    eigenvalue, rank at most two with none negative.  Eigenvalues within
+    `rtol` of the largest one count as zero.
+    """
+    if kappa > 0.0 and math.sqrt(kappa) * float(d.max()) > math.pi * (1.0 + rtol):
+        return False
+    lam = np.linalg.eigvalsh(model_gram(d, kappa))
+    tol = rtol * float(np.max(np.abs(lam)))
+    zeros = int(np.sum(np.abs(lam) <= tol))
+    negative = int(np.sum(lam < -tol))
+    return zeros >= (2 if kappa == 0.0 else 1) and negative <= (1 if kappa < 0.0 else 0)
+
+
+# (population, index in `oracle_populations`) of the inputs whose generating
+# curvature the solver misses: each has two spherical roots too close
+# together for the grid to bracket, and reads none-found
+KNOWN_CLOSE_PAIR_MISSES = {("cap 1.0", 14), ("sphere", 31)}
+
+
+def oracle_populations():
+    """The sets of `oracle_sets` by population, with the generating curvature (None in R^3)."""
+    pops = [(f"cap {k}", k, seeded(lambda rng, k=k: surface_quadruple(k, rng), 24, 100 + int(k))) for k in SURFACE_KAPPAS]
+    return pops + [("sphere", 1.0, seeded(sphere_quadruple, 40, 7)), ("space", None, seeded(space_quadruple, 40, 8))]
+
+
+def test_roots_pass_the_oracle():
+    misses = set()
+    for pop, kappa, qs in oracle_populations():
+        for i, q in enumerate(qs):
+            roots = [r.kappa for r in wald_curvature(q).roots]
+            assert all(is_model_root(q.distances, r) for r in roots), (pop, i, roots)
+            if kappa is not None and not any(abs(r - kappa) <= 1e-6 * (abs(kappa) or 1.0) for r in roots):
+                misses.add((pop, i))
+    assert misses == KNOWN_CLOSE_PAIR_MISSES
+
+
+# ---------------------------------------------------------------------------
+# Scale: the solver runs on d / 2^e, so scaling a quadruple by 2^k scales
+# every root by 4^-k, bit for bit.
+
+
+def scaled(x, k):
+    """x * 2^k, or None where that is not a normal float (0 stays 0)."""
+    try:
+        y = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return y if x == 0.0 or sys.float_info.min <= abs(y) else None
+
+
+def test_exact_covariance():
+    # one cap of each curvature, one whole-sphere and one R^3 quadruple, times
+    # 2^k for every k in -500..500 and at +-1000, wherever each distance stays
+    # normal: the unscaled roots times 4^-k with the same residuals and
+    # classification, or, where one of those or an interval end is not a
+    # normal float, a DomainError
+    raised = 0
+    for pop, _, qs in oracle_populations():
+        q = qs[1]
+        want = wald_curvature(q)
+        for k in [-1000, *range(-500, 501), 1000]:
+            if scaled(q.min_distance, k) is None or scaled(q.max_distance, k) is None:
+                continue
+            scaled_q = MetricQuadruple(np.ldexp(q.distances, k))
+            ends = [scaled(x, -2 * k) for x in want.search_interval]
+            roots = [scaled(r.kappa, -2 * k) for r in want.roots]
+            if None in ends + roots:
+                with pytest.raises(DomainError, match="out of range: a curvature search scale overflows or underflows"):
+                    wald_curvature(scaled_q)
+                raised += 1
+                continue
+            got = wald_curvature(scaled_q)
+            assert got.classification == want.classification, (pop, k)
+            assert got.roots == tuple(WaldRoot(r, w.residual) for r, w in zip(roots, want.roots)), (pop, k)
+            assert got.search_interval == tuple(ends), (pop, k)
+            assert all(is_model_root(scaled_q.distances, r) for r in roots), (pop, k)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("s", [300.0, 1e3, 1e4, 1e5, 1e38])
+def test_scalene_probe(s):
+    # the scalene quadruple at every scale has both roots of its unit-range copy
+    # (lost at s = 300 and beyond when the search ran in kappa units)
+    res = wald_curvature(MetricQuadruple.from_pairwise(*(s * x for x in (1.0, 1.1, 0.9, 1.05, 0.95, 1.2))))
+    assert res.classification == "multiple"
+    got = [r.kappa * s * s for r in res.roots]
+    assert got == pytest.approx([-50.060364793018195, 3.388557268125769], rel=1e-9)
