@@ -1,24 +1,19 @@
 """Four-point metric spaces: Cayley-Menger determinant, comparison-angle
 excesses, the embedding-curvature root solver, and coordinate realization.
 
-The curvature solver scans the determinant of the curvature matrix (cos for
-positive curvature, cosh for negative) for sign changes and bisects.  That
-determinant vanishes identically at kappa = 0 for every quadruple (the
-matrix degenerates to all-ones), so a small neighbourhood of the origin is
-excluded from the scan and flatness is decided by the Cayley-Menger
-determinant instead.  Every reported root is re-validated by realizing the
-quadruple in the two-dimensional model at that curvature.  The solver works
-on the distances divided by a power of two near the largest, so its answer
+The determinant of the curvature matrix (cos for positive curvature, cosh
+for negative) vanishes identically at kappa = 0: in t = kappa * D^2 it is
+t^3 det B(t), B the matrix of (1 - cos(sqrt(t) d)) / t bordered by ones,
+with t in the corner.  The solver bisects the sign changes of det B, which
+is entire and at t = 0 the Cayley-Menger determinant over 8: flatness is
+its root there.  On [-4, (pi / max d)^2 D^2], a few Chebyshev values of
+det B are carried onto fine grids by cached matrices; below -4 a geometric
+grid evaluates it.  One determinant batch evaluates both, and every sign
+change is then bisected in lockstep, one more batch a round (`_bisect`).
+Every reported root is re-validated by realizing the quadruple in the
+two-dimensional model at that curvature.  The solver works on the
+distances divided by D, a power of two near the largest, so its answer
 depends on the quadruple's shape and not on its unit.
-
-Both half grids come from one pass of `np.geomspace`'s arithmetic, and one
-determinant batch evaluates them.  Every sign change is then bisected in
-lockstep, one more batch a round: each round evaluates, per bracket, the
-midpoints of its bisection path towards its secant point, at most 8 in its
-first round and twice as many in each later one, and walks them while every
-side is the predicted one.  That is about five batches and a hundred
-midpoints a quadruple, for the roots of a bisection that evaluates one
-midpoint at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +41,8 @@ _PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
 # Entry [i, j] of a 4x4 matrix of a function of distance is the function of
 # _SCATTER[i, j] in (0, d01, d02, d03, d12, d13, d23): the diagonal, then `_PAIR_ORDER`.
 _SCATTER = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+# Entry [i, j] of the bordered 5x5 matrix [[a, b, b, b, b], [b, M]], M as above, is _BORDERED[i, j] of (a, b, 0, d01, ..., d23)
+_BORDERED = np.block([[np.zeros((1, 1), int), np.ones((1, 4), int)], [np.ones((4, 1), int), _SCATTER + 2]])
 
 
 @cache
@@ -300,23 +297,23 @@ def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndar
 
 
 # The Wald tolerances act on the scaled quadruple u, max u in [0.5, 1), and on t = kappa * 4^e (see `wald_curvature`).
-FLAT_TOL = 1e-9  # |cayley_menger(u)| <= FLAT_TOL * (max u)^8: try the flat root
+FLAT_TOL = 1e-9  # |8 g(0)| = |cayley_menger(u)| <= FLAT_TOL * (max u)^8: try the flat root, any root within FLAT_TOL of 0
 BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |t|)
-RESIDUAL_TOL = 1e-6  # largest scaled curvature determinant of a kept root
-MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 1 s and 300 MiB a quadruple
+RESIDUAL_TOL = 1e-6  # largest |g| of a kept root (scaled below t = -4, see `_curvature_det_grid`)
+MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 0.7 s and 220 MiB a quadruple
 _SCALE_RANGE = "are out of range: a curvature search scale overflows or underflows"
 _FIRST_PLAN = 8  # midpoints a bracket's first bisection round evaluates at most (see `_bisect`)
 
 
 @dataclass(frozen=True)
 class WaldOptions:
-    """Search grid of `wald_curvature`.
+    """Search range and tail grid of `wald_curvature`.
 
-    ``samples`` counts grid points, half for each sign of kappa and at least
-    8 for each, and is at most `MAX_SAMPLES`.  ``kappa_cap`` bounds the
-    hyperbolic search (default 1e4 / min d^2) and must exceed the search
-    floor 1e-7 / (max d)^2; the spherical side is always capped at
-    (pi / max d)^2.
+    ``kappa_cap`` bounds the hyperbolic search (default 1e4 / min d^2); the
+    spherical side is always capped at (pi / max d)^2.  Below t = -4, in
+    t = kappa * D^2, the search evaluates a geometric grid of ``samples // 2``
+    points, at least 8, and ``samples`` is at most `MAX_SAMPLES`; above it,
+    a fixed Chebyshev proxy.
     """
 
     samples: int = 512
@@ -362,28 +359,49 @@ class WaldResult:
         }
 
 
-def _log_cosh_np(x: np.ndarray) -> np.ndarray:
-    return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+_SEAM = -4.0  # the Chebyshev panels cover t from here to (pi / max u)^2, the geometric tail t below it
+# Chebyshev and fine-grid points of the panels [-4, 0] and [0, (pi / max u)^2]; equispaced fine grids of an
+# odd number of steps have no inner point at the middle or quarters, such as t = -1, where seeded roots lie
+_PANELS = ((16, 512), (24, 1536))
 
 
-def _curvature_det_grid(x: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-    """Scaled determinants of the curvature matrices at kappas, every kappa <= 0 before every kappa > 0.
+@cache
+def _proxy(nodes: int, fine: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev points x of [-1, 1], increasing, ``fine`` equispaced points y of [-1, 1], and the
+    (fine, nodes) matrix that carries values at x to their Chebyshev interpolant at y."""
+    k = np.arange(nodes)
+    x = -np.cos(np.pi * k / (nodes - 1))
+    y = np.linspace(-1.0, 1.0, fine)
+    m = np.cos(np.arccos(y)[:, None] * k) @ np.linalg.inv(np.cos(np.arccos(x)[:, None] * k))
+    m[[0, -1]] = np.eye(nodes)[[0, -1]]  # the ends, on the seams, carry their values exactly
+    x.flags.writeable = y.flags.writeable = m.flags.writeable = False  # shared by every call
+    return x, y, m
 
-    ``x`` holds 0 and the six distances in `_PAIR_ORDER`.  Zeros and signs
-    are preserved; log-cosh (kappa <= 0) or cos (kappa > 0) is taken of x
-    only, then scattered into the matrices, which share one determinant call.
+
+def _curvature_det_grid(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """g(t) = det B(t) at each t, times a positive factor below `_SEAM`.
+
+    B(t) = [[t, 1], [1, E(t)]], where E(t) = (1 - cos(sqrt(t) u)) / t of each distance u, the
+    curvature-matrix determinant divided by t^3, is 2 sin^2(h) / t for t > 0 and 2 sinh^2(h) / -t
+    for t < 0, with h = sqrt(|t|) u / 2, and u^2 / 2 at t = 0, which |t| = 1e-300 gives to
+    rounding.  ``x`` holds 0, E's diagonal, and the six distances in `_PAIR_ORDER`.  Below the
+    seam, where sinh^2 overflows, B is scaled to S B S, S = diag(1 / sqrt(-t), sqrt(-t / 2) e^-m,
+    ...) with m the largest h, so that no entry exceeds 1.  One determinant call evaluates every t.
     """
-    s = np.count_nonzero(kappas <= 0.0)
-    mats = np.empty((len(kappas), 4, 4))
-    if s:
-        lc = _log_cosh_np(np.sqrt(-kappas[:s])[:, None] * x)[:, _SCATTER]
-        mats[:s] = np.exp(lc - lc.max(axis=2, keepdims=True))
-    if s < len(kappas):
-        mats[s:] = np.cos(np.sqrt(kappas[s:])[:, None] * x)[:, _SCATTER]
-    # rows may underflow to zero deep in the hyperbolic range; callers treat
-    # non-finite or vanishing values explicitly, so silence the LAPACK noise
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        return np.linalg.det(mats)
+    v = np.empty((len(ts), 9))  # B[0, 0], B[0, 1:], then E of each entry of x
+    v[:, 0] = ts
+    v[:, 1] = 1.0
+    tail = ts < _SEAM
+    t = ts[~tail, None]
+    a = np.maximum(np.abs(t), 1e-300)
+    h = np.sqrt(a) * (0.5 * x)
+    v[~tail, 2:] = 2.0 * np.where(t > 0.0, np.sin(h), np.sinh(h)) ** 2 / a
+    if tail.any():
+        s = np.sqrt(-ts[tail, None])
+        h, m = s * (0.5 * x), s * (0.5 * x.max())
+        v[tail] = np.hstack((-np.ones_like(s), math.sqrt(0.5) * np.exp(-m), (0.5 * (np.exp(h - m) - np.exp(-h - m))) ** 2))
+    with np.errstate(divide="ignore"):  # deep in the tail, entries underflow and some determinants vanish
+        return np.linalg.det(v[:, _BORDERED])
 
 
 def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
@@ -434,41 +452,17 @@ def _bisect(f, a, b, fa, fb, rtol: float) -> list[tuple[float, float | None]]:
     return out
 
 
-def _grid_roots(f, grids, rtol: float, shadow: float) -> list[tuple[float, float | None]]:
-    """Candidate roots of f on increasing grids, in order, with f there (see `_bisect`).
+def _grid_roots(f, grid: np.ndarray, vals: np.ndarray, rtol: float) -> list[tuple[float, float | None]]:
+    """Roots of f bisected between neighbours of an increasing grid whose values ``vals`` differ in sign, in order.
 
-    f maps an array of points to their values; one call evaluates every
-    grid, and each round of the bisections makes one more.  A grid point is
-    a candidate when its value is zero, and a root is bisected between
-    neighbours in one grid whose values differ in sign, unless both lie
-    within ``shadow`` of zero.  Only pairs of finite values count, and the
-    last point of a grid only as a zero.  ``< 0.0`` is the sign test, so
-    -0.0 is a zero and never a negative value.
+    f maps an array of points to their values (see `_bisect`).  ``< 0.0`` is
+    the sign test, so a zero, -0.0 too, counts as positive.  A point in a run
+    of zeros, where g underflows deep in the tail, brackets nothing.
     """
-    g = np.concatenate(grids)
-    vals = f(g)
-    last = np.zeros(len(g), dtype=bool)
-    last[np.cumsum([len(grid) for grid in grids]) - 1] = True
-    fa, fb = vals[:-1], vals[1:]
-    pair = np.isfinite(fa) & np.isfinite(fb) & ~last[:-1]
-    zero = np.append(pair & (fa == 0.0), False) | (last & (vals == 0.0))
-    change = pair & (fa != 0.0) & ((fa < 0.0) != (fb < 0.0)) & (np.maximum(np.abs(g[:-1]), np.abs(g[1:])) > shadow)
-    i = np.flatnonzero(change)
-    roots = dict(zip(i.tolist(), _bisect(f, g[i], g[i + 1], fa[i], fb[i], rtol)))
-    candidates = np.flatnonzero(zero | np.append(change, False)).tolist()
-    return [roots[k] if k in roots else (float(g[k]), float(vals[k])) for k in candidates]
-
-
-def _half_grids(cap: float, floor: float, kappa_max: float, half: int) -> np.ndarray:
-    """Rows -geomspace(cap, floor, half) and geomspace(floor, kappa_max, half), by `np.geomspace`'s arithmetic."""
-    ends = np.array([[cap, floor], [floor, kappa_max]])
-    logs = np.log10(ends)
-    y = np.arange(half) * ((logs[:, 1] - logs[:, 0]) / (half - 1))[:, None] + logs[:, :1]
-    y[:, -1] = logs[:, 1]
-    grids = np.power(10.0, y)
-    grids[:, [0, -1]] = ends
-    grids[0] *= -1.0
-    return grids
+    neg, zero = vals < 0.0, vals == 0.0
+    run = zero & (np.append(False, zero[:-1]) | np.append(zero[1:], False))
+    i = np.flatnonzero((neg[:-1] != neg[1:]) & ~run[:-1] & ~run[1:])
+    return _bisect(f, grid[i], grid[i + 1], vals[i], vals[i + 1], rtol)
 
 
 def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
@@ -477,17 +471,18 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     The search runs on u = d / 2^e, e from `math.frexp(max d)`, so max u is
     in [0.5, 1), and in t = kappa * 4^e.  Both scalings are exact, so scaling
     the distances by a power of two scales each root by its inverse square,
-    bit for bit.  Flatness is decided by |cayley_menger(u)| <= FLAT_TOL * (max u)^8.
-    Nonzero candidates come from sign changes of the curvature-matrix
-    determinant on a log-spaced grid over t in [-kappa_cap * 4^e, (pi / max u)^2],
-    excluding a tiny neighbourhood of zero where that determinant vanishes
-    structurally.  Every candidate is kept only if `realize_quadruple`
-    succeeds at it in dimension 2: its Gram matrix in that model factors at
-    rank 3 (positive semidefinite on the sphere, one timelike direction on
-    the hyperboloid), and the coordinates reproduce every distance within
-    ``MATCH_TOL * max u``.  DomainError is raised for a ``kappa_cap * 4^e``
-    that overflows, a root or search interval end that is not a normal float
-    in kappa, and a ``kappa_cap`` at or below the search floor 1e-7 / (max d)^2.
+    bit for bit.  Candidates are the roots of g = det B (see
+    `_curvature_det_grid`) over t in [-kappa_cap * 4^e, (pi / max u)^2]:
+    sign changes on the tail grid below -4, and of the Chebyshev
+    interpolants above it on their fine grids, bisected on g.  The quadruple
+    is flat when |8 g(0)| = |cayley_menger(u)| <= FLAT_TOL * (max u)^8 and it
+    realizes at t = 0; a root within FLAT_TOL of 0 is then that flat root.
+    Every other candidate is kept only if `realize_quadruple` succeeds at it
+    in dimension 2 (its Gram matrix in that model factors at rank 3, and the
+    coordinates reproduce every distance within ``MATCH_TOL * max u``) and
+    |g| <= RESIDUAL_TOL there.  DomainError is raised for a ``kappa_cap *
+    4^e`` that overflows, and for a root or search interval end that is not a
+    normal float in kappa.
     """
     opts = opts or WaldOptions()
     if not nondegenerate(q):
@@ -501,23 +496,26 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     def unscaled(t: float) -> float:
         return in_range(lambda: math.ldexp(t, -2 * e), span, sys.float_info.min, _SCALE_RANGE)
 
-    kappa_max, floor, scale8 = (math.pi / umax) ** 2, 1e-7 / (umax * umax), umax**8
+    kappa_max, scale8 = (math.pi / umax) ** 2, umax**8
     cap = 1e4 / (umin * umin) if opts.kappa_cap is None else in_range(
         lambda: math.ldexp(opts.kappa_cap, 2 * e), f"kappa_cap {opts.kappa_cap!r} times 4**{e}"
     )
-    top = unscaled(kappa_max)  # first: where it is in range, so is the floor below it
-    if cap <= floor:
-        floor = math.ldexp(floor, -2 * e)  # in kappa units
-        raise DomainError(f"kappa_cap {opts.kappa_cap!r} must exceed the search floor 1e-7 / (max d)^2 = {floor!r}")
-
-    dcm = cayley_menger(uq)
-    flat = abs(dcm) <= FLAT_TOL * scale8 and realize_quadruple(uq, 0.0, 2) is not None
-    roots = [WaldRoot(0.0, abs(dcm) / scale8)] if flat else []
-    grids = _half_grids(cap, floor, kappa_max, max(opts.samples // 2, 8))
+    top = unscaled(kappa_max)
+    half = max(opts.samples // 2, 8)
+    tail = _SEAM * (cap / -_SEAM) ** (np.arange(half - 1, 0, -1) / (half - 1)) if cap > -_SEAM else np.empty(0)
+    lo = max(-cap, _SEAM)
+    (x1, y1, m1), (x2, y2, m2) = (_proxy(*panel) for panel in _PANELS)
     x = np.concatenate(([0.0], u[_PAIRS_I, _PAIRS_J]))
-    shadow = 100.0 * floor if flat else 0.0  # where a flat quadruple's candidates shadow its kappa = 0 zero
-    for t, value in _grid_roots(lambda ts: _curvature_det_grid(x, ts), grids, BISECT_RTOL, shadow):
-        if abs(t) <= shadow or realize_quadruple(uq, t, 2) is None:
+    g = _curvature_det_grid(x, np.concatenate((tail, 0.5 * lo * (1.0 - x1), 0.5 * kappa_max * (1.0 + x2[1:]))))
+    g1, g2 = g[len(tail) : len(tail) + len(x1)], g[len(tail) + len(x1) - 1 :]  # both hold g(0)
+    grid = np.concatenate((tail, 0.5 * lo * (1.0 - y1), 0.5 * kappa_max * (1.0 + y2[1:])))
+    vals = np.concatenate((g[: len(tail)], m1 @ g1, (m2 @ g2)[1:]))
+
+    cm = 8.0 * float(g1[-1])  # cayley_menger(u)
+    flat = abs(cm) <= FLAT_TOL * scale8 and realize_quadruple(uq, 0.0, 2) is not None
+    roots = [WaldRoot(0.0, abs(cm) / scale8)] if flat else []
+    for t, value in _grid_roots(lambda ts: _curvature_det_grid(x, ts), grid, vals, BISECT_RTOL):
+        if flat and abs(t) <= FLAT_TOL or realize_quadruple(uq, t, 2) is None:
             continue
         if value is None:  # the bisection ran out of steps
             value = float(_curvature_det_grid(x, np.array([t]))[0])

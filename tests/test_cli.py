@@ -151,10 +151,13 @@ class TestWaldCommand:
         r = run_cli("wald", "--quadruple", UNIT_Q, "--kappa-cap", cap)
         assert_rejected(r, "kappa_cap must be positive and finite")
 
-    def test_kappa_cap_below_the_search_floor(self):
-        # the floor is 1e-7 / (max d)^2, here 1e-7 / 1.2^2
+    def test_tiny_kappa_cap_bounds_every_root(self):
+        # any positive finite cap is searched, however small
         r = run_cli("wald", "--quadruple", "1,1.1,0.9,1.05,0.95,1.2", "--kappa-cap", "1e-12")
-        assert_rejected(r, "kappa_cap 1e-12 must exceed the search floor 1e-7 / (max d)^2 = 6.944444444444444e-08")
+        assert r.returncode == 0, r.stderr
+        doc = payload(r)
+        lo, hi = doc["search_interval"]
+        assert lo == -1e-12 and all(lo <= root["kappa"] <= hi for root in doc["roots"])
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_bad_samples(self, samples):

@@ -248,10 +248,9 @@ class TestWald:
         with pytest.raises(DomainError, match="kappa_cap"):
             WaldOptions(kappa_cap=cap)
 
-    def test_kappa_cap_at_or_below_the_search_floor(self):
-        # a cap at or below the floor 1e-7 / (max d)^2 once gave a reversed
-        # hyperbolic grid, and this quadruple a root at -1.67e-7, outside its
-        # own search interval [-1.67e-10, 16.45]
+    def test_tiny_kappa_cap_bounds_every_root(self):
+        # a cap below 4 / D^2 shrinks the first panel to [-cap, 0]; every root
+        # lies inside the search interval, however small the cap
         q = MetricQuadruple.from_pairwise(
             0.7745955693300072,
             0.33182797962059235,
@@ -260,12 +259,10 @@ class TestWald:
             0.6891756465604602,
             0.16864617724488923,
         )
-        floor = 1e-7 / (q.max_distance * q.max_distance)
-        for cap in (1.6666713999421145e-10, floor):
-            with pytest.raises(DomainError, match=f"kappa_cap {cap!r} must exceed the search floor"):
-                wald_curvature(q, WaldOptions(kappa_cap=cap))
-        res = wald_curvature(q, WaldOptions(kappa_cap=math.nextafter(floor, math.inf)))
-        assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
+        for cap in (1e-300, 1.6666713999421145e-10, 1e-7 / (q.max_distance * q.max_distance), 1.0, 1e6):
+            res = wald_curvature(q, WaldOptions(kappa_cap=cap))
+            assert res.search_interval[0] == -cap
+            assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
 
     @pytest.mark.parametrize("samples", [0, -3, 2.5, True, False, "16", None])
     def test_samples_positive_integer(self, samples):

@@ -1,22 +1,19 @@
-"""The Wald root search against a scalar reference, one grid point and one midpoint at a time.
+"""The Wald root search against an independent oracle.
 
-`scalar_wald_curvature` is `wald_curvature` as first written: a Python loop
-over the grid for sign changes, a bisection that evaluates one 4x4 curvature
-determinant per step, and one 3x3 determinant per principal minor.  The
-batched solver must give the same documents exactly (the same JSON text), and
-its half grids must be `np.geomspace`'s bit for bit.  It has no minors pass,
-since realization decides it, so the equality also checks that dropping the
-minors moves no root.  The sweeps at the end check that no quadruple makes
-the solver raise, and that a cap either raises or bounds every root.  The
-lockstep bisection is also held to call budgets: never more calls of f per
-bracket than the bisection that evaluates one midpoint at a time takes steps,
-and few curvature determinant batches and midpoints per quadruple.  A rank
-and signature test of the model Gram matrix, which shares no code with the
-solver, checks every root it reports, and scaling a quadruple by a power of
-two must scale its roots exactly.
+`oracle_roots` finds roots on its own: it evaluates the classical curvature
+determinant det[cos(sqrt(t) u)] (cosh, each row scaled by its largest
+entry, for t < 0), which shares no code with the solver, on a dense t
+grid, runs `scipy.optimize.brentq` on each sign change, and keeps the roots
+that pass `is_model_root`, a rank and signature test of the model Gram
+matrix.  Every root the solver reports must be one of the oracle's, and
+every oracle root must be reported, but on the inputs listed as known
+disagreements.  The identity f = t^3 g behind the solver, roots on the
+panel seam and on grid points, the lockstep bisection against a bisection
+that evaluates one midpoint at a time and its call budgets, and the exact
+scaling of roots by powers of two are tested too.  The sweeps check that no
+quadruple and no cap makes the solver raise.
 """
 
-import json
 import math
 import sys
 
@@ -24,30 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, quadruple, wald_curvature
-from plembed.quadruple import (
-    MAX_SAMPLES,
-    WaldResult,
-    WaldRoot,
-    _bisect,
-    _grid_roots,
-    _half_grids,
-    cayley_menger,
-    realize_quadruple,
-)
+from plembed.quadruple import FLAT_TOL, WaldRoot, _bisect, _curvature_det_grid, _grid_roots, cayley_menger
 
 SURFACE_KAPPAS = (-4.0, -1.0, 0.0, 1.0, 4.0)
-
-
-def scalar_curvature_det(d, kappa):
-    if kappa > 0.0:
-        return float(np.linalg.det(np.cos(math.sqrt(kappa) * d)))
-    x = math.sqrt(-kappa) * d
-    lc = x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
-    m = np.exp(lc - lc.max(axis=1, keepdims=True))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        return float(np.linalg.det(m))
 
 
 def scalar_bisect(f, a, b, fa, fb, rtol):
@@ -65,78 +44,12 @@ def scalar_bisect(f, a, b, fa, fb, rtol):
     return 0.5 * (a + b)
 
 
-def scalar_grid_roots(f, grid, rtol):
-    vals = [f(float(k)) for k in grid]
-    out = []
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            out.append(float(grid[i]))
-        elif (fa < 0.0) != (fb < 0.0):
-            out.append(scalar_bisect(f, float(grid[i]), float(grid[i + 1]), fa, fb, rtol))
-    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
-        out.append(float(grid[-1]))
-    return out
-
-
 def scalar_minors_ok(d, kappa, tol=1e-9):
     m = np.cos(math.sqrt(kappa) * d)
     for idx in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         if np.linalg.det(m[np.ix_(idx, idx)]) < -tol:
             return False
     return True
-
-
-def scalar_wald_curvature(q, opts=None):
-    # the solver's tolerances as literals: flatness 1e-9, bisection 1e-12,
-    # residual 1e-6 and minors 1e-9 (realize_quadruple holds the others);
-    # the search runs on u = d / 2^e, max u in [0.5, 1), in t = kappa * 4^e
-    opts = opts or WaldOptions()
-    e = math.frexp(q.max_distance)[1]
-    q = MetricQuadruple(np.ldexp(q.distances, -e))
-    d = q.distances
-    dmax, dmin = q.max_distance, q.min_distance
-    kappa_max = (math.pi / dmax) ** 2
-    cap = math.ldexp(opts.kappa_cap, 2 * e) if opts.kappa_cap is not None else 1e4 / (dmin * dmin)
-    floor = 1e-7 / (dmax * dmax)
-    scale8 = dmax**8
-    roots = []
-    flat = False
-    dcm = cayley_menger(q)
-    if abs(dcm) <= 1e-9 * scale8:
-        if realize_quadruple(q, 0.0, 2) is not None:
-            flat = True
-            roots.append(WaldRoot(0.0, abs(dcm) / scale8))
-    half = max(opts.samples // 2, 8)
-    f = lambda k: scalar_curvature_det(d, k)  # noqa: E731
-    candidates = []
-    for grid in (-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)):
-        candidates += scalar_grid_roots(f, grid, 1e-12)
-    for k in candidates:
-        if flat and abs(k) <= 100.0 * floor:
-            continue
-        if k > 0.0 and not scalar_minors_ok(d, k):
-            continue
-        if realize_quadruple(q, k, 2) is None:
-            continue
-        residual = abs(scalar_curvature_det(d, k))
-        if residual > 1e-6:
-            continue
-        roots.append(WaldRoot(math.ldexp(float(k), -2 * e), residual))
-    roots.sort(key=lambda r: r.kappa)
-    if flat:
-        classification = "flat"
-    elif not roots:
-        classification = "none-found"
-    elif len(roots) > 1:
-        classification = "multiple"
-    elif roots[0].kappa > 0.0:
-        classification = "spherical"
-    else:
-        classification = "hyperbolic"
-    return WaldResult(tuple(roots), classification, (math.ldexp(-cap, -2 * e), math.ldexp(kappa_max, -2 * e)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,90 +131,250 @@ def seeded(make, count, seed):
     return out
 
 
-def assert_same(q, opts=None):
-    # JSON text, so that -0.0 and 0.0 differ and every float is compared by its shortest repr
-    want = json.dumps(scalar_wald_curvature(q, opts).to_dict())
-    assert json.dumps(wald_curvature(q, opts).to_dict()) == want
+# ---------------------------------------------------------------------------
+# The oracle: the classical determinant on a dense grid, brentq, and a rank
+# and signature test that shares no code with the solver.
 
 
-@pytest.mark.parametrize("kappa", SURFACE_KAPPAS)
-def test_caps(kappa):
-    for q in seeded(lambda rng: surface_quadruple(kappa, rng), 24, 100 + int(kappa)):
-        assert_same(q)
+def model_gram(d, kappa):
+    """Gram matrix of the four points in the curvature-kappa model's ambient space.
+
+    Unit vectors of R^3 for kappa > 0 (cosines of the angles sqrt(kappa) d),
+    points of the hyperboloid under the (-, +, +) form for kappa < 0, and
+    centred points of the plane (classical scaling) for kappa = 0.
+    """
+    if kappa == 0.0:
+        j = np.eye(4) - 0.25
+        return -0.5 * j @ (d * d) @ j
+    s = math.sqrt(abs(kappa))
+    return np.cos(s * d) if kappa > 0.0 else -np.cosh(s * d)
 
 
-def test_whole_sphere():
-    for q in seeded(sphere_quadruple, 40, 7):
-        assert_same(q)
+def is_model_root(d, kappa, rtol=1e-10):
+    """True when the model Gram matrix has the rank and signature of the model's ambient space.
+
+    Rank at most three with no negative eigenvalue on the sphere or at most
+    one on the hyperboloid; in the plane, where centring already zeroes one
+    eigenvalue, rank at most two with none negative.  Eigenvalues within
+    `rtol` of the largest one count as zero.
+    """
+    if kappa > 0.0 and math.sqrt(kappa) * float(d.max()) > math.pi * (1.0 + rtol):
+        return False
+    lam = np.linalg.eigvalsh(model_gram(d, kappa))
+    tol = rtol * float(np.max(np.abs(lam)))
+    zeros = int(np.sum(np.abs(lam) <= tol))
+    negative = int(np.sum(lam < -tol))
+    return zeros >= (2 if kappa == 0.0 else 1) and negative <= (1 if kappa < 0.0 else 0)
 
 
-def test_space():
-    for q in seeded(space_quadruple, 40, 8):
-        assert_same(q)
+def curvature_det(u, ts):
+    """det[cos(sqrt(t) u)] at each t > 0; at t <= 0, det[cosh(sqrt(-t) u)] with each row divided by its largest entry."""
+    s = np.sqrt(np.abs(np.asarray(ts, dtype=float)))[:, None, None] * u
+    pos = np.asarray(ts) > 0.0
+    m = np.empty_like(s)
+    m[pos] = np.cos(s[pos])
+    log_cosh = s[~pos] + np.log1p(np.exp(-2.0 * s[~pos])) - math.log(2.0)
+    m[~pos] = np.exp(log_cosh - log_cosh.max(axis=2, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(m)
 
 
-def test_options():
+ORACLE_GAP = 1e-5  # |t| below this, the determinant's forced zero at t = 0 drowns in rounding
+
+
+def oracle_roots(q, cap=None):
+    """The curvatures kappa in the solver's search interval at which the curvature determinant of q changes
+    sign and the model root test passes, found on a dense grid in t = kappa * D^2 (D from `math.frexp(max d)`)
+    of 4,000 log-spaced points below -ORACLE_GAP and 20,000 equispaced ones above ORACLE_GAP."""
+    e = math.frexp(q.max_distance)[1]
+    u = np.ldexp(q.distances, -e)
+    umax, umin = u.max(), u[u > 0.0].min()
+    cap = 1e4 / umin**2 if cap is None else math.ldexp(cap, 2 * e)
+    roots = []
+    for grid in (-np.geomspace(cap, ORACLE_GAP, 4000), np.linspace(ORACLE_GAP, (math.pi / umax) ** 2, 20_000)):
+        vals = curvature_det(u, grid)
+        for i in np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)):
+            if vals[i] != 0.0:
+                t = brentq(lambda t: float(curvature_det(u, [t])[0]), grid[i], grid[i + 1], xtol=1e-300, rtol=1e-15)
+                roots.append(math.ldexp(t, -2 * e))
+    return [r for r in roots if is_model_root(q.distances, r)]
+
+
+def oracle_disagreements(q, cap=None, rtol=1e-8):
+    """Roots the solver reports that are not the oracle's, and oracle roots the solver does not report.
+
+    Roots meet within ``rtol`` relative.  The solver's roots within ORACLE_GAP of t = 0 (the flat root among
+    them) are checked by `is_model_root` alone.
+    """
+    oracle = oracle_roots(q, cap)
+    solver = [r.kappa for r in wald_curvature(q, WaldOptions(kappa_cap=cap)).roots]
+    near_zero = ORACLE_GAP / math.ldexp(1.0, 2 * math.frexp(q.max_distance)[1])
+    assert all(is_model_root(q.distances, r) for r in solver if abs(r) < near_zero)
+    unknown = [r for r in solver if abs(r) >= near_zero and not any(abs(r - o) <= rtol * abs(o) for o in oracle)]
+    unfound = [o for o in oracle if not any(abs(r - o) <= rtol * abs(o) for r in solver)]
+    return unknown, unfound
+
+
+def oracle_populations():
+    """The sets of `oracle_sets` by population, with the generating curvature (None in R^3)."""
+    pops = [(f"cap {k}", k, seeded(lambda rng, k=k: surface_quadruple(k, rng), 24, 100 + int(k))) for k in SURFACE_KAPPAS]
+    return pops + [("sphere", 1.0, seeded(sphere_quadruple, 40, 7)), ("space", None, seeded(space_quadruple, 40, 8))]
+
+
+def oracle_sets():
+    return [q for _, _, qs in oracle_populations() for q in qs]
+
+
+# (population, index in `oracle_populations`) of the inputs with an oracle root
+# that the solver does not report: each is a sign change deep in the tail,
+# -1351 on the first and -3212 and -20860 on the others, that the solver
+# brackets too, but where `realize_quadruple` fails while `is_model_root` passes
+KNOWN_DISAGREEMENTS = {("cap -1.0", 16), ("cap 0.0", 6), ("cap 0.0", 22)}
+
+
+@pytest.mark.parametrize("pop", [f"cap {k}" for k in SURFACE_KAPPAS] + ["sphere", "space"])
+def test_roots_are_the_oracles(pop):
+    [(_, _, qs)] = [p for p in oracle_populations() if p[0] == pop]
+    disagree = set()
+    for i, q in enumerate(qs):
+        unknown, unfound = oracle_disagreements(q)
+        assert not unknown, (pop, i, unknown)
+        if unfound:
+            disagree.add((pop, i))
+    assert disagree == {k for k in KNOWN_DISAGREEMENTS if k[0] == pop}
+
+
+def test_options_keep_roots_the_oracles():
+    # a coarse tail grid may miss tail roots, but reports none that the oracle lacks
     qs = seeded(lambda rng: surface_quadruple(-1.0, rng), 4, 9) + seeded(sphere_quadruple, 4, 10)
     for opts in (WaldOptions(samples=16), WaldOptions(samples=101, kappa_cap=50.0)):
         for q in qs:
-            assert_same(q, opts)
+            oracle = oracle_roots(q, opts.kappa_cap)
+            for r in wald_curvature(q, opts).roots:
+                assert is_model_root(q.distances, r.kappa)
+                assert r.kappa == 0.0 or any(abs(r.kappa - o) <= 1e-8 * abs(o) for o in oracle)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(quadruples(st.floats(0.1, 10.0)))
 def test_random_metrics(q):
-    assert_same(q)
+    unknown, _ = oracle_disagreements(q)
+    assert not unknown
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.floats(-38.0, 38.0),
-    st.floats(0.0, 300.0),
-    st.one_of(st.integers(1, 15), st.just(512), st.sampled_from([17, 1001, 4096, MAX_SAMPLES])),
-)
-@example(0.0, 1e-300, 512)  # a cap one float above the floor
-@example(-3.0, 20.0, MAX_SAMPLES)
-def test_half_grids_are_geomspace(log_dmax, log_ratio, samples):
-    # both half grids in one pass, bit for bit and sign bit for sign bit, at
-    # every search floor, cap and kappa_max a quadruple can reach
-    dmax = 10.0**log_dmax
-    floor, kappa_max = 1e-7 / (dmax * dmax), (math.pi / dmax) ** 2
-    cap = max(floor * 10.0**log_ratio, math.nextafter(floor, math.inf))
-    assume(cap < math.inf)
-    half = max(samples // 2, 8)
-    got = _half_grids(cap, floor, kappa_max, half)
-    want = np.stack([-np.geomspace(cap, floor, half), np.geomspace(floor, kappa_max, half)])
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+# (population, index in `oracle_populations`) of the inputs whose generating
+# curvature the solver misses
+KNOWN_CLOSE_PAIR_MISSES = set()
+
+
+def test_roots_pass_the_oracle():
+    misses = set()
+    for pop, kappa, qs in oracle_populations():
+        for i, q in enumerate(qs):
+            roots = [r.kappa for r in wald_curvature(q).roots]
+            assert all(is_model_root(q.distances, r) for r in roots), (pop, i, roots)
+            if kappa is not None and not any(abs(r - kappa) <= 1e-6 * (abs(kappa) or 1.0) for r in roots):
+                misses.add((pop, i))
+    assert misses == KNOWN_CLOSE_PAIR_MISSES
+
+
+def test_whole_sphere_close_pairs():
+    # kappa = 1 on all 2,000 whole-sphere quadruples of seed 5001, 136 of
+    # them with a second root within 0.05 % to 7 % of it
+    misses = [i for i, q in enumerate(seeded(sphere_quadruple, 2000, 5001)) if not any(
+        abs(r.kappa - 1.0) <= 1e-6 for r in wald_curvature(q).roots)]
+    assert misses == []
+
+
+# ---------------------------------------------------------------------------
+# The function the solver scans: g(t) = det B(t), with f(t) = t^3 g(t) for
+# the classical determinant f, and g(0) the Cayley-Menger determinant over 8.
+
+
+def test_bordered_determinant():
+    checked = 0
+    for q in oracle_sets():
+        u = MetricQuadruple(np.ldexp(q.distances, -math.frexp(q.max_distance)[1]))  # as the solver scales it
+        x = np.array([0.0, *u.pairwise()])
+        # 8 g(0) is the Cayley-Menger determinant, within 1e-12 of its scale (max u)^8; rounding in
+        # the near-planar caps' cancellation moves it further relative to the determinant itself
+        assert abs(8.0 * _curvature_det_grid(x, np.array([0.0]))[0] - cayley_menger(u)) <= 1e-12 * u.max_distance**8
+        ts = np.concatenate((-np.geomspace(1e3, 1e-2, 60), np.linspace(1e-2, (math.pi / u.max_distance) ** 2, 60)))
+        f, g = curvature_det(u.distances, ts), _curvature_det_grid(x, ts)
+        assert np.array_equal(np.sign(f), np.sign(ts**3 * g))
+        checked += len(ts)
+    assert checked == 200 * 120
+
+
+def test_near_planar_repro():
+    # |cayley_menger| / (max d)^8 = 1.56e-9, just above FLAT_TOL: g has one
+    # small root, where the rounding noise of the classical determinant's
+    # forced zero at 0 changes sign many times
+    q = MetricQuadruple.from_pairwise(
+        0.30702088907882885, 0.6072451321854453, 0.09136529946008107, 0.643895203953462, 0.39750402902238835, 0.6392740372234854
+    )
+    res = wald_curvature(q)
+    assert res.classification == "multiple"
+    [big, small] = [r.kappa for r in res.roots]
+    assert big == pytest.approx(-10.4988340879, rel=1e-9) and 0.0 < abs(small) <= 2e-6
+    assert all(is_model_root(q.distances, r.kappa) for r in res.roots)
+    assert abs(cayley_menger(q)) > FLAT_TOL * q.max_distance**8
+
+
+def cap_at(kappa, e, rng):
+    """A cap of the kappa surface whose largest distance d has `math.frexp(d)[1] == e`, or None."""
+    q = surface_quadruple(kappa, rng, radius=rng.uniform(0.1, 3.0))
+    return q if q is not None and math.frexp(q.max_distance)[1] == e else None
+
+
+@pytest.mark.parametrize("e", [-1, 0, 1])
+@pytest.mark.parametrize("kappa", [-4.0, -1.0])
+def test_roots_on_seams_and_grid_points(kappa, e):
+    # the generating root lies at t = kappa * 4^e exactly: on the seam t = -4
+    # between the tail and the first panel, at t = -1 in that panel, or at
+    # -16 or -1/4; every one of the 40 caps must find it
+    for i, q in enumerate(seeded(lambda rng: cap_at(kappa, e, rng), 40, 300 + 10 * int(kappa) + e)):
+        assert any(abs(r.kappa - kappa) <= 1e-6 * abs(kappa) for r in wald_curvature(q).roots), i
 
 
 # ---------------------------------------------------------------------------
 # The root search on synthetic functions.
 
 
+def scalar_grid_roots(f, grid, vals, rtol):
+    """Roots bisected one grid pair and one midpoint at a time: pairs of opposite sign by `< 0.0`, no zero of a run."""
+    zero = [v == 0.0 for v in vals]
+    run = [z and ((i > 0 and zero[i - 1]) or (i + 1 < len(vals) and zero[i + 1])) for i, z in enumerate(zero)]
+    out = []
+    for i in range(len(grid) - 1):
+        if (vals[i] < 0.0) != (vals[i + 1] < 0.0) and not (run[i] or run[i + 1]):
+            out.append(scalar_bisect(f, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1], rtol))
+    return out
+
+
 @pytest.mark.parametrize(
-    "vals, want",
+    "vals, brackets",
     [
-        # -0.0 is a zero and not negative: no bracket between 1.0 and -0.0
-        ((1.0, -0.0, -1.0), [2.0]),
-        ((-0.0, 1.0, -0.0), [1.0, 3.0]),
-        # a bracket between -1.0 and -0.0, then the zero itself
-        ((-1.0, -0.0, 1.0), 2),
-        # non-finite values break their pairs; -1.0 to 0.0 is a sign change
-        ((1.0, math.nan, -1.0, 0.0), 2),
-        ((-1.0, math.inf, 0.0, 2.0), [3.0]),
+        # a zero of either sign counts as positive
+        ((1.0, -0.0, -1.0), 1),
+        ((-0.0, 1.0, 0.0), 0),
+        ((-1.0, -0.0, 1.0), 1),
+        ((-1.0, 0.0, 2.0, -3.0), 2),
+        # a run of zeros, where g underflows, brackets nothing on either side
+        ((-1.0, 0.0, 0.0, 1.0), 0),
+        ((-1.0, 0.0, -0.0, 0.0, -2.0, 1.0), 1),
         ((0.5, -0.5, 0.25, -0.25), 3),
     ],
 )
-def test_sign_tests(vals, want):
-    """`want` is the candidates, or how many there are when some are bisected."""
+def test_sign_tests(vals, brackets):
     grid = np.arange(1.0, len(vals) + 1.0)
     f = lambda k: np.interp(k, grid, vals)  # noqa: E731
-    pairs = _grid_roots(f, (grid,), 1e-12, 0.0)
+    pairs = _grid_roots(f, grid, np.array(vals), 1e-12)
     got = [k for k, _ in pairs]
-    assert got == scalar_grid_roots(lambda k: float(f(k)), grid, 1e-12)
-    # each candidate comes with f there, from the evaluation that found it
+    assert got == scalar_grid_roots(lambda k: float(f(k)), grid, vals, 1e-12)
+    assert len(got) == brackets
+    # each root comes with f there, from the evaluation that found it
     assert all(value == float(f(k)) for k, value in pairs)
-    assert got == want if isinstance(want, list) else len(got) == want
 
 
 def test_negative_zero_midpoint():
@@ -444,12 +517,8 @@ def test_wrong_secant_costs_no_calls(a, width, falling, rtol):
     assert got == scalar_bisect(lambda k: float(f(k)), a, a + width, fa, fb, rtol)
 
 
-def oracle_sets():
-    sets = [seeded(lambda rng, k=k: surface_quadruple(k, rng), 24, 100 + int(k)) for k in SURFACE_KAPPAS]
-    return [q for qs in sets for q in qs] + seeded(sphere_quadruple, 40, 7) + seeded(space_quadruple, 40, 8)
-
-
 def test_determinant_batches_per_quadruple(monkeypatch):
+    # about 4.5 batches a quadruple here: the tail grid and the Chebyshev points, then the rounds
     calls = []
     det_grid = quadruple._curvature_det_grid
     monkeypatch.setattr(quadruple, "_curvature_det_grid", lambda x, ks: calls.append(len(ks)) or det_grid(x, ks))
@@ -460,8 +529,7 @@ def test_determinant_batches_per_quadruple(monkeypatch):
 
 
 def test_midpoints_per_quadruple(monkeypatch):
-    # the bisection rounds evaluate about 103 midpoints a quadruple here; a
-    # round that planned every path down to the rtol stop evaluated about 187
+    # the bisection rounds evaluate about 74 midpoints a quadruple here
     calls = []
     det_grid = quadruple._curvature_det_grid
     monkeypatch.setattr(quadruple, "_curvature_det_grid", lambda x, ks: calls.append(len(ks)) or det_grid(x, ks))
@@ -484,29 +552,7 @@ def test_spherical_roots_pass_the_minors():
             if root.kappa > 0.0:
                 assert scalar_minors_ok(q.distances, root.kappa)
                 spherical += 1
-    assert spherical > 3000  # 3,239
-
-
-def test_flat_shadows_not_bisected(monkeypatch):
-    # planar quadruples: the determinant changes sign near kappa = 0, within
-    # 100 * floor, where no bracket is bisected; the documents do not change.
-    # The solver brackets t = kappa * 4^e on u = d / 2^e, max u in [0.5, 1)
-    brackets = []
-    bisect = quadruple._bisect
-    monkeypatch.setattr(quadruple, "_bisect", lambda f, a, b, *rest: brackets.append((a, b)) or bisect(f, a, b, *rest))
-    shadows = 0
-    for q in seeded(lambda rng: surface_quadruple(0.0, rng), 6, 100):
-        u = np.ldexp(q.distances, -math.frexp(q.max_distance)[1])
-        dmax, dmin = u.max(), u[u > 0.0].min()
-        floor = 1e-7 / dmax**2
-        for grid in (-np.geomspace(1e4 / dmin**2, floor, 256), np.geomspace(floor, (math.pi / dmax) ** 2, 256)):
-            vals = [scalar_curvature_det(u, k) for k in grid[np.abs(grid) <= 100.0 * floor]]
-            shadows += sum(x != 0.0 and (x < 0.0) != (y < 0.0) for x, y in zip(vals, vals[1:]))
-        brackets.clear()
-        assert_same(q)
-        assert wald_curvature(q).classification == "flat"
-        assert all(max(abs(x), abs(y)) > 100.0 * floor for a, b in brackets for x, y in zip(a, b))
-    assert shadows > 0
+    assert spherical > 3000  # 3,515
 
 
 # ---------------------------------------------------------------------------
@@ -548,74 +594,12 @@ def test_random_metrics_raise_nothing(q, cap):
     ),
     1.6666713999421145e-10,
 )
-def test_caps_raise_or_bound_every_root(q, cap):
-    # a cap at or below the search floor 1e-7 / (max d)^2 is a DomainError;
-    # any other cap keeps every root inside the search interval
-    try:
-        res = wald_curvature(q, WaldOptions(kappa_cap=cap))
-    except DomainError as e:
-        assert "must exceed the search floor" in str(e) and cap <= 1e-7 / (q.max_distance * q.max_distance)
-        return
+def test_every_cap_bounds_every_root(q, cap):
+    # every positive finite cap, however small, searches [-cap, (pi / max d)^2]
+    # and keeps every root inside that interval
+    res = wald_curvature(q, WaldOptions(kappa_cap=cap))
+    assert res.search_interval[0] == -cap or res.search_interval[0] == pytest.approx(-cap, rel=1e-15)
     assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
-
-
-# ---------------------------------------------------------------------------
-# The root oracle: every reported root realizes the quadruple in its model,
-# by a rank and signature test that shares no code with the solver.
-
-
-def model_gram(d, kappa):
-    """Gram matrix of the four points in the curvature-kappa model's ambient space.
-
-    Unit vectors of R^3 for kappa > 0 (cosines of the angles sqrt(kappa) d),
-    points of the hyperboloid under the (-, +, +) form for kappa < 0, and
-    centred points of the plane (classical scaling) for kappa = 0.
-    """
-    if kappa == 0.0:
-        j = np.eye(4) - 0.25
-        return -0.5 * j @ (d * d) @ j
-    s = math.sqrt(abs(kappa))
-    return np.cos(s * d) if kappa > 0.0 else -np.cosh(s * d)
-
-
-def is_model_root(d, kappa, rtol=1e-10):
-    """True when the model Gram matrix has the rank and signature of the model's ambient space.
-
-    Rank at most three with no negative eigenvalue on the sphere or at most
-    one on the hyperboloid; in the plane, where centring already zeroes one
-    eigenvalue, rank at most two with none negative.  Eigenvalues within
-    `rtol` of the largest one count as zero.
-    """
-    if kappa > 0.0 and math.sqrt(kappa) * float(d.max()) > math.pi * (1.0 + rtol):
-        return False
-    lam = np.linalg.eigvalsh(model_gram(d, kappa))
-    tol = rtol * float(np.max(np.abs(lam)))
-    zeros = int(np.sum(np.abs(lam) <= tol))
-    negative = int(np.sum(lam < -tol))
-    return zeros >= (2 if kappa == 0.0 else 1) and negative <= (1 if kappa < 0.0 else 0)
-
-
-# (population, index in `oracle_populations`) of the inputs whose generating
-# curvature the solver misses: each has two spherical roots too close
-# together for the grid to bracket, and reads none-found
-KNOWN_CLOSE_PAIR_MISSES = {("cap 1.0", 14), ("sphere", 31)}
-
-
-def oracle_populations():
-    """The sets of `oracle_sets` by population, with the generating curvature (None in R^3)."""
-    pops = [(f"cap {k}", k, seeded(lambda rng, k=k: surface_quadruple(k, rng), 24, 100 + int(k))) for k in SURFACE_KAPPAS]
-    return pops + [("sphere", 1.0, seeded(sphere_quadruple, 40, 7)), ("space", None, seeded(space_quadruple, 40, 8))]
-
-
-def test_roots_pass_the_oracle():
-    misses = set()
-    for pop, kappa, qs in oracle_populations():
-        for i, q in enumerate(qs):
-            roots = [r.kappa for r in wald_curvature(q).roots]
-            assert all(is_model_root(q.distances, r) for r in roots), (pop, i, roots)
-            if kappa is not None and not any(abs(r - kappa) <= 1e-6 * (abs(kappa) or 1.0) for r in roots):
-                misses.add((pop, i))
-    assert misses == KNOWN_CLOSE_PAIR_MISSES
 
 
 # ---------------------------------------------------------------------------
