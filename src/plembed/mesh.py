@@ -167,12 +167,12 @@ def _numbers(lines: list[str], faces: bool) -> tuple[np.ndarray, np.ndarray]:
 
     Returns them flat, and how many each line gives; raises ValueError at a bad line, OverflowError beyond int64.
     """
-    tokens = " ".join(lines).split()
+    tokens: list[str] = []  # each line's split, appended and dropped: a list kept per line costs the collector more
 
     def read(kind: type, at: np.ndarray) -> np.ndarray:  # kind(token), float or int, of the tokens at positions at
         return np.fromiter(map(kind, map(tokens.__getitem__, at.tolist())), kind, len(at))
 
-    width = np.fromiter(map(len, map(str.split, lines)), int, len(lines))
+    width = np.fromiter((tokens.extend(parts) or len(parts) for parts in map(str.split, lines)), int, len(lines))
     start = np.cumsum(width) - width
     k = read(int, start) if faces else np.full(len(lines), 3)
     if np.any((k < 3) | (k + faces > width)):

@@ -363,15 +363,16 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
     """Monte Carlo estimate of `normalized_link_volume` with standard error.
 
     It counts the directions w with w . n <= 0 for the outward normal n of
-    every face at v, a test folded one face at a time into one boolean per
-    direction.  That is the corner itself only at convex corners; elsewhere
-    it estimates the intersection of the half-spaces, not the link volume.
+    every face at v, read from one (faces x samples) sign table: w is inside
+    when the largest entry of its column is <= 0.  That is the corner itself
+    only at convex corners; elsewhere it estimates the intersection of the
+    half-spaces, not the link volume.
 
-    The directions are normalized standard normal draws from one stream of a
-    counter-based (Philox) generator seeded with `seed`, counted MC_CHUNK
-    samples at a time, with the variance merged over chunks by Welford
-    updates; the same arguments give the same bits.  `samples` must be an
-    integer of at least 2 and `seed` a nonnegative integer (DomainError).
+    The directions are standard normal draws, unnormalized (the signs stay),
+    from one stream of a counter-based (Philox) generator seeded with `seed`,
+    counted MC_CHUNK at a time with the variance merged by Welford updates;
+    the same arguments give the same bits.  `samples` must be an integer of
+    at least 2 and `seed` a nonnegative integer (DomainError).
     """
     if not isinstance(samples, int) or isinstance(samples, bool):
         raise DomainError(f"samples must be an integer, got {samples!r}")
@@ -387,13 +388,7 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
     count, mean, m2 = 0, 0.0, 0.0
     while count < samples:
         take = min(MC_CHUNK, samples - count)
-        w = gen.normal(size=(take, 3))
-        a, b, c = w.T
-        w /= np.sqrt(a * a + b * b + c * c)[:, None]
-        d = w @ normals.T
-        inside = d[:, 0] <= 0.0
-        for column in d.T[1:]:
-            inside &= column <= 0.0
+        inside = np.maximum.reduce(normals @ gen.standard_normal((take, 3)).T) <= 0.0
         # Welford merge of the chunk (indicator mean/variance) into the run.
         c_mean = float(np.mean(inside))
         c_m2 = float(np.sum((inside - c_mean) ** 2))

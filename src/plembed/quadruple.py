@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -185,22 +185,32 @@ class MetricQuadruple:
 
     @property
     def min_distance(self) -> float:
-        return float(self.distances[~np.eye(4, dtype=bool)].min())
+        return float(self.distances[_PAIRS_I, _PAIRS_J].min())
+
+    @cached_property
+    def _between(self) -> bool:  # the distances are read-only, so `_betweenness` runs once a quadruple
+        return bool(_betweenness(self.distances, BETWEENNESS_MARGIN))
 
 
 def cayley_menger(q: MetricQuadruple) -> float:
-    """Bordered 5x5 Cayley-Menger determinant of the quadruple; DomainError where it overflows."""
-    b = np.ones((5, 5))
-    b[0, 0] = 0.0
+    """Bordered 5x5 Cayley-Menger determinant of the quadruple; DomainError where it over- or underflows.
+
+    It underflowed where it is 0 or subnormal while that of u = d / 2^e, e from
+    `math.frexp(max d)`, is not 0 but times 2^(6e) is 0 or subnormal too.
+    """
+    x, e = q.distances[_PAIRS_I, _PAIRS_J], math.frexp(q.max_distance)[1]
+    det = lambda s: float(np.linalg.det(np.concatenate(([0.0, 1.0, 0.0], s * s))[_BORDERED]))  # s: the six sides
+    what = f"Cayley-Menger determinant of distances up to {q.max_distance!r}"
     with np.errstate(over="ignore", invalid="ignore"):
-        b[1:, 1:] = q.distances * q.distances
-        what = f"Cayley-Menger determinant of distances up to {q.max_distance!r}"
-        return in_range(lambda: float(np.linalg.det(b)), what)
+        cm = in_range(lambda: det(x), what)
+    if abs(cm) < sys.float_info.min and (u := det(np.ldexp(x, -e))) != 0.0:
+        in_range(lambda: math.ldexp(u, 6 * e), what, sys.float_info.min)
+    return cm
 
 
 def nondegenerate(q: MetricQuadruple) -> bool:
     """True when no point lies metrically between two others (see `_betweenness`)."""
-    return not _betweenness(q.distances, BETWEENNESS_MARGIN)
+    return not q._between
 
 
 def _angle_table(d: np.ndarray, kappa, vertices: int = 4) -> tuple[np.ndarray, tuple[int, str] | None]:

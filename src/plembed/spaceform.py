@@ -197,7 +197,7 @@ def _factor(gram: np.ndarray, rank: int, timelike: bool) -> np.ndarray | None:
     if np.count_nonzero(w > tol) > rank:
         return None
     order = np.argsort(w)[::-1][:rank]
-    y = np.linalg.qr((v[:, order] * np.sqrt(w[order])).T)[1].T
+    y = np.linalg.qr((v[:, order] * np.sqrt(w[order])).T, mode="r").T
     first = (np.abs(y) > 0.0).argmax(axis=0)
     y = np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
     return np.column_stack([*time, y, np.zeros((len(g), rank - y.shape[1]))])

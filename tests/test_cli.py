@@ -594,6 +594,8 @@ RANGE_ERRORS = [
     (("curve-curvature", "--triple", "5e-324,5e-324,5e-324"), "curvature of CurveTriple(leg1=5e-324"),
     # roots near 1e-140 are in range; the Cayley-Menger determinant of the document is not
     (("wald", "--quadruple", ",".join(["1e70"] * 6)), "Cayley-Menger determinant of distances up to 1e+70 is out of"),
+    # the roots are right; the determinant, 4e-360, is below it and was printed as 0.0
+    (("wald", "--quadruple", ",".join(["1e-60"] * 6)), "Cayley-Menger determinant of distances up to 1e-60 is out of"),
     *(
         (("embed-check", "--quadruple", "1,1,1,1,1,1", f"--kappa={k}"), f"curvature {k} is subnormal")
         for k in ("1e-320", "-1e-320", "1e-310", "-1e-310")

@@ -358,6 +358,21 @@ class TestParseOffOracle:
         with pytest.raises(ParseError, match="^line 2: bad counts$"):
             parse_off(TETRA_OFF.replace("4 4 6", counts))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_whitespace(self, seed):
+        # tokens joined by tabs, runs of spaces and no-break spaces, also before and after them,
+        # where each block's lines are split once: the same arrays, or the same error and line
+        rng = np.random.default_rng([seed, 8104])
+        gaps = [" ", "   ", "\t", "\t\t ", "\xa0", " \xa0\t", "\u2003"]
+        gap = lambda: str(rng.choice(gaps))  # noqa: E731
+        for _ in range(60):
+            text = _off_text(rng) if rng.random() < 0.5 else _mutate(_off_text(rng), rng)
+            text = "\n".join(gap() + gap().join(line.split()) + gap() for line in text.split("\n"))
+            want = _outcome(reference_parse_off, text)
+            counts = _counts(text)
+            if want[0] != "OverflowError" and not (counts and min(counts[1:]) < 0):
+                assert _outcome(parse_off, text) == want, text
+
     def test_empty_blocks_keep_their_errors(self):
         with pytest.raises(MeshError, match="vertices must be"):
             parse_off("OFF\n0 0 0\n")

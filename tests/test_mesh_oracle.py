@@ -742,6 +742,22 @@ class TestMonteCarloOracle:
             assert_same_estimates(PolyMesh(apex_v, np.array(apex_f)), [0], samples, seed)
 
 
+class TestMonteCarloSweep:
+    """Seeded corners of every kind at the chunk boundary, the same bits as the normalised reference."""
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_dented_icosphere_corners(self, seed):
+        v, f = dented_icosphere(3, seed)
+        kinds = corner_kinds(ScalarMesh(v, f))
+        rng = np.random.default_rng(seed)
+        corners = [
+            int(i) for kind in ("convex", "reflex", "saddle")
+            for i in rng.choice([i for i, k in enumerate(kinds) if k == kind], size=2, replace=False)
+        ]
+        for samples in (MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1):
+            assert_same_estimates(PolyMesh(v, f), corners, samples, seed)
+
+
 class TestErrorOracle:
     """Random defects: the batched checks name the same face or edge as the scalar loops."""
 

@@ -19,6 +19,7 @@ from plembed import (
     s3_embeddability,
     wald_curvature,
 )
+from plembed import quadruple
 from plembed.quadruple import BISECT_RTOL, MAX_SAMPLES
 
 from conftest import geodesic_distance, separated, vertex_excess
@@ -91,6 +92,33 @@ class TestCayleyMenger:
         b = cayley_menger(MetricQuadruple(dp))
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("side", [1e-60, 1e-52])
+    def test_underflow_is_out_of_the_float_range(self, side):
+        # 4 side^6, below the normal range: not a planar 0.0
+        with pytest.raises(DomainError, match="up to .* is out of the float range"):
+            cayley_menger(MetricQuadruple.from_pairwise(*[side] * 6))
+
+    def test_normal_values_and_zeros_keep_their_bits(self):
+        # the determinant of the bordered squared distances as taken before the underflow test, down to
+        # sides of 1e-51, and on planar lattice quadruples, whose 0.0 or rounding noise the quadruple
+        # scaled by a power of two does not reproduce
+        def direct(q):
+            b = np.ones((5, 5))
+            b[0, 0] = 0.0
+            b[1:, 1:] = q.distances * q.distances
+            return float(np.linalg.det(b))
+
+        rng = np.random.default_rng(8)
+        qs = [MetricQuadruple.from_pairwise(*[side] * 6) for side in (1e-51, 1e-40, 1.0, 1e40)]
+        while len(qs) < 300:
+            p = rng.integers(-3, 4, size=(4, 2)).astype(float)
+            d = np.linalg.norm(p[:, None] - p[None, :], axis=-1)
+            if np.all(d + np.eye(4) > 0.0):
+                qs.append(MetricQuadruple(d))
+        got = [cayley_menger(q).hex() for q in qs]
+        assert got == [direct(q).hex() for q in qs]
+        assert 0 < got.count((0.0).hex()) < 200
+
 
 class TestMetricQuadruple:
     def test_pairwise_round_trip(self):
@@ -116,6 +144,16 @@ class TestNondegenerate:
     def test_tetra_and_square(self):
         assert nondegenerate(UNIT)
         assert nondegenerate(SQUARE)
+
+    def test_one_betweenness_test_per_quadruple(self, monkeypatch):
+        # the quadruple's distances are read-only, so the solver and the certificate share one test
+        calls = []
+        test = quadruple._betweenness
+        monkeypatch.setattr(quadruple, "_betweenness", lambda d, margin: calls.append(margin) or test(d, margin))
+        q = MetricQuadruple.from_pairwise(1, 1.1, 0.9, 1.05, 0.95, 1.2)
+        wald_curvature(q)
+        s3_embeddability(q, 1.0)
+        assert len(calls) == 1
 
 
 class TestVertexExcess:
