@@ -53,7 +53,6 @@ from .qcbounds import (
 from .quadruple import (
     EmbeddabilityCertificate,
     MetricQuadruple,
-    WaldOptions,
     WaldResult,
     WaldRoot,
     cayley_menger,
@@ -103,7 +102,6 @@ __all__ = [
     "PolyMesh",
     "QuadrupleCheck",
     "UnknownVertexError",
-    "WaldOptions",
     "WaldResult",
     "WaldRoot",
     "canonical_element",

@@ -45,7 +45,8 @@ def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[flo
         raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= params.source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
-    t, scale = params.target_angle / params.source_angle, params.radial_scale
+    source, target, scale = params.source_angle, params.target_angle, params.radial_scale
+    t = in_range(lambda: target / source, f"angle ratio {target!r} / {source!r}")
     return in_range(lambda: scale * rho**t, f"image radius {scale!r} * {rho!r}**{t!r}"), t * phi
 
 
@@ -62,7 +63,7 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
         raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
-    return rho, (TWO_PI / source_angle) * phi
+    return rho, in_range(lambda: TWO_PI / source_angle, f"angle ratio 2*pi / {source_angle!r}") * phi
 
 
 # ---------------------------------------------------------------------------

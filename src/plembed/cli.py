@@ -6,8 +6,7 @@ document; its bytes are those of `json.dumps` with sorted keys and an
 indent of 2.  Exit status: 0 on success, 1 when a feasibility command
 returns a negative verdict, 2 on input or usage errors.  Numbers are emitted
 with Python's shortest round-trip float representation, so parsing them
-back reproduces the exact values.  The PLEMBED_SEED environment variable sets
-the default Monte Carlo seed.
+back reproduces the exact values.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from itertools import chain
 
@@ -144,7 +142,7 @@ def _load_graph(path: str):
 
 def _cmd_wald(args) -> int:
     q = _quadruple_from_arg(args.quadruple)
-    res = quadruple.wald_curvature(q, quadruple.WaldOptions(samples=args.samples, kappa_cap=args.kappa_cap))
+    res = quadruple.wald_curvature(q, args.kappa_cap)
     payload = {"command": "wald", "quadruple": list(q.pairwise())}
     payload.update(res.to_dict())
     payload["cayley_menger"] = quadruple.cayley_menger(q)
@@ -237,6 +235,8 @@ def _cmd_index_bound(args) -> int:
 
 
 def _cmd_link_volume(args) -> int:
+    if args.dual and args.method == "monte-carlo":
+        raise ParseError("--dual is computed exactly; it takes no --method monte-carlo")
     m = mesh.load_off(args.mesh)
     payload = {"command": "link-volume", "mesh": args.mesh, "vertex": args.vertex, "method": args.method}
     if args.dual:
@@ -245,14 +245,7 @@ def _cmd_link_volume(args) -> int:
     elif args.method == "exact":
         payload["value"] = qcbounds.normalized_link_volume(m, args.vertex)
     else:
-        seed = args.seed
-        if seed is None:
-            text = os.environ.get("PLEMBED_SEED", "0")
-            try:
-                seed = int(text)
-            except ValueError:
-                raise ParseError(f"PLEMBED_SEED must be an integer, got {text!r}") from None
-        est = qcbounds.normalized_link_volume_mc(m, args.vertex, samples=args.samples, seed=seed)
+        est = qcbounds.normalized_link_volume_mc(m, args.vertex, samples=args.samples, seed=args.seed)
         payload.update(est.to_dict())
     _emit(payload, args)
     return 0
@@ -330,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wald", help="embedding-curvature roots of a metric quadruple")
     p.add_argument("--quadruple", required=True, help="d12,d13,d14,d23,d24,d34")
-    p.add_argument("--samples", type=int, default=quadruple.WaldOptions.samples)
     p.add_argument("--kappa-cap", type=float, default=None)
     add_output(p)
     p.set_defaults(func=_cmd_wald)
@@ -385,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dual", action="store_true", help="volume of the dual cone (exterior angle); convex corners only")
     add_output(p)
     p.set_defaults(func=_cmd_link_volume)

@@ -74,9 +74,9 @@ def dihedral_wedge_coefficients(spec: DihedralWedgeSpec) -> DilatationBounds:
     bounded below by its (n-1)-th root, and the maximal dilatation equals
     the inner one.
     """
-    k, prod = len(spec.angles), math.prod(spec.angles)
+    n, k, prod = spec.dimension, len(spec.angles), math.prod(spec.angles)
     inner = in_range(lambda: math.prod([math.pi] * k) / prod, f"inner dilatation pi**{k} / {prod!r}")
-    return DilatationBounds(inner, inner ** (1.0 / (spec.dimension - 1)), inner)
+    return DilatationBounds(inner, inner ** in_range(lambda: 1.0 / (n - 1), f"dimension {n}"), inner)
 
 
 def convex_face_count_bound(num_faces: int, dimension: int) -> DilatationBounds:
@@ -91,7 +91,7 @@ def convex_face_count_bound(num_faces: int, dimension: int) -> DilatationBounds:
     if m <= n:
         raise DomainError("a convex polyhedron needs more faces than the dimension")
     val = (m - n + 2) / (m - n)
-    return DilatationBounds(val, val ** (1.0 / (n - 1)), val)
+    return DilatationBounds(val, val ** in_range(lambda: 1.0 / (n - 1), f"dimension {n}"), val)
 
 
 def uniform_index_bound(dimension: int, inner: float) -> float:
@@ -101,7 +101,9 @@ def uniform_index_bound(dimension: int, inner: float) -> float:
         raise DomainError("the index bound is stated for dimension >= 3")
     if not inner >= 1.0:
         raise DomainError("inner dilatation is at least 1")
-    return in_range(lambda: float(n ** (n - 1)) * inner, f"index bound {n}**{n - 1} * {inner!r}")
+    # n**(n - 1) is not built past 2**1024 (n = 10**400 would not end); in_range catches (n - 1) * log2(n)'s overflow
+    power = lambda: float(n ** (n - 1)) if (n - 1) * math.log2(n) <= 1024 else math.inf
+    return in_range(lambda: power() * inner, f"index bound {n}**{n - 1} * {inner!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -310,32 +310,8 @@ def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndar
 FLAT_TOL = 1e-9  # |8 g(0)| = |cayley_menger(u)| <= FLAT_TOL * (max u)^8: try the flat root, any root within FLAT_TOL of 0
 BISECT_RTOL = 1e-12  # a bisection stops at a bracket of BISECT_RTOL * (1 + |t|)
 RESIDUAL_TOL = 1e-6  # largest |g| of a kept root (scaled below t = -4, see `_curvature_det_grid`)
-MAX_SAMPLES = 1 << 20  # largest `WaldOptions.samples`: about 0.7 s and 220 MiB a quadruple
 _SCALE_RANGE = "are out of range: a curvature search scale overflows or underflows"
 _FIRST_PLAN = 8  # midpoints a bracket's first bisection round evaluates at most (see `_bisect`)
-
-
-@dataclass(frozen=True)
-class WaldOptions:
-    """Search range and tail grid of `wald_curvature`.
-
-    ``kappa_cap`` bounds the hyperbolic search (default 1e4 / min d^2); the
-    spherical side is always capped at (pi / max d)^2.  Below t = -4, in
-    t = kappa * D^2, the search evaluates a geometric grid of ``samples // 2``
-    points, at least 8, and ``samples`` is at most `MAX_SAMPLES`; above it,
-    a fixed Chebyshev proxy.
-    """
-
-    samples: int = 512
-    kappa_cap: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 1:
-            raise DomainError("samples must be a positive integer")
-        if self.samples > MAX_SAMPLES:
-            raise DomainError(f"samples must be at most {MAX_SAMPLES}")
-        if self.kappa_cap is not None and not 0.0 < self.kappa_cap < math.inf:
-            raise DomainError("kappa_cap must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -370,6 +346,7 @@ class WaldResult:
 
 
 _SEAM = -4.0  # the Chebyshev panels cover t from here to (pi / max u)^2, the geometric tail t below it
+_TAIL = 256  # points of the geometric grid from -cap to `_SEAM`; all but the seam, which the panels hold, are evaluated
 # Chebyshev and fine-grid points of the panels [-4, 0] and [0, (pi / max u)^2]; equispaced fine grids of an
 # odd number of steps have no inner point at the middle or quarters, such as t = -1, where seeded roots lie
 _PANELS = ((16, 512), (24, 1536))
@@ -475,7 +452,7 @@ def _grid_roots(f, grid: np.ndarray, vals: np.ndarray, rtol: float) -> list[tupl
     return _bisect(f, grid[i], grid[i + 1], vals[i], vals[i + 1], rtol)
 
 
-def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldResult:
+def wald_curvature(q: MetricQuadruple, kappa_cap: float | None = None) -> WaldResult:
     """Curvatures kappa whose 2-dimensional model realizes the quadruple.
 
     The search runs on u = d / 2^e, e from `math.frexp(max d)`, so max u is
@@ -494,7 +471,8 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
     4^e`` that overflows, and for a root or search interval end that is not a
     normal float in kappa.
     """
-    opts = opts or WaldOptions()
+    if kappa_cap is not None and not 0.0 < kappa_cap < math.inf:
+        raise DomainError("kappa_cap must be positive and finite")
     if not nondegenerate(q):
         raise DegenerateQuadrupleError("quadruple has a metric betweenness")
     e = math.frexp(q.max_distance)[1]
@@ -507,12 +485,11 @@ def wald_curvature(q: MetricQuadruple, opts: WaldOptions | None = None) -> WaldR
         return in_range(lambda: math.ldexp(t, -2 * e), span, sys.float_info.min, _SCALE_RANGE)
 
     kappa_max, scale8 = (math.pi / umax) ** 2, umax**8
-    cap = 1e4 / (umin * umin) if opts.kappa_cap is None else in_range(
-        lambda: math.ldexp(opts.kappa_cap, 2 * e), f"kappa_cap {opts.kappa_cap!r} times 4**{e}"
+    cap = 1e4 / (umin * umin) if kappa_cap is None else in_range(
+        lambda: math.ldexp(kappa_cap, 2 * e), f"kappa_cap {kappa_cap!r} times 4**{e}"
     )
     top = unscaled(kappa_max)
-    half = max(opts.samples // 2, 8)
-    tail = _SEAM * (cap / -_SEAM) ** (np.arange(half - 1, 0, -1) / (half - 1)) if cap > -_SEAM else np.empty(0)
+    tail = _SEAM * (cap / -_SEAM) ** (np.arange(_TAIL - 1, 0, -1) / (_TAIL - 1)) if cap > -_SEAM else np.empty(0)
     lo = max(-cap, _SEAM)
     (x1, y1, m1), (x2, y2, m2) = (_proxy(*panel) for panel in _PANELS)
     x = np.concatenate(([0.0], u[_PAIRS_I, _PAIRS_J]))

@@ -13,13 +13,11 @@ import plembed
 KEPT = {
     ("FoldParams", "radial_scale"),
     ("ParseError", "line"),
-    ("WaldOptions", "kappa_cap"),
-    ("WaldOptions", "samples"),
     ("normalized_link_volume_mc", "samples"),
     ("normalized_link_volume_mc", "seed"),
     ("polyline_curvature", "mode"),
     ("realize_quadruple", "dim"),
-    ("wald_curvature", "opts"),
+    ("wald_curvature", "kappa_cap"),
 }
 
 

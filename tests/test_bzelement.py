@@ -89,6 +89,11 @@ class TestStandardVertexMap:
         assert p0 == 0.0
         assert p1 == pytest.approx(TWO_PI, rel=1e-15)
 
+    def test_angle_ratio_past_the_float_range(self):
+        # t = target / source overflows; t * phi would be NaN at phi = 0
+        with pytest.raises(DomainError, match=r"angle ratio 6\.283185307179586 / 1e-320 is out of the float range"):
+            standard_vertex_map(FoldParams(1e-320, TWO_PI), 1.0, 0.0)
+
 
 class TestVertexContraction:
     def test_wide_cone_example(self):
@@ -114,6 +119,11 @@ class TestVertexContraction:
             vertex_contraction(math.pi, -1.0, 0.0)
         with pytest.raises(DomainError):
             vertex_contraction(math.pi, 1.0, 4.0)
+
+    def test_angle_ratio_past_the_float_range(self):
+        # 2 pi / source overflows; times phi it would be infinite
+        with pytest.raises(DomainError, match=r"angle ratio 2\*pi / 1e-320 is out of the float range"):
+            vertex_contraction(1e-320, 1.0, 1e-321)
 
 
 class TestFoldJacobian:

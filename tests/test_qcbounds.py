@@ -86,6 +86,12 @@ class TestDihedralWedge:
         with pytest.raises(DomainError):
             DihedralWedgeSpec(3, 1, (-0.5,))
 
+    def test_dimension_past_the_float_range(self):
+        # 1 / (n - 1) of an integer n too large for a float; 10**300 still converts
+        assert wedge(10**300, 10**300 - 2, 1.0).outer_lower == math.pi ** (1.0 / 1e300)
+        with pytest.raises(DomainError, match=re.escape(f"dimension {10**400} is out of the float range")):
+            wedge(10**400, 10**400 - 2, 1.0)
+
     def test_to_dict(self):
         d = wedge(3, 1, math.pi / 2.0).to_dict()
         assert d == {"inner": 2.0, "outer_lower": 2.0 ** 0.5, "maximal": 2.0}
@@ -109,6 +115,10 @@ class TestFaceCountBound:
         with pytest.raises(DomainError):
             convex_face_count_bound(4, 1)
 
+    def test_dimension_past_the_float_range(self):
+        with pytest.raises(DomainError, match=re.escape(f"dimension {10**400} is out of the float range")):
+            convex_face_count_bound(10**401 + 5, 10**400)
+
 
 class TestIndexBound:
     def test_dim3_values(self):
@@ -127,6 +137,17 @@ class TestIndexBound:
     def test_nan_inner_rejected(self):
         with pytest.raises(DomainError):
             uniform_index_bound(3, math.nan)
+
+    @pytest.mark.parametrize("n", [3, 50, 142, 143])
+    def test_power_keeps_its_bits(self, n):
+        # 143**142 is about 1.2e306, the largest power below 2**1024
+        assert uniform_index_bound(n, 1.0) == float(n ** (n - 1))
+
+    @pytest.mark.parametrize("n,inner", [(143, 1e3), (144, 1.0), (10**6, 1.0), (10**400, 1.0)])
+    def test_out_of_the_float_range(self, n, inner):
+        # past (n - 1) * log2(n) > 1024 the power is not built, so 10**400 returns at once
+        with pytest.raises(DomainError, match=re.escape(f"index bound {n}**{n - 1} * {inner!r} is out of the float range")):
+            uniform_index_bound(n, inner)
 
 
 class TestFoldingDilatation:

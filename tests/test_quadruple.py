@@ -11,7 +11,6 @@ from plembed import (
     DegenerateQuadrupleError,
     DomainError,
     MetricQuadruple,
-    WaldOptions,
     cayley_menger,
     comparison_angle,
     nondegenerate,
@@ -20,7 +19,7 @@ from plembed import (
     wald_curvature,
 )
 from plembed import quadruple
-from plembed.quadruple import BISECT_RTOL, MAX_SAMPLES
+from plembed.quadruple import BISECT_RTOL
 
 from conftest import geodesic_distance, separated, vertex_excess
 
@@ -275,7 +274,7 @@ class TestWald:
             wald_curvature(q)
 
     def test_roots_within_interval_and_validated(self):
-        res = wald_curvature(UNIT, WaldOptions(samples=256))
+        res = wald_curvature(UNIT)
         lo, hi = res.search_interval
         for r in res.roots:
             assert lo <= r.kappa <= hi
@@ -283,8 +282,8 @@ class TestWald:
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf, -5.0, 0.0])
     def test_kappa_cap_positive_and_finite(self, cap):
-        with pytest.raises(DomainError, match="kappa_cap"):
-            WaldOptions(kappa_cap=cap)
+        with pytest.raises(DomainError, match="kappa_cap must be positive and finite"):
+            wald_curvature(UNIT, kappa_cap=cap)
 
     def test_tiny_kappa_cap_bounds_every_root(self):
         # a cap below 4 / D^2 shrinks the first panel to [-cap, 0]; every root
@@ -298,25 +297,9 @@ class TestWald:
             0.16864617724488923,
         )
         for cap in (1e-300, 1.6666713999421145e-10, 1e-7 / (q.max_distance * q.max_distance), 1.0, 1e6):
-            res = wald_curvature(q, WaldOptions(kappa_cap=cap))
+            res = wald_curvature(q, kappa_cap=cap)
             assert res.search_interval[0] == -cap
             assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
-
-    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, False, "16", None])
-    def test_samples_positive_integer(self, samples):
-        with pytest.raises(DomainError, match="samples must be a positive integer"):
-            WaldOptions(samples=samples)
-
-    def test_samples_capped(self):
-        # one past the cap, so that nothing is allocated
-        with pytest.raises(DomainError, match=f"samples must be at most {MAX_SAMPLES}"):
-            WaldOptions(samples=MAX_SAMPLES + 1)
-
-    def test_few_samples_keep_eight_points_per_half(self):
-        # 1 to 15 samples all search 8 points per half, as 16 does
-        want = wald_curvature(UNIT, WaldOptions(samples=16)).to_dict()
-        for samples in (1, 2, 15):
-            assert wald_curvature(UNIT, WaldOptions(samples=samples)).to_dict() == want
 
     @pytest.mark.parametrize("sides", [(1, 1.1, 0.9, 1.05, 0.95, 1.2), (1,) * 6], ids=["scalene", "equilateral"])
     def test_every_scale_gives_a_result_or_domain_error(self, sides):

@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from plembed import DomainError, MetricQuadruple, WaldOptions, nondegenerate, quadruple, wald_curvature
+from plembed import DomainError, MetricQuadruple, nondegenerate, quadruple, wald_curvature
 from plembed.quadruple import FLAT_TOL, WaldRoot, _bisect, _curvature_det_grid, _grid_roots, cayley_menger
 
 SURFACE_KAPPAS = (-4.0, -1.0, 0.0, 1.0, 4.0)
@@ -207,7 +207,7 @@ def oracle_disagreements(q, cap=None, rtol=1e-8):
     them) are checked by `is_model_root` alone.
     """
     oracle = oracle_roots(q, cap)
-    solver = [r.kappa for r in wald_curvature(q, WaldOptions(kappa_cap=cap)).roots]
+    solver = [r.kappa for r in wald_curvature(q, kappa_cap=cap).roots]
     near_zero = ORACLE_GAP / math.ldexp(1.0, 2 * math.frexp(q.max_distance)[1])
     assert all(is_model_root(q.distances, r) for r in solver if abs(r) < near_zero)
     unknown = [r for r in solver if abs(r) >= near_zero and not any(abs(r - o) <= rtol * abs(o) for o in oracle)]
@@ -245,14 +245,13 @@ def test_roots_are_the_oracles(pop):
 
 
 def test_options_keep_roots_the_oracles():
-    # a coarse tail grid may miss tail roots, but reports none that the oracle lacks
+    # a cap that cuts the tail short may miss tail roots, but reports none that the oracle lacks
     qs = seeded(lambda rng: surface_quadruple(-1.0, rng), 4, 9) + seeded(sphere_quadruple, 4, 10)
-    for opts in (WaldOptions(samples=16), WaldOptions(samples=101, kappa_cap=50.0)):
-        for q in qs:
-            oracle = oracle_roots(q, opts.kappa_cap)
-            for r in wald_curvature(q, opts).roots:
-                assert is_model_root(q.distances, r.kappa)
-                assert r.kappa == 0.0 or any(abs(r.kappa - o) <= 1e-8 * abs(o) for o in oracle)
+    for q in qs:
+        oracle = oracle_roots(q, 50.0)
+        for r in wald_curvature(q, kappa_cap=50.0).roots:
+            assert is_model_root(q.distances, r.kappa)
+            assert r.kappa == 0.0 or any(abs(r.kappa - o) <= 1e-8 * abs(o) for o in oracle)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -578,7 +577,7 @@ def test_seeded_sweep_raises_nothing():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(quadruples(st.floats(1e-3, 1e3)), st.sampled_from([None, 1.0, 1e6]))
 def test_random_metrics_raise_nothing(q, cap):
-    wald_curvature(q, WaldOptions(kappa_cap=cap))
+    wald_curvature(q, kappa_cap=cap)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -597,7 +596,7 @@ def test_random_metrics_raise_nothing(q, cap):
 def test_every_cap_bounds_every_root(q, cap):
     # every positive finite cap, however small, searches [-cap, (pi / max d)^2]
     # and keeps every root inside that interval
-    res = wald_curvature(q, WaldOptions(kappa_cap=cap))
+    res = wald_curvature(q, kappa_cap=cap)
     assert res.search_interval[0] == -cap or res.search_interval[0] == pytest.approx(-cap, rel=1e-15)
     assert all(res.search_interval[0] <= r.kappa <= res.search_interval[1] for r in res.roots)
 
