@@ -47,7 +47,8 @@ def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[flo
         raise DomainError("angular coordinate outside [0, source angle]")
     source, target, scale = params.source_angle, params.target_angle, params.radial_scale
     t = in_range(lambda: target / source, f"angle ratio {target!r} / {source!r}")
-    return in_range(lambda: scale * rho**t, f"image radius {scale!r} * {rho!r}**{t!r}"), t * phi
+    radius = in_range(lambda: scale * rho**t, f"image radius {scale!r} * {rho!r}**{t!r}")
+    return radius, in_range(lambda: t * phi, f"image angle {t!r} * {phi!r}")
 
 
 def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[float, float]:
@@ -63,7 +64,8 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
         raise DomainError("radius must be nonnegative and finite")
     if not -1e-12 <= phi <= source_angle * (1.0 + 1e-12):
         raise DomainError("angular coordinate outside [0, source angle]")
-    return rho, in_range(lambda: TWO_PI / source_angle, f"angle ratio 2*pi / {source_angle!r}") * phi
+    ratio = in_range(lambda: TWO_PI / source_angle, f"angle ratio 2*pi / {source_angle!r}")
+    return rho, in_range(lambda: ratio * phi, f"image angle {ratio!r} * {phi!r}")
 
 
 # ---------------------------------------------------------------------------

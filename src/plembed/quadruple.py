@@ -27,14 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateQuadrupleError, DomainError, in_range
-from .spaceform import (
-    ANGLE_TOL,
-    TRIANGLE_SLACK,
-    TWO_PI,
-    comparison_angles,
-    distances_from_coords,
-    realize_distances,
-)
+from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI, comparison_angles, realize_distances, versine
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
@@ -284,22 +277,14 @@ def _certificates(angles: np.ndarray) -> list[EmbeddabilityCertificate]:
     return [*map(EmbeddabilityCertificate, verdict.tolist(), planar.tolist(), excess_slack.tolist(), slacks, witness)]
 
 
-MATCH_TOL = 1e-8  # realized coordinates reproduce each distance within MATCH_TOL * max d
-
-
 def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndarray | None:
-    """Coordinates for the quadruple in the dim-dimensional model, or None.
+    """`realize_distances` of the quadruple in dimension 2 or 3: coordinates, or None.
 
-    Success requires the recomputed distances to match within
-    ``MATCH_TOL * max d``.  Placement is deterministic (see `realize_distances`).
+    The coordinates reproduce every distance within ``spaceform.MATCH_TOL * max d``.
     """
     if dim not in (2, 3):
         raise DomainError("dim must be 2 or 3")
-    d = q.distances
-    coords = realize_distances(kappa, d, dim)
-    if coords is None or np.max(np.abs(distances_from_coords(kappa, coords) - d)) > MATCH_TOL * q.max_distance:
-        return None
-    return coords
+    return realize_distances(kappa, q.distances, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +354,17 @@ def _curvature_det_grid(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """g(t) = det B(t) at each t, times a positive factor below `_SEAM`.
 
     B(t) = [[t, 1], [1, E(t)]], where E(t) = (1 - cos(sqrt(t) u)) / t of each distance u, the
-    curvature-matrix determinant divided by t^3, is 2 sin^2(h) / t for t > 0 and 2 sinh^2(h) / -t
-    for t < 0, with h = sqrt(|t|) u / 2, and u^2 / 2 at t = 0, which |t| = 1e-300 gives to
-    rounding.  ``x`` holds 0, E's diagonal, and the six distances in `_PAIR_ORDER`.  Below the
-    seam, where sinh^2 overflows, B is scaled to S B S, S = diag(1 / sqrt(-t), sqrt(-t / 2) e^-m,
-    ...) with m the largest h, so that no entry exceeds 1.  One determinant call evaluates every t.
+    curvature-matrix determinant divided by t^3, is `versine`: 2 sin^2(h) / t for t > 0 and
+    2 sinh^2(h) / -t for t < 0, with h = sqrt(|t|) u / 2, and u^2 / 2 at t = 0.  ``x`` holds 0,
+    E's diagonal, and the six distances in `_PAIR_ORDER`.  Below the seam, where sinh^2 overflows,
+    B is scaled to S B S, S = diag(1 / sqrt(-t), sqrt(-t / 2) e^-m, ...) with m the largest h, so
+    that no entry exceeds 1.  One determinant call evaluates every t.
     """
     v = np.empty((len(ts), 9))  # B[0, 0], B[0, 1:], then E of each entry of x
     v[:, 0] = ts
     v[:, 1] = 1.0
     tail = ts < _SEAM
-    t = ts[~tail, None]
-    a = np.maximum(np.abs(t), 1e-300)
-    h = np.sqrt(a) * (0.5 * x)
-    v[~tail, 2:] = 2.0 * np.where(t > 0.0, np.sin(h), np.sinh(h)) ** 2 / a
+    v[~tail, 2:] = versine(ts[~tail, None], x)
     if tail.any():
         s = np.sqrt(-ts[tail, None])
         h, m = s * (0.5 * x), s * (0.5 * x.max())
@@ -465,8 +447,9 @@ def wald_curvature(q: MetricQuadruple, kappa_cap: float | None = None) -> WaldRe
     is flat when |8 g(0)| = |cayley_menger(u)| <= FLAT_TOL * (max u)^8 and it
     realizes at t = 0; a root within FLAT_TOL of 0 is then that flat root.
     Every other candidate is kept only if `realize_quadruple` succeeds at it
-    in dimension 2 (its Gram matrix in that model factors at rank 3, and the
-    coordinates reproduce every distance within ``MATCH_TOL * max u``) and
+    in dimension 2 (the Gram matrix of the points' parts orthogonal to the
+    pole factors at rank 2, and the coordinates reproduce every distance
+    within ``spaceform.MATCH_TOL * max u``) and
     |g| <= RESIDUAL_TOL there.  DomainError is raised for a ``kappa_cap *
     4^e`` that overflows, and for a root or search interval end that is not a
     normal float in kappa.

@@ -6,6 +6,16 @@ model), kappa = 0 is the Euclidean plane/space, and kappa < 0 is the
 hyperboloid model of hyperbolic space scaled by 1/sqrt(-kappa) (vectors with
 the time coordinate first, Minkowski form -x0*y0 + x1*y1 + ...).
 
+Everything is built from one function of distance, the versine form
+E(x) = (1 - cos(sqrt(kappa) x)) / kappa (`versine`): entire in kappa, it is
+x^2 / 2 at kappa = 0 and carries no 1/kappa, so nothing cancels as kappa
+-> 0 and no sign of kappa needs a formula of its own.  Comparison angles
+are the half-angle form of the law of haversines in it, and realization
+factors the Gram matrix, written in it, of the points' parts orthogonal to
+a pole.  Both run on the distances divided by a power of two D and on
+kappa D^2 (`_scaled`), so that they depend on the shape of a configuration
+and not on its unit.
+
 Positive curvature imposes two admissibility constraints on a triple of
 distances: every side must satisfy sqrt(kappa)*d <= pi, and the perimeter
 must not exceed 2*pi/sqrt(kappa).  See the README for the discussion.
@@ -14,17 +24,12 @@ must not exceed 2*pi/sqrt(kappa).  See the README for the discussion.
 from __future__ import annotations
 
 import math
-import sys
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
-
-# acos/acosh arguments may drift past the boundary by rounding; absorb this much.
-COS_GUARD = 1e-12
 
 # Relative slack when validating triangle inequalities on float inputs, and
 # on the spherical side and perimeter limits.
@@ -37,53 +42,70 @@ ANGLE_TOL = 1e-9
 # Gram eigenvalues below RANK_TOL times the largest count as zero.
 RANK_TOL = 1e-9
 
-# Below |kappa|*scale^2 = 1e-14 the curved formulas are pure cancellation
-# noise; fall back to the Euclidean law of cosines there.
-_TINY_CURVATURE = 1e-14
+MATCH_TOL = 1e-8  # realized coordinates reproduce each distance within MATCH_TOL * max d
 
 _SIDE_LIMIT = math.pi * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * side on the sphere
 _PERIMETER_LIMIT = TWO_PI * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * perimeter on the sphere
-_LOG2 = math.log(2.0)
+_FLAT = 2.0**-60  # the least |kappa D^2| of the trigonometry (see `_scaled`)
+_LN4 = math.log(4.0)
 
 # Why an angle is undefined, by code - 1, in the order each triple is tested.
-# The fields are the opposite side, the adjacent sides and the cosine.
 _ANGLE_ERRORS = (
     "curvature must be finite",
     "sides must be finite, adjacent sides positive and opposite nonnegative",
     "sides violate the triangle inequality",
     "side exceeds pi/sqrt(kappa) on the sphere",
     "perimeter exceeds 2*pi/sqrt(kappa)",
-    "apex angle undefined for an antipodal side",
-    "distances {0!r}, {1!r}, {2!r} are out of range of the Euclidean law of cosines",
-    "cosine value {3!r} outside [-1, 1]",
 )
 
 
-def _each(f, x: np.ndarray) -> np.ndarray:
-    """f of every element of a 1-d array, one Python float at a time (numpy's versions may move the last bit)."""
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+def versine(t, x, damped: bool = False):
+    """E = (1 - cos(sqrt(t) x)) / t of each distance x, at a curvature t of either sign.
+
+    It is 2 sin^2(h) / t for t > 0 and 2 sinh^2(h) / -t for t < 0, with h =
+    sqrt(|t|) x / 2, and x^2 / 2 at t = 0, which |t| = 1e-300 gives to
+    rounding for x above 1e-4 (below, sin^2(h) is subnormal).  With
+    ``damped``, E e^(-2h) for t < 0, which is at most 1 / (2|t|):
+    sinh(h) e^(-h) = -expm1(-2h) / 2.
+    """
+    a = np.maximum(np.abs(t), 1e-300)
+    h = np.sqrt(a) * (0.5 * x)
+    return 2.0 * np.where(t > 0.0, np.sin(h), -0.5 * np.expm1(-2.0 * h) if damped else np.sinh(h)) ** 2 / a
 
 
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    # x >= 0
-    return x + _each(math.log1p, _each(math.exp, -2.0 * x)) - _LOG2
+def _scaled(kappa, scale):
+    """e of the unit D = 2^e of the trigonometry, and the curvature t = kappa D^2 in it.
+
+    D / 2 < the largest distance ``scale``, or the curvature radius
+    1 / sqrt(|kappa|) where that is shorter, <= D, so that |t| <= 4.  A |t|
+    below _FLAT is taken as +-_FLAT (+ at 0): that moves `versine` by under
+    1e-18, relative, at distances up to 3 D, and keeps its sin^2 normal down
+    to 1e-144 D, where the 1e-300 of `versine` would underflow below 1e-4 D.
+    """
+    e = np.frexp(np.minimum(scale, 1.0 / np.sqrt(np.abs(kappa))))[1]  # at kappa = 0, 1 / 0 = inf (callers silence it)
+    t = np.ldexp(kappa, 2 * e)
+    return e, np.copysign(np.maximum(np.abs(t), _FLAT), t)
 
 
 def comparison_angles(kappa, opposite, b, c) -> tuple[np.ndarray, tuple[int, str] | None]:
     """`comparison_angle` of every element of the broadcast arrays, and the first failure.
 
-    The arithmetic runs on arrays in the scalar order of operations, and every
-    transcendental function takes one Python float at a time, so each angle
-    has the bits of a scalar evaluation.  Returns the angles (nan where one is
-    undefined) and None, or the flat index in C order of the first undefined
-    angle and its `DomainError` text.
+    The angle g is the half-angle form of the law of haversines,
+    tan^2(g / 2) = sqrt(E(o + c - b) E(o + b - c) / (E(o + b + c) E(b + c - o))),
+    in `versine` on the sides over the unit D and at t = kappa D^2 of `_scaled`;
+    for t < 0 each E is damped by e^(-r x), r = sqrt(-t), and the ratio by
+    e^(r (o - b - c)) in return, so nothing overflows.  The four sums are
+    formed in Kahan's order, in which every difference that cancels is
+    exact, and there is no arccos: needle-like and near-straight triangles
+    keep their precision.  Returns the angles (nan where one is undefined) and
+    None, or the flat index in C order of the first undefined angle and its
+    `DomainError` text.
     """
     shape = np.broadcast(kappa, opposite, b, c).shape
     table = np.empty((4, *shape))
     table[0], table[1], table[2], table[3] = kappa, opposite, b, c
     k, o, b, c = table.reshape(4, -1)
     code = np.zeros(o.size, np.intp)  # 1 + the index in _ANGLE_ERRORS, or 0
-    cosine = np.full(o.size, math.nan)
     with np.errstate(all="ignore"):
         scale = np.maximum(np.maximum(o, b), c)
         slack = TRIANGLE_SLACK * scale
@@ -95,55 +117,22 @@ def comparison_angles(kappa, opposite, b, c) -> tuple[np.ndarray, tuple[int, str
             code[~usable] = 2
             code[~np.isfinite(k)] = 1
         live = valid & (o < bc) & (b < oc) & (c < ob)
-        angle = np.where(valid & ~live, np.where(o >= bc, math.pi, 0.0), math.nan)
-        ks = k * scale * scale
-        curved = live & (np.abs(ks) >= _TINY_CURVATURE)
-        sphere, hyper, flat = (np.flatnonzero(m) for m in (curved & (k > 0.0), curved & (k < 0.0), live & ~curved))
-        if sphere.size:
-            rt = np.sqrt(k[sphere])
-            beyond = rt * (ob[sphere] + c[sphere]) > _PERIMETER_LIMIT
-            too_long = rt * scale[sphere] > _SIDE_LIMIT
-            code[sphere[beyond]] = 5
-            code[sphere[too_long]] = 4
-            keep = ~(too_long | beyond)
-            sphere, rt = sphere[keep], rt[keep]
-            rb, rc = rt * b[sphere], rt * c[sphere]
-            sb, sc = _each(math.sin, rb), _each(math.sin, rc)
-            code[sphere[(sb == 0.0) | (sc == 0.0)]] = 6
-            num = _each(math.cos, rt * o[sphere]) - _each(math.cos, rb) * _each(math.cos, rc)
-            cosine[sphere] = num / (sb * sc)
-        if hyper.size:
-            rt = np.sqrt(-k[hyper])
-            a_, b_, c_ = rt * o[hyper], rt * b[hyper], rt * c[hyper]
-            far = np.maximum(b_, c_) > 350.0
-            if far.any():
-                # cosh overflows near 710; divide through by cosh(b_)*cosh(c_)
-                a2, b2, c2 = a_[far], b_[far], c_[far]
-                l = _log_cosh(a2) - _log_cosh(b2) - _log_cosh(c2)
-                cosine[hyper[far]] = (1.0 - _each(math.exp, l)) / (_each(math.tanh, b2) * _each(math.tanh, c2))
-            a_, b_, c_ = a_[~far], b_[~far], c_[~far]
-            num = _each(math.cosh, b_) * _each(math.cosh, c_) - _each(math.cosh, a_)
-            cosine[hyper[~far]] = num / (_each(math.sinh, b_) * _each(math.sinh, c_))
-        if flat.size:
-            of, bf, cf = o[flat], b[flat], c[flat]
-            aa, bb, cc, den = of * of, bf * bf, cf * cf, 2.0 * bf * cf
-            small = np.minimum(np.minimum(aa, bb), cc) < sys.float_info.min
-            code[flat[small | (np.maximum(np.maximum(aa, bb + cc), den) == math.inf)]] = 7
-            cosine[flat] = (bb + cc - aa) / den
-        todo = np.flatnonzero(live & (code == 0))
-        x = cosine[todo]
-        inside = (-1.0 <= x) & (x <= 1.0)
-        angle[todo[inside]] = _each(math.acos, x[inside])
-        if not inside.all():  # rounding past +-1 by at most COS_GUARD is absorbed
-            near = ~inside & (np.abs(x) - 1.0 <= COS_GUARD)
-            angle[todo[near]] = np.where(x[near] > 0.0, 0.0, math.pi)
-            code[todo[~(inside | near)]] = 8
+        rt = np.sqrt(k)  # nan for kappa < 0, where the tests below are false
+        code[live & (rt * (ob + c) > _PERIMETER_LIMIT)] = 5
+        code[live & (rt * scale > _SIDE_LIMIT)] = 4
+        e, t = _scaled(k, scale)
+        uo, hi, lo = np.ldexp(o, -e), np.ldexp(np.maximum(b, c), -e), np.ldexp(np.minimum(b, c), -e)
+        d = hi - lo
+        x = np.stack((uo + d, np.where(lo >= uo, uo - d, lo - (hi - uo)), hi + (lo + uo), (hi - uo) + lo))
+        q = np.sqrt(np.sqrt(versine(t, x, damped=True)))
+        half = np.arctan2(q[0] * q[1] * np.exp(-0.5 * np.sqrt(np.maximum(-t, 0.0)) * x[3]), q[2] * q[3])
+        angle = np.where(live, 2.0 * half, np.where(o >= bc, math.pi, 0.0))
+        angle[code > 0] = math.nan
     failed = np.flatnonzero(code)
     if not failed.size:
         return angle.reshape(shape), None
     i = int(failed[0])
-    text = _ANGLE_ERRORS[code[i] - 1].format(o[i].item(), b[i].item(), c[i].item(), cosine[i].item())
-    return angle.reshape(shape), (i, text)
+    return angle.reshape(shape), (i, _ANGLE_ERRORS[code[i] - 1])
 
 
 def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float:
@@ -164,17 +153,14 @@ def comparison_angle(kappa: float, opposite: float, b: float, c: float) -> float
 # Coordinate realization.
 
 
-def _factor(gram: np.ndarray, rank: int, timelike: bool) -> np.ndarray | None:
-    """Canonical coordinates of a Gram matrix: a time coordinate if ``timelike``, then ``rank`` more; or None.
+def _factor(gram: np.ndarray, rank: int) -> np.ndarray | None:
+    """Canonical coordinates Y of a Gram matrix, Y @ Y.T ~= gram, with ``rank`` columns; or None.
 
-    Without ``timelike``, X @ X.T ~= gram.  With it, the one negative
-    eigenvalue gives the time coordinate, positive in every row, and the
-    rows' Minkowski products reproduce gram.  None when another eigenvalue is
-    below -RANK_TOL times the largest in absolute value, more than ``rank``
-    lie above it, the points lie on both hyperboloid sheets, or eigh does not
-    converge.  The other coordinates are rotated so that row i is zero beyond
-    coordinate i and the first nonzero entry of each column is positive, then
-    padded with zero columns up to ``rank``.
+    None when an eigenvalue is below -RANK_TOL times the largest in absolute
+    value, more than ``rank`` lie above it, or eigh does not converge.  The
+    coordinates are rotated so that row i is zero beyond coordinate i and the
+    first nonzero entry of each column is positive, then padded with zero
+    columns up to ``rank``.
     """
     g = 0.5 * (gram + gram.T)
     try:
@@ -182,96 +168,96 @@ def _factor(gram: np.ndarray, rank: int, timelike: bool) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None  # the eigensolver did not converge
     tol = RANK_TOL * max(abs(w[0]), abs(w[-1]), 1e-300)
-    time = []
-    if timelike:
-        if w[0] >= -tol:
-            return None  # no timelike direction
-        t = math.sqrt(-w[0]) * v[:, 0]
-        time = [-t if t[0] < 0.0 else t]
-        if np.any(time[0] <= 0.0):
-            return None  # points split across hyperboloid sheets
-        w, v = w[1:], v[:, 1:]
-    if w[0] < -tol:
-        return None  # not positive semidefinite, or a second timelike direction
-    w = np.clip(w, 0.0, None)
-    if np.count_nonzero(w > tol) > rank:
-        return None
-    order = np.argsort(w)[::-1][:rank]
-    y = np.linalg.qr((v[:, order] * np.sqrt(w[order])).T, mode="r").T
+    if not w[0] >= -tol:
+        return None  # not positive semidefinite
+    if len(w) > rank and w[-rank - 1] > tol:
+        return None  # more than ``rank`` positive eigenvalues, which eigh sorts increasing
+    y = np.linalg.qr((v[:, ::-1][:, :rank] * np.sqrt(np.maximum(w[::-1][:rank], 0.0))).T, mode="r").T
     first = (np.abs(y) > 0.0).argmax(axis=0)
     y = np.where(y[first, np.arange(y.shape[1])] < 0.0, -y, y)
-    return np.column_stack([*time, y, np.zeros((len(g), rank - y.shape[1]))])
+    return y if y.shape[1] == rank else np.column_stack([y, np.zeros((len(g), rank - y.shape[1]))])
 
 
 def realize_distances(kappa: float, dmat: np.ndarray, dim: int) -> np.ndarray | None:
     """Coordinates reproducing the distance matrix in the dim-dimensional model.
 
     Failure to embed is a value (None), not an error; so is an eigensolver
-    that does not converge, and on the sphere a side beyond pi/sqrt(kappa)
-    or a triangle of perimeter beyond 2*pi/sqrt(kappa).  A non-finite or
-    subnormal kappa, or a matrix that is not square, has fewer than two
-    points, or has an entry that is not finite and nonnegative, raises
-    DomainError.
+    that does not converge, coordinates that miss a distance by more than
+    MATCH_TOL times the largest, a hyperbolic configuration whose
+    coordinates leave the float range, and on the sphere a side beyond
+    pi/sqrt(kappa) (a triangle of perimeter beyond 2*pi/sqrt(kappa) has no
+    positive semidefinite Gram matrix).  A non-finite kappa, or a matrix
+    that is not square, has fewer than two points, or has an entry that is
+    not finite and nonnegative, raises DomainError.
     Coordinates are (n, dim) for kappa = 0, else (n, dim + 1) model vectors,
-    for any number n of points.  Every model is realized by one factorization
-    of its Gram matrix (`_factor`), and placement is canonical: in the plane
-    point 0 is the origin and point i lies in the span of the first i axes;
-    on the sphere, and in the space coordinates that follow the hyperboloid's
-    time coordinate, point i lies in the span of the first i + 1 axes.
+    the pole's axis first, for any number n of points.  Point 0 sits at the
+    origin of the plane and at the pole (1/sqrt(kappa), 0, ...) of the
+    sphere; the hyperboloid's pole is the points' centroid.  Every model is
+    realized by one factorization, and placement is canonical: in the plane
+    point i lies in the span of the first i axes, on the sphere in that of
+    the first i + 1, and in the space coordinates that follow the
+    hyperboloid's pole axis, in that of the first i + 1.
+
+    On the distances u over the unit D, at t = kappa D^2 of `_scaled`, with
+    E = `versine`: the pole c = sum w_i x_i is point 0 in the plane and on
+    the sphere, and on the hyperboloid the points' centroid, which is always
+    timelike, so that points far from point 0 keep their precision.  With
+    m = E w and q = 1 - t w.m, the parts y_i of the points orthogonal to c
+    have the Gram matrix Z = (m_i + m_j - w.m - t m_i m_j) / q - E_ij, which
+    has no 1/t, and the parts along c put x_i at (1 - t m_i) / sqrt(|t| q)
+    on the pole's axis.  For t < 0, E, m and q are taken times the power of
+    four p = 4^-h nearest above e^(-r max u), r = sqrt(-t), from the damped
+    `versine`, so that nothing overflows and the coordinates are scaled back
+    by 2^h exactly.  Z is factored at rank ``dim`` after scaling row and
+    column i by a power of two g_i with g_i g_j above the terms that Z_ij is
+    formed from, so that the rounding of every entry is at most an ulp of
+    the scaled matrix: rows far out on the hyperboloid keep their digits,
+    and rows near the pole, which cancel, are not magnified.  Each Z_ij -
+    y_i.y_j is the error dE of the E_ij that the coordinates rebuild; it is
+    one of at most a = MATCH_TOL max u in the distance when |dE| <=
+    a (S + a / 2), S^2 = E (2 - t E): exactly so in the plane, and to second
+    order in the curved models.
     """
     if not -math.inf < kappa < math.inf:
         raise DomainError("curvature must be finite")
-    if 0.0 < abs(kappa) < sys.float_info.min:
-        raise DomainError(f"curvature {kappa!r} is subnormal; its model's Gram entries 1/kappa overflow")
     d = np.asarray(dmat, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or len(d) < 2:
         raise DomainError("expected a square distance matrix of at least two points")
     if not ((d >= 0.0) & (d < math.inf)).all():
         raise DomainError("distances must be finite and nonnegative")
-    if kappa == 0.0:
-        sq = d * d
-        g = 0.5 * (sq[0, 1:][:, None] + sq[0, 1:][None, :] - sq[1:, 1:])
-        x = _factor(g, dim, False)
-        return None if x is None else np.vstack([np.zeros(dim), x])
-    if kappa > 0.0:
-        rt = math.sqrt(kappa)
-        args = rt * d
-        if np.any(args > _SIDE_LIMIT):
+    scale = float(d.max())
+    if kappa > 0.0 and math.sqrt(kappa) * scale > _SIDE_LIMIT:
+        return None
+    k = int(kappa >= 0.0)  # 1 when point 0 is the pole, whose row of Z is zero
+    w = np.eye(len(d))[0] if k else np.full(len(d), 1.0 / len(d))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        e, t = _scaled(kappa, scale)
+        e, t = int(e), float(t)
+        u = np.ldexp(d, -e)
+        r = math.sqrt(max(-t, 0.0))
+        h = int(r * float(u.max()) / _LN4)  # p = 4^-h is e^(-r max u) within a factor 4; 1 for t >= 0
+        p = math.ldexp(1.0, -2 * h)
+        ver = versine(t, u, damped=True) * np.exp(r * u - h * _LN4)  # E p
+        m = ver @ w
+        wm = float(w @ m)
+        q = p - t * wm
+        mm = m[:, None] * m
+        z = ((m[:, None] + m - wm) * p - t * mm) / q - ver
+        g = np.ldexp(1.0, np.frexp(np.sqrt((((m[:, None] + m + wm) * p + abs(t) * mm) / q + ver).max(axis=1)))[1])
+        factor = _factor(z[k:, k:] / (g[k:, None] * g[k:]), dim)
+        if factor is None:
             return None
-        i, j, k = np.array(list(combinations(range(len(d)), 3)), np.intp).reshape(-1, 3).T
-        if (rt * (d[i, j] + d[i, k] + d[j, k]) > _PERIMETER_LIMIT).any():
+        y = np.zeros((len(d), dim))
+        y[k:] = factor * g[k:, None]
+        err = np.abs(z - y @ y.T)
+        np.fill_diagonal(err, 0.0)
+        a = MATCH_TOL * math.ldexp(scale, -e)
+        if not (err <= a * (np.sqrt(np.maximum(ver * (2.0 * p - t * ver), 0.0)) + 0.5 * a * p)).all():
             return None
-        return _factor(np.cos(args) / kappa, dim + 1, False)
-    args = math.sqrt(-kappa) * d
-    if np.any(args > 700.0):
-        return None  # cosh overflows double precision; cannot certify coordinates
-    g = np.cosh(args) / kappa  # negative of cosh/R^2
-    # Factor g / 4**h, whose entries are near 1, and scale back by 2**h; eigh
-    # does not converge on entries near 1e297.  The scaling is exact in binary;
-    # LAPACK need not commute with it, though on the tested cases the factor
-    # was identical to the unscaled one.
-    h = math.frexp(float(np.abs(g).max()))[1] // 2
-    x = _factor(np.ldexp(g, -2 * h), dim, True)
-    return None if x is None else np.ldexp(x, h)
-
-
-def distances_from_coords(kappa: float, coords: np.ndarray) -> np.ndarray:
-    """Pairwise geodesic distances of model coordinates."""
-    c = np.asarray(coords, dtype=float)
-    if kappa == 0.0:
-        diff = c[:, None, :] - c[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
-    if kappa > 0.0:
-        cosv = kappa * (c @ c.T)
-        cosv = np.clip(cosv, -1.0, 1.0)
-        out = np.arccos(cosv) / math.sqrt(kappa)
-        np.fill_diagonal(out, 0.0)
-        return out
-    t = c[:, 0]
-    xs = c[:, 1:]
-    coshv = -kappa * (np.outer(t, t) - xs @ xs.T)
-    coshv = np.maximum(coshv, 1.0)
-    out = np.arccosh(coshv) / math.sqrt(-kappa)
-    np.fill_diagonal(out, 0.0)
-    return out
-
+        y = np.ldexp(y, e + h)
+        if kappa == 0.0:
+            return y
+        x = np.empty((len(d), dim + 1))
+        x[:, 0] = np.ldexp((p - t * m) / (math.sqrt(abs(kappa)) * math.sqrt(q)), h)
+        x[:, 1:] = y
+    return x if np.isfinite(x).all() else None  # beyond the float range, far out on the hyperboloid

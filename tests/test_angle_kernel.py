@@ -1,14 +1,17 @@
-"""The batched comparison-angle kernel against the scalar law of cosines it replaced.
+"""The batched comparison-angle kernel against a 40-digit reference.
 
-`scalar_comparison_angle` is `spaceform.comparison_angle` as it was written
-before the kernel: one triple at a time, with Python floats and `math`.  The
-kernel (`comparison_angles`) and its one-row call (`comparison_angle`) must
-give the same bits on every triple and the same `DomainError` text, and a
-batch must name the first failing triple in C order.
+`scalar_comparison_angle` takes one triple at a time, with Python floats,
+through the tests in the order the kernel makes them: a non-finite
+curvature, the sides, the triangle inequality within its slack, the exact 0
+and pi of degenerate triangles, then the sphere's side and perimeter
+limits.  Its angle is `test_spaceform.decimal_angle`, the classical law of
+cosines evaluated to 40 digits.  The kernel's one-row call
+(`comparison_angle`) must be within 1e-13 of it on every triple and raise
+the same `DomainError` text; a batch must give the one-row bits on every
+triple and name the first failing triple in C order.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -16,22 +19,11 @@ import pytest
 from plembed import DomainError, comparison_angle
 from plembed.spaceform import comparison_angles
 
+from test_spaceform import decimal_angle
+
 TWO_PI = 2.0 * math.pi
-COS_GUARD = 1e-12
 TRIANGLE_SLACK = 1e-12
-TINY_CURVATURE = 1e-14
-
-
-def _clamped_acos(x):
-    if -1.0 <= x <= 1.0:
-        return math.acos(x)
-    if not abs(x) - 1.0 <= COS_GUARD:
-        raise DomainError(f"cosine value {x!r} outside [-1, 1]")
-    return 0.0 if x > 0.0 else math.pi
-
-
-def _log_cosh(x):
-    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+ORACLE_TOL = 1e-13
 
 
 def scalar_comparison_angle(kappa, opposite, b, c):
@@ -48,59 +40,51 @@ def scalar_comparison_angle(kappa, opposite, b, c):
         return math.pi
     if b >= opposite + c or c >= opposite + b:
         return 0.0
-    if kappa > 0.0 and kappa * scale * scale >= TINY_CURVATURE:
+    if kappa > 0.0:
         rt = math.sqrt(kappa)
         if rt * scale > math.pi * (1.0 + TRIANGLE_SLACK):
             raise DomainError("side exceeds pi/sqrt(kappa) on the sphere")
         if rt * (opposite + b + c) > TWO_PI * (1.0 + TRIANGLE_SLACK):
             raise DomainError("perimeter exceeds 2*pi/sqrt(kappa)")
-        sb, sc = math.sin(rt * b), math.sin(rt * c)
-        if sb == 0.0 or sc == 0.0:
-            raise DomainError("apex angle undefined for an antipodal side")
-        num = math.cos(rt * opposite) - math.cos(rt * b) * math.cos(rt * c)
-        return _clamped_acos(num / (sb * sc))
-    if kappa < 0.0 and -kappa * scale * scale >= TINY_CURVATURE:
-        rt = math.sqrt(-kappa)
-        a_, b_, c_ = rt * opposite, rt * b, rt * c
-        if max(b_, c_) > 350.0:
-            l = _log_cosh(a_) - _log_cosh(b_) - _log_cosh(c_)
-            return _clamped_acos((1.0 - math.exp(l)) / (math.tanh(b_) * math.tanh(c_)))
-        num = math.cosh(b_) * math.cosh(c_) - math.cosh(a_)
-        return _clamped_acos(num / (math.sinh(b_) * math.sinh(c_)))
-    aa, bb, cc, den = opposite * opposite, b * b, c * c, 2.0 * b * c
-    if not (min(aa, bb, cc) >= sys.float_info.min and max(aa, bb + cc, den) < math.inf):
-        raise DomainError(f"distances {opposite!r}, {b!r}, {c!r} are out of range of the Euclidean law of cosines")
-    return _clamped_acos((bb + cc - aa) / den)
+    return decimal_angle(kappa, opposite, b, c)
 
 
-def branch(kappa, opposite, b, c):
-    """Which part of the scalar code a valid triple reaches."""
+def kind(kappa, opposite, b, c):
+    """What part of the curvature range a valid triple lies in."""
     scale = max(opposite, b, c)
     if opposite >= b + c or b >= opposite + c or c >= opposite + b:
         return "degenerate"
-    if kappa > 0.0 and kappa * scale * scale >= TINY_CURVATURE:
-        return "spherical"
-    if kappa < 0.0 and -kappa * scale * scale >= TINY_CURVATURE:
-        rt = math.sqrt(-kappa)
-        return "log-cosh" if max(rt * b, rt * c) > 350.0 else "hyperbolic"
-    return "euclidean" if kappa == 0.0 else "tiny-curvature"
+    if kappa == 0.0:
+        return "euclidean"
+    if abs(kappa) * scale * scale < 1e-3:
+        return "near-flat"
+    if kappa < 0.0 and math.sqrt(-kappa) * scale > 350.0:
+        return "far"  # cosh overflows a double near 710
+    return "spherical" if kappa > 0.0 else "hyperbolic"
 
 
 def outcome(f, *args):
-    """The bits of the angle, or the type and text of the DomainError."""
+    """The angle, or the type and text of the DomainError."""
     try:
-        return f(*args).hex()
+        return f(*args)
     except DomainError as e:
         return (type(e).__name__, str(e))
 
 
-# A cosine that rounding pushes past -1..1 by more than COS_GUARD (found by a seeded search).
+def assert_matches_the_reference(got, want, row):
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= ORACLE_TOL, (row, got, want)
+    else:
+        assert got == want, row
+
+
+# A cosine that rounding once pushed past -1..1 by more than 1e-12 (found by a seeded search).
 COSINE_OUT_OF_RANGE = (-2.8498693336295737e-12, 0.006616781969183213, 0.18602286841464583, 0.19263965038161932)
 AT_SLACK = 2.000000000002  # == 1 + 1 + TRIANGLE_SLACK * itself: the largest side the slack admits
 
 
 def boundary_rows():
-    """Triples on the boundaries between tests and branches, where a sweep rarely lands."""
+    """Triples on the boundaries between tests, where a sweep rarely lands."""
     rows = []
     for kappa in (0.0, 1.0, -1.0):
         for o in (AT_SLACK, math.nextafter(AT_SLACK, math.inf)):
@@ -109,8 +93,7 @@ def boundary_rows():
     for kappa in (math.nan, math.inf, 0.0, 4.0):
         rows += [(kappa, -1.0, 1.0, 1.0), (kappa, 3.0, 1.0, 1.0), (kappa, math.nan, 1.0, 5.0), (kappa, 2.0, 2.0, 2.0)]
     rows += [(4.0, 1.6, 1.6, 1.6), (4.0, 1.5, 1.0, 1.0), (0.0, 1e200, 1e200, 3e200)]
-    # the log-cosh branch starts past sqrt(-kappa) * max(b, c) = 350; about one triple
-    # in ten just past it has other bits in the cosh formula
+    # hyperbolic sides around sqrt(-kappa) * max(b, c) = 350, half way to where cosh overflows
     rng = np.random.default_rng(350)
     for b in [350.0, math.nextafter(350.0, math.inf), *rng.uniform(349.0, 351.0, 80)]:
         c = rng.uniform(1.0, 350.0)
@@ -120,7 +103,7 @@ def boundary_rows():
 
 
 def sweep(rng, count):
-    """Seeded (kappa, opposite, b, c) rows over every branch and every reachable DomainError."""
+    """Seeded (kappa, opposite, b, c) rows over the whole curvature range and every reachable DomainError."""
     rows = []
     for k in range(count):
         kind = k % 9
@@ -130,10 +113,10 @@ def sweep(rng, count):
             kappa = rng.uniform(0.01, 1.5)
         elif kind == 1:  # hyperbolic
             kappa = -rng.uniform(0.01, 5.0)
-        elif kind == 2:  # hyperbolic, beyond the cosh range: the log-cosh branch
+        elif kind == 2:  # hyperbolic, beyond the range of cosh
             kappa, o, b, c = -1.0, o * 300.0, b * 300.0, c * 300.0
-        elif kind == 3:  # |kappa| * scale^2 on both sides of the Euclidean fallback
-            kappa = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -12.0) / max(o, b, c) ** 2
+        elif kind == 3:  # |kappa| * scale^2 from 1e-16 to 1e-3, where the classical formula cancels
+            kappa = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -3.0) / max(o, b, c) ** 2
         elif kind == 4:  # Euclidean
             kappa = 0.0
         elif kind == 5:  # straight or folded, within and beyond the slack
@@ -143,7 +126,7 @@ def sweep(rng, count):
             kappa = float(rng.choice([0.0, 1.0, -1.0]))
             i = rng.integers(3)
             o, b, c = [x if j != i else rng.choice([0.0, -1.0, math.inf, math.nan]) for j, x in enumerate((o, b, c))]
-        elif kind == 7:  # out of the Euclidean range, or a non-finite curvature
+        elif kind == 7:  # sides whose squares leave the float range, or a non-finite curvature
             kappa = float(rng.choice([0.0, 0.0, math.nan, math.inf, -math.inf]))
             o, b, c = np.array([o, b, c]) * rng.choice([1e155, 1e200, 1e-155, 1e-162, 1.0])
         else:  # the triangle inequality, violated
@@ -154,39 +137,35 @@ def sweep(rng, count):
 
 
 ROWS = sweep(np.random.default_rng(2026), 6000)
+WANT = [outcome(scalar_comparison_angle, *row) for row in ROWS]
 
 
-def test_sweep_covers_every_branch_and_error():
-    seen = set()
-    for row in ROWS:
-        got = outcome(scalar_comparison_angle, *row)
-        seen.add(branch(*row) if isinstance(got, str) else got[1].split(" ")[0])
+def test_sweep_covers_the_range_and_every_error():
+    seen = {kind(*row) if isinstance(w, float) else w[1].split(" ")[0] for row, w in zip(ROWS, WANT)}
     assert seen == {
-        "spherical", "hyperbolic", "log-cosh", "tiny-curvature", "euclidean", "degenerate",
-        "curvature", "sides", "side", "perimeter", "distances", "cosine",
+        "spherical", "hyperbolic", "far", "near-flat", "euclidean", "degenerate",
+        "curvature", "sides", "side", "perimeter",
     }
-    # the antipodal error needs sin(sqrt(kappa) * side) == 0 for a positive side inside
-    # the sphere's range, which no double reaches; the kernel keeps the scalar's test
 
 
-def test_one_row_matches_the_scalar():
-    for row in ROWS:
-        assert outcome(comparison_angle, *row) == outcome(scalar_comparison_angle, *row), row
+def test_one_row_matches_the_reference():
+    for row, want in zip(ROWS, WANT):
+        assert_matches_the_reference(outcome(comparison_angle, *row), want, row)
 
 
-def test_batch_matches_the_scalar():
+def test_batch_is_the_one_row():
     kappa, o, b, c = np.array(ROWS).T
     angles, failure = comparison_angles(kappa, o, b, c)
-    want = [outcome(scalar_comparison_angle, *row) for row in ROWS]
-    for got, w in zip(angles.tolist(), want):
-        if isinstance(w, str):
-            assert got.hex() == w
+    one = [outcome(comparison_angle, *row) for row in ROWS]
+    for got, w in zip(angles.tolist(), one):
+        if isinstance(w, float):
+            assert got.hex() == w.hex()
         else:
             assert math.isnan(got)
-    first = next(i for i, w in enumerate(want) if not isinstance(w, str))
-    assert failure == (first, want[first][1])
+    first = next(i for i, w in enumerate(one) if not isinstance(w, float))
+    assert failure == (first, one[first][1])
     # without the failures, no failure
-    ok = [i for i, w in enumerate(want) if isinstance(w, str)]
+    ok = [i for i, w in enumerate(one) if isinstance(w, float)]
     assert comparison_angles(kappa[ok], o[ok], b[ok], c[ok])[1] is None
 
 
@@ -196,7 +175,7 @@ def test_batch_failure_is_the_first_in_c_order():
     angles, failure = comparison_angles(np.array([[0.0], [0.0]]), o, 1.0, 1.0)
     assert failure == (2, "sides violate the triangle inequality")
     assert angles.shape == (2, 3) and np.isnan(angles[0, 2]) and np.isnan(angles[1, 1])
-    assert angles[1, 0] == scalar_comparison_angle(0.0, 1.0, 1.0, 1.0)
+    assert angles[1, 0] == comparison_angle(0.0, 1.0, 1.0, 1.0)
 
 
 def test_empty_batch():
@@ -207,4 +186,6 @@ def test_empty_batch():
 @pytest.mark.parametrize("sides", [(np.float64(1.2), np.float64(1.0), np.float64(0.9)), (1, 1, 1), (2, 1, 1)])
 def test_numpy_and_integer_sides(sides):
     for kappa in (0.0, 1.0, -1.0, 1):
-        assert outcome(comparison_angle, kappa, *sides) == outcome(scalar_comparison_angle, kappa, *sides)
+        got = outcome(comparison_angle, kappa, *sides)
+        assert got == outcome(comparison_angle, float(kappa), *map(float, sides))
+        assert_matches_the_reference(got, outcome(scalar_comparison_angle, kappa, *sides), (kappa, *sides))

@@ -94,6 +94,13 @@ class TestStandardVertexMap:
         with pytest.raises(DomainError, match=r"angle ratio 6\.283185307179586 / 1e-320 is out of the float range"):
             standard_vertex_map(FoldParams(1e-320, TWO_PI), 1.0, 0.0)
 
+    def test_image_angle_past_the_float_range(self):
+        # t is the largest float; at the apex the radius 0 is fine, and t * phi overflows
+        big = 1.7976931348623157e308
+        with pytest.raises(DomainError, match=r"image angle 1\.7976931348623157e\+308 \* 1\.0000000000001 is out of"):
+            standard_vertex_map(FoldParams(1.0, big), 0.0, 1.0000000000001)
+        assert standard_vertex_map(FoldParams(1.0, big), 0.0, 0.0) == (0.0, 0.0)
+
 
 class TestVertexContraction:
     def test_wide_cone_example(self):

@@ -5,11 +5,12 @@ excesses from one pass over the 12 comparison angles, then a second pass
 over the same angles for the triangle-inequality slacks.  `scalar_global` is
 the star loop `global_compatibility` once ran: per star, distances read from
 one heap Dijkstra search per vertex (`test_skeleton.star_ball`), one
-validated `MetricQuadruple` and one betweenness test.  Their angles come from
-the scalar law of cosines (`test_angle_kernel.scalar_comparison_angle`), and
-`reference_symmetrized` and `reference_betweenness` are the star screen as
-first written.  The batched code must give equal documents (``==``), the same
-bytes from the writer, and the same `DomainError` text.
+validated `MetricQuadruple` and one betweenness test.  Their angles come one
+at a time from `comparison_angle`, whose values `test_angle_kernel` checks
+against a 40-digit reference, and `reference_symmetrized` and
+`reference_betweenness` are the star screen as first written.  The batched
+code must give equal documents (``==``), the same bytes from the writer, and
+the same `DomainError` text.
 """
 
 import math
@@ -37,7 +38,6 @@ from plembed.spaceform import comparison_angles
 
 from conftest import hex_grid_graph, icosahedron_graph, octahedron_graph, star_graph, unit_k4
 from test_cli import K4_DOC
-from test_angle_kernel import scalar_comparison_angle
 from test_skeleton import _random_metric_graph, adjacency, icosphere_graph, star_ball
 from test_wald_oracle import (
     SURFACE_KAPPAS,
@@ -54,7 +54,7 @@ GRAPH_KAPPAS = (-1.0, 0.0, 1.0, 4.0)
 
 def apex_angles(d, kappa, i):
     rest = [j for j in range(4) if j != i]
-    return tuple(scalar_comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations(rest, 2))
+    return tuple(comparison_angle(kappa, d[j, l], d[i, j], d[i, l]) for j, l in combinations(rest, 2))
 
 
 def scalar_s3_embeddability(q, kappa, angle_tol=1e-9):

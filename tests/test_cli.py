@@ -342,8 +342,8 @@ EDGE_CASE_DIGESTS = {
         "63d4d9e9db879e5bced64cc7326e69503d10a1bfff58fc9d8dab919e34a64f89",
     ),
     "vertex-order": (
-        "37bd99c2dc01d50aa689d49823ddb63606fc803524c1876f3dfcdb2ebc597250",
-        "dfbf5048c237762dc0fe15441980939277c14546541dbb3a52cd6ee17181aa7d",
+        "680691318c7b5a5cbfb111f73e5af490a063f3c4b82b25cf445441136b109b7a",
+        "3cf3c54b3296b655a69015250e5d7afaf004b634d21a345ce16f01989843c824",
     ),
 }
 
@@ -593,10 +593,9 @@ RANGE_ERRORS = [
     (("wald", "--quadruple", ",".join(["1e70"] * 6)), "Cayley-Menger determinant of distances up to 1e+70 is out of"),
     # the roots are right; the determinant, 4e-360, is below it and was printed as 0.0
     (("wald", "--quadruple", ",".join(["1e-60"] * 6)), "Cayley-Menger determinant of distances up to 1e-60 is out of"),
-    *(
-        (("embed-check", "--quadruple", "1,1,1,1,1,1", f"--kappa={k}"), f"curvature {k} is subnormal")
-        for k in ("1e-320", "-1e-320", "1e-310", "-1e-310")
-    ),
+    # a fold's image angle t * phi overflows, though the image radius 0 does not
+    (("fold", "--theta", "1", "--lam", "1.7976931348623157e308", "--point", "0,1.0000000000001"),
+     "image angle 1.7976931348623157e+308 * 1.0000000000001 is out of the float range"),
 ]
 
 
@@ -712,21 +711,82 @@ class TestOutputAndUsage:
         assert keys == sorted(keys)
 
 
-class TestEuclideanRange:
-    """Distances whose squares leave the normal float range exit 2 with a DomainError that names them."""
+class TestScaleFree:
+    """Angles and realizations run on the distances over a power of two: no square leaves the float range."""
 
-    def test_k4_past_the_euclidean_range_names_the_distances(self, tmp_path):
-        p = tmp_path / "k4.json"
-        p.write_text(K4_DOC.replace(", 1]", ", 1e200]"))
-        r = run_cli("check-global", "--graph", str(p), "--kappa", "0")
-        assert_rejected(r, "distances 1e+200, 1e+200, 1e+200 are out of range of the Euclidean law of cosines")
-        assert "Warning" not in r.stderr
+    def test_k4_at_1e200_is_the_unit_k4(self, tmp_path):
+        docs = []
+        for length in ("1", "1e200"):
+            p = tmp_path / f"k4-{length}.json"
+            p.write_text(K4_DOC.replace(", 1]", f", {length}]"))
+            r = run_cli("check-global", "--graph", str(p), "--kappa", "0")
+            assert r.returncode == 0 and "Warning" not in r.stderr
+            docs.append(payload(r))
+            del docs[-1]["graph"]
+        assert docs[1] == docs[0]
 
     @pytest.mark.parametrize("side", ["1e-162", "1e-155", "1e155"])
-    def test_embed_check_past_the_euclidean_range(self, side):
+    def test_embed_check_of_a_regular_tetrahedron(self, side):
         r = run_cli("embed-check", "--quadruple", ",".join([side] * 6), "--kappa", "0")
-        assert_rejected(r, f"distances {float(side)!r}, {float(side)!r}, {float(side)!r} are out of range")
-        assert "Warning" not in r.stderr
+        doc = payload(r)
+        assert r.returncode == 0 and "Warning" not in r.stderr
+        assert doc["verdict"] and doc["realized"]
+        assert doc["excess_slack"] == pytest.approx(math.pi, abs=1e-15)
+
+
+class TestNearFlat:
+    """Curvatures next to 0 keep the flat verdicts and realizations, down to the subnormals."""
+
+    SQUARE = "1,1,1.4142135623730951,1.4142135623730951,1,1"
+
+    @pytest.mark.parametrize("kappa", ["1e-15", "1e-13", "1e-11", "1e-9"])
+    def test_unit_square(self, kappa):
+        r = run_cli("embed-check", "--quadruple", self.SQUARE, f"--kappa={kappa}")
+        doc = payload(r)
+        assert r.returncode == 0 and doc["verdict"] and doc["realized"]
+
+    @pytest.mark.parametrize("kappa", ["1e-10", "-1e-10", "1e-320", "-1e-320", "1e-310", "-1e-310"])
+    def test_regular_tetrahedron(self, kappa):
+        r = run_cli("embed-check", "--quadruple", "1,1,1,1,1,1", f"--kappa={kappa}", "--dim", "3")
+        doc = payload(r)  # no Infinity: the pole's 1/sqrt(|kappa|) is below 1e162
+        assert r.returncode == 0 and doc["verdict"] and doc["realized"]
+
+
+def pairwise_text(points, sheet=None):
+    """`--quadruple` text of four points of the plane, or of the curvature -1 hyperboloid (time first)."""
+    p = np.array(points, float)
+    if sheet is None:
+        d = [math.dist(p[i], p[j]) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    else:
+        d = [math.acosh(max(p[i, 0] * p[j, 0] - p[i, 1:] @ p[j, 1:], 1.0)) for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    return ",".join(repr(x) for x in d)
+
+
+class TestRealizationRange:
+    """Points next to the pole, and far out on the hyperboloid, realize."""
+
+    def test_point_next_to_point_0_in_the_plane(self):
+        r = run_cli("embed-check", "--quadruple", pairwise_text([(0, 0), (1e-8, 0), (0, 1), (1, 1)]), "--kappa", "0", "--dim", "2")
+        assert payload(r)["realized"]
+
+    @pytest.mark.parametrize("side", [1.0, 3.0, 10.0])
+    def test_hyperbolic_triangle_and_its_centre(self, side):
+        # the centre lies next to the centroid, the hyperboloid's pole
+        radius = math.asinh(math.sinh(side / 2.0) / math.sin(math.pi / 3.0))
+        points = [(1.0, 0.0, 0.0)] + [
+            (math.cosh(radius), math.sinh(radius) * math.cos(a), math.sinh(radius) * math.sin(a))
+            for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+        ]
+        for order in ((0, 1, 2, 3), (1, 2, 3, 0)):
+            text = pairwise_text([points[i] for i in order], sheet=True)
+            r = run_cli("embed-check", "--quadruple", text, "--kappa", "-1", "--dim", "2")
+            assert payload(r)["realized"], (side, order)
+
+    @pytest.mark.parametrize("side", ["400", "700", "1000"])
+    def test_far_regular_tetrahedron(self, side):
+        # sqrt(-kappa) * side past 355, where E_ij^2 overflows a double
+        r = run_cli("embed-check", "--quadruple", ",".join([side] * 6), "--kappa", "-1", "--dim", "3")
+        assert payload(r)["realized"]
 
 
 # pieces that an encoder could confuse with its own syntax, plus non-ASCII

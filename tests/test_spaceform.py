@@ -1,7 +1,6 @@
 import math
-import sys
 import warnings
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from plembed import (
     realize_quadruple,
     s3_embeddability,
 )
-from plembed.spaceform import _factor, distances_from_coords
+from plembed.spaceform import comparison_angles
 
 from conftest import geodesic_distance
 
@@ -34,6 +33,116 @@ def small_triples():
         return (lo + t * (hi - lo), b, c)
 
     return st.builds(build, small_side, small_side, st.floats(min_value=0.05, max_value=0.95))
+
+
+# ---------------------------------------------------------------------------
+# A 40-digit reference for the comparison angle, from the decimal module alone.
+#
+# E(x) = (1 - cos(sqrt(kappa) x)) / kappa and S(x) = sin(sqrt(kappa) x) / sqrt(kappa)
+# are the cos and sin recipes of the decimal documentation with the leading 1
+# of cos dropped and the powers of sqrt(kappa) divided out: series in kappa
+# x^2 that hold for either sign and cancel nothing as kappa -> 0.  Far out on
+# the hyperboloid, where those series need too many terms, they are the exp
+# forms of cosh and sinh instead.  The angle is the classical
+# cos g = (E(b) + E(c) - E(o) - kappa E(b) E(c)) / (S(b) S(c)), inverted by
+# Newton steps on the sin and cos recipes.
+
+DIGITS = 40
+
+
+def _series(kappa: Decimal, x: Decimal, first: int) -> Decimal:
+    """sum over n >= 0 of (-kappa)^n x^(first + 2n) / (first + 2n)!: S for first = 1, E for 2."""
+    term = x**first / math.factorial(first)
+    total, i = term, first
+    while True:
+        i += 2
+        term *= -kappa * x * x / (i * (i - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def _versine_sine(kappa: Decimal, x: Decimal) -> tuple[Decimal, Decimal]:
+    if -kappa * x * x <= 400:
+        return _series(kappa, x, 2), _series(kappa, x, 1)
+    r = (-kappa).sqrt()
+    grow, shrink = (r * x).exp(), (-r * x).exp()
+    return (grow + shrink - 2) / (2 * -kappa), (grow - shrink) / (2 * r)
+
+
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    return _series(Decimal(1), x, 1), 1 - _series(Decimal(1), x, 2)
+
+
+def decimal_angle(kappa: float, opposite: float, b: float, c: float) -> float:
+    """The apex angle of a valid, nondegenerate triangle, to 40 digits, rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        k, o, b, c = (Decimal(v) for v in (kappa, opposite, b, c))
+        (eb, sb), (ec, sc), (eo, _) = (_versine_sine(k, x) for x in (b, c, o))
+        cosine = (eb + ec - eo - k * eb * ec) / (sb * sc)
+        # phi = g / 2: sin(phi*) and cos(phi*) are known; phi += sin(phi* - phi) converges cubically
+        # (rounded at the last of 50 digits, a cosine within 1e-50 of +-1 may pass it)
+        want_sin, want_cos = (max(Decimal(0), (1 - cosine) / 2).sqrt(), max(Decimal(0), (1 + cosine) / 2).sqrt())
+        phi = Decimal(math.atan2(float(want_sin), float(want_cos)))
+        for _ in range(3):
+            sin, cos = _sin_cos(phi)
+            phi += want_sin * cos - want_cos * sin
+        return float(2 * phi)
+
+
+def oracle_triangles(seed: int, count: int, sign: float, low: float, high: float):
+    """Seeded (kappa, opposite, b, c) with |kappa| * scale^2 log-uniform in [10^low, 10^high] and a random unit."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        b, c = rng.uniform(0.3, 1.0, 2)
+        o = abs(b - c) + rng.uniform(0.0, 1.0) * (b + c - abs(b - c))
+        unit = 10.0 ** rng.uniform(-100.0, 100.0)
+        scale = max(o, b, c) * unit
+        kappa = sign * 10.0 ** rng.uniform(low, high) / scale**2
+        rows.append((float(kappa), float(o * unit), float(b * unit), float(c * unit)))
+    return rows
+
+
+# the largest kappa * scale^2 whose every triangle has a perimeter within 2 pi / sqrt(kappa)
+SPHERE_LIMIT = math.log10((2.0 * math.pi / 3.0) ** 2)
+
+
+class TestDecimalOracle:
+    """Every angle within 1e-13 of the 40-digit reference, from |kappa| * scale^2 = 1e-300 to the spherical limit."""
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_sweep(self, sign):
+        rows = oracle_triangles([2026, int(sign > 0)], 600, sign, -300.0, SPHERE_LIMIT)
+        got, failure = comparison_angles(*np.array(rows).T)
+        assert failure is None
+        want = np.array([decimal_angle(*row) for row in rows])
+        err = np.abs(got - want)
+        assert err.max() <= 1e-13, rows[int(err.argmax())]
+
+    @pytest.mark.parametrize("decade", range(-16, 1))
+    def test_each_decade_near_flat(self, decade):
+        # where the classical formula cancelled: kappa * scale^2 = +-10^decade
+        for sign in (1.0, -1.0):
+            for row in oracle_triangles([7, decade + 100, int(sign > 0)], 20, sign, decade, min(decade + 1, SPHERE_LIMIT)):
+                assert comparison_angle(*row) == pytest.approx(decimal_angle(*row), abs=1e-13), row
+
+    def test_far_hyperbolic(self):
+        # sqrt(-kappa) * scale up to 1e3, where cosh overflows a double
+        for row in oracle_triangles(31, 60, -1.0, 2.0, 6.0):
+            assert comparison_angle(*row) == pytest.approx(decimal_angle(*row), abs=1e-13), row
+
+    def test_unit_square_right_angle(self):
+        # the true slack of the square's right angle is about kappa / 6 near kappa = 0
+        side, diagonal = 1.0, 1.4142135623730951
+        for kappa in (1e-15, 1e-13, 1e-11, 1e-9, -1e-13, -1e-9):
+            got = comparison_angle(kappa, diagonal, side, side)
+            assert got == pytest.approx(decimal_angle(kappa, diagonal, side, side), abs=1e-15)
+
+
+# a log ladder through kappa = 0, +-1e-20 ... +-1e-3 in half decades
+KAPPA_LADDER = tuple(sorted({s * 10.0 ** (k / 2.0) for s in (-1.0, 1.0) for k in range(-40, -5)} | {0.0}))
 
 
 def realize_triangle(kappa: float, d12: float, d13: float, d23: float) -> np.ndarray:
@@ -158,13 +267,12 @@ class TestComparisonAngle:
         with pytest.raises(DomainError):
             comparison_angle(4.0, 2.0, 2.0, 2.0)  # sqrt(4)*2 = 4 > pi
 
-    def test_tiny_curvature_matches_flat(self):
-        flat = comparison_angle(0.0, 1.2, 1.0, 0.9)
-        assert comparison_angle(1e-15, 1.2, 1.0, 0.9) == flat
-        assert comparison_angle(-1e-15, 1.2, 1.0, 0.9) == flat
+    def test_tiny_curvature_near_flat(self):
+        for kappa in (1e-15, -1e-15, 0.0):
+            assert comparison_angle(kappa, 1.2, 1.0, 0.9) == pytest.approx(decimal_angle(kappa, 1.2, 1.0, 0.9), abs=1e-15)
 
     def test_hyperbolic_large_sides_no_overflow(self):
-        # cosh(400) overflows a double; the rescaled branch must not
+        # cosh(400) overflows a double; the damped versines do not
         a = comparison_angle(-1.0, 400.0, 400.0, 400.0)
         assert 0.0 <= a < comparison_angle(0.0, 1.0, 1.0, 1.0)
 
@@ -180,6 +288,12 @@ class TestComparisonAngle:
         lo = comparison_angle(KAPPA_GRID[i], opposite, b, c)
         hi = comparison_angle(KAPPA_GRID[i + 1], opposite, b, c)
         assert hi >= lo - 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(small_triples())
+    def test_monotone_along_the_ladder_through_flat(self, sides):
+        angles = comparison_angles(np.array(KAPPA_LADDER), *sides)[0]
+        assert (np.diff(angles) >= -1e-12).all()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(small_side, small_side, st.floats(min_value=0.1, max_value=0.9), st.floats(min_value=0.1, max_value=0.9))
@@ -225,10 +339,18 @@ class TestTripleEmbeddable:
 class TestCurvatureRange:
     @pytest.mark.parametrize("kappa", (1e-320, -1e-320, 1e-310, -1e-310))
     def test_subnormal_curvature(self, kappa):
-        # 1/kappa overflows, and so would the Gram entries
+        # no 1/kappa is formed: the regular tetrahedron realizes, its pole at 1/sqrt(|kappa|) < 1e162
         d = np.ones((4, 4)) - np.eye(4)
-        with pytest.raises(DomainError, match=rf"^curvature {kappa!r} is subnormal"):
-            realize_distances(kappa, d, 3)
+        coords = realize_distances(kappa, d, 3)
+        assert coords.shape == (4, 4) and np.isfinite(coords).all()
+        assert coords[0, 0] == 1.0 / math.sqrt(abs(kappa))
+        assert realize_quadruple(MetricQuadruple(d), kappa, 3) is not None
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_regular_tetrahedron_at_every_small_curvature(self, sign):
+        q = MetricQuadruple(np.ones((4, 4)) - np.eye(4))
+        for exponent in range(-300, -3):
+            assert realize_quadruple(q, sign * 10.0**exponent, 3) is not None, exponent
 
     def test_side_limit_is_the_triangle_slack(self):
         # sqrt(kappa) * d may exceed pi by TRIANGLE_SLACK, relative, and no more
@@ -278,6 +400,11 @@ class TestRealizeTriple:
         assert measured_angle(kappa, coords, 0) == pytest.approx(comparison_angle(kappa, opposite, b, c), abs=1e-9)
 
 
+def model_distance_matrix(kappa: float, coords: np.ndarray) -> np.ndarray:
+    """Distances of model coordinates by arccos or arccosh of their products (`conftest.geodesic_distance`)."""
+    return np.array([[geodesic_distance(kappa, p, q) if i != j else 0.0 for j, q in enumerate(coords)] for i, p in enumerate(coords)])
+
+
 def hyperboloid_distances(rng, n: int, radius: float) -> np.ndarray:
     """Distances of n random points within `radius` of the pole on the curvature -1 hyperboloid."""
     r = rng.uniform(0.0, radius, n)
@@ -290,32 +417,36 @@ def hyperboloid_distances(rng, n: int, radius: float) -> np.ndarray:
 
 
 class TestHyperbolicRealization:
-    """The hyperbolic branch factors the cosh Gram matrix divided by 4**h."""
+    """Hyperbolic points realize from their versines over six decades of curvature."""
 
-    def test_same_coordinates_as_unscaled_factor(self):
+    def test_round_trip_over_six_decades(self):
         rng = np.random.default_rng(11)
-        realized = 0
+        realized, worst = 0, 0.0
         for _ in range(300):
             kappa = -(10.0 ** rng.uniform(-3.0, 3.0))
             d = hyperboloid_distances(rng, 4, 3.0) / math.sqrt(-kappa)
-            if rng.uniform() < 0.5:
+            fits = rng.uniform() >= 0.5
+            if not fits:
                 kappa *= 10.0 ** rng.uniform(-1.0, 1.0)  # a curvature the points do not fit
-            want = _factor(np.cosh(math.sqrt(-kappa) * d) / kappa, 2, True)
             got = realize_distances(kappa, d, 2)
-            assert (got is None) == (want is None)
-            if got is not None:
-                realized += 1
-                np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
-        assert realized > 100
+            if fits:
+                assert got is not None and got[:, 0].min() > 0.0  # on the upper sheet
+                worst = max(worst, np.abs(model_distance_matrix(kappa, got) - d).max() / d.max())
+            realized += got is not None
+        assert realized > 100 and worst <= 1e-9
 
-    def test_near_overflow_entries(self):
-        # sqrt(-kappa) * max d = 697: cosh Gram entries near 1e297, on which
-        # the unscaled eigensolver did not converge
+    @pytest.mark.parametrize("kappa", [-100.0, -1000.0, -58060.6563420252])
+    def test_near_overflow_entries(self, kappa):
+        # up to sqrt(-kappa) * max d = 697, where cosh Gram entries near 1e297 once
+        # kept an eigensolver from converging; the quadruple's Wald roots are about
+        # -5.67 and 1, so at these curvatures no coordinates reproduce its distances
+        # (a rank-2 factorization of the cosh Gram matrix misses them by 6 % to 33 %
+        # of the largest at kappa = -100 to -1000)
         d = MetricQuadruple.from_pairwise(
             2.3303257425485495, 2.124565799872923, 2.893484832670206,
             0.27499257996563814, 0.9532155163549789, 1.1035036827185678,
         ).distances
-        assert realize_distances(-58060.6563420252, d, 2) is None
+        assert realize_distances(kappa, d, 2) is None
 
     def test_eigensolver_failure_is_none(self, monkeypatch):
         def no_convergence(g):
@@ -353,7 +484,7 @@ class TestRealizationInputs:
         d = model_distances(kappa, rng, n)
         coords = realize_distances(kappa, d, dim)
         assert coords.shape == (n, dim if kappa == 0.0 else dim + 1)
-        np.testing.assert_allclose(distances_from_coords(kappa, coords), d, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(model_distance_matrix(kappa, coords), d, rtol=0.0, atol=1e-9)
         # canonical placement: point 0 at the origin of the plane, and row i
         # of the sphere's or hyperboloid's space coordinates zero beyond coordinate i
         space = coords if kappa >= 0.0 else coords[:, 1:]
@@ -377,8 +508,8 @@ class TestRealizationInputs:
             realize_distances(kappa, dmat, 2)
 
 
-class TestEuclideanRange:
-    """The flat law of cosines raises DomainError past its float range and keeps every angle's bits inside it."""
+class TestScaleInvariance:
+    """Angles run on the sides over a power of two near the largest: every scale that keeps the sides' bits gives the same bits."""
 
     @staticmethod
     def _triangles(seed, count):
@@ -391,35 +522,26 @@ class TestEuclideanRange:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scales_by_powers_of_two(self, seed):
-        big, tiny = Fraction(sys.float_info.max), Fraction(sys.float_info.min)
         for sides in self._triangles([seed, 7707], 5):
-            want = comparison_angle(0.0, *sides)
-            ok = []
-            for k in range(-1080, 1030):
-                try:
-                    scaled = [math.ldexp(x, k) for x in sides]
-                except OverflowError:
-                    continue  # a side past the largest float
-                if any(math.ldexp(y, -k) != x for x, y in zip(sides, scaled)):
-                    continue  # a subnormal side lost bits: another triangle
-                squares = [Fraction(x) ** 2 for x in scaled]
-                # clearly inside or clearly outside the range, by exact arithmetic; a margin of 4 on either side is left open
-                inside = min(squares) >= 4 * tiny and 4 * max(squares) <= big
-                outside = min(squares) < tiny / 4 or max(squares) > big
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
+            for kappa in (0.0, 0.5, -3.0):
+                want = comparison_angle(kappa, *sides)
+                ok = []
+                for k in range(-1080, 1030):
                     try:
-                        got = comparison_angle(0.0, *map(np.float64, scaled))
-                    except DomainError:
-                        assert not inside, (sides, k)
-                        continue
-                assert not outside, (sides, k)
-                assert got == want, (sides, k)
-                ok.append(k)
-            assert ok == list(range(ok[0], ok[-1] + 1))
-            assert ok[0] < -500 and ok[-1] > 500
+                        scaled = [math.ldexp(kappa, -2 * k), *(math.ldexp(x, k) for x in sides)]
+                    except OverflowError:
+                        continue  # past the largest float
+                    if any(math.ldexp(y, -k) != x for x, y in zip(sides, scaled[1:])) or math.ldexp(scaled[0], 2 * k) != kappa:
+                        continue  # a subnormal lost bits: another triangle
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = comparison_angle(*map(np.float64, scaled))
+                    assert got == want, (sides, kappa, k)
+                    ok.append(k)
+                assert ok == list(range(ok[0], ok[-1] + 1))
+                assert ok[0] < (-1000 if kappa == 0.0 else -500) and ok[-1] > (1000 if kappa == 0.0 else 500)
 
-    def test_curved_branches_take_numpy_scalars_without_warnings(self):
+    def test_curved_models_take_numpy_scalars_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kappa in (-1.0, 1.0):
