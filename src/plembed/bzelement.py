@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, in_range
+from .mesh import rowdot
 from .spaceform import TWO_PI
+
+SLACK = 1e-12  # relative slack of the polar angle range and of the side, circumradius and template comparisons
+# side p runs from vertex _K[p] to vertex _L[p]
+_K, _L = np.array([1, 2, 0]), np.array([2, 0, 1])
+
 
 @dataclass(frozen=True)
 class FoldParams:
@@ -34,6 +41,13 @@ class FoldParams:
             raise DomainError("radial scale must be positive and finite")
 
 
+def _check_polar(source_angle: float, rho: float, phi: float) -> None:
+    if not 0.0 <= rho < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
+    if not -SLACK <= phi <= source_angle * (1.0 + SLACK):
+        raise DomainError("angular coordinate outside [0, source angle]")
+
+
 def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[float, float]:
     """Image of the polar point (rho, phi) under the fold.
 
@@ -41,10 +55,7 @@ def standard_vertex_map(params: FoldParams, rho: float, phi: float) -> tuple[flo
     scale * rho ** (target/source); the apex (rho = 0) is fixed.  Conformal
     away from the apex.
     """
-    if not 0.0 <= rho < math.inf:
-        raise DomainError("radius must be nonnegative and finite")
-    if not -1e-12 <= phi <= params.source_angle * (1.0 + 1e-12):
-        raise DomainError("angular coordinate outside [0, source angle]")
+    _check_polar(params.source_angle, rho, phi)
     source, target, scale = params.source_angle, params.target_angle, params.radial_scale
     t = in_range(lambda: target / source, f"angle ratio {target!r} / {source!r}")
     radius = in_range(lambda: scale * rho**t, f"image radius {scale!r} * {rho!r}**{t!r}")
@@ -60,10 +71,7 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
     """
     if not 0.0 < source_angle < math.inf:
         raise DomainError("cone angle must be positive and finite")
-    if not 0.0 <= rho < math.inf:
-        raise DomainError("radius must be nonnegative and finite")
-    if not -1e-12 <= phi <= source_angle * (1.0 + 1e-12):
-        raise DomainError("angular coordinate outside [0, source angle]")
+    _check_polar(source_angle, rho, phi)
     ratio = in_range(lambda: TWO_PI / source_angle, f"angle ratio 2*pi / {source_angle!r}")
     return rho, in_range(lambda: ratio * phi, f"image angle {ratio!r} * {phi!r}")
 
@@ -78,6 +86,7 @@ class AcuteTriangle:
 
     Side p is the edge opposite vertex p; the circumcenter lies strictly
     inside, so apothems (distances to the edge midpoints) are positive.
+    The vertices are read-only, so each derived quantity is computed once.
     """
 
     vertices: np.ndarray
@@ -88,23 +97,12 @@ class AcuteTriangle:
             raise DomainError("expected three planar vertices")
         if not np.isfinite(v).all():
             raise DomainError("vertices must be finite")
-        sides = self._side_lengths(v)
-        if min(sides) <= 0.0:
-            raise DomainError("triangle is degenerate")
-        for p in range(3):
-            k, l = (p + 1) % 3, (p + 2) % 3
-            # cos of angle at vertex p; must be strictly positive (acute)
-            cosv = (sides[k] ** 2 + sides[l] ** 2 - sides[p] ** 2) / (2.0 * sides[k] * sides[l])
-            if cosv <= 0.0:
-                raise DomainError("triangle must be strictly acute")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-
-    @staticmethod
-    def _side_lengths(v: np.ndarray) -> tuple[float, float, float]:
-        return tuple(
-            float(np.linalg.norm(v[(p + 1) % 3] - v[(p + 2) % 3])) for p in range(3)
-        )
+        if min(self.side_lengths) <= 0.0:
+            raise DomainError("triangle is degenerate")
+        if min(self._cosines) <= 0.0:
+            raise DomainError("triangle must be strictly acute")
 
     @classmethod
     def from_sides(cls, s1: float, s2: float, s3: float) -> "AcuteTriangle":
@@ -120,26 +118,30 @@ class AcuteTriangle:
             raise DomainError("sides do not form a triangle")
         return cls(np.array([[0.0, 0.0], [s3, 0.0], [x, math.sqrt(y2)]]))
 
-    @property
+    @cached_property
     def side_lengths(self) -> tuple[float, float, float]:
-        return self._side_lengths(self.vertices)
+        d = self.vertices[_K] - self.vertices[_L]
+        return tuple(np.sqrt(rowdot(d, d)).tolist())
+
+    @cached_property
+    def _cosines(self) -> tuple[float, float, float]:
+        # law of cosines at each vertex, in Python floats: s ** 2 is libm pow, not s * s
+        s = self.side_lengths
+        return tuple((s[k] ** 2 + s[l] ** 2 - s[p] ** 2) / (2.0 * s[k] * s[l]) for p, k, l in zip(range(3), _K, _L))
 
     @property
     def angles(self) -> tuple[float, float, float]:
-        s = self.side_lengths
-        out = []
-        for p in range(3):
-            k, l = (p + 1) % 3, (p + 2) % 3
-            out.append(math.acos((s[k] ** 2 + s[l] ** 2 - s[p] ** 2) / (2.0 * s[k] * s[l])))
-        return tuple(out)
+        return tuple(map(math.acos, self._cosines))
 
-    @property
+    @cached_property
     def circumcenter(self) -> np.ndarray:
         (ax, ay), (bx, by), (cx, cy) = self.vertices
         d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
         ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
         uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-        return np.array([ux, uy])
+        center = np.array([ux, uy])
+        center.setflags(write=False)
+        return center
 
     @property
     def circumradius(self) -> float:
@@ -147,13 +149,12 @@ class AcuteTriangle:
 
     @property
     def edge_midpoints(self) -> np.ndarray:
-        v = self.vertices
-        return np.array([0.5 * (v[(p + 1) % 3] + v[(p + 2) % 3]) for p in range(3)])
+        return 0.5 * (self.vertices[_K] + self.vertices[_L])
 
     @property
     def apothems(self) -> tuple[float, float, float]:
-        c = self.circumcenter
-        return tuple(float(np.linalg.norm(m - c)) for m in self.edge_midpoints)
+        d = self.edge_midpoints - self.circumcenter
+        return tuple(np.sqrt(rowdot(d, d)).tolist())
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,7 @@ class PleatedElement:
 
     ``base_vertices`` are the base corners lifted to z = 0; ``apex`` sits at
     apex_height over the base circumcenter; ``face_points`` sit at
-    ``pleat_heights`` over the base edge midpoints.  ``sub_triangles`` pairs
-    each of the six flat circumcenter sub-triangles of the template with its
-    spatial counterpart, in (edge p, half) order.
+    ``pleat_heights`` over the base edge midpoints.
     """
 
     template: AcuteTriangle
@@ -174,19 +173,13 @@ class PleatedElement:
     face_points: np.ndarray
     apex_height: float
     pleat_heights: np.ndarray
-    sub_triangles: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def to_obj(self) -> str:
         """Wavefront OBJ text: base corners, face points, apex; six faces."""
-        verts = [*self.base_vertices, *self.face_points, self.apex]
-        lines = ["# pleated element"]
-        for p in verts:
-            lines.append("v " + " ".join(f"{x:.17g}" for x in p))
-        apex_i = 7
-        for p in range(3):
-            k, l = (p + 1) % 3, (p + 2) % 3
-            lines.append(f"f {k + 1} {p + 4} {apex_i}")
-            lines.append(f"f {p + 4} {l + 1} {apex_i}")
+        verts = np.vstack([self.base_vertices, self.face_points, self.apex])
+        lines = ["# pleated element", *("v " + " ".join(f"{x:.17g}" for x in p) for p in verts)]
+        for p, k, l in zip(range(3), _K, _L):
+            lines += [f"f {k + 1} {p + 4} 7", f"f {p + 4} {l + 1} 7"]
         return "\n".join(lines) + "\n"
 
 
@@ -205,52 +198,29 @@ def canonical_element(template: AcuteTriangle, base: AcuteTriangle) -> PleatedEl
     """
     t_sides = template.side_lengths
     b_sides = base.side_lengths
-    for at, ab in zip(template.angles, base.angles):
-        if abs(at - ab) > SIMILAR_ANGLE_TOL:
-            raise DomainError("triangles are not almost similar: angle mismatch")
+    if np.any(np.abs(np.subtract(template.angles, base.angles)) > SIMILAR_ANGLE_TOL):
+        raise DomainError("triangles are not almost similar: angle mismatch")
     for st, sb in zip(t_sides, b_sides):
-        if sb > st * (1.0 + 1e-12):
+        if sb > st * (1.0 + SLACK):
             raise DomainError("every base side must be at most the template side")
         if sb < MIN_SIDE_RATIO * st:
             raise DomainError(f"side ratio below the minimum {MIN_SIDE_RATIO}")
     big_r = template.circumradius
     small_r = base.circumradius
-    if small_r > big_r * (1.0 + 1e-12):
+    if small_r > big_r * (1.0 + SLACK):
         raise DomainError("base circumradius exceeds the template circumradius")
 
-    h2 = big_r * big_r - small_r * small_r
-    apex_height = math.sqrt(max(h2, 0.0))
-    center = base.circumcenter
-    apex = np.array([center[0], center[1], apex_height])
-    base_xyz = np.hstack([base.vertices, np.zeros((3, 1))])
-    mids = base.edge_midpoints
-    pleat_heights = np.empty(3)
-    face_points = np.empty((3, 3))
-    for p in range(3):
-        z2 = (0.5 * t_sides[p]) ** 2 - (0.5 * b_sides[p]) ** 2
-        pleat_heights[p] = math.sqrt(max(z2, 0.0))
-        face_points[p] = (mids[p][0], mids[p][1], pleat_heights[p])
-
-    t_center = template.circumcenter
-    t_mids = template.edge_midpoints
-    pairs = []
-    for p in range(3):
-        k, l = (p + 1) % 3, (p + 2) % 3
-        flat_first = np.array([template.vertices[k], t_mids[p], t_center])
-        flat_second = np.array([t_mids[p], template.vertices[l], t_center])
-        space_first = np.array([base_xyz[k], face_points[p], apex])
-        space_second = np.array([face_points[p], base_xyz[l], apex])
-        pairs.append((flat_first, space_first))
-        pairs.append((flat_second, space_second))
+    apex_height = math.sqrt(max(big_r * big_r - small_r * small_r, 0.0))
+    # (t/2) ** 2 - (b/2) ** 2 cancels, so its pow rounding shows: kept in Python floats
+    pleat_heights = np.array([math.sqrt(max((0.5 * st) ** 2 - (0.5 * sb) ** 2, 0.0)) for st, sb in zip(t_sides, b_sides)])
     return PleatedElement(
         template,
         base,
-        base_xyz,
-        apex,
-        face_points,
+        np.hstack([base.vertices, np.zeros((3, 1))]),
+        np.append(base.circumcenter, apex_height),
+        np.column_stack([base.edge_midpoints, pleat_heights]),
         apex_height,
         pleat_heights,
-        tuple(pairs),
     )
 
 
@@ -281,27 +251,14 @@ class DefectReport:
 
 def isometry_defect(element: PleatedElement, template: AcuteTriangle) -> DefectReport:
     """Congruence residuals of the element against the template triangle."""
-    for a, b in zip(element.template.side_lengths, template.side_lengths):
-        if abs(a - b) > 1e-12 * max(a, b):
-            raise DomainError("element was not built against this template")
-    t_sides = template.side_lengths
-    apothems = template.apothems
-    b_sides = element.base.side_lengths
-    pleat = []
-    boundary = []
-    for p in range(3):
-        k, l = (p + 1) % 3, (p + 2) % 3
-        pleat.append(abs(float(np.linalg.norm(element.apex - element.face_points[p])) - apothems[p]))
-        length = float(
-            np.linalg.norm(element.base_vertices[k] - element.face_points[p])
-            + np.linalg.norm(element.face_points[p] - element.base_vertices[l])
-        )
-        boundary.append(abs(length - t_sides[p]))
-    ratios = tuple(sb / st for sb, st in zip(b_sides, t_sides))
-    return DefectReport(
-        tuple(pleat),
-        tuple(boundary),
-        max(max(pleat), max(boundary)),
-        ratios,
-        sum(ratios) / 3.0,
-    )
+    built, t_sides = np.array(element.template.side_lengths), np.array(template.side_lengths)
+    if np.any(np.abs(built - t_sides) > SLACK * np.maximum(built, t_sides)):
+        raise DomainError("element was not built against this template")
+    corners, points = element.base_vertices, element.face_points
+    to_apex = element.apex - points
+    first, second = corners[_K] - points, points - corners[_L]
+    pleat = np.abs(np.sqrt(rowdot(to_apex, to_apex)) - template.apothems).tolist()
+    lengths = np.sqrt(rowdot(first, first)) + np.sqrt(rowdot(second, second))
+    boundary = np.abs(lengths - t_sides).tolist()
+    ratios = tuple(np.divide(element.base.side_lengths, t_sides).tolist())
+    return DefectReport(tuple(pleat), tuple(boundary), max(*pleat, *boundary), ratios, sum(ratios) / 3.0)

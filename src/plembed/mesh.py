@@ -19,9 +19,9 @@ from .errors import MeshError, ParseError
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, 3) arrays, each equal bit for bit to ``np.dot`` of its rows.
+    """Row-wise dot products of two (k, n) arrays, each equal bit for bit to ``np.dot`` of its rows.
 
-    (A stack of 1x3 @ 3x1 products runs the dot kernel; einsum and sums may differ in the last place.)
+    (A stack of 1xn @ nx1 products runs the dot kernel; einsum and sums may differ in the last place.)
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 

@@ -372,8 +372,9 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
 
     The directions are standard normal draws, unnormalized (the signs stay),
     from one stream of a counter-based (Philox) generator seeded with `seed`,
-    counted MC_CHUNK at a time with the variance merged by Welford updates;
-    the same arguments give the same bits.  `samples` must be an integer of
+    counted MC_CHUNK at a time: the estimate is the count K over N, and its
+    standard error sqrt(K (N - K) / (N^2 (N - 1))), so the same arguments give
+    the same bits for any chunk size.  `samples` must be an integer of
     at least 2 and `seed` a nonnegative integer (DomainError).
     """
     if not isinstance(samples, int) or isinstance(samples, bool):
@@ -387,20 +388,13 @@ def normalized_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, 
     if len(normals) == 0:
         raise MeshError(f"vertex {v} has no incident faces")
     gen = np.random.Generator(np.random.Philox(seed))
-    count, mean, m2 = 0, 0.0, 0.0
-    while count < samples:
-        take = min(MC_CHUNK, samples - count)
-        inside = np.maximum.reduce(normals @ gen.standard_normal((take, 3)).T) <= 0.0
-        # Welford merge of the chunk (indicator mean/variance) into the run.
-        c_mean = float(np.mean(inside))
-        c_m2 = float(np.sum((inside - c_mean) ** 2))
-        delta = c_mean - mean
-        total = count + take
-        mean += delta * take / total
-        m2 += c_m2 + delta * delta * count * take / total
-        count = total
-    stderr = math.sqrt(m2 / (count - 1) / count)
-    return MonteCarloEstimate(mean, stderr, samples, seed)
+    count = 0
+    for start in range(0, samples, MC_CHUNK):
+        take = min(MC_CHUNK, samples - start)
+        count += int(np.count_nonzero(np.maximum.reduce(normals @ gen.standard_normal((take, 3)).T) <= 0.0))
+    # K/N and the radicand are each one rounding of a quotient of exact integers
+    stderr = math.sqrt(count * (samples - count) / (samples * samples * (samples - 1)))
+    return MonteCarloEstimate(count / samples, stderr, samples, seed)
 
 
 def normalized_exterior_angle(mesh: PolyMesh, v: int) -> float:

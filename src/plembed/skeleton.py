@@ -239,14 +239,6 @@ class MetricGraph:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def neighbors(self, v) -> tuple[int, ...]:
-        i = self.index(v)
-        return tuple(self._nbr[self._indptr[i] : self._indptr[i + 1]].tolist())
-
-    def degree(self, v) -> int:
-        i = self.index(v)
-        return int(self._indptr[i + 1] - self._indptr[i])
-
     def _balls(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The search balls of ``sources`` (sorted, distinct), by the relaxation in the module docstring.
 

@@ -13,6 +13,8 @@ from plembed import (
     vertex_contraction,
 )
 
+from plembed.bzelement import MIN_SIDE_RATIO
+
 from conftest import fold_jacobian
 
 TWO_PI = 2.0 * math.pi
@@ -278,16 +280,6 @@ class TestCanonicalElement:
                 assert np.linalg.norm(el.face_points[p] - el.base_vertices[l]) == pytest.approx(half[p], rel=1e-12)
                 assert np.linalg.norm(el.apex - el.base_vertices[p]) == pytest.approx(big_r, rel=1e-12)
 
-    def test_sub_triangle_pairing(self):
-        t = AcuteTriangle.from_sides(1.0, 1.0, 1.0)
-        b = AcuteTriangle.from_sides(0.9, 0.9, 0.9)
-        el = canonical_element(t, b)
-        assert len(el.sub_triangles) == 6
-        for flat, space in el.sub_triangles:
-            assert flat.shape == (3, 2) and space.shape == (3, 3)
-            # the flat piece is a genuine circumcenter sub-triangle
-            assert np.allclose(flat[2], t.circumcenter)
-
 
 class TestIsometryDefect:
     def test_frozen_equilateral_value(self):
@@ -361,3 +353,221 @@ class TestObjExport:
         vline = el.to_obj().splitlines()[7]
         coords = [float(x) for x in vline.split()[1:]]
         assert coords == pytest.approx(list(el.apex), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The scalar reference: AcuteTriangle, canonical_element and isometry_defect as
+# loops over p on Python floats, with norms of single rows and ``**`` as libm pow.
+
+
+def reference_triangle(vertices) -> dict:
+    """Every property of ``AcuteTriangle(vertices)``, or its DomainError."""
+    v = np.array(vertices, dtype=float)
+    if v.shape != (3, 2):
+        raise DomainError("expected three planar vertices")
+    if not np.isfinite(v).all():
+        raise DomainError("vertices must be finite")
+    sides = tuple(float(np.linalg.norm(v[(p + 1) % 3] - v[(p + 2) % 3])) for p in range(3))
+    if min(sides) <= 0.0:
+        raise DomainError("triangle is degenerate")
+    angles = []
+    for p in range(3):
+        k, l = (p + 1) % 3, (p + 2) % 3
+        cosv = (sides[k] ** 2 + sides[l] ** 2 - sides[p] ** 2) / (2.0 * sides[k] * sides[l])
+        if cosv <= 0.0:
+            raise DomainError("triangle must be strictly acute")
+        angles.append(math.acos(cosv))
+    (ax, ay), (bx, by), (cx, cy) = v
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
+    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
+    center = np.array([ux, uy])
+    mids = np.array([0.5 * (v[(p + 1) % 3] + v[(p + 2) % 3]) for p in range(3)])
+    return {
+        "vertices": v,
+        "side_lengths": sides,
+        "angles": tuple(angles),
+        "circumcenter": center,
+        "circumradius": float(np.linalg.norm(v[0] - center)),
+        "edge_midpoints": mids,
+        "apothems": tuple(float(np.linalg.norm(m - center)) for m in mids),
+    }
+
+
+def reference_element(t: dict, b: dict) -> dict:
+    """The fields of ``canonical_element`` from two reference triangles, or its DomainError."""
+    for at, ab in zip(t["angles"], b["angles"]):
+        if abs(at - ab) > 1e-2:
+            raise DomainError("triangles are not almost similar: angle mismatch")
+    for st, sb in zip(t["side_lengths"], b["side_lengths"]):
+        if sb > st * (1.0 + 1e-12):
+            raise DomainError("every base side must be at most the template side")
+        if sb < 0.5 * st:
+            raise DomainError("side ratio below the minimum 0.5")
+    big_r, small_r = t["circumradius"], b["circumradius"]
+    if small_r > big_r * (1.0 + 1e-12):
+        raise DomainError("base circumradius exceeds the template circumradius")
+    apex_height = math.sqrt(max(big_r * big_r - small_r * small_r, 0.0))
+    center, mids = b["circumcenter"], b["edge_midpoints"]
+    pleat_heights = np.empty(3)
+    face_points = np.empty((3, 3))
+    for p in range(3):
+        z2 = (0.5 * t["side_lengths"][p]) ** 2 - (0.5 * b["side_lengths"][p]) ** 2
+        pleat_heights[p] = math.sqrt(max(z2, 0.0))
+        face_points[p] = (mids[p][0], mids[p][1], pleat_heights[p])
+    return {
+        "base_vertices": np.hstack([b["vertices"], np.zeros((3, 1))]),
+        "apex": np.array([center[0], center[1], apex_height]),
+        "face_points": face_points,
+        "apex_height": apex_height,
+        "pleat_heights": pleat_heights,
+    }
+
+
+def reference_defect(el: dict, built: dict, b: dict, t: dict) -> dict:
+    """The fields of ``isometry_defect``: ``el`` built against ``built`` over ``b``, checked against ``t``."""
+    for x, y in zip(built["side_lengths"], t["side_lengths"]):
+        if abs(x - y) > 1e-12 * max(x, y):
+            raise DomainError("element was not built against this template")
+    pleat, boundary = [], []
+    for p in range(3):
+        k, l = (p + 1) % 3, (p + 2) % 3
+        pleat.append(abs(float(np.linalg.norm(el["apex"] - el["face_points"][p])) - t["apothems"][p]))
+        length = float(
+            np.linalg.norm(el["base_vertices"][k] - el["face_points"][p])
+            + np.linalg.norm(el["face_points"][p] - el["base_vertices"][l])
+        )
+        boundary.append(abs(length - t["side_lengths"][p]))
+    ratios = tuple(sb / st for sb, st in zip(b["side_lengths"], t["side_lengths"]))
+    return {
+        "pleat_residuals": tuple(pleat),
+        "boundary_residuals": tuple(boundary),
+        "max_defect": max(max(pleat), max(boundary)),
+        "edge_ratios": ratios,
+        "similarity_ratio": sum(ratios) / 3.0,
+    }
+
+
+def reference_obj(el: dict) -> str:
+    lines = ["# pleated element"]
+    for p in [*el["base_vertices"], *el["face_points"], el["apex"]]:
+        lines.append("v " + " ".join(f"{x:.17g}" for x in p))
+    for p in range(3):
+        k, l = (p + 1) % 3, (p + 2) % 3
+        lines += [f"f {k + 1} {p + 4} 7", f"f {p + 4} {l + 1} 7"]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def assert_same_fields(got, want: dict):
+    """Each field equal to the reference's in type and in every bit."""
+    for name, value in want.items():
+        mine = getattr(got, name)
+        assert type(mine) is type(value), name
+        if isinstance(value, tuple):
+            assert all(type(x) is float for x in mine), name
+        assert np.asarray(mine, dtype=float).tobytes() == np.asarray(value, dtype=float).tobytes(), name
+
+
+def assert_matches_reference(template_vertices, base_vertices):
+    t_ref, b_ref = outcome(reference_triangle, template_vertices), outcome(reference_triangle, base_vertices)
+    t, b = outcome(AcuteTriangle, template_vertices), outcome(AcuteTriangle, base_vertices)
+    for tri, ref in ((t, t_ref), (b, b_ref)):
+        assert isinstance(ref, str) == isinstance(tri, str) and (not isinstance(ref, str) or str(tri) == ref)
+        if not isinstance(ref, str):
+            assert_same_fields(tri, ref)
+    if isinstance(t_ref, str) or isinstance(b_ref, str):
+        return "triangle"
+    el_ref, el = outcome(reference_element, t_ref, b_ref), outcome(canonical_element, t, b)
+    if isinstance(el_ref, str):
+        assert el == el_ref
+        return el_ref
+    assert_same_fields(el, el_ref)
+    assert el.template is t and el.base is b
+    assert el.to_obj() == reference_obj(el_ref)
+    assert_same_fields(isometry_defect(el, t), reference_defect(el_ref, t_ref, b_ref, t_ref))
+    # against other templates: a moved copy, whose sides agree within the slack, and a half-size mirror
+    for other in (t.vertices + 0.25, t.vertices[::-1] * 0.5):
+        want = outcome(reference_defect, el_ref, t_ref, b_ref, reference_triangle(other))
+        got = outcome(isometry_defect, el, AcuteTriangle(other))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_fields(got, want)
+    return "element"
+
+
+def seeded_pairs(seed: int, count: int):
+    """(template, base) vertex arrays: scaled, moved and perturbed bases of random templates."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        t = random_acute(rng, math.exp(rng.uniform(-8.0, 8.0))).vertices
+        kind = i % 4
+        if kind == 0:
+            # a scaled copy, as in test_exact_edges_congruent_random
+            b = t * float(rng.uniform(0.45, 1.02))
+        elif kind == 1:
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            b = float(rng.uniform(0.5, 1.0)) * t @ rot.T + rng.uniform(-1.0, 1.0, 2)
+        elif kind == 2:
+            b = t * float(rng.uniform(0.5, 1.0)) * (1.0 + rng.normal(0.0, 10.0 ** rng.uniform(-9.0, -2.0), (3, 2)))
+        else:
+            b = rng.uniform(0.0, 1.0, size=(3, 2)) * math.exp(rng.uniform(-8.0, 8.0))
+        yield t, b
+
+
+class TestScalarReference:
+    """Every field of the triangles, the element, its OBJ text and its defect, bit for bit against the loops."""
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_seeded_pairs(self, seed):
+        seen = [assert_matches_reference(t, b) for t, b in seeded_pairs(seed, 500)]
+        assert seen.count("element") >= 250
+
+    def test_scaled_random_templates(self):
+        # the bases of test_exact_edges_congruent_random, at many more draws
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            t = random_acute(rng)
+            c = float(rng.uniform(0.6, 0.999))
+            assert assert_matches_reference(t.vertices, t.vertices * c) == "element"
+
+    @pytest.mark.parametrize(
+        "template,base",
+        [
+            ((5.0, 4.0, 3.0), (5.0, 4.0, 3.0)),  # right: rejected as a triangle
+            ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)),  # side ratio exactly MIN_SIDE_RATIO
+            ((0.8, 0.9, 1.0), (0.4, 0.45, 0.5)),
+            ((0.8, 0.9, 1.0), (0.8, 0.9, 1.0)),  # base equal to its template
+            ((1.0, 1.0, 1.0), (0.9, 0.9, 0.9)),
+            ((1.0, 1.0, 1.0), (1.01, 1.01, 1.01)),
+            ((1.0, 1.0, 1.0), (0.4, 0.4, 0.4)),
+        ],
+    )
+    def test_boundary_cases(self, template, base):
+        # placed as from_sides places them
+        places = []
+        for s1, s2, s3 in (template, base):
+            x = (s3 * s3 + s2 * s2 - s1 * s1) / (2.0 * s3)
+            places.append(np.array([[0.0, 0.0], [s3, 0.0], [x, math.sqrt(s2 * s2 - x * x)]]))
+        assert_matches_reference(*places)
+
+    def test_ratio_at_the_minimum_and_identity(self):
+        t = AcuteTriangle.from_sides(0.8, 0.9, 1.0)
+        assert assert_matches_reference(t.vertices, t.vertices * MIN_SIDE_RATIO) == "element"
+        assert assert_matches_reference(t.vertices, t.vertices) == "element"
+        assert canonical_element(t, t).apex_height == 0.0
+
+    def test_rejected_triangles(self):
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            assert_matches_reference(rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=(3, 2)))
+        for bad in (np.zeros((3, 3)), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]]):
+            assert assert_matches_reference(bad, bad) == "triangle"

@@ -84,8 +84,8 @@ def scalar_s3_embeddability(q, kappa, angle_tol=1e-9):
 
 def scalar_local(g, v, kappa, tol=ANGLE_TOL):
     label = g.labels[v]
-    idx = (v, *g.neighbors(v))
     adj = adjacency(g)
+    idx = (v, *sorted(j for j, _ in adj[v]))
     ball = {a: star_ball(adj, a) for a in idx}
     # every star is validated before any is certified
     stars = []

@@ -20,14 +20,16 @@ corners only, so the library must equal it bit for bit there; at every
 corner the exact volume must match the Van Oosterom-Strackee oracle, and
 the dual must raise at every corner that is not convex.
 
-`reference_link_volume_mc` is the Monte Carlo estimator as it was before its
-chunk loop dropped the (samples x faces) temporaries: `np.linalg.norm` for
-the normalisation and `np.all` over the face products for the inside test.
-The library must give the same value and stderr (==) on the same stream.
+`reference_count_mc` counts the Monte Carlo hits K of the same stream as
+the estimator did before its chunk loop dropped the (samples x faces)
+temporaries: `np.linalg.norm` for the normalisation and `np.all` over the
+face products for the inside test.  The library's value and stderr must lie
+within 1 ulp of the exact K/N and sqrt(K (N - K) / (N^2 (N - 1))).
 """
 
 import math
 import sys
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -35,7 +37,6 @@ import numpy as np
 import pytest
 
 from plembed import (
-    DomainError,
     MeshError,
     PolyMesh,
     mesh_edge_dilatation_bound,
@@ -53,7 +54,6 @@ from plembed.qcbounds import (
     _SPLIT,
     MC_CHUNK,
     EdgeAngleReport,
-    MonteCarloEstimate,
     _dedupe,
     _link_cycles,
 )
@@ -668,48 +668,36 @@ class TestLinkAtEveryCorner:
                     assert normalized_exterior_angle(got, vi) == first_exterior_angle(ref, vi)
 
 
-def reference_link_volume_mc(mesh: PolyMesh, v: int, samples: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
-    """`normalized_link_volume_mc` with a (samples x faces) product and boolean per chunk."""
-    if samples < 2:
-        raise DomainError("need at least two samples")
+def reference_count_mc(mesh: PolyMesh, v: int, samples: int, seed: int) -> int:
+    """The Monte Carlo hits K, from a (samples x faces) product of normalised directions per chunk."""
     m = mesh.oriented_outward()
     normals = m.face_normals[m.vertex_faces(int(v))]
-    if len(normals) == 0:
-        raise MeshError(f"vertex {v} has no incident faces")
     gen = np.random.Generator(np.random.Philox(seed))
     count = 0
-    mean = 0.0
-    m2 = 0.0
-    done = 0
-    while done < samples:
-        take = min(MC_CHUNK, samples - done)
-        w = gen.normal(size=(take, 3))
+    for done in range(0, samples, MC_CHUNK):
+        w = gen.normal(size=(min(MC_CHUNK, samples - done), 3))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
-        inside = np.all(w @ normals.T <= 0.0, axis=1)
-        # Welford merge of the chunk (indicator mean/variance) into the run.
-        c_count = take
-        c_mean = float(np.mean(inside))
-        c_m2 = float(np.sum((inside - c_mean) ** 2))
-        delta = c_mean - mean
-        total = count + c_count
-        mean += delta * c_count / total
-        m2 += c_m2 + delta * delta * count * c_count / total
-        count = total
-        done += take
-    stderr = math.sqrt(m2 / (count - 1) / count)
-    return MonteCarloEstimate(mean, stderr, samples, seed)
+        count += int(np.all(w @ normals.T <= 0.0, axis=1).sum())
+    return count
+
+
+def exact_sqrt(q: Fraction) -> Fraction:
+    """sqrt(q) to 2**-300 relative, from integer square roots."""
+    bits = 300 - (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return Fraction(math.isqrt(q.numerator * 4**bits // q.denominator), 2**bits)
 
 
 def assert_same_estimates(mesh, vertices, samples, seed):
-    """Value and stderr equal the reference's (==) at each vertex, with the seed offset by the vertex."""
+    """Value and stderr within 1 ulp of the exact mean and standard error of the reference's count."""
     for vi in vertices:
         got = normalized_link_volume_mc(mesh, vi, samples=samples, seed=seed + vi)
-        want = reference_link_volume_mc(mesh, vi, samples=samples, seed=seed + vi)
-        assert (got.value, got.stderr) == (want.value, want.stderr), (vi, samples, seed)
+        k, n = reference_count_mc(mesh, vi, samples, seed + vi), samples
+        for value, exact in ((got.value, Fraction(k, n)), (got.stderr, exact_sqrt(Fraction(k * (n - k), n * n * (n - 1))))):
+            assert abs(Fraction(value) - exact) <= Fraction(math.ulp(float(exact))), (vi, samples, seed, k)
 
 
 class TestMonteCarloOracle:
-    """The estimator against its reference, the same bits on the same stream."""
+    """The estimator against the exact mean and standard error of its reference count on the same stream."""
 
     @pytest.mark.parametrize("samples", [2, 3, 600])
     def test_every_vertex_of_the_fixtures(self, samples):
@@ -743,7 +731,7 @@ class TestMonteCarloOracle:
 
 
 class TestMonteCarloSweep:
-    """Seeded corners of every kind at the chunk boundary, the same bits as the normalised reference."""
+    """Seeded corners of every kind at the chunk boundary, against the normalised reference's exact estimate."""
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_dented_icosphere_corners(self, seed):

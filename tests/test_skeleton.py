@@ -72,6 +72,12 @@ def dijkstra(adj, source: int, radius: float = math.inf) -> dict[int, float]:
     return dist
 
 
+def csr_neighbours(g: MetricGraph, v) -> list[int]:
+    """The neighbours of v in the graph's CSR adjacency, in increasing order."""
+    i = g.index(v)
+    return g._nbr[g._indptr[i] : g._indptr[i + 1]].tolist()
+
+
 def star_ball(adj, source: int) -> dict[int, float]:
     """The search ball of ``source``: every vertex within R(source), as the library bounds it."""
     radius = max((w + max(x for _, x in adj[j]) for j, w in adj[source]), default=0.0)
@@ -100,7 +106,7 @@ class TestMetricGraph:
         assert distance(g, "a", "b") == 1.0
         # direct edge beats the two-hop path
         assert distance(g, "a", "c") == 2.5
-        assert g.degree("b") == 2
+        assert csr_neighbours(g, "b") == [0, 2]
 
     def test_detour_metric(self):
         g = parse_metric_graph("a b 1.0\nb c 2.0\na c 4.0")
@@ -418,7 +424,7 @@ class TestParseErrorParity:
         # 2**80 as a length too, and a string length is still a TypeError
         def build():
             g = MetricGraph(["a", "b", "c"], edges)
-            return g.edges, g.neighbors(1)
+            return g.edges, tuple(csr_neighbours(g, 1))
 
         def one_by_one():
             cleaned = []
@@ -682,7 +688,7 @@ class TestStarQuadruples:
     def test_icosahedron_counts(self):
         g = icosahedron_graph()
         for v in g.labels:
-            assert g.degree(v) == 5
+            assert len(csr_neighbours(g, v)) == 5
             assert len(star_rows(g, v)[0]) == 10
 
     def test_degree_two_gives_none(self):
