@@ -12,6 +12,7 @@ circumcenter to the lifted edge midpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,7 +100,9 @@ class AcuteTriangle:
             raise DomainError("vertices must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        if min(self.side_lengths) <= 0.0:
+        sides, what = self.side_lengths, f"squares of the side lengths {self.side_lengths} of {v.tolist()}"
+        in_range(lambda: max(sides) ** 2, what, problem="are out of the float range")  # as `_cosines` takes them
+        if min(sides) <= 0.0:
             raise DomainError("triangle is degenerate")
         if min(self._cosines) <= 0.0:
             raise DomainError("triangle must be strictly acute")
@@ -112,6 +115,8 @@ class AcuteTriangle:
         """
         if not all(0.0 < s < math.inf for s in (s1, s2, s3)):
             raise DomainError("sides must be positive and finite")
+        for s in (s1, s2, s3):  # no square over- or underflows
+            in_range(lambda: s * s, f"side {s!r} squared", sys.float_info.min)
         x = (s3 * s3 + s2 * s2 - s1 * s1) / (2.0 * s3)
         y2 = s2 * s2 - x * x
         if y2 <= 0.0:
@@ -120,8 +125,9 @@ class AcuteTriangle:
 
     @cached_property
     def side_lengths(self) -> tuple[float, float, float]:
-        d = self.vertices[_K] - self.vertices[_L]
-        return tuple(np.sqrt(rowdot(d, d)).tolist())
+        with np.errstate(over="ignore"):  # an infinite side; `__post_init__` rejects it
+            d = self.vertices[_K] - self.vertices[_L]
+            return tuple(np.sqrt(rowdot(d, d)).tolist())
 
     @cached_property
     def _cosines(self) -> tuple[float, float, float]:
@@ -135,10 +141,11 @@ class AcuteTriangle:
 
     @cached_property
     def circumcenter(self) -> np.ndarray:
-        (ax, ay), (bx, by), (cx, cy) = self.vertices
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-        uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
+        (ax, ay), (bx, by), (cx, cy) = self.vertices.tolist()  # Python floats: an overflow is inf, with no warning
+        d, what = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)), f"circumcenter of sides {self.side_lengths}"
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        ux = in_range(lambda: (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d, what)
+        uy = in_range(lambda: (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d, what)
         center = np.array([ux, uy])
         center.setflags(write=False)
         return center

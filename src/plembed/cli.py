@@ -3,10 +3,12 @@
 Every subcommand prints a JSON document (sorted keys, schema_version field)
 to stdout, or to the --output file.  One writer, `_dumps`, makes every
 document; its bytes are those of `json.dumps` with sorted keys and an
-indent of 2.  Exit status: 0 on success, 1 when a feasibility command
-returns a negative verdict, 2 on input or usage errors.  Numbers are emitted
-with Python's shortest round-trip float representation, so parsing them
-back reproduces the exact values.
+indent of 2; check-global and check-local write their entries from the
+report columns of `skeleton._reports` into `_dumps` templates (`_entries`),
+with the same bytes.  Exit status: 0 on success, 1 when a feasibility
+command returns a negative verdict, 2 on input or usage errors.  Numbers
+are emitted with Python's shortest round-trip float representation, so
+parsing them back reproduces the exact values.
 """
 
 from __future__ import annotations
@@ -16,26 +18,34 @@ import json
 import math
 import sys
 from itertools import chain
+from typing import Iterator
+
+import numpy as np
 
 from . import bzelement, mesh, qcbounds, quadruple, skeleton
 from .errors import ParseError
 from .spaceform import TWO_PI
 
 SCHEMA_VERSION = 3
+_ENTRY_KEYS = ("checks", "kappa", "skipped", "verdict", "vertex", "witness")  # of `LocalReport.to_dict`, sorted
 _STR = json.encoder.encode_basestring_ascii
 _JOINS = {str: _STR, float: float.__repr__, int: int.__repr__}
+_BOOL = ("false", "true")
 
 
 def _float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+_Text = type("_Text", (str,), {})  # text that `_dumps` writes as it stands: a value written at its depth, or a slot
+_SLOT = _Text("%s")
 # the text of a scalar of each of these exact types (a dict value is written without a call of _dumps)
 _ATOMS = {
+    _Text: lambda x: x,
     str: _STR,
     float: _float,
     int: int.__repr__,
-    bool: lambda x: "true" if x else "false",
+    bool: _BOOL.__getitem__,
     type(None): lambda x: "null",
 }
 
@@ -166,6 +176,37 @@ def _cmd_embed_check(args) -> int:
     return 0 if cert.verdict else 1
 
 
+def _entries(labels: list[str], c, pad: str) -> Iterator[tuple[str, ...]]:
+    """Per base of ``c`` (`skeleton._Checks`), the `_dumps` texts of its report's `_ENTRY_KEYS` values at ``pad``.
+
+    ``labels`` are the quoted labels.  `_dumps` of templates with "%s" slots
+    lays out the texts; the skipped trios are label texts with their indents,
+    gathered by star id as object arrays, and each list of a base is one join.
+    """
+    q, nb, inner = np.array(labels, dtype=object), c.stars.neighbors, pad + "  "
+    a, b, z, end = _dumps([_SLOT] * 3, inner).split("%s")
+    s, sep = nb[c.stars.degenerate], "," + inner
+    # a skipped trio: three pieces of label text with their indents, then a separator; no trio is one string
+    trios = np.stack([(a + q)[s[:, 0]], (b + q)[s[:, 1]], (z + q + end + sep)[s[:, 2]]], axis=1).ravel().tolist()
+    cert = {"angle_slacks": [[_SLOT] * 3] * 4, **dict.fromkeys(("excess_slack", "planar", "verdict", "witness"), _SLOT)}
+    check = _dumps({"certificate": cert, "curvature_slack": _SLOT, "neighbors": [_SLOT] * 3, "ok": _SLOT}, inner) + sep
+    verdict, planar, excess, slacks, witness = c.certificate
+    slacks = [*map(_float, slacks.ravel().tolist())]
+    rows = zip(excess, planar, verdict, witness, c.curvature_slack, nb[c.checked].tolist(), c.ok)
+    checks = [
+        check % (*slacks[12 * j : 12 * j + 12], _float(e), _BOOL[p], _BOOL[v], _dumps(w, pad + "      "), _float(k),
+                 labels[t[0]], labels[t[1]], labels[t[2]], _BOOL[ok])
+        for j, (e, p, v, w, k, t, ok) in enumerate(rows)
+    ]
+    (opening, closing), failed = _dumps([_SLOT], pad).split("%s"), _dumps([[_SLOT] * 3, _SLOT], pad)
+    listed = lambda items: "".join([opening, *items[:-1], items[-1][: -len(sep)], closing]) if items else "[]"
+    for k, (base, kappa) in enumerate(zip(c.stars.bases, c.kappas)):
+        w = c.witness(k)
+        why = "null" if w is None else failed % (*[labels[i] for i in w[0]], _STR(w[1]))
+        checks_k, skipped_k = checks[c.cut[k] : c.cut[k + 1]], trios[3 * c.skip[k] : 3 * c.skip[k + 1]]
+        yield listed(checks_k), _float(kappa), listed(skipped_k), _BOOL[w is None], labels[base], why
+
+
 def _cmd_check_local(args) -> int:
     graph, kappa_map = _load_graph(args.graph)
     kappa = args.kappa
@@ -175,11 +216,10 @@ def _cmd_check_local(args) -> int:
         kappa = kappa_map[args.vertex]
     if kappa is None:
         raise ParseError("no curvature given; pass --kappa or a document with a kappa map")
-    rep = skeleton.local_compatibility(graph, args.vertex, kappa)
-    payload = {"command": "check-local", "graph": args.graph}
-    payload.update(rep.to_dict())
-    _emit(payload, args)
-    return 0 if rep.verdict else 1
+    c = skeleton._reports(graph, kappa, args.vertex)
+    (fields,) = _entries([*map(_STR, graph.labels)], c, "\n  ")
+    _emit({"command": "check-local", "graph": args.graph, **dict(zip(_ENTRY_KEYS, map(_Text, fields)))}, args)
+    return 0 if fields[3] == "true" else 1
 
 
 def _cmd_check_global(args) -> int:
@@ -187,11 +227,17 @@ def _cmd_check_global(args) -> int:
     kappa = args.kappa if args.kappa is not None else kappa_map
     if kappa is None:
         raise ParseError("no curvature given; pass --kappa or a document with a kappa map")
-    rep = skeleton.global_compatibility(graph, kappa)
-    payload = {"command": "check-global", "graph": args.graph}
-    payload.update(rep.to_dict())
-    _emit(payload, args)
-    return 0 if rep.verdict else 1
+    c, labels = skeleton._reports(graph, kappa), [*map(_STR, graph.labels)]
+    entry, witness = _dumps(dict.fromkeys(_ENTRY_KEYS, _SLOT), "\n    "), None
+    entries = [_Text(entry % fields) for fields in _entries(labels, c, "\n      ")]
+    if False in c.ok:  # the first base with a failed check
+        bad = int(np.searchsorted(c.cut, c.ok.index(False), "right")) - 1
+        trio, name = c.witness(bad)
+        witness = [_Text(labels[bad]), [_Text(labels[i]) for i in trio], name]
+    del c  # the columns go before the document text is joined
+    payload = {"command": "check-global", "graph": args.graph, "entries": entries}
+    _emit({**payload, "verdict": not witness, "witness": witness}, args)
+    return 1 if witness else 0
 
 
 def _cmd_qc_bound(args) -> int:
@@ -318,92 +364,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--output", help="write the JSON document to this path instead of stdout")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("wald", help="embedding-curvature roots of a metric quadruple")
+    p = command("wald", _cmd_wald, "embedding-curvature roots of a metric quadruple")
     p.add_argument("--quadruple", required=True, help="d12,d13,d14,d23,d24,d34")
     p.add_argument("--kappa-cap", type=float, default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_wald)
 
-    p = sub.add_parser("embed-check", help="embeddability certificate for a quadruple")
+    p = command("embed-check", _cmd_embed_check, "embeddability certificate for a quadruple")
     p.add_argument("--quadruple", required=True, help="d12,d13,d14,d23,d24,d34")
     p.add_argument("--kappa", type=_finite_float, required=True)
     p.add_argument("--dim", type=int, default=3, choices=(2, 3))
-    add_output(p)
-    p.set_defaults(func=_cmd_embed_check)
 
-    p = sub.add_parser("check-local", help="local compatibility at one vertex")
+    p = command("check-local", _cmd_check_local, "local compatibility at one vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--vertex", required=True)
     p.add_argument("--kappa", type=_finite_float, default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_check_local)
 
-    p = sub.add_parser("check-global", help="compatibility at every vertex")
+    p = command("check-global", _cmd_check_global, "compatibility at every vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--kappa", type=_finite_float, default=None)
-    add_output(p)
-    p.set_defaults(func=_cmd_check_global)
 
-    p = sub.add_parser("qc-bound", help="edge-angle dilatation bound of a mesh")
+    p = command("qc-bound", _cmd_qc_bound, "edge-angle dilatation bound of a mesh")
     p.add_argument("--mesh", required=True, help="ASCII OFF file")
     p.add_argument("--table", action="store_true", help="also print a table to stderr")
-    add_output(p)
-    p.set_defaults(func=_cmd_qc_bound)
 
-    p = sub.add_parser("wedge", help="dilatation coefficients of a dihedral wedge")
+    p = command("wedge", _cmd_wedge, "dilatation coefficients of a dihedral wedge")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--k", type=int, required=True, help="wedge type")
     p.add_argument("--angles", required=True, help="comma-separated dihedral angles (radians)")
-    add_output(p)
-    p.set_defaults(func=_cmd_wedge)
 
-    p = sub.add_parser("face-count-bound", help="dilatation bound from the face count")
+    p = command("face-count-bound", _cmd_face_count, "dilatation bound from the face count")
     p.add_argument("--faces", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_face_count)
 
-    p = sub.add_parser("index-bound", help="uniform bound on the local index")
+    p = command("index-bound", _cmd_index_bound, "uniform bound on the local index")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--inner", type=float, required=True, help="inner dilatation")
-    add_output(p)
-    p.set_defaults(func=_cmd_index_bound)
 
-    p = sub.add_parser("link-volume", help="normalized link volume at a mesh vertex")
+    p = command("link-volume", _cmd_link_volume, "normalized link volume at a mesh vertex")
     p.add_argument("--mesh", required=True)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dual", action="store_true", help="volume of the dual cone (exterior angle); convex corners only")
-    add_output(p)
-    p.set_defaults(func=_cmd_link_volume)
 
-    p = sub.add_parser("fold", help="conical vertex map of a polar point")
+    p = command("fold", _cmd_fold, "conical vertex map of a polar point")
     p.add_argument("--theta", type=float, required=True, help="source cone angle")
     p.add_argument("--lam", type=float, default=TWO_PI, help="target cone angle (default 2*pi)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--point", required=True, help="rho,phi")
     p.add_argument("--contraction", action="store_true", help="use the inner-disk contraction map")
-    add_output(p)
-    p.set_defaults(func=_cmd_fold)
 
-    p = sub.add_parser("bz-element", help="pleated element over a shrunken triangle")
+    p = command("bz-element", _cmd_bz_element, "pleated element over a shrunken triangle")
     p.add_argument("--template", required=True, help="template sides s1,s2,s3")
     p.add_argument("--base", required=True, help="base sides s1,s2,s3")
     p.add_argument("--obj", help="write the element as Wavefront OBJ to this path")
-    add_output(p)
-    p.set_defaults(func=_cmd_bz_element)
 
-    p = sub.add_parser("curve-curvature", help="discrete curvature of a polyline triple")
+    p = command("curve-curvature", _cmd_curve_curvature, "discrete curvature of a polyline triple")
     p.add_argument("--triple", required=True, help="leg1,leg2,span")
     p.add_argument("--mode", choices=("menger", "finsler-haantjes"), default="menger")
-    add_output(p)
-    p.set_defaults(func=_cmd_curve_curvature)
 
+    for p in sub.choices.values():  # every subcommand, as its last option
+        p.add_argument("--output", help="write the JSON document to this path instead of stdout")
     return parser
 
 

@@ -257,11 +257,11 @@ def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertifica
     angles, failure = _angle_table(q.distances, kappa)
     if failure:
         raise DomainError(failure[1])
-    return _certificates(angles[None])[0]
+    return EmbeddabilityCertificate(*(column[0] for column in _certificate_columns(angles[None])))
 
 
-def _certificates(angles: np.ndarray) -> list[EmbeddabilityCertificate]:
-    """`s3_embeddability` of each table of a stack (Q, 4, 3) of comparison angles, row i those at vertex i."""
+def _certificate_columns(angles: np.ndarray) -> tuple[list, list, list, np.ndarray, list]:
+    """`s3_embeddability`'s fields for each table of a stack (Q, 4, 3) of angles (row i: at vertex i), as columns."""
     v = angles[..., 0] + angles[..., 1] + angles[..., 2]
     excess_slack = TWO_PI - v.max(axis=1)
     # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i
@@ -274,7 +274,7 @@ def _certificates(angles: np.ndarray) -> list[EmbeddabilityCertificate]:
     for q in np.flatnonzero(~verdict).tolist():
         i = int(bad[q].argmax())
         witness[q] = ("excess", int(v[q].argmax())) if excess[q] else ("angle", i, int(slacks[q, i].argmin()))
-    return [*map(EmbeddabilityCertificate, verdict.tolist(), planar.tolist(), excess_slack.tolist(), slacks, witness)]
+    return verdict.tolist(), planar.tolist(), excess_slack.tolist(), slacks, witness
 
 
 def realize_quadruple(q: MetricQuadruple, kappa: float, dim: int = 3) -> np.ndarray | None:

@@ -81,7 +81,7 @@ from .quadruple import (
     _angle_table,
     _betweenness,
     _block_layout,
-    _certificates,
+    _certificate_columns,
     _star_positions,
     _symmetrized,
 )
@@ -415,8 +415,9 @@ def _pair_screen(block: np.ndarray, degree: int) -> np.ndarray:
 class _Stars:
     """Every star at a run of base vertices, the stars of one base contiguous.
 
-    ``neighbors[q]`` holds the vertex ids of the three neighbours of star q
-    (labels are looked up only for the stars a report names).  The stars of
+    These are columns, with no object per star: ``neighbors[q]`` holds the
+    vertex ids of the three neighbours of star q (a report's writer indexes
+    the labels, each quoted once, by them).  The stars of
     ``bases[k]`` are ``start[k]:start[k + 1]``.  ``defect`` is the
     validation code of each star; ``degenerate`` marks the stars with a
     metric betweenness.  ``distances[i]`` holds the graph distances of the
@@ -538,13 +539,56 @@ def local_compatibility(g: MetricGraph, v, kappa: float) -> LocalReport:
     errors are re-raised with the offending quadruple identified, and a
     non-finite kappa raises DomainError.
     """
-    if not math.isfinite(kappa):
-        raise DomainError("curvature must be finite")
-    return _reports(g, _Stars.gather(g, [g.index(v)]), [kappa])[0]
+    return _reports(g, kappa, v).reports()[0]
 
 
-def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalReport]:
-    """`local_compatibility` at every base of ``stars``, at curvature ``kappas[k]`` at ``bases[k]``.
+@dataclass(frozen=True)
+class _Checks:
+    """The reports at the bases of a `_Stars` as columns, with no object per star.
+
+    The checked stars ``checked`` (star ids, in order) have a
+    ``curvature_slack``, an ``ok`` and the ``certificate`` columns of
+    `quadruple._certificate_columns`.  Base k holds the checks
+    ``cut[k]:cut[k + 1]`` and the skipped (degenerate) stars
+    ``skip[k]:skip[k + 1]``.  `reports` builds the `LocalReport`s from them,
+    and `cli._entries` writes their text.
+    """
+
+    labels: tuple[str, ...]
+    stars: _Stars
+    kappas: list[float]
+    checked: np.ndarray
+    curvature_slack: list[float]
+    certificate: tuple
+    ok: list[bool]
+    cut: list[int]
+    skip: list[int]
+
+    def witness(self, k: int) -> tuple[list[int], str] | None:
+        """The neighbour ids and the inequality name ("@i": at neighbour i) of base k's first failed check, or None."""
+        if all(self.ok[self.cut[k] : self.cut[k + 1]]):
+            return None
+        j = self.ok.index(False, self.cut[k])
+        w = self.certificate[4][j]
+        name = "curvature" if w is None else "excess" if w[0] == "excess" else f"angle{w[2]}" + f"@{w[1]}" * (w[1] > 0)
+        return self.stars.neighbors[self.checked[j]].tolist(), name
+
+    def reports(self) -> list[LocalReport]:
+        labels, nb, cut, skip = np.array(self.labels, dtype=object), self.stars.neighbors, self.cut, self.skip
+        trios, certificates = labels[nb[self.checked]].tolist(), map(EmbeddabilityCertificate, *self.certificate)
+        checks = [*map(QuadrupleCheck, map(tuple, trios), self.curvature_slack, certificates, self.ok)]
+        skipped = [*map(tuple, labels[nb[self.stars.degenerate]].tolist())]
+        reports = []
+        for k, (base, kappa) in enumerate(zip(self.stars.bases, self.kappas)):
+            w = self.witness(k)
+            stars_at = tuple(checks[cut[k] : cut[k + 1]]), tuple(skipped[skip[k] : skip[k + 1]])
+            witness = w and (tuple(labels[w[0]]), w[1])
+            reports.append(LocalReport(self.labels[base], kappa, w is None, *stars_at, witness))
+        return reports
+
+
+def _reports(g: MetricGraph, kappa, v=None) -> _Checks:
+    """`local_compatibility` at v, or `global_compatibility` when v is None, as columns.
 
     The nondegenerate stars of all bases are certified together, from one
     table of their flat comparison angles and one of the curvature angles
@@ -553,13 +597,25 @@ def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalRe
     defect before its stars, then each star's flat angles and then its
     curvature angles, in vertex and pair order.
     """
-    labels = np.array(g.labels, dtype=object)
+    if v is not None:
+        values = [kappa]
+    elif isinstance(kappa, Mapping):
+        values = []
+        for lab in g.labels:
+            if lab not in kappa:
+                raise MissingKappaError(f"no curvature prescribed for vertex {lab!r}")
+            values.append(float(kappa[lab]))
+    else:
+        values = [float(kappa)] * g.num_vertices
+    if not all(map(math.isfinite, values)):
+        raise DomainError("curvature must be finite")
+    stars = _Stars.gather(g, range(g.num_vertices) if v is None else [g.index(v)])
     start = np.array(stars.start)
     owner = np.repeat(np.arange(len(stars.bases)), np.diff(start))  # the base of every star
     checked = np.flatnonzero(~stars.degenerate)
     d = stars.distances[~stars.degenerate[stars.blocked]]
     flat, flat_failure = _angle_table(d, 0.0)
-    curved, curved_failure = _angle_table(d, np.array(kappas)[owner[checked], None, None], 1)
+    curved, curved_failure = _angle_table(d, np.array(values)[owner[checked], None, None], 1)
     # (star, flat before curved, text) of the first failure of each table
     failure = min(
         ((f[0] // size, table, f[1]) for f, size, table in ((flat_failure, 12, 0), (curved_failure, 3, 1)) if f),
@@ -571,36 +627,17 @@ def _reports(g: MetricGraph, stars: _Stars, kappas: list[float]) -> list[LocalRe
         k = owner[defects[0]]
         raise DomainError(_DEFECTS[stars.defect[start[k] : start[k + 1]].max() - 1])
     if failure:
-        trio = tuple(labels[stars.neighbors[checked[failure[0]]]])
+        trio = tuple(g.labels[i] for i in stars.neighbors[checked[failure[0]]])
         raise DomainError(f"quadruple at {g.labels[stars.bases[failed_base]]} with neighbours {trio}: {failure[2]}")
 
-    certificates = _certificates(flat)
+    certificate = _certificate_columns(flat)
     curvature_slack = TWO_PI - (curved[:, 0, 0] + curved[:, 0, 1] + curved[:, 0, 2])
-    ok = np.array([c.verdict for c in certificates], dtype=bool) & (curvature_slack >= -ANGLE_TOL)
-    trios = map(tuple, labels[stars.neighbors[checked]].tolist())
-    checks = [*map(QuadrupleCheck, trios, curvature_slack.tolist(), certificates, ok.tolist())]
-    skipped = [*zip(*labels[stars.neighbors[stars.degenerate]].T.tolist())]
-    # base k: checks cut[k]:cut[k + 1], skipped stars skip[k]:skip[k + 1], first failed check first_wrong[k]
+    ok = np.array(certificate[0], dtype=bool) & (curvature_slack >= -ANGLE_TOL)
     cut = np.searchsorted(checked, start)
-    skip = (start - cut).tolist()
-    wrong = np.flatnonzero(~ok)
-    first_wrong = np.append(wrong, len(checks))[np.searchsorted(wrong, cut[:-1])].tolist()
-    cut = cut.tolist()
-    reports = []
-    for k, (base, kappa, w) in enumerate(zip(stars.bases, kappas, first_wrong)):
-        witness = (checks[w].neighbors, _witness_name(checks[w].certificate.witness)) if w < cut[k + 1] else None
-        stars_at = tuple(checks[cut[k] : cut[k + 1]]), tuple(skipped[skip[k] : skip[k + 1]])
-        reports.append(LocalReport(g.labels[base], float(kappa), witness is None, *stars_at, witness))
-    return reports
-
-
-def _witness_name(w: tuple | None) -> str:
-    """The inequality a failed check names: "@i" marks an angle inequality at neighbour point i."""
-    if w is None:
-        return "curvature"
-    if w[0] == "excess":
-        return "excess"
-    return f"angle{w[2]}" + (f"@{w[1]}" if w[1] else "")
+    return _Checks(
+        g.labels, stars, [*map(float, values)], checked, curvature_slack.tolist(), certificate, ok.tolist(),
+        cut.tolist(), (start - cut).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -628,17 +665,7 @@ def global_compatibility(g: MetricGraph, kappa) -> CompatibilityReport:
     curvature; a vertex missing from the mapping raises MissingKappaError,
     and a non-finite value DomainError.
     """
-    if isinstance(kappa, Mapping):
-        values = []
-        for lab in g.labels:
-            if lab not in kappa:
-                raise MissingKappaError(f"no curvature prescribed for vertex {lab!r}")
-            values.append(float(kappa[lab]))
-    else:
-        values = [float(kappa)] * g.num_vertices
-    if not all(map(math.isfinite, values)):
-        raise DomainError("curvature must be finite")
-    entries = tuple(_reports(g, _Stars.gather(g, range(g.num_vertices)), values))
+    entries = tuple(_reports(g, kappa).reports())
     bad = next((e for e in entries if not e.verdict), None)
     return CompatibilityReport(bad is None, entries, None if bad is None else (bad.vertex, *bad.witness))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ class TestAcuteTriangle:
     def test_non_finite_sides_rejected(self, sides):
         with pytest.raises(DomainError, match="sides must be positive and finite"):
             AcuteTriangle.from_sides(*sides)
+
+    @pytest.mark.parametrize(
+        "vertices", [[[0.0, 0.0], [1e200, 0.0], [3e199, 1e200]], [[0.0, 0.0], [1.7e308, 0.0], [-1.7e308, 1.0]]]
+    )
+    def test_overflowing_sides_rejected(self, vertices):
+        # finite vertices whose side lengths overflow: once sides inf and angles nan, and accepted
+        with pytest.raises(DomainError, match=r"squares of the side lengths \(inf, inf, inf\) of .* out of the float range"):
+            AcuteTriangle(np.array(vertices))
+
+    @pytest.mark.parametrize("side", [1e-170, 1e-160, 1e155, 1e300])
+    def test_sides_whose_squares_leave_the_float_range(self, side):
+        # the placement squares every side: below about 1e-154 it once said "sides do not form a triangle"
+        with pytest.raises(DomainError, match=re.escape(f"side {side!r} squared is out of the float range")):
+            AcuteTriangle.from_sides(side, side, side)
+        with pytest.raises(DomainError, match="sides do not form a triangle"):
+            AcuteTriangle.from_sides(1.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("side", [1e104, 1e150])
+    def test_circumcenter_out_of_range(self, side):
+        # its products of three coordinates overflow: the apex was [inf, nan, nan]
+        t = AcuteTriangle.from_sides(side, side, side)
+        with pytest.raises(DomainError, match=r"circumcenter of sides \(.*\) is out of the float range"):
+            t.circumcenter
+        with pytest.raises(DomainError, match="circumcenter"):
+            canonical_element(t, t)
+        assert AcuteTriangle.from_sides(1e102, 1e102, 1e102).circumradius == pytest.approx(1e102 / math.sqrt(3.0))
 
     def test_from_sides_placement(self):
         t = AcuteTriangle.from_sides(3.5, 4.0, 4.5)

@@ -10,10 +10,17 @@ at a time from `comparison_angle`, whose values `test_angle_kernel` checks
 against a 40-digit reference, and `reference_symmetrized` and
 `reference_betweenness` are the star screen as first written.  The batched
 code must give equal documents (``==``), the same bytes from the writer, and
-the same `DomainError` text.
+the same `DomainError` text.  The command-line tool writes its check-global
+and check-local documents from the report columns, not from these objects:
+its text must be `cli._dumps` of the scalar payload, byte for byte.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +38,7 @@ from plembed import (
     nondegenerate,
     s3_embeddability,
 )
-from plembed import MetricGraph, cli, quadruple
+from plembed import MetricGraph, cli, quadruple, skeleton
 from plembed.quadruple import _DEFECTS, BETWEENNESS_MARGIN, _betweenness, _symmetrized
 from plembed.skeleton import ANGLE_TOL, CompatibilityReport, LocalReport, QuadrupleCheck
 from plembed.spaceform import comparison_angles
@@ -315,6 +322,11 @@ def test_screen_keeps_the_stack_shape():
 # check-global on skeletons with every kind of vertex, byte for byte.
 
 
+def signed_zero_map(g, rng):
+    """A curvature map of -0.0, 0.0, 1e-15 and -1e-15, each written as it is."""
+    return dict(zip(g.labels, rng.choice([-0.0, 0.0, 1e-15, -1e-15], size=g.num_vertices).tolist()))
+
+
 def skeleton_with_extras(level, seed):
     """A jittered icosphere skeleton, a pendant vertex at v0 (its stars at v0 are degenerate),
     a vertex of degree 2 and an isolated vertex."""
@@ -324,6 +336,37 @@ def skeleton_with_extras(level, seed):
     return MetricGraph([*g.labels, "pendant", "bridge", "lone"], edges)
 
 
+def run_check(g, kappa, *argv):
+    """Exit status, stdout, stderr and graph path of `plembed` ``argv`` on g written as a graph document.
+
+    A curvature map goes into the document, a number onto the command line.
+    """
+    doc = {"vertices": list(g.labels), "edges": [[g.labels[i], g.labels[j], w] for i, j, w in g.edges]}
+    if isinstance(kappa, dict):
+        doc["kappa"] = kappa
+    else:
+        argv += (f"--kappa={kappa!r}",)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([argv[0], "--graph", path, *argv[1:]])
+    return status, out.getvalue(), err.getvalue(), path
+
+
+def assert_same_cli_text(want, command, g, kappa, *argv):
+    """The command's text is `cli._dumps` of the scalar payload ``want``, or the error line of its DomainError."""
+    status, out, err, path = run_check(g, kappa, command, *argv)
+    if isinstance(want, tuple):
+        assert (status, out, err) == (2, "", f"error: {want[1]}\n")
+    else:
+        doc = {"command": command, "graph": path, **want, "schema_version": cli.SCHEMA_VERSION}
+        assert (status, out, err) == (0 if want["verdict"] else 1, cli._dumps(doc) + "\n", "")
+    return out
+
+
 def assert_same_bytes(g, kappa):
     want = outcome(lambda: scalar_global(g, kappa))
     got = outcome(lambda: global_compatibility(g, kappa))
@@ -331,6 +374,7 @@ def assert_same_bytes(g, kappa):
         assert got == want
     else:
         assert cli._dumps(got) == cli._dumps(want)
+    assert_same_cli_text(want, "check-global", g, kappa)
     return want
 
 
@@ -340,7 +384,7 @@ def test_icosphere_skeletons(level, seed):
     rng = np.random.default_rng(seed)
     mixed = dict(zip(g.labels, rng.choice([-2.0, -0.5, 0.0, 1e-15, 0.3, 1.0, 2.0], size=g.num_vertices).tolist()))
     seen = set()
-    for kappa in (0.0, 1.0, -1.0, 6.0, mixed):
+    for kappa in (0.0, 1.0, -1.0, 6.0, mixed, signed_zero_map(g, rng)):
         doc = assert_same_bytes(g, kappa)
         entries = {e["vertex"]: e for e in doc["entries"]}
         seen |= {e["witness"][1] for e in doc["entries"] if e["witness"]}
@@ -381,3 +425,50 @@ def test_defect_and_angle_failures_in_vertex_order(defect_first):
     else:
         text = "quadruple at a with neighbours ('b', 'd', 'e'): side exceeds pi/sqrt(kappa) on the sphere"
         assert want == ("DomainError", text)
+
+
+def test_check_local_at_every_vertex():
+    g = skeleton_with_extras(1, 21)
+    kappa = signed_zero_map(g, np.random.default_rng(5))
+    assert {-0.0, 1e-15} <= set(kappa.values()) and any(math.copysign(1.0, k) < 0 for k in kappa.values() if k == 0)
+    texts = []
+    for v, label in enumerate(g.labels):
+        want = outcome(lambda: scalar_local(g, v, kappa[label]))
+        texts.append(assert_same_cli_text(want, "check-local", g, kappa, "--vertex", label))
+    assert any('"kappa": -0.0,' in t for t in texts) and any('"kappa": 1e-15,' in t for t in texts)
+    # vertices with checks and with skipped stars, written at the top level of the document
+    assert any('"checks": [\n    {' in t for t in texts) and any('"skipped": [\n    [' in t for t in texts)
+
+
+# labels that JSON escapes: a non-ASCII letter, a quote, a backslash and a character beyond Latin-1
+ESCAPED_LABELS = ["caf\u00e9", 'q"uote', "back\\slash", "\u2603"]
+
+
+def test_escaped_labels():
+    g = MetricGraph(ESCAPED_LABELS, [(i, j, 1.0) for i, j in combinations(range(4), 2)])
+    want = assert_same_bytes(g, 4.0)
+    assert want["verdict"] is False and want["witness"][0] == "caf\u00e9"
+    out = assert_same_cli_text(want, "check-global", g, 4.0)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert all(json.dumps(label) in out for label in ESCAPED_LABELS)
+    for v, label in enumerate(ESCAPED_LABELS):
+        assert_same_cli_text(outcome(lambda: scalar_local(g, v, 4.0)), "check-local", g, 4.0, "--vertex", label)
+
+
+def test_no_object_per_star(monkeypatch):
+    # the command-line documents come from the columns: no check, report or certificate object is built
+    g = skeleton_with_extras(1, 22)
+    kappa = signed_zero_map(g, np.random.default_rng(6))
+    want_global = global_compatibility(g, kappa).to_dict()
+    want_local = [skeleton.local_compatibility(g, label, kappa[label]).to_dict() for label in g.labels]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an object per star")
+
+    for name in ("QuadrupleCheck", "LocalReport", "EmbeddabilityCertificate", "CompatibilityReport"):
+        monkeypatch.setattr(skeleton, name, forbidden)
+    with pytest.raises(AssertionError, match="an object per star"):
+        global_compatibility(g, kappa)
+    assert_same_cli_text(want_global, "check-global", g, kappa)
+    for label, want in zip(g.labels, want_local):
+        assert_same_cli_text(want, "check-local", g, kappa, "--vertex", label)

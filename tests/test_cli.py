@@ -596,6 +596,11 @@ RANGE_ERRORS = [
     # a fold's image angle t * phi overflows, though the image radius 0 does not
     (("fold", "--theta", "1", "--lam", "1.7976931348623157e308", "--point", "0,1.0000000000001"),
      "image angle 1.7976931348623157e+308 * 1.0000000000001 is out of the float range"),
+    # the circumcenter's products of three coordinates overflow; it printed an apex of Infinity and NaN
+    (("bz-element", "--template", "1e104,1e104,1e104", "--base", "1e104,1e104,1e104"),
+     "circumcenter of sides (1e+104, 1e+104, 1e+104) is out of the float range"),
+    # the squares of the sides underflow; it said "sides do not form a triangle"
+    (("bz-element", "--template", "1e-170,1e-170,1e-170", "--base", "1,1,1"), "side 1e-170 squared is out of the float range"),
 ]
 
 
