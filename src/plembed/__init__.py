@@ -14,119 +14,48 @@ The package splits into three layers:
 
 Everything is exercised through the ``plembed`` command line tool as well;
 see the README for the subcommand catalogue.
+
+Each module loads the first time one of its names is asked for (PEP 562), so
+``import plembed`` and ``import plembed.cli`` load none of the computing
+modules: a subcommand loads the modules it runs.
 """
 
-from .bzelement import (
-    AcuteTriangle,
-    DefectReport,
-    FoldParams,
-    PleatedElement,
-    canonical_element,
-    isometry_defect,
-    standard_vertex_map,
-    vertex_contraction,
-)
-from .errors import (
-    DegenerateQuadrupleError,
-    DomainError,
-    DuplicateEdgeError,
-    MeshError,
-    MissingKappaError,
-    NonpositiveLengthError,
-    ParseError,
-    UnknownVertexError,
-)
-from .mesh import PolyMesh, load_off, parse_off
-from .qcbounds import (
-    DihedralWedgeSpec,
-    DilatationBounds,
-    EdgeAngleReport,
-    MonteCarloEstimate,
-    convex_face_count_bound,
-    dihedral_wedge_coefficients,
-    mesh_edge_dilatation_bound,
-    normalized_exterior_angle,
-    normalized_link_volume,
-    normalized_link_volume_mc,
-    uniform_index_bound,
-)
-from .quadruple import (
-    EmbeddabilityCertificate,
-    MetricQuadruple,
-    WaldResult,
-    WaldRoot,
-    cayley_menger,
-    nondegenerate,
-    realize_quadruple,
-    s3_embeddability,
-    wald_curvature,
-)
-from .skeleton import (
-    CompatibilityReport,
-    CurveTriple,
-    LocalReport,
-    MetricGraph,
-    QuadrupleCheck,
-    global_compatibility,
-    local_compatibility,
-    parse_graph_document,
-    parse_metric_graph,
-    polyline_curvature,
-)
-from .spaceform import comparison_angle, realize_distances
+from importlib import import_module
+
+# each public name once, under its home module
+_HOMES = {
+    "bzelement": """AcuteTriangle DefectReport FoldParams PleatedElement canonical_element isometry_defect
+        standard_vertex_map vertex_contraction""",
+    "errors": """DegenerateQuadrupleError DomainError DuplicateEdgeError MeshError MissingKappaError
+        NonpositiveLengthError ParseError UnknownVertexError""",
+    "mesh": "PolyMesh load_off parse_off",
+    "qcbounds": """DihedralWedgeSpec DilatationBounds EdgeAngleReport MonteCarloEstimate convex_face_count_bound
+        dihedral_wedge_coefficients mesh_edge_dilatation_bound normalized_exterior_angle normalized_link_volume
+        normalized_link_volume_mc uniform_index_bound""",
+    "quadruple": """EmbeddabilityCertificate MetricQuadruple WaldResult WaldRoot cayley_menger nondegenerate
+        realize_quadruple s3_embeddability wald_curvature""",
+    "skeleton": """CompatibilityReport CurveTriple LocalReport MetricGraph QuadrupleCheck global_compatibility
+        local_compatibility parse_graph_document parse_metric_graph polyline_curvature""",
+    "spaceform": "comparison_angle realize_distances",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcuteTriangle",
-    "CompatibilityReport",
-    "CurveTriple",
-    "DefectReport",
-    "DegenerateQuadrupleError",
-    "DihedralWedgeSpec",
-    "DilatationBounds",
-    "DomainError",
-    "DuplicateEdgeError",
-    "EdgeAngleReport",
-    "EmbeddabilityCertificate",
-    "FoldParams",
-    "LocalReport",
-    "MeshError",
-    "MetricGraph",
-    "MetricQuadruple",
-    "MissingKappaError",
-    "MonteCarloEstimate",
-    "NonpositiveLengthError",
-    "ParseError",
-    "PleatedElement",
-    "PolyMesh",
-    "QuadrupleCheck",
-    "UnknownVertexError",
-    "WaldResult",
-    "WaldRoot",
-    "canonical_element",
-    "cayley_menger",
-    "comparison_angle",
-    "convex_face_count_bound",
-    "dihedral_wedge_coefficients",
-    "global_compatibility",
-    "isometry_defect",
-    "load_off",
-    "local_compatibility",
-    "mesh_edge_dilatation_bound",
-    "nondegenerate",
-    "normalized_exterior_angle",
-    "normalized_link_volume",
-    "normalized_link_volume_mc",
-    "parse_graph_document",
-    "parse_metric_graph",
-    "parse_off",
-    "polyline_curvature",
-    "realize_distances",
-    "realize_quadruple",
-    "s3_embeddability",
-    "standard_vertex_map",
-    "uniform_index_bound",
-    "vertex_contraction",
-    "wald_curvature",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported the first time it is asked for."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOMES or name == "cli":
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

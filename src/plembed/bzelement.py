@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError, in_range
 from .mesh import rowdot
-from .spaceform import TWO_PI
 
 SLACK = 1e-12  # relative slack of the polar angle range and of the side, circumradius and template comparisons
 # side p runs from vertex _K[p] to vertex _L[p]
@@ -73,7 +72,7 @@ def vertex_contraction(source_angle: float, rho: float, phi: float) -> tuple[flo
     if not 0.0 < source_angle < math.inf:
         raise DomainError("cone angle must be positive and finite")
     _check_polar(source_angle, rho, phi)
-    ratio = in_range(lambda: TWO_PI / source_angle, f"angle ratio 2*pi / {source_angle!r}")
+    ratio = in_range(lambda: math.tau / source_angle, f"angle ratio 2*pi / {source_angle!r}")
     return rho, in_range(lambda: ratio * phi, f"image angle {ratio!r} * {phi!r}")
 
 
@@ -141,12 +140,15 @@ class AcuteTriangle:
 
     @cached_property
     def circumcenter(self) -> np.ndarray:
-        (ax, ay), (bx, by), (cx, cy) = self.vertices.tolist()  # Python floats: an overflow is inf, with no warning
+        # on the vertices over 2**e, below 1 in size, so that no product of three coordinates over- or underflows;
+        # a power of two scales exactly, so in the normal range the bits are those of the unscaled formula
+        e = math.frexp(float(np.abs(self.vertices).max()))[1]
+        (ax, ay), (bx, by), (cx, cy) = np.ldexp(self.vertices, -e).tolist()  # Python floats: no numpy warning
         d, what = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)), f"circumcenter of sides {self.side_lengths}"
         a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
         ux = in_range(lambda: (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d, what)
         uy = in_range(lambda: (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d, what)
-        center = np.array([ux, uy])
+        center = np.ldexp([ux, uy], e)
         center.setflags(write=False)
         return center
 

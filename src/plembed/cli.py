@@ -8,7 +8,8 @@ report columns of `skeleton._reports` into `_dumps` templates (`_entries`),
 with the same bytes.  Exit status: 0 on success, 1 when a feasibility
 command returns a negative verdict, 2 on input or usage errors.  Numbers
 are emitted with Python's shortest round-trip float representation, so
-parsing them back reproduces the exact values.
+parsing them back reproduces the exact values.  Each handler imports the
+modules it runs, so that a subcommand starts without loading the others.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import json
 import math
 import sys
 from itertools import chain
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from . import bzelement, mesh, qcbounds, quadruple, skeleton
 from .errors import ParseError
-from .spaceform import TWO_PI
+
+if TYPE_CHECKING:
+    from .quadruple import MetricQuadruple
 
 SCHEMA_VERSION = 3
 _ENTRY_KEYS = ("checks", "kappa", "skipped", "verdict", "vertex", "witness")  # of `LocalReport.to_dict`, sorted
@@ -140,17 +142,20 @@ def _parse_floats(text: str, expected: int, what: str) -> list[float]:
         raise ParseError(f"{what}: {e}") from None
 
 
-def _quadruple_from_arg(text: str) -> quadruple.MetricQuadruple:
+def _quadruple_from_arg(text: str) -> MetricQuadruple:
+    from . import quadruple
     # order: d12,d13,d14,d23,d24,d34
     return quadruple.MetricQuadruple.from_pairwise(*_parse_floats(text, 6, "--quadruple"))
 
 
 def _load_graph(path: str):
+    from . import skeleton
     with open(path) as fh:
         return skeleton.parse_graph_document(fh.read())
 
 
 def _cmd_wald(args) -> int:
+    from . import quadruple
     q = _quadruple_from_arg(args.quadruple)
     res = quadruple.wald_curvature(q, args.kappa_cap)
     payload = {"command": "wald", "quadruple": list(q.pairwise())}
@@ -161,6 +166,7 @@ def _cmd_wald(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
+    from . import quadruple
     q = _quadruple_from_arg(args.quadruple)
     cert = quadruple.s3_embeddability(q, args.kappa)
     coords = quadruple.realize_quadruple(q, args.kappa, args.dim)
@@ -208,6 +214,7 @@ def _entries(labels: list[str], c, pad: str) -> Iterator[tuple[str, ...]]:
 
 
 def _cmd_check_local(args) -> int:
+    from . import skeleton
     graph, kappa_map = _load_graph(args.graph)
     kappa = args.kappa
     if kappa is None and kappa_map is not None:
@@ -223,6 +230,7 @@ def _cmd_check_local(args) -> int:
 
 
 def _cmd_check_global(args) -> int:
+    from . import skeleton
     graph, kappa_map = _load_graph(args.graph)
     kappa = args.kappa if args.kappa is not None else kappa_map
     if kappa is None:
@@ -241,6 +249,7 @@ def _cmd_check_global(args) -> int:
 
 
 def _cmd_qc_bound(args) -> int:
+    from . import mesh, qcbounds
     m = mesh.load_off(args.mesh)
     rep = qcbounds.mesh_edge_dilatation_bound(m)
     payload = {"command": "qc-bound", "mesh": args.mesh}
@@ -252,6 +261,7 @@ def _cmd_qc_bound(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
+    from . import qcbounds
     angles = [float(a) for a in args.angles.split(",") if a.strip()]
     spec = qcbounds.DihedralWedgeSpec(args.n, args.k, tuple(angles))
     bounds = qcbounds.dihedral_wedge_coefficients(spec)
@@ -267,6 +277,7 @@ def _cmd_wedge(args) -> int:
 
 
 def _cmd_face_count(args) -> int:
+    from . import qcbounds
     bounds = qcbounds.convex_face_count_bound(args.faces, args.n)
     payload = {"command": "face-count-bound", "faces": args.faces, "dimension": args.n}
     payload.update(bounds.to_dict())
@@ -275,12 +286,14 @@ def _cmd_face_count(args) -> int:
 
 
 def _cmd_index_bound(args) -> int:
+    from . import qcbounds
     value = qcbounds.uniform_index_bound(args.n, args.inner)
     _emit({"command": "index-bound", "dimension": args.n, "inner": args.inner, "bound": value}, args)
     return 0
 
 
 def _cmd_link_volume(args) -> int:
+    from . import mesh, qcbounds
     if args.dual and args.method == "monte-carlo":
         raise ParseError("--dual is computed exactly; it takes no --method monte-carlo")
     m = mesh.load_off(args.mesh)
@@ -298,6 +311,7 @@ def _cmd_link_volume(args) -> int:
 
 
 def _cmd_fold(args) -> int:
+    from . import bzelement
     rho, phi = _parse_floats(args.point, 2, "--point")
     payload = {
         "command": "fold",
@@ -319,6 +333,7 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_bz_element(args) -> int:
+    from . import bzelement
     big = bzelement.AcuteTriangle.from_sides(*_parse_floats(args.template, 3, "--template"))
     small = bzelement.AcuteTriangle.from_sides(*_parse_floats(args.base, 3, "--base"))
     element = bzelement.canonical_element(big, small)
@@ -342,6 +357,7 @@ def _cmd_bz_element(args) -> int:
 
 
 def _cmd_curve_curvature(args) -> int:
+    from . import skeleton
     triple = skeleton.CurveTriple(*_parse_floats(args.triple, 3, "--triple"))
     mode = args.mode.replace("-", "_")
     value = skeleton.polyline_curvature(triple, mode)
@@ -414,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fold", _cmd_fold, "conical vertex map of a polar point")
     p.add_argument("--theta", type=float, required=True, help="source cone angle")
-    p.add_argument("--lam", type=float, default=TWO_PI, help="target cone angle (default 2*pi)")
+    p.add_argument("--lam", type=float, default=math.tau, help="target cone angle (default 2*pi)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--point", required=True, help="rho,phi")
     p.add_argument("--contraction", action="store_true", help="use the inner-disk contraction map")

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateQuadrupleError, DomainError, in_range
-from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI, comparison_angles, realize_distances, versine
+from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, comparison_angles, realize_distances, versine
 
 _PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIRS_I, _PAIRS_J = np.array(_PAIR_ORDER).T
@@ -263,7 +263,7 @@ def s3_embeddability(q: MetricQuadruple, kappa: float) -> EmbeddabilityCertifica
 def _certificate_columns(angles: np.ndarray) -> tuple[list, list, list, np.ndarray, list]:
     """`s3_embeddability`'s fields for each table of a stack (Q, 4, 3) of angles (row i: at vertex i), as columns."""
     v = angles[..., 0] + angles[..., 1] + angles[..., 2]
-    excess_slack = TWO_PI - v.max(axis=1)
+    excess_slack = math.tau - v.max(axis=1)
     # row i: a2 + a3 - a1, a1 + a3 - a2, a1 + a2 - a3 of the angles at vertex i
     slacks = angles[..., [1, 0, 0]] + angles[..., [2, 2, 1]] - angles
     bad = slacks.min(axis=2) < -ANGLE_TOL

@@ -85,7 +85,7 @@ from .quadruple import (
     _star_positions,
     _symmetrized,
 )
-from .spaceform import ANGLE_TOL, TRIANGLE_SLACK, TWO_PI
+from .spaceform import ANGLE_TOL, TRIANGLE_SLACK
 
 SEARCH_MARGIN = 1e-12  # relative widening of each star-search radius R(a)
 STAR_RANGE = 4096  # search balls grown, and bases whose stars are gathered, at a time (memory only)
@@ -631,7 +631,7 @@ def _reports(g: MetricGraph, kappa, v=None) -> _Checks:
         raise DomainError(f"quadruple at {g.labels[stars.bases[failed_base]]} with neighbours {trio}: {failure[2]}")
 
     certificate = _certificate_columns(flat)
-    curvature_slack = TWO_PI - (curved[:, 0, 0] + curved[:, 0, 1] + curved[:, 0, 2])
+    curvature_slack = math.tau - (curved[:, 0, 0] + curved[:, 0, 1] + curved[:, 0, 2])
     ok = np.array(certificate[0], dtype=bool) & (curvature_slack >= -ANGLE_TOL)
     cut = np.searchsorted(checked, start)
     return _Checks(

@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 # Relative slack when validating triangle inequalities on float inputs, and
 # on the spherical side and perimeter limits.
 TRIANGLE_SLACK = 1e-12
@@ -45,7 +43,7 @@ RANK_TOL = 1e-9
 MATCH_TOL = 1e-8  # realized coordinates reproduce each distance within MATCH_TOL * max d
 
 _SIDE_LIMIT = math.pi * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * side on the sphere
-_PERIMETER_LIMIT = TWO_PI * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * perimeter on the sphere
+_PERIMETER_LIMIT = math.tau * (1.0 + TRIANGLE_SLACK)  # largest sqrt(kappa) * perimeter on the sphere
 _FLAT = 2.0**-60  # the least |kappa D^2| of the trigonometry (see `_scaled`)
 _LN4 = math.log(4.0)
 

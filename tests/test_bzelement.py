@@ -201,15 +201,21 @@ class TestAcuteTriangle:
         with pytest.raises(DomainError, match="sides do not form a triangle"):
             AcuteTriangle.from_sides(1.0, 1.0, 3.0)
 
-    @pytest.mark.parametrize("side", [1e104, 1e150])
-    def test_circumcenter_out_of_range(self, side):
-        # its products of three coordinates overflow: the apex was [inf, nan, nan]
+    @pytest.mark.parametrize("side", [1e-150, 1e-120, 1e104, 1e150])
+    def test_circumcenter_beyond_the_range_of_its_products(self, side):
+        # its products of three coordinates under- or overflow unscaled: it was (0, 0) at 1e-120, and a
+        # DomainError at 1e104 and 1e150
         t = AcuteTriangle.from_sides(side, side, side)
-        with pytest.raises(DomainError, match=r"circumcenter of sides \(.*\) is out of the float range"):
-            t.circumcenter
-        with pytest.raises(DomainError, match="circumcenter"):
-            canonical_element(t, t)
-        assert AcuteTriangle.from_sides(1e102, 1e102, 1e102).circumradius == pytest.approx(1e102 / math.sqrt(3.0))
+        # an equilateral triangle's circumcenter is its centroid
+        assert t.circumcenter == pytest.approx(t.vertices.mean(axis=0), rel=1e-15)
+        assert t.circumradius == pytest.approx(side / math.sqrt(3.0), rel=1e-15)
+        assert canonical_element(t, t).apex.tolist() == [*t.circumcenter.tolist(), 0.0]
+
+    @pytest.mark.parametrize("k", [-500, -400, 345, 500])
+    def test_circumcenter_scales_exactly(self, k):
+        t = AcuteTriangle.from_sides(0.8, 0.9, 1.0)
+        scaled = AcuteTriangle(t.vertices * 2.0**k).circumcenter
+        assert scaled.tobytes() == (t.circumcenter * 2.0**k).tobytes()
 
     def test_from_sides_placement(self):
         t = AcuteTriangle.from_sides(3.5, 4.0, 4.5)

@@ -596,9 +596,8 @@ RANGE_ERRORS = [
     # a fold's image angle t * phi overflows, though the image radius 0 does not
     (("fold", "--theta", "1", "--lam", "1.7976931348623157e308", "--point", "0,1.0000000000001"),
      "image angle 1.7976931348623157e+308 * 1.0000000000001 is out of the float range"),
-    # the circumcenter's products of three coordinates overflow; it printed an apex of Infinity and NaN
-    (("bz-element", "--template", "1e104,1e104,1e104", "--base", "1e104,1e104,1e104"),
-     "circumcenter of sides (1e+104, 1e+104, 1e+104) is out of the float range"),
+    # the largest sides: their squares overflow, while the circumcenter is in range up to them
+    (("bz-element", "--template", "1e155,1e155,1e155", "--base", "1,1,1"), "side 1e+155 squared is out of the float range"),
     # the squares of the sides underflow; it said "sides do not form a triangle"
     (("bz-element", "--template", "1e-170,1e-170,1e-170", "--base", "1,1,1"), "side 1e-170 squared is out of the float range"),
 ]
@@ -612,6 +611,24 @@ class TestRangeErrors:
         r = run_cli(*args)
         assert_rejected(r, message)
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+    @pytest.mark.parametrize(
+        "side, apex",
+        [
+            ("1e-120", [5e-121, 2.8867513459481288e-121, 0.0]),
+            ("1e104", [5e103, 2.886751345948128e103, 0.0]),
+            ("1e150", [5e149, 2.886751345948129e149, 0.0]),
+        ],
+    )
+    def test_bz_element_beyond_the_range_of_its_products(self, side, apex):
+        # the circumcenter's products of three coordinates under- or overflow unscaled: the apex was
+        # [0.0, 0.0, 0.0] at 1e-120, and at 1e104 an Infinity and NaN, then exit 2
+        sides = ",".join([side] * 3)
+        doc = payload(run_cli("bz-element", "--template", sides, "--base", sides))
+        assert doc["apex"] == apex
+        # an equilateral triangle's circumcenter is its centroid, (s / 2, s / (2 sqrt 3))
+        s = float(side)
+        assert apex[:2] == pytest.approx([s / 2.0, s / (2.0 * math.sqrt(3.0))], rel=1e-15)
 
     @pytest.mark.parametrize("side, want", [("1e-110", math.sqrt(3.0) * 1e110), ("1e200", math.sqrt(3.0) * 1e-200)])
     def test_menger_beyond_the_range_of_its_products(self, side, want):
