@@ -7,7 +7,8 @@ The package splits into three layers:
   the three constant-curvature model surfaces (:mod:`plembed.spaceform`),
   and four-point invariants built on top of them (:mod:`plembed.quadruple`);
 * graph-level checks: shortest-path metrics of edge-weighted graphs and
-  per-vertex compatibility certificates (:mod:`plembed.skeleton`);
+  per-vertex compatibility certificates (:mod:`plembed.skeleton`), and the
+  discrete curvature of polylines (:mod:`plembed.curve`);
 * piecewise-linear maps: dilatation bounds for polyhedral complexes
   (:mod:`plembed.qcbounds`) and explicitly pleated triangle elements
   (:mod:`plembed.bzelement`).
@@ -26,6 +27,7 @@ from importlib import import_module
 _HOMES = {
     "bzelement": """AcuteTriangle DefectReport FoldParams PleatedElement canonical_element isometry_defect
         standard_vertex_map vertex_contraction""",
+    "curve": "CurveTriple polyline_curvature",
     "errors": """DegenerateQuadrupleError DomainError DuplicateEdgeError MeshError MissingKappaError
         NonpositiveLengthError ParseError UnknownVertexError""",
     "mesh": "PolyMesh load_off parse_off",
@@ -34,8 +36,8 @@ _HOMES = {
         normalized_link_volume_mc uniform_index_bound""",
     "quadruple": """EmbeddabilityCertificate MetricQuadruple WaldResult WaldRoot cayley_menger nondegenerate
         realize_quadruple s3_embeddability wald_curvature""",
-    "skeleton": """CompatibilityReport CurveTriple LocalReport MetricGraph QuadrupleCheck global_compatibility
-        local_compatibility parse_graph_document parse_metric_graph polyline_curvature""",
+    "skeleton": """CompatibilityReport LocalReport MetricGraph QuadrupleCheck global_compatibility local_compatibility
+        parse_graph_document parse_metric_graph""",
     "spaceform": "comparison_angle realize_distances",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -116,11 +116,14 @@ class AcuteTriangle:
             raise DomainError("sides must be positive and finite")
         for s in (s1, s2, s3):  # no square over- or underflows
             in_range(lambda: s * s, f"side {s!r} squared", sys.float_info.min)
-        x = (s3 * s3 + s2 * s2 - s1 * s1) / (2.0 * s3)
-        y2 = s2 * s2 - x * x
+        # placed as the sides over 2**e, below 1, so that no sum of two squares overflows; scaled back exactly
+        e = math.frexp(max(s1, s2, s3))[1]
+        a, b, c = (math.ldexp(s, -e) for s in (s1, s2, s3))
+        x = (c * c + b * b - a * a) / (2.0 * c)
+        y2 = b * b - x * x
         if y2 <= 0.0:
             raise DomainError("sides do not form a triangle")
-        return cls(np.array([[0.0, 0.0], [s3, 0.0], [x, math.sqrt(y2)]]))
+        return cls(np.array([[0.0, 0.0], [s3, 0.0], np.ldexp([x, math.sqrt(y2)], e)]))
 
     @cached_property
     def side_lengths(self) -> tuple[float, float, float]:
@@ -130,9 +133,10 @@ class AcuteTriangle:
 
     @cached_property
     def _cosines(self) -> tuple[float, float, float]:
-        # law of cosines at each vertex, in Python floats: s ** 2 is libm pow, not s * s
-        s = self.side_lengths
-        return tuple((s[k] ** 2 + s[l] ** 2 - s[p] ** 2) / (2.0 * s[k] * s[l]) for p, k, l in zip(range(3), _K, _L))
+        # law of cosines in Python floats, over 4**e; s ** 2 is libm pow, whose bits move with scale: squared unscaled
+        e = math.frexp(max(self.side_lengths))[1]
+        q, s = [math.ldexp(x**2, -2 * e) for x in self.side_lengths], [math.ldexp(x, -e) for x in self.side_lengths]
+        return tuple((q[k] + q[l] - q[p]) / (2.0 * s[k] * s[l]) for p, k, l in zip(range(3), _K, _L))
 
     @property
     def angles(self) -> tuple[float, float, float]:

@@ -5,7 +5,8 @@ to stdout, or to the --output file.  One writer, `_dumps`, makes every
 document; its bytes are those of `json.dumps` with sorted keys and an
 indent of 2; check-global and check-local write their entries from the
 report columns of `skeleton._reports` into `_dumps` templates (`_entries`),
-with the same bytes.  Exit status: 0 on success, 1 when a feasibility
+with the same bytes; check-global writes them one at a time, once every
+error has been raised.  Exit status: 0 on success, 1 when a feasibility
 command returns a negative verdict, 2 on input or usage errors.  Numbers
 are emitted with Python's shortest round-trip float representation, so
 parsing them back reproduces the exact values.  Each handler imports the
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +42,7 @@ def _float(x: float) -> str:
 
 _Text = type("_Text", (str,), {})  # text that `_dumps` writes as it stands: a value written at its depth, or a slot
 _SLOT = _Text("%s")
+_GAP = _Text("\0")  # the one item of a list whose items `_emit` writes in turn (json escapes every NUL of a str)
 # the text of a scalar of each of these exact types (a dict value is written without a call of _dumps)
 _ATOMS = {
     _Text: lambda x: x,
@@ -112,14 +114,20 @@ def _dumps(o, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, items: Iterable[str] = ()) -> None:
+    """Write the document of ``payload``; ``items`` are the texts of the items of its list [_GAP], if it has one."""
     payload["schema_version"] = SCHEMA_VERSION
-    text = _dumps(payload) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    head, _, tail = (_dumps(payload) + "\n").partition(_GAP)
+    sep = "," + head[head.rfind("\n") :]  # between items: the gap's own comma, line break and indent
+    out = open(args.output, "w") if getattr(args, "output", None) else sys.stdout
+    try:
+        out.write(head)
+        for k, item in enumerate(items):
+            out.write(sep + item if k else item)
+        out.write(tail)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _finite_float(text: str) -> float:
@@ -237,14 +245,12 @@ def _cmd_check_global(args) -> int:
         raise ParseError("no curvature given; pass --kappa or a document with a kappa map")
     c, labels = skeleton._reports(graph, kappa), [*map(_STR, graph.labels)]
     entry, witness = _dumps(dict.fromkeys(_ENTRY_KEYS, _SLOT), "\n    "), None
-    entries = [_Text(entry % fields) for fields in _entries(labels, c, "\n      ")]
     if False in c.ok:  # the first base with a failed check
         bad = int(np.searchsorted(c.cut, c.ok.index(False), "right")) - 1
         trio, name = c.witness(bad)
         witness = [_Text(labels[bad]), [_Text(labels[i]) for i in trio], name]
-    del c  # the columns go before the document text is joined
-    payload = {"command": "check-global", "graph": args.graph, "entries": entries}
-    _emit({**payload, "verdict": not witness, "witness": witness}, args)
+    payload = {"command": "check-global", "graph": args.graph, "verdict": not witness, "witness": witness}
+    _emit({**payload, "entries": [_GAP] if labels else []}, args, (entry % f for f in _entries(labels, c, "\n      ")))
     return 1 if witness else 0
 
 
@@ -357,10 +363,10 @@ def _cmd_bz_element(args) -> int:
 
 
 def _cmd_curve_curvature(args) -> int:
-    from . import skeleton
-    triple = skeleton.CurveTriple(*_parse_floats(args.triple, 3, "--triple"))
+    from . import curve
+    triple = curve.CurveTriple(*_parse_floats(args.triple, 3, "--triple"))
     mode = args.mode.replace("-", "_")
-    value = skeleton.polyline_curvature(triple, mode)
+    value = curve.polyline_curvature(triple, mode)
     _emit(
         {
             "command": "curve-curvature",

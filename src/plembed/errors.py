@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the range check of closed forms."""
+"""Exception types shared across the package, the range check of closed forms, and the triangle slack."""
 
 import math
+
+TRIANGLE_SLACK = 1e-12  # relative slack of triangle inequalities on float inputs, and of the spherical limits
 
 
 class DomainError(ValueError):

@@ -20,7 +20,9 @@ falls.  The rounded sum fl(d + w) never decreases as d grows, so the
 fixpoint is, per key, the smallest left-to-right rounded sum of edge
 lengths over all paths, which is exactly what a Dijkstra search settles;
 and every prefix of a path that ends within R(a) is within R(a) too, so
-dropping the candidates beyond it loses none.
+dropping the candidates beyond it loses none.  For the same reason a key
+whose distance plus the shortest edge at its vertex passes R(source) is
+not extended: fl(d + w) >= fl(d + shortest) for every edge w there.
 
 Most stars of a skeleton are degenerate, and one pair of neighbours a, b
 often decides it: a triple (a, v, b), (v, a, b) or (v, b, a) through the
@@ -41,16 +43,6 @@ slack read from symmetrized entries could exceed it: below 2**-1021,
 fl(0.5 a + 0.5 b) can exceed max(a, b).)  The stars of a base that is not
 clean are all cut and validated, so the defect of every star, and the
 worst at each base, are the ones the full screen gives.
-
-`polyline_curvature` offers two discrete curvature measures for three
-consecutive points of a polygonal curve.  The Menger mode is the inverse
-circumradius and reproduces 1/R exactly on circles.  The finsler_haantjes
-mode is a *surrogate*: it applies the arc-versus-chord expansion
-sqrt(24 (s - l) / l^3) with the polygonal arc s = sum of the two segment
-lengths.  Because the polygonal arc is itself a chordal approximation, on
-points sampled from a smooth curve this measure converges to sqrt(3)/2
-times the true curvature as the spacing shrinks, not to the curvature
-itself.  See the README.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from itertools import count
 from typing import Mapping
@@ -72,7 +63,6 @@ from .errors import (
     NonpositiveLengthError,
     ParseError,
     UnknownVertexError,
-    in_range,
 )
 from .quadruple import (
     _DEFECTS,
@@ -191,8 +181,9 @@ class MetricGraph:
         # (0 at an isolated vertex), widened by SEARCH_MARGIN
         has_edges = self._indptr[1:] > self._indptr[:-1]
         starts = self._indptr[:-1][has_edges]
-        longest, radius = np.zeros(n), np.zeros(n)
+        longest, radius, self._shortest = np.zeros(n), np.zeros(n), np.full(n, math.inf)  # inf: no edge at all
         longest[has_edges] = np.maximum.reduceat(self._w, starts)
+        self._shortest[has_edges] = np.minimum.reduceat(self._w, starts)
         with np.errstate(over="ignore"):  # lengths near the top of the float range: an infinite radius
             radius[has_edges] = np.maximum.reduceat(self._w + longest[self._nbr], starts)
             self._radius = radius * (1.0 + SEARCH_MARGIN)
@@ -269,6 +260,9 @@ class MetricGraph:
             new = ~known
             keys, dist = np.insert(keys, pos[new], cand_keys[new]), np.insert(dist, pos[new], cand[new])
             front, front_dist = cand_keys[fell | new], cand[fell | new]
+            with np.errstate(over="ignore"):  # a key whose shortest edge leads beyond R(source) makes no candidate
+                reach = front_dist + self._shortest[front % n] <= self._radius[front // n]
+            front, front_dist = front[reach], front_dist[reach]
         return keys, dist
 
 
@@ -396,13 +390,18 @@ def _pair_screen(block: np.ndarray, degree: int) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite blocks are not clean
         sym = 0.5 * u + 0.5 * w
         top = np.maximum(u, w)  # the larger raw entry of each pair
-        slack = TRIANGLE_SLACK * np.maximum(np.maximum(top[ij], top[jk]), top[ik])
+        # the slack only where a triple needs it: fl(p + s) >= p for a slack s >= 0
+        p = sym[ij] + sym[jk]
+        triangle = sym[ik] <= p
+        t, b = np.nonzero(~triangle)
+        slack = TRIANGLE_SLACK * np.maximum(np.maximum(top[ij[t], b], top[jk[t], b]), top[ik[t], b])
+        triangle[t, b] = sym[ik[t], b] <= p[t, b] + slack
         clean = (
             np.logical_and.reduce(np.isfinite(rows))
             & np.logical_and.reduce(rows[:: degree + 2] == 0.0)  # the diagonal
             & np.logical_and.reduce(sym > 0.0)
             & np.logical_and.reduce(np.abs(u - w) <= TRIANGLE_SLACK * top)
-            & np.logical_and.reduce(sym[ik] <= sym[ij] + sym[jk] + slack)
+            & np.logical_and.reduce(triangle)
         )
         h = 0.5 * sym
         h0a, h0b, hab = h[za], h[zb], h[degree:]
@@ -668,52 +667,3 @@ def global_compatibility(g: MetricGraph, kappa) -> CompatibilityReport:
     entries = tuple(_reports(g, kappa).reports())
     bad = next((e for e in entries if not e.verdict), None)
     return CompatibilityReport(bad is None, entries, None if bad is None else (bad.vertex, *bad.witness))
-
-
-# ---------------------------------------------------------------------------
-# Discrete curvature of polygonal curves.
-
-
-@dataclass(frozen=True)
-class CurveTriple:
-    """Three consecutive polyline points: two segment lengths and the span.
-
-    ``leg1`` and ``leg2`` are the consecutive segment lengths; ``span`` is
-    the distance between the outer points.
-    """
-
-    leg1: float
-    leg2: float
-    span: float
-
-    def __post_init__(self):
-        sides = (self.leg1, self.leg2, self.span)
-        if min(sides) <= 0.0 or not all(math.isfinite(s) for s in sides):
-            raise DomainError("curve triple lengths must be positive and finite")
-        slack = TRIANGLE_SLACK * max(sides)
-        if self.span > self.leg1 + self.leg2 + slack:
-            raise DomainError("span exceeds the sum of the segments")
-
-
-def polyline_curvature(t: CurveTriple, mode: str = "menger") -> float:
-    """Discrete curvature of the triple; collinear points give 0.
-
-    ``menger`` is 4*area/(product of sides), the inverse circumradius, taken
-    of the sides scaled by 2**-e into [1/2, 1) and scaled back, exactly.
-    ``finsler_haantjes`` is the chordal surrogate sqrt(24 (s - l) / l^3)
-    with s = leg1 + leg2 and l = span; note the sqrt(3)/2 systematic factor
-    on smooth curves (module docstring).  A value or l^3 out of the float
-    range is a DomainError.
-    """
-    if mode == "menger":
-        e = math.frexp(max(t.leg1, t.leg2, t.span))[1]
-        a, b, c = (math.ldexp(x, -e) for x in (t.leg1, t.leg2, t.span))
-        s = 0.5 * (a + b + c)
-        area2 = s * (s - a) * (s - b) * (s - c)
-        if area2 <= 0.0:
-            return 0.0
-        return in_range(lambda: math.ldexp(4.0 * math.sqrt(area2) / (a * b * c), -e), f"curvature of {t!r}")
-    if mode == "finsler_haantjes":
-        cube = in_range(lambda: t.span**3, f"span {t.span!r} cubed", sys.float_info.min)
-        return in_range(lambda: math.sqrt(24.0 * max(t.leg1 + t.leg2 - t.span, 0.0) / cube), f"curvature of {t!r}")
-    raise DomainError(f"unknown curvature mode {mode!r}")

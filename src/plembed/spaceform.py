@@ -27,11 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-
-# Relative slack when validating triangle inequalities on float inputs, and
-# on the spherical side and perimeter limits.
-TRIANGLE_SLACK = 1e-12
+from .errors import TRIANGLE_SLACK, DomainError
 
 # Slack (radians) accepted on comparison-angle inequalities before declaring
 # a violation; keeps exactly-flat boundary configurations feasible.

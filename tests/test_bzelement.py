@@ -211,6 +211,15 @@ class TestAcuteTriangle:
         assert t.circumradius == pytest.approx(side / math.sqrt(3.0), rel=1e-15)
         assert canonical_element(t, t).apex.tolist() == [*t.circumcenter.tolist(), 0.0]
 
+    @pytest.mark.parametrize("side", [9.6e153, 1e154, 1.3e154, 1.34e154])
+    def test_sides_whose_sums_of_squares_overflow(self, side):
+        # each square is in range, but the sum of two overflowed in the placement and the law of cosines:
+        # "sides do not form a triangle"
+        t = AcuteTriangle.from_sides(side, side, side)
+        assert t.angles == pytest.approx((math.pi / 3,) * 3, rel=1e-14)
+        apex = canonical_element(t, t).apex
+        assert apex[:2] == pytest.approx(t.vertices.mean(axis=0), rel=1e-15) and apex[2] == 0.0
+
     @pytest.mark.parametrize("k", [-500, -400, 345, 500])
     def test_circumcenter_scales_exactly(self, k):
         t = AcuteTriangle.from_sides(0.8, 0.9, 1.0)

@@ -38,6 +38,15 @@ STAR_DOC = json.dumps(
     }
 )
 
+# a unit K4 and a K4 of edges 4 at curvature 1: the long stars leave the sphere, so check-global exits 2
+TWO_K4_DOC = json.dumps(
+    {
+        "edges": [[u, v, 1] for u, v in ("ab", "ac", "ad", "bc", "bd", "cd")]
+        + [["z" + u, "z" + v, 4] for u, v in ("ab", "ac", "ad", "bc", "bd", "cd")],
+        "kappa": 1.0,
+    }
+)
+
 UNIT_Q = "1,1,1,1,1,1"
 SQUARE_Q = "1,1.4142135623730951,1,1,1.4142135623730951,1"
 TRIPOD_Q = "1,1,1,1.99,1.99,1.99"
@@ -290,6 +299,30 @@ class TestCheckGlobalCommand:
         assert (r.returncode, r.stderr) == (0, "")
         assert payload(r)["verdict"] is True
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (TWO_K4_DOC, "quadruple at za with neighbours ('zb', 'zc', 'zd'): side exceeds pi/sqrt(kappa)"),
+            (K4_DOC[:-1] + ', "kappa": {"a": 0, "b": 0, "c": 0}}', "no curvature prescribed for vertex 'd'"),
+        ],
+        ids=["two-k4", "kappa-map-without-d"],
+    )
+    def test_error_writes_no_document(self, tmp_path, doc, message):
+        # every error is raised before the first byte is written
+        path, out = tmp_path / "graph.json", tmp_path / "out.json"
+        path.write_text(doc)
+        assert_rejected(run_cli("check-global", "--graph", str(path)), message)
+        assert_rejected(run_cli("check-global", "--graph", str(path), "--output", str(out)), message)
+        assert not out.exists()
+
+    def test_output_file_has_stdout_bytes_with_a_witness(self, star_path, tmp_path):
+        out = tmp_path / "res.json"
+        printed = run_cli("check-global", "--graph", star_path)
+        written = run_cli("check-global", "--graph", star_path, "--output", str(out))
+        assert (printed.returncode, written.returncode, written.stdout) == (1, 1, "")
+        assert payload(printed)["witness"][0] == "h"
+        assert out.read_bytes() == printed.stdout.encode("ascii")
+
     def test_nan_kappa_in_document(self, nan_kappa_path):
         assert_rejected(run_cli("check-global", "--graph", nan_kappa_path), "'kappa' values must be finite")
 
@@ -315,6 +348,7 @@ K4_EDGES = json.loads(K4_DOC)["edges"]
 # graphs whose isolated, pendant and degree-2 vertices and vertex order the
 # adjacency arrays must get right: (document, every vertex in order)
 EDGE_CASE_DOCS = {
+    "no-vertices": ({"vertices": [], "edges": [], "kappa": 0}, []),
     "no-edges": ({"vertices": ["a"], "edges": [], "kappa": 0}, ["a"]),
     "isolated": ({"vertices": ["a", "b", "c", "d", "e"], "edges": K4_EDGES, "kappa": 0}, ["a", "b", "c", "d", "e"]),
     "pendant": (
@@ -329,6 +363,10 @@ EDGE_CASE_DOCS = {
 # sha256 of the check-global stdout, and of the check-local stdouts at every
 # vertex in order, as the per-vertex heap searches printed them
 EDGE_CASE_DIGESTS = {
+    "no-vertices": (
+        "4a63bda166a1bfcc046f39ba69aaae56f1bdcd54fc8d778dd42a0c3cde521f5b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "no-edges": (
         "44cab470e6856a7916dd46b5576f0c12e83a59d41d78cfe59133969381d13f27",
         "2363cf3a201d70a842843709644d97049f5d9205fc651c363d20b4b42a5c33da",
@@ -540,6 +578,14 @@ class TestBzElementCommand:
 
     def test_non_acute_template(self):
         assert run_cli("bz-element", "--template", "3,4,5", "--base", "3,4,5").returncode == 2
+
+    @pytest.mark.parametrize("side", ["9.6e153", "1e154", "1.3e154"])
+    def test_sides_whose_sums_of_squares_overflow(self, side):
+        # it exited 2 with "sides do not form a triangle"; the apex of an equilateral triangle is its centroid
+        sides = ",".join([side] * 3)
+        doc = payload(run_cli("bz-element", "--template", sides, "--base", sides))
+        s = float(side)
+        assert doc["apex"] == pytest.approx([s / 2.0, s / (2.0 * math.sqrt(3.0)), 0.0], rel=1e-15)
 
     def test_nan_template(self):
         r = run_cli("bz-element", "--template", "nan,1,1", "--base", "0.9,0.9,0.9")

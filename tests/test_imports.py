@@ -33,6 +33,7 @@ QUADRUPLE = ["plembed.quadruple", "plembed.spaceform"]
 SKELETON = ["plembed.quadruple", "plembed.skeleton", "plembed.spaceform"]
 QCBOUNDS = ["plembed.mesh", "plembed.qcbounds"]
 BZELEMENT = ["plembed.bzelement", "plembed.mesh"]
+CURVE = ["plembed.curve"]
 
 # each subcommand, and the modules it adds to those of `import plembed.cli`
 SUBCOMMANDS = [
@@ -40,7 +41,7 @@ SUBCOMMANDS = [
     (["embed-check", "--quadruple", "1,1,1,1,1,1", "--kappa", "1"], QUADRUPLE),
     (["check-local", "--graph", "{graph}", "--vertex", "a", "--kappa", "0"], SKELETON),
     (["check-global", "--graph", "{graph}", "--kappa", "0"], SKELETON),
-    (["curve-curvature", "--triple", "1,1,1.5"], SKELETON),
+    (["curve-curvature", "--triple", "1,1,1.5"], CURVE),
     (["qc-bound", "--mesh", "{mesh}"], QCBOUNDS),
     (["link-volume", "--mesh", "{mesh}", "--vertex", "0"], QCBOUNDS),
     (["wedge", "--n", "3", "--k", "1", "--angles", "1.0"], QCBOUNDS),

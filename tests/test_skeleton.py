@@ -26,7 +26,7 @@ from plembed import (
 )
 from plembed import quadruple, skeleton
 from plembed.quadruple import BETWEENNESS_MARGIN, _betweenness, _symmetrized
-from plembed.skeleton import SEARCH_MARGIN, STAR_RANGE, TRIANGLE_SLACK, _Stars
+from plembed.skeleton import SEARCH_MARGIN, STAR_RANGE, TRIANGLE_SLACK, _edges_at, _pair_screen, _Stars
 
 from conftest import hex_grid_graph, icosahedron_graph, star_graph, unit_k4
 from test_acceptance import _independent_distances
@@ -1013,6 +1013,34 @@ def radius_boundary_graph() -> MetricGraph:
     return MetricGraph(["a", "v", "y", "b"], [(0, 1, 1.0), (1, 2, 0.5), (2, 3, radius - 1.5)])
 
 
+def front_boundary_graph() -> MetricGraph:
+    """Keys of a's ball whose distance plus their vertex's shortest edge is R(a) exactly, and one ulp more.
+
+    R(a) = 2 (1 + SEARCH_MARGIN) comes from a - u - w.  In the first
+    component y is at 1.5 along a - v - y, and its shortest edge, to b,
+    is R(a) - 1.5, whose rounded sum with 1.5 is R(a) itself: y must be
+    extended, and b is in the ball at R(a).  The second component
+    repeats it with y1's edge to b1 longer, so that the sum is one ulp
+    beyond R(a1): y1 is not extended, and b1 is not in the ball.
+    """
+    radius = 2.0 * (1.0 + SEARCH_MARGIN)
+    edges = []
+    for k, reach in enumerate((radius - 1.5, math.nextafter(radius, math.inf) - 1.5)):
+        a, u, w, v, y, b = range(6 * k, 6 * k + 6)
+        edges += [(a, u, 1.0), (u, w, 1.0), (a, v, 0.25), (v, y, 1.25), (y, b, reach)]
+    return MetricGraph([f"{x}{k}" for k in range(2) for x in "auwvyb"], edges)
+
+
+def float_top_graph() -> MetricGraph:
+    """Edges at the largest float: search radii are infinite, and distances plus edges overflow.
+
+    The leaf f has only its edge at the largest float, so a distance to it
+    plus its shortest edge overflows too.
+    """
+    top = np.finfo(float).max
+    return MetricGraph(list("abcdef"), [(0, 1, top), (1, 2, 1.0), (2, 3, top), (3, 4, 0.5), (0, 4, 2.0), (4, 5, top)])
+
+
 SWEEP_GRAPHS = {
     **{f"icosphere{level}-{seed}": (lambda level=level, seed=seed: icosphere_graph(level, seed))
        for level in (1, 2, 3) for seed in (21, 22, 23)},
@@ -1021,6 +1049,8 @@ SWEEP_GRAPHS = {
     **{f"integer-{seed}": (lambda seed=seed: integer_graph(seed)) for seed in (1, 2, 3)},
     "disconnected": disconnected_graph,
     "radius-boundary": radius_boundary_graph,
+    "front-boundary": front_boundary_graph,
+    "float-top": float_top_graph,
 }
 
 
@@ -1060,6 +1090,30 @@ class TestRelaxationOracle:
         assert balls == [star_ball(adj, a) for a in range(n)]
         if name == "radius-boundary":
             assert balls[0] == {0: 0.0, 1: 1.0, 2: 1.5, 3: 2.0 * (1.0 + SEARCH_MARGIN)}
+        if name == "front-boundary":
+            assert balls[0][5] == 2.0 * (1.0 + SEARCH_MARGIN) and 11 not in balls[6]
+
+    @pytest.mark.parametrize("name", SWEEP_GRAPHS)
+    def test_front_prune(self, name, monkeypatch):
+        # a key leaves the front once its shortest edge passes R(source); with shortest edges of 0, none does
+        g = SWEEP_GRAPHS[name]()
+        fronts = []
+
+        def edges_at(indptr, vertices):
+            fronts.append(len(vertices))
+            return _edges_at(indptr, vertices)
+
+        monkeypatch.setattr(skeleton, "_edges_at", edges_at)
+        sources = np.arange(g.num_vertices)
+        keys, dist = g._balls(sources)
+        pruned = sum(fronts)
+        fronts.clear()
+        g._shortest = np.zeros(g.num_vertices)
+        whole, whole_dist = g._balls(sources)
+        assert keys.tobytes() == whole.tobytes() and dist.tobytes() == whole_dist.tobytes()
+        assert pruned <= sum(fronts)
+        if name.startswith("icosphere"):
+            assert pruned < sum(fronts)
 
     @pytest.mark.parametrize("star_range", [STAR_RANGE, 7])
     @pytest.mark.parametrize("name", SWEEP_GRAPHS)
@@ -1194,6 +1248,64 @@ SCREEN_GRAPHS = {
 }
 
 
+def reference_screen(block: np.ndarray, degree: int) -> np.ndarray:
+    """`_pair_screen` by loops over each block, with the slack formed at every triple."""
+    size, stars, flags = degree + 1, list(combinations(range(1, degree + 1), 3)), []
+    for d in block.tolist():
+        sym = [[0.5 * d[i][j] + 0.5 * d[j][i] for j in range(size)] for i in range(size)]
+        top = [[max(d[i][j], d[j][i]) for j in range(size)] for i in range(size)]
+        pairs = list(combinations(range(size), 2))
+        clean = (
+            all(map(math.isfinite, sum(d, [])))
+            and all(d[i][i] == 0.0 for i in range(size))
+            and all(sym[i][j] > 0.0 and abs(d[i][j] - d[j][i]) <= TRIANGLE_SLACK * top[i][j] for i, j in pairs)
+            and all(
+                sym[i][k] <= sym[i][j] + sym[j][k] + TRIANGLE_SLACK * max(top[i][j], top[j][k], top[i][k])
+                for j in range(size)
+                for i, k in combinations([x for x in range(size) if x != j], 2)
+            )
+        )
+
+        def between(a, b):
+            h0a, h0b, hab = 0.5 * sym[0][a], 0.5 * sym[0][b], 0.5 * sym[a][b]
+            m = BETWEENNESS_MARGIN * max(h0a, h0b, hab, 0.0)
+            return hab >= h0a + h0b - m or h0b >= h0a + hab - m or h0a >= h0b + hab - m
+
+        flags.append([clean and (between(a, b) or between(a, c) or between(b, c)) for a, b, c in stars])
+    return np.array(flags, dtype=bool).reshape(len(block), len(stars))
+
+
+def tight_blocks(seed: int, degree: int, count: int) -> tuple[np.ndarray, list[str]]:
+    """Blocks of planar points whose one stretched pair misses the triangle inequality by about the slack.
+
+    The base is at the origin, and neighbours 1 and 2 on either side of
+    it, so that every star holding both is degenerate once its block is
+    clean.  Pair (3, 4) is stretched past the smallest path through a
+    third point by less than its slack, by exactly the slack (so that
+    sym[3, 4] is the rounded sum of the path and the slack), or by one
+    ulp more.  Every other block has an asymmetry of a few ulps at the
+    pair (1, 3), within its slack.
+    """
+    rng = np.random.default_rng(seed)
+    blocks, kinds = [], []
+    for q in range(count):
+        points = np.concatenate([[[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], rng.uniform(-1.0, 1.0, (degree - 2, 2))])
+        d = np.hypot(*(points[:, None, :] - points[None, :, :]).transpose(2, 0, 1))
+        if q % 2:
+            d[3, 1] = d[1, 3] * (1.0 + 4 * 2.0**-52)
+        sym = (0.5 * d + 0.5 * d.T).tolist()
+        path = min(sym[3][j] + sym[j][4] for j in range(degree + 1) if j not in (3, 4))
+        at = path
+        for _ in range(4):  # the fixed point x = fl(path + fl(TRIANGLE_SLACK * x))
+            at = path + TRIANGLE_SLACK * at
+        kind = ["inside", "at", "beyond"][q % 3]
+        d[3, 4] = d[4, 3] = {"inside": 0.5 * (path + at), "at": at, "beyond": math.nextafter(at, math.inf)}[kind]
+        assert kind != "at" or at == path + TRIANGLE_SLACK * at
+        blocks.append(d)
+        kinds.append(kind)
+    return np.array(blocks), kinds
+
+
 class TestPairScreen:
     """`_Stars.gather`, with its pair screen, against every star cut, validated and tested on its own."""
 
@@ -1227,6 +1339,26 @@ class TestPairScreen:
                 for variant in (at_o[0::4], at_o[1::4], at_o[2::4], at_o[3::4]):
                     assert 0 < variant.index(True) == variant.count(False) < len(variant)
         assert seen == {"settled", "kept degenerate", "defect", "asymmetric"}
+
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_tight_triples(self, degree):
+        # the slack is formed only where a triple fails without it; the flags are those of a slack at every triple
+        block, kinds = tight_blocks(degree, degree, 90)
+        flags = _pair_screen(block, degree)
+        assert flags.tobytes() == reference_screen(block, degree).tobytes()
+        clean = flags.any(axis=1).tolist()
+        assert [k for k, c in zip(kinds, clean) if not c] == ["beyond"] * 30
+        assert (block != block.transpose(0, 2, 1)).any(axis=(1, 2)).sum() == 45
+
+    def test_screen_sweep_against_loops(self):
+        for name, make in SCREEN_GRAPHS.items():
+            g = make()
+            n, deg = g.num_vertices, np.diff(g._indptr)
+            keys, dist = g._balls(np.arange(n))
+            for k in np.unique(deg[deg >= 3]).tolist():
+                idx = np.array([[v, *g._nbr[g._indptr[v] : g._indptr[v + 1]]] for v in np.flatnonzero(deg == k)])
+                block = dist[np.searchsorted(keys, idx[:, :, None] * n + idx[:, None, :])]
+                assert _pair_screen(block, k).tobytes() == reference_screen(block, k).tobytes(), name
 
 
 class TestCurveTriple:
