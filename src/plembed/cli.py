@@ -2,14 +2,15 @@
 
 Every subcommand prints a JSON document (sorted keys, schema_version field)
 to stdout, or to the --output file.  One writer, `_dumps`, makes every
-document; its bytes are those of `json.dumps` with sorted keys and an
-indent of 2; check-global and check-local write their entries from the
-report columns of `skeleton._reports` into `_dumps` templates (`_entries`),
-with the same bytes; check-global writes them one at a time, once every
-error has been raised.  Exit status: 0 on success, 1 when a feasibility
-command returns a negative verdict, 2 on input or usage errors.  Numbers
-are emitted with Python's shortest round-trip float representation, so
-parsing them back reproduces the exact values.  Each handler imports the
+document; its bytes are those of `json.dumps` with sorted keys and an indent
+of 2.  With the same bytes, check-global and check-local write their entries
+from the report columns of `skeleton._reports` into `_dumps` templates
+(`_entries`), and qc-bound its edge rows from the columns of its report, each
+vertex index's text made once; check-global writes its entries one at a
+time, once every error has been raised.  Exit status: 0 on success, 1 when a
+feasibility command returns a negative verdict, 2 on input or usage errors.
+Numbers are emitted with Python's shortest round-trip float representation,
+so parsing them back reproduces the exact values.  Each handler imports the
 modules it runs, so that a subcommand starts without loading the others.
 """
 
@@ -19,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -59,12 +59,12 @@ def _dumps(o, pad: str = "\n") -> str:
 
     With an indent, ``json.dumps`` takes its pure-Python encoder.  Here a list
     is one C-level join when its first item is a str, float or int and every
-    item takes the same encoder, and so is a list of list or tuple rows of
-    one length, all of that one type.  A dict value of such a type, None or a
-    bool is written in place.  It goes item by item where a join would differ
-    from json: a float join that wrote nan or inf (json writes NaN and
-    Infinity), and an int join over a bool (json writes true, not 1).  A key
-    that is not a str and a value json cannot encode raise TypeError.
+    item takes the same encoder; other lists, rows among them, go item by
+    item.  A dict value of such a type, None or a bool is written in place.
+    It goes item by item where a join would differ from json: a float join
+    that wrote nan or inf (json writes NaN and Infinity), and an int join
+    over a bool (json writes true, not 1).  A key that is not a str and a
+    value json cannot encode raise TypeError.
     ``pad`` is the newline and indent of the line that closes ``o``.
     """
     if isinstance(o, (list, tuple)):
@@ -72,25 +72,12 @@ def _dumps(o, pad: str = "\n") -> str:
             return "[]"
         inner = pad + "  "
         sep = "," + inner
-        rows = type(o[0]) in (list, tuple) and o[0]
-        join = _JOINS.get(type(o[0][0] if rows else o[0]))
+        join = _JOINS.get(type(o[0]))
         try:
-            if rows:
-                # rows of one length: one join over all their items, a row's end every `width` items;
-                # rows of other lengths or types go item by item
-                width = len(rows)
-                text = ""
-                if {*map(type, o)} <= {list, tuple} and {*map(len, o)} == {width}:
-                    parts = ["," + inner + "  "] * (2 * width * len(o) - 1)
-                    parts[::2] = map(join, chain.from_iterable(o))
-                    parts[2 * width - 1 :: 2 * width] = [f"{inner}]{sep}[{inner}  "] * (len(o) - 1)
-                    text = f"[{inner}  " + "".join(parts) + f"{inner}]"
-            else:
-                text = sep.join(map(join, o)) if join else ""
+            text = sep.join(map(join, o)) if join else ""
         except TypeError:  # an item of another type
             text = ""
-        items = chain.from_iterable(o) if rows else o
-        if not text or join is float.__repr__ and "n" in text or join is int.__repr__ and bool in {*map(type, items)}:
+        if not text or join is float.__repr__ and "n" in text or join is int.__repr__ and bool in {*map(type, o)}:
             text = sep.join([_dumps(v, inner) for v in o])
         return f"[{inner}{text}{pad}]"
     if isinstance(o, dict):
@@ -258,8 +245,18 @@ def _cmd_qc_bound(args) -> int:
     from . import mesh, qcbounds
     m = mesh.load_off(args.mesh)
     rep = qcbounds.mesh_edge_dilatation_bound(m)
-    payload = {"command": "qc-bound", "mesh": args.mesh}
-    payload.update(rep.to_dict())
+    # the text of each vertex index, made once; a list of index rows gathers it into a `_dumps` template
+    ints = np.array([*map(int.__repr__, range(len(m.vertices)))], dtype=object)
+    opening, middle, between, _, closing = _dumps([[_SLOT] * 2] * 2, "\n  ").split("%s")
+
+    def rows(e: np.ndarray) -> _Text:
+        parts = [None, middle, None, between] * len(e)
+        parts[::2] = ints[e].ravel().tolist()
+        return _Text(opening + "".join(parts[:-1]) + closing if len(e) else "[]")
+
+    # the keys of `EdgeAngleReport.to_dict`, edges and reflex written from the columns
+    payload = {"command": "qc-bound", "mesh": args.mesh, "edges": rows(rep.edges), "angles": rep.angles.tolist(),
+               "bound": rep.bound, "reflex": rows(rep.edges[~rep.convex]), "warnings": list(rep.warnings)}
     _emit(payload, args)
     if args.table:
         sys.stderr.write(rep.table() + "\n")

@@ -9,7 +9,7 @@ global orientation flip of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -35,9 +35,10 @@ class PolyMesh:
 
     vertices: np.ndarray
     faces: np.ndarray
+    source: InitVar[np.ndarray | None] = None  # what a face error names for each face, if not its index (an OFF face)
     face_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, source):
         v = np.array(self.vertices, dtype=float)
         f = np.array(self.faces, dtype=int)
         if v.ndim != 2 or v.shape[1] != 3:
@@ -56,7 +57,8 @@ class PolyMesh:
         bad = repeats | (0.5 * twice_area <= 1e-14 * scale * scale)
         if bad.any():
             k = int(np.argmax(bad))
-            raise MeshError(f"face {k} repeats a vertex" if repeats[k] else f"face {k} is degenerate (zero area)")
+            name = k if source is None else int(source[k])
+            raise MeshError(f"face {name} repeats a vertex" if repeats[k] else f"face {name} is degenerate (zero area)")
         normals = cross / twice_area[:, None]
         for arr in (v, f, normals):
             arr.setflags(write=False)
@@ -68,18 +70,21 @@ class PolyMesh:
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges (3m, 2) and the stable order that sorts them by edge.
 
-        Row 3k + t runs from faces[k, t] to faces[k, (t + 1) % 3]; sorting by
-        (min, max) vertex keeps the two sides of an edge in face order.
+        Row 3k + t runs from faces[k, t] to faces[k, (t + 1) % 3]; a stable sort
+        of the one key min * n + max keeps the two sides of an edge in face order.
         """
         d = np.stack([self.faces, np.roll(self.faces, -1, axis=1)], axis=2).reshape(-1, 2)
-        return d, np.lexsort((d.max(axis=1), d.min(axis=1)))
+        return d, np.argsort(self._edge_key(d), kind="stable")
+
+    def _edge_key(self, d: np.ndarray) -> np.ndarray:
+        return d.min(axis=1) * len(self.vertices) + d.max(axis=1)
 
     def require_closed_manifold(self):
         d, order = self.directed_edges
         if not len(d):
             return
-        key = np.sort(d, axis=1)[order]
-        start = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+        key = self._edge_key(d)[order]
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         size = np.diff(start, append=len(key))
         # the clamp only moves a last edge with one side, which its size marks bad anyway
         first, second = order[start], order[np.minimum(start + 1, len(order) - 1)]
@@ -87,7 +92,7 @@ class PolyMesh:
         if bad.any():
             g = np.flatnonzero(bad)
             g = g[np.argmin(first[g])]  # the first bad edge in face order
-            edge = tuple(key[start[g]].tolist())
+            edge = divmod(int(key[start[g]]), len(self.vertices))
             if size[g] != 2:
                 raise MeshError(f"edge {edge} borders {int(size[g])} faces; need a closed manifold")
             raise MeshError(f"edge {edge} traversed twice in the same direction; inconsistent orientation")
@@ -121,8 +126,8 @@ def parse_off(text: str) -> PolyMesh:
     """Parse ASCII OFF; polygonal faces are fan-triangulated.
 
     Comment lines (``#``) and blank lines are allowed anywhere.  Each block
-    is split once and converted by one ``float`` or ``int`` map; the lines
-    are checked one at a time only to name the first bad one.
+    is split once and converted by ``np.array``; the lines are checked one at
+    a time only to name the first bad one.  A face error names the OFF face.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -154,12 +159,13 @@ def parse_off(text: str) -> PolyMesh:
         at = numbers()[2:]
         error = _bad_line(vblock, at[:nv], faces=False) or _bad_line(fblock, at[nv : nv + nf], faces=True)
         raise error or MeshError("face index out of range") from None
-    # polygon (i1, ..., ik) fans into the triangles (i1, it, it+1), t = 2 .. k - 1
-    apex = np.repeat(np.cumsum(k) - k, k - 2)
-    second = apex + np.arange(len(apex)) - np.repeat(np.cumsum(k - 2) - (k - 2), k - 2) + 1
+    # polygon p = (i1, ..., ik) fans into the triangles (i1, it, it+1), t = 2 .. k - 1, each named p in errors
+    poly = np.repeat(np.arange(len(k)), k - 2)
+    apex = (np.cumsum(k) - k)[poly]
+    second = apex + np.arange(len(poly)) - (np.cumsum(k - 2) - (k - 2))[poly] + 1
     faces = idx[np.stack([apex, second, second + 1], axis=1)]
     # an empty block stays the shape-(0,) array that PolyMesh rejects
-    return PolyMesh(vertices.reshape(-1, 3) if vblock else vertices, faces if fblock else idx)
+    return PolyMesh(vertices.reshape(-1, 3) if vblock else vertices, faces if fblock else idx, poly)
 
 
 def _numbers(lines: list[str], faces: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +176,7 @@ def _numbers(lines: list[str], faces: bool) -> tuple[np.ndarray, np.ndarray]:
     tokens: list[str] = []  # each line's split, appended and dropped: a list kept per line costs the collector more
 
     def read(kind: type, at: np.ndarray) -> np.ndarray:  # kind(token), float or int, of the tokens at positions at
-        return np.fromiter(map(kind, map(tokens.__getitem__, at.tolist())), kind, len(at))
+        return np.array([*map(tokens.__getitem__, at.tolist())], dtype=kind)
 
     width = np.fromiter((tokens.extend(parts) or len(parts) for parts in map(str.split, lines)), int, len(lines))
     start = np.cumsum(width) - width

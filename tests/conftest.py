@@ -61,6 +61,23 @@ CUBE_FLAT_PATCH_OFF = """OFF
 4 3 0 4 7
 """
 
+# a square pyramid with comments, a blank line, a colour field and a quad base, which fans into two triangles
+PYRAMID_OFF = """OFF
+# a square pyramid
+5 5 0
+
+1 1 0
+-1 1 0 255 0 0
+-1 -1 0
+1 -1 0  # a trailing comment
+0 0 1
+4 0 3 2 1
+3 0 1 4
+3 1 2 4
+3 2 3 4
+3 3 0 4
+"""
+
 # octahedron with its top vertex (4) pushed down to z = -0.3: a reflex
 # corner at 4 whose neighbours 0-3 are saddles, and a convex bottom (5)
 DENTED_OCTA_OFF = """OFF

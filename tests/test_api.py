@@ -13,6 +13,7 @@ import plembed
 KEPT = {
     ("FoldParams", "radial_scale"),
     ("ParseError", "line"),
+    ("PolyMesh", "source"),
     ("normalized_link_volume_mc", "samples"),
     ("normalized_link_volume_mc", "seed"),
     ("polyline_curvature", "mode"),

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plembed import cli
+from plembed import cli, load_off, mesh_edge_dilatation_bound
 
 from conftest import DENTED_OCTA_OFF, TETRA_OFF
+from test_mesh_oracle import audited_off_texts
 
 K4_DOC = json.dumps(
     {
@@ -423,6 +424,26 @@ class TestQcBoundCommand:
 
     def test_nan_coordinate(self, nan_tetra_path):
         assert_rejected(run_cli("qc-bound", "--mesh", nan_tetra_path), "vertex coordinates must be finite")
+
+    def test_bytes_are_json_dumps(self, tmp_path):
+        # the document is written from the report's columns; json.dumps of `to_dict` is its oracle
+        seen = set()
+        for k, text in enumerate(audited_off_texts()):
+            off, out = tmp_path / f"mesh{k}.off", tmp_path / f"mesh{k}.json"
+            off.write_text(text)
+            path = str(off)
+            doc = {"command": "qc-bound", "mesh": path, **mesh_edge_dilatation_bound(load_off(path)).to_dict()}
+            want = json.dumps({**doc, "schema_version": 3}, sort_keys=True, indent=2) + "\n"
+            assert run_main(["qc-bound", "--mesh", path]) == (0, want, "")
+            assert run_main(["qc-bound", "--mesh", path, "--output", str(out)]) == (0, "", "")
+            assert out.read_text() == want
+            seen |= {"no reflex" if not doc["reflex"] else "reflex", "warnings" if doc["warnings"] else "no warnings"}
+        assert seen == {"no reflex", "reflex", "warnings", "no warnings"}
+
+    def test_polygon_face_error_names_the_off_face(self, tmp_path):
+        path = tmp_path / "polygons.off"
+        path.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n4 0 1 2 3\n4 0 1 1 4\n")
+        assert run_main(["qc-bound", "--mesh", str(path)]) == (2, "", "error: face 1 repeats a vertex\n")
 
 
 class TestWedgeCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,29 @@ class TestParseOff:
     def test_load_off(self, cube_off_path):
         m = load_off(cube_off_path)
         assert m.faces.shape == (12, 3)
+
+    # the unit square 0 1 2 3, the apex 4 above it and the point 5 on the line through 0 and 1
+    _POLYGON_V = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n2 0 0\n"
+
+    @pytest.mark.parametrize(
+        "faces, message",
+        [
+            # the square fans into two triangles, so the bad triangle is the mesh's third
+            (["4 0 1 2 3", "4 0 1 1 4"], "face 1 repeats a vertex"),
+            (["4 0 1 2 3", "4 0 1 5 3"], "face 1 is degenerate (zero area)"),
+            # the bad triangle is the second of its pentagon
+            (["3 0 1 4", "5 0 1 2 2 3"], "face 1 repeats a vertex"),
+            (["3 0 1 4", "4 0 4 1 5", "3 1 2 4"], "face 1 is degenerate (zero area)"),
+            # a triangle-only file names each face as it always did
+            (["3 0 1 2", "3 0 3 3", "3 0 1 5"], "face 1 repeats a vertex"),
+            (["3 0 1 2", "3 0 1 4", "3 0 1 5"], "face 2 is degenerate (zero area)"),
+        ],
+    )
+    def test_face_error_names_the_off_face(self, faces, message):
+        text = f"OFF\n6 {len(faces)} 0\n{self._POLYGON_V}" + "\n".join(faces) + "\n"
+        with pytest.raises(MeshError) as err:
+            parse_off(text)
+        assert str(err.value) == message
 
 
 class TestPolyMesh:
@@ -220,8 +245,8 @@ def reference_parse_off(text: str) -> PolyMesh:
             vertices.append([float(x) for x in parts[:3]])
         except ValueError:
             raise ParseError("bad vertex coordinate", line=ln) from None
-    faces = []
-    for ln, line in body[nv : nv + nf]:
+    faces, source = [], []  # the triangles, and the face line each was fanned from
+    for p, (ln, line) in enumerate(body[nv : nv + nf]):
         parts = line.split()
         try:
             k = int(parts[0])
@@ -232,7 +257,11 @@ def reference_parse_off(text: str) -> PolyMesh:
             raise ParseError(f"face needs {k} indices", line=ln)
         for t in range(1, k - 1):
             faces.append([idx[0], idx[t], idx[t + 1]])
-    return PolyMesh(np.array(vertices, dtype=float), np.array(faces, dtype=int))
+            source.append(p)
+    try:
+        return PolyMesh(np.array(vertices, dtype=float), np.array(faces, dtype=int))
+    except MeshError as e:  # a face error names the OFF face, not the triangle
+        raise MeshError(re.sub(r"^face (\d+)", lambda g: f"face {source[int(g[1])]}", str(e))) from None
 
 
 # coordinate spellings that Python's float reads: signs, exponents, underscores, non-ASCII digits

@@ -62,6 +62,7 @@ from conftest import (
     CUBE_FLAT_PATCH_OFF,
     CUBE_OFF,
     DENTED_OCTA_OFF,
+    PYRAMID_OFF,
     TETRA_OFF,
     link_cycle,
     solid_angle_oracle,
@@ -243,6 +244,20 @@ def _swept_meshes(level, seed):
     """Jittered and dented icospheres, each in both orientations."""
     v, f = dented_icosphere(level, seed)
     return _both_orientations(level, seed) + [(v, f), (v, f[:, ::-1].copy())]
+
+
+# a sliver tetrahedron: the three edges of its base are nearly flat-folded
+SLIVER = (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1e-8]]),
+          np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]))
+
+
+def audited_off_texts() -> list[str]:
+    """OFF texts of audited meshes: the swept icospheres of levels 1-3, the sliver, a dented octahedron, and quad faces.
+
+    The cube has no reflex edge, the sliver has warnings, and the cube and the pyramid fan polygons.
+    """
+    meshes = [m for level in (1, 2, 3) for m in _swept_meshes(level, 10 + level)] + [SLIVER]
+    return [inputs.off_text(v, f) for v, f in meshes] + [CUBE_OFF, PYRAMID_OFF, DENTED_OCTA_OFF]
 
 
 def corner_kinds(ref: ScalarMesh) -> list[str]:
@@ -434,12 +449,18 @@ class TestEdgeAuditOracle:
         assert got.to_dict()["reflex"] == ([[0, 2]] if dip < -1e-12 else [])
 
     def test_tiny_angle_warnings(self):
-        # a sliver tetrahedron: the three edges of its base are nearly flat-folded
-        v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1e-8]])
-        f = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+        v, f = SLIVER
         got = mesh_edge_dilatation_bound(PolyMesh(v, f))
         assert len(got.warnings) == 3
         assert got.to_dict() == reference_edge_report(ScalarMesh(v, f)).to_dict()
+
+    def test_edge_order_is_the_pair_lexsort(self):
+        # `directed_edges` sorts by one integer key; the order must be the stable (min, max) sort it replaced
+        for text in audited_off_texts():
+            m = parse_off(text)
+            for mesh in (m, PolyMesh(m.vertices, m.faces[:, ::-1])):
+                d, order = mesh.directed_edges
+                assert np.array_equal(order, np.lexsort((d.max(axis=1), d.min(axis=1))))
 
 
 class TestLinkOracle:
